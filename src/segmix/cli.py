@@ -242,6 +242,10 @@ def _resolve(command: str, ns: argparse.Namespace, parser: argparse.ArgumentPars
             merged[key] = config[key]
         else:
             merged[key] = default
+    for key in ("seed", "embed_seed"):
+        value = merged.get(key)
+        if value is not None and not 0 <= int(value) < 2**32:
+            raise CliError(f"--{key.replace('_', '-')} must lie in [0, 2**32), got {value}")
     return SimpleNamespace(**merged)
 
 

@@ -9,15 +9,27 @@ label matrix. ``lam = 1`` reproduces the original example; ``lam = 0`` is
 plain replacement, which is also available directly in token space via
 :func:`replacement_da`.
 
-Randomness is counter-based: every generation slot gets its own stream
-derived from (seed, "slot", index), so runs are reproducible and
-order-independent regardless of scheduling.
+A generation run is three whole-run steps. The corpus is compiled once
+into flat token and label arrays with per-example offsets, and each
+variant's eligible segments become flat arrays too. Every slot is then
+planned from run-level streams named off ``config.seed``: "candidates"
+picks the source examples, "lambda" holds a (requested, 2) Gamma block
+whose row k gives slot k's lam, and "choice" holds a (requested, 2)
+uniform block whose row k picks slot k's segment and partner as
+``floor(u * n)``. Row k belongs to slot k, so a slot's draws depend only
+on (seed, k), never on the other slots. Only a slot whose example has no
+eligible segment opens a stream of its own, (seed, "retry", k), to
+re-draw its example. Finally the examples are materialized in blocks of
+slots: plain rows are gathered from the embedding table and an identity
+matrix, and every mixed row of a block is computed in one blend.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -31,6 +43,7 @@ from .pools import (
     build_relation_pool,
     build_sequence_pool,
     build_token_pool,
+    draw_synonym,
 )
 from .rng import derive_rng
 
@@ -131,11 +144,16 @@ class EmbeddingTable:
             row = self.vocab_size + _stable_bucket(surface, self.n_buckets)
         return row
 
+    def rows(self, tokens: Sequence[str]) -> np.ndarray:
+        """``index`` of every token, as an int64 array."""
+        rows = np.fromiter(map(self._index.get, tokens, repeat(-1)), np.int64, len(tokens))
+        for i in np.flatnonzero(rows < 0).tolist():
+            rows[i] = self.index(tokens[i])
+        return rows
+
     def embed(self, tokens: Sequence[str]) -> np.ndarray:
         """Row j is the vector for token j; shape (len(tokens), dim)."""
-        if not tokens:
-            return np.zeros((0, self.dim))
-        return self.vectors[[self.index(t) for t in tokens]]
+        return self.vectors[self.rows(tokens)]
 
 
 def one_hot(labels: Sequence[str], vocab: Sequence[str]) -> np.ndarray:
@@ -151,14 +169,20 @@ def one_hot(labels: Sequence[str], vocab: Sequence[str]) -> np.ndarray:
 
 
 def sample_mix_ratio(alpha: float, rng: np.random.Generator) -> float:
-    """One Beta(alpha, alpha) draw via the two-Gamma ratio construction."""
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    """One Beta(alpha, alpha) draw via the two-Gamma ratio construction.
+
+    When both Gammas underflow to 0 (alpha far below 1) the ratio is
+    undefined; since it is independent of the sum, the draw is redone with
+    ``rng.beta`` rather than returning the midpoint, where Beta(alpha,
+    alpha) has almost no mass.
+    """
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     x = rng.gamma(alpha)
     y = rng.gamma(alpha)
     total = x + y
     if total == 0.0:
-        return 0.5
+        return float(rng.beta(alpha, alpha))
     return float(x / total)
 
 
@@ -204,10 +228,10 @@ class MixConfig:
     same_type_only: bool = False
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
-        if self.rate < 0:
-            raise ValueError("rate must be nonnegative")
+        if not (self.alpha > 0 and math.isfinite(self.alpha)):
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        if not (self.rate >= 0 and math.isfinite(self.rate)):
+            raise ValueError(f"rate must be nonnegative and finite, got {self.rate}")
         if self.pad_policy != "zero_pad":
             raise ValueError(f"unsupported pad policy {self.pad_policy!r}")
         parts = self.variant_list()
@@ -324,47 +348,89 @@ def select_segment(
     mention: uniform over the sentence's mention spans; token: uniform over
     labeled (non-O) tokens; synonym: uniform over tokens with a lexicon
     entry; whole_sequence: the full range; relation: the gold (e1, e2).
+    Only the uniform choices draw from ``rng``.
     """
     if variant == "relation":
         if not isinstance(example, RESample):
             raise TypeError("relation variant needs an RESample")
-        return ((example.e1.start, example.e1.end), (example.e2.start, example.e2.end))
-    if not isinstance(example, Sentence):
+    elif not isinstance(example, Sentence):
         raise TypeError(f"{variant} variant needs a Sentence")
-    if variant == "whole_sequence":
-        return ((0, len(example)),)
-    if variant == "mention":
-        mentions = example.mentions()
-        if not mentions:
-            return None
-        start, end, _ = mentions[int(rng.integers(len(mentions)))]
-        return ((start, end),)
-    if variant == "token":
-        eligible = [i for i, l in enumerate(example.labels) if split_bio(l)[0] != "O"]
-    elif variant == "synonym":
-        if lexicon is None:
-            raise ValueError("synonym variant needs a lexicon")
-        eligible = [i for i, t in enumerate(example.tokens) if t in lexicon]
-    else:
+    elif variant not in NER_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    if not eligible:
+    elif variant == "synonym" and lexicon is None:
+        raise ValueError("synonym variant needs a lexicon")
+    segs = _segments(_compile([example]), variant, lexicon)
+    if not len(segs.start):
         return None
-    pos = eligible[int(rng.integers(len(eligible)))]
-    return ((pos, pos + 1),)
+    j = 0 if variant in ("whole_sequence", "relation") else int(rng.integers(len(segs.start)))
+    return tuple(zip(segs.start[j].tolist(), segs.end[j].tolist()))
 
 
-@dataclass(frozen=True)
+@dataclass
+class _Source:
+    """A corpus compiled to flat arrays: example i owns flat rows offsets[i]:offsets[i + 1].
+
+    ``label_ids`` index ``label_names``, per token for tagging corpora and
+    per sample (the relation) for RE corpora.
+    """
+
+    examples: tuple
+    offsets: np.ndarray
+    tokens: list
+    label_names: tuple
+    label_ids: np.ndarray
+
+
+def _compile(examples: Sequence) -> _Source:
+    examples = tuple(examples)
+    lengths = np.fromiter((len(x.tokens) for x in examples), np.int64, len(examples))
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    tokens = [t for x in examples for t in x.tokens]
+    if examples and isinstance(examples[0], RESample):
+        labels = [x.relation for x in examples]
+    else:
+        labels = [l for x in examples for l in x.labels]
+    names = tuple(dict.fromkeys(labels))
+    index = {name: i for i, name in enumerate(names)}
+    ids = np.fromiter(map(index.__getitem__, labels), np.int64, len(labels))
+    return _Source(examples, offsets, tokens, names, ids)
+
+
+@dataclass
 class _Plan:
-    """Resolved randomness for one generation slot."""
+    """Resolved randomness of a run's emitted slots, one row per slot in slot order.
 
-    slot: int
-    example_index: int
-    variant: str
-    lam: float
-    spans: tuple[tuple[int, int], ...]
-    pool_index: int | None
-    partner_segments: tuple[tuple[str, ...], ...]
-    partner_labels: tuple[tuple[str, ...], ...] | str | None
+    ``spans`` holds each slot's k segment spans (k = 1 for tagging, 2 for
+    relations) in source coordinates; ``segments`` and ``labels`` hold the
+    partner's k token tuples and its labels (k label tuples, one relation
+    string, or None for a synonym swap, which keeps the source labels).
+    """
+
+    example: np.ndarray
+    lam: np.ndarray
+    spans: np.ndarray
+    variant: list
+    pool_index: list
+    segments: list
+    labels: list
+
+    def __getitem__(self, rows: slice) -> "_Plan":
+        return _Plan(
+            self.example[rows], self.lam[rows], self.spans[rows], self.variant[rows],
+            self.pool_index[rows], self.segments[rows], self.labels[rows],
+        )
+
+    @classmethod
+    def concat(cls, plans: Sequence["_Plan"]) -> "_Plan":
+        return cls(
+            np.concatenate([p.example for p in plans]),
+            np.concatenate([p.lam for p in plans]),
+            np.concatenate([p.spans for p in plans]),
+            [v for p in plans for v in p.variant],
+            [i for p in plans for i in p.pool_index],
+            [s for p in plans for s in p.segments],
+            [l for p in plans for l in p.labels],
+        )
 
 
 PoolSpec = Union[SegmentPool, SynonymLexicon, Mapping[str, Union[SegmentPool, SynonymLexicon]], None]
@@ -420,68 +486,170 @@ def _split_budget(total: int, weights: Sequence[float]) -> list[int]:
     return counts
 
 
-def _restrict_pool(pool: SegmentPool, spans, example, variant: str) -> SegmentPool:
-    """Same-entity-type filtering for the strict replacement reading."""
-    if variant == "mention":
-        _, etype = split_bio(example.labels[spans[0][0]])
-    elif variant == "token":
-        _, etype = split_bio(example.labels[spans[0][0]])
+
+@dataclass
+class _Segments:
+    """Every eligible segment of a compiled corpus, grouped by example.
+
+    Example i's candidates are rows ``off[i]:off[i + 1]`` of ``start`` and
+    ``end`` (shape (F, k), source coordinates). ``types`` is each
+    candidate's entity-type id under ``type_ids`` (-1 where types do not
+    apply), which same-type draws match against the pool.
+    """
+
+    start: np.ndarray
+    end: np.ndarray
+    types: np.ndarray
+    off: np.ndarray
+    type_ids: dict
+
+
+_KIND = {"O": 0, "B": 1, "I": 2}
+
+
+def _segments(src: _Source, variant: str, lexicon: SynonymLexicon | None) -> _Segments:
+    n = len(src.examples)
+    lengths = np.diff(src.offsets)
+    one_each = np.arange(n + 1)
+    if variant == "whole_sequence":
+        return _Segments(np.zeros((n, 1), np.int64), lengths[:, None], np.full(n, -1), one_each, {})
+    if variant == "relation":
+        spans = np.array(
+            [[s.e1.start, s.e1.end, s.e2.start, s.e2.end] for s in src.examples], np.int64
+        ).reshape(n, 2, 2)
+        return _Segments(spans[:, :, 0], spans[:, :, 1], np.full(n, -1), one_each, {})
+    type_ids: dict[str, int] = {}
+    if variant == "synonym":
+        pos = np.flatnonzero(
+            np.fromiter((t in lexicon for t in src.tokens), bool, len(src.tokens))
+        )
+        ends = pos + 1
+        types = np.full(len(pos), -1)
     else:
-        return pool
-    keep = []
-    for entry in pool.entries:
-        first = entry.labels[0][0]
-        if split_bio(first)[1] == etype:
-            keep.append(entry)
-    return SegmentPool(pool.arity, tuple(keep), pool.source)
+        bio = [split_bio(name) for name in src.label_names]
+        kind_of = np.array([_KIND[k] for k, _ in bio], np.int64)
+        type_of = np.array(
+            [-1 if t is None else type_ids.setdefault(t, len(type_ids)) for _, t in bio],
+            np.int64,
+        )
+        kind = kind_of[src.label_ids]
+        if variant == "mention":
+            # a mention opens at B- and runs over the following I- labels
+            pos = np.flatnonzero(kind == _KIND["B"])
+            stop = np.ones(len(kind) + 1, bool)
+            stop[:-1] = kind != _KIND["I"]
+            stop[src.offsets[1:]] = True  # a mention never runs past its sentence
+            stops = np.flatnonzero(stop)
+            ends = stops[np.searchsorted(stops, pos, side="right")]
+        else:
+            pos = np.flatnonzero(kind != _KIND["O"])
+            ends = pos + 1
+        types = type_of[src.label_ids[pos]]
+    off = np.searchsorted(pos, src.offsets)
+    base = np.repeat(src.offsets[:-1], np.diff(off))
+    return _Segments((pos - base)[:, None], (ends - base)[:, None], types, off, type_ids)
 
 
-def _plan_slot(
-    slot: int,
-    initial_index: int,
+def _by_type(pool: SegmentPool, type_ids: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Pool indices grouped by the entity type of each entry's first label.
+
+    Entries of type t are ``order[off[t]:off[t + 1]]``, in pool order.
+    """
+    types = np.fromiter(
+        (type_ids.get(split_bio(e.labels[0][0])[1], -1) for e in pool.entries),
+        np.int64,
+        len(pool),
+    )
+    typed = np.flatnonzero(types >= 0)
+    order = typed[np.argsort(types[typed], kind="stable")]
+    counts = np.bincount(types[typed], minlength=len(type_ids))
+    return order, np.concatenate([[0], np.cumsum(counts)])
+
+
+def _plan_part(
+    src: _Source,
     variant: str,
-    examples: Sequence,
     pool: Union[SegmentPool, SynonymLexicon],
+    slots: np.ndarray,
+    examples: np.ndarray,
+    lam: np.ndarray,
+    u: np.ndarray,
     config: MixConfig,
-) -> _Plan | None:
-    """Resolve one slot's randomness; None when retries are exhausted."""
-    rng = derive_rng(config.seed, "slot", slot)
-    if config.fixed_lambda is not None:
-        lam = config.fixed_lambda
-    else:
-        lam = sample_mix_ratio(config.alpha, rng)
-    index = initial_index
+) -> _Plan:
+    """Plan one variant's slots; slots with no eligible segment are dropped."""
     lexicon = pool if isinstance(pool, SynonymLexicon) else None
-    for _attempt in range(config.retry_limit + 1):
-        example = examples[index]
-        spans = select_segment(example, variant, rng, lexicon=lexicon)
-        if spans is not None:
-            if variant == "synonym":
-                token = example.tokens[spans[0][0]]
-                syns = lexicon.synonyms(token)
-                chosen = syns[int(rng.integers(len(syns)))]
-                return _Plan(slot, index, variant, lam, spans, None, ((chosen,),), None)
-            draw_pool = pool
-            if config.same_type_only and variant in ("mention", "token"):
-                draw_pool = _restrict_pool(pool, spans, example, variant)
-                if not len(draw_pool):
-                    index = int(rng.integers(len(examples)))
-                    continue
-            pool_index = draw_pool.draw_index(rng)
-            entry = draw_pool.entries[pool_index]
-            if config.same_type_only and draw_pool is not pool:
-                pool_index = pool.entries.index(entry)
-            return _Plan(
-                slot, index, variant, lam, spans, pool_index, entry.segments, entry.labels
-            )
-        index = int(rng.integers(len(examples)))
-    return None
+    segs = _segments(src, variant, lexicon)
+    if lexicon is None and pool.arity != segs.start.shape[1]:
+        raise ValueError(f"variant {variant!r} needs an arity-{segs.start.shape[1]} pool")
+    counts = np.diff(segs.off)
+    restrict = config.same_type_only and variant in ("mention", "token")
+    if restrict:
+        by_type, type_off = _by_type(pool, segs.type_ids)
+        type_counts = np.diff(type_off)
+
+    def pick(ex: np.ndarray, u0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each slot's segment row, and whether the slot can be planned at all."""
+        n_seg = counts[ex]
+        row = segs.off[ex] + (u0 * n_seg).astype(np.int64)  # u0 < 1, so row < off[ex + 1]
+        ok = n_seg > 0
+        if restrict:
+            ok[ok] = type_counts[segs.types[row[ok]]] > 0
+        return row, ok
+
+    ex = examples.copy()
+    row, ok = pick(ex, u[:, 0])
+    for i in np.flatnonzero(~ok):
+        # only ineligible slots pay for a stream of their own
+        rng = derive_rng(config.seed, "retry", int(slots[i]))
+        for _attempt in range(config.retry_limit):
+            retry = np.array([rng.integers(len(src.examples))])
+            retry_row, retry_ok = pick(retry, u[i : i + 1, 0])
+            if retry_ok[0]:
+                ex[i], row[i], ok[i] = retry[0], retry_row[0], True
+                break
+
+    ex, row, u1 = ex[ok], row[ok], u[ok, 1]
+    spans = np.stack([segs.start[row], segs.end[row]], axis=-1)
+    if lexicon is not None:
+        heads = src.offsets[ex] + spans[:, 0, 0]
+        segments = []
+        for head, draw in zip(heads.tolist(), u1.tolist()):
+            syns = lexicon.synonyms(src.tokens[head])
+            segments.append(((syns[int(draw * len(syns))],),))
+        pool_index: list = [None] * len(ex)
+        labels: list = [None] * len(ex)
+    else:
+        if restrict:
+            t = segs.types[row]
+            chosen = by_type[type_off[t] + (u1 * type_counts[t]).astype(np.int64)]
+        else:
+            chosen = (u1 * len(pool)).astype(np.int64)
+        pool_index = chosen.tolist()
+        entries = [pool.entries[i] for i in pool_index]
+        segments = [e.segments for e in entries]
+        labels = [e.labels for e in entries]
+    return _Plan(ex, lam[ok], spans, [variant] * len(ex), pool_index, segments, labels)
+
+
+def _mix_ratios(config: MixConfig, requested: int) -> np.ndarray:
+    """Row k is slot k's lam; it depends only on (seed, k)."""
+    if config.fixed_lambda is not None:
+        return np.full(requested, float(config.fixed_lambda))
+    gammas = derive_rng(config.seed, "lambda").gamma(config.alpha, size=(requested, 2))
+    total = gammas.sum(axis=1)
+    lam = np.divide(gammas[:, 0], total, out=np.zeros(requested), where=total > 0)
+    stuck = total == 0.0
+    if stuck.any():
+        # both gammas underflowed (alpha << 1): redraw from the Beta law itself
+        redraw = derive_rng(config.seed, "lambda-beta").beta(config.alpha, config.alpha, requested)
+        lam[stuck] = redraw[stuck]
+    return lam
 
 
 def _plan_run(
     corpus: Union[TaggedCorpus, RECorpus], pools: PoolSpec, config: MixConfig
-) -> tuple[list[_Plan], int, dict]:
-    """Shared driver for mixing and replacement: one plan per emitted example."""
+) -> tuple[_Source | None, _Plan | None, int, int]:
+    """Shared planner for mixing and replacement: (source, plan, skipped, requested)."""
     examples = (
         corpus.sentences if isinstance(corpus, TaggedCorpus) else corpus.samples
     )
@@ -495,142 +663,229 @@ def _plan_run(
                 f"variant {part!r} does not apply to {type(corpus).__name__}"
             )
     if requested == 0:
-        return [], 0, {"requested": 0}
+        return None, None, 0, 0
     if n == 0:
         raise ValueError("cannot augment an empty corpus")
     pool_map = _normalize_pools(corpus, pools, config)
 
     cand_rng = derive_rng(config.seed, "candidates")
-    if requested <= n:
-        candidates = cand_rng.choice(n, size=requested, replace=False)
-    else:
-        candidates = cand_rng.choice(n, size=requested, replace=True)
+    candidates = cand_rng.choice(n, size=requested, replace=requested > n)
+    lam = _mix_ratios(config, requested)
+    u = derive_rng(config.seed, "choice").random((requested, 2))
 
-    counts = _split_budget(requested, config.variant_weights())
-    plans: list[_Plan] = []
-    skipped = 0
-    slot = 0
-    for part, count in zip(parts, counts):
-        for _ in range(count):
-            plan = _plan_slot(
-                slot, int(candidates[slot]), part, examples, pool_map[part], config
+    src = _compile(examples)
+    plans = []
+    first = 0
+    for part, count in zip(parts, _split_budget(requested, config.variant_weights())):
+        if count:
+            slots = np.arange(first, first + count)
+            plans.append(
+                _plan_part(src, part, pool_map[part], slots, candidates[slots], lam[slots], u[slots], config)
             )
-            if plan is None:
-                skipped += 1
-            else:
-                plans.append(plan)
-            slot += 1
+            first += count
+    plan = _Plan.concat(plans)
+    skipped = requested - len(plan.example)
     if skipped:
         log.warning("skipped %d of %d slots (no eligible segment)", skipped, requested)
-    return plans, skipped, {"requested": requested}
+    return src, plan, skipped, requested
 
 
-def _splice_rows(matrix: np.ndarray, start: int, end: int, block: np.ndarray) -> np.ndarray:
-    return np.concatenate([matrix[:start], block, matrix[end:]])
+# Slots materialized together. Blocks keep every array to a few MB: one
+# run-sized output array raised the augment benchmark's peak RSS by ~3.5%,
+# memory the allocator kept after the array was freed.
+_BLOCK = 512
 
 
-def _final_spans(
-    spans: Sequence[tuple[int, int]], mixed_lens: Sequence[int]
-) -> tuple[tuple[int, int], ...]:
-    """Map original spans to output coordinates after splice growth."""
-    out = []
-    for j, (s, e) in enumerate(spans):
-        shift = sum(
-            mixed_lens[i] - (spans[i][1] - spans[i][0])
-            for i in range(len(spans))
-            if spans[i][0] < s
-        )
-        out.append((s + shift, s + shift + mixed_lens[j]))
-    return tuple(out)
+def _gather(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``table[rows]`` where row -1 reads as zeros: the zero-pad side of a blend."""
+    out = table[rows]
+    out[rows < 0] = 0.0
+    return out
 
 
-def _materialize_ner(
-    sentence: Sentence,
+def _blend(out: np.ndarray, at: np.ndarray, lam: np.ndarray, table: np.ndarray, rows: np.ndarray) -> None:
+    """``out[at] = lam * out[at] + (1 - lam) * table[rows]`` row-wise, computed in place."""
+    a = out[at]
+    a *= lam[:, None]
+    b = _gather(table, rows)
+    b *= (1.0 - lam)[:, None]
+    a += b
+    out[at] = a
+
+
+def _vocab_ids(labels: Sequence, vocab: Sequence[str]) -> np.ndarray:
+    index = {l: i for i, l in enumerate(vocab)}
+    index[None] = -1  # a synonym partner's labels, which are never read
+    try:
+        return np.array([index[l] for l in labels], np.int64)
+    except KeyError as exc:
+        raise ValueError(f"label {exc.args[0]!r} not in vocabulary") from None
+
+
+def _layout(src: _Source, plan: _Plan, partner_lens: np.ndarray):
+    """Where each output row of a block comes from, as flat index arrays.
+
+    An example is cut into pieces: the gaps between its k spans, kept, and
+    the spans, each as long as the longer of span and partner (or the span
+    alone when lam == 1). Returns per output row the flat source position
+    ``a`` and flat partner position ``b`` (-1 = zero pad) and its slot; the
+    rows to blend; each slot's row count; and each slot's mixed spans in
+    output coordinates, in plan span order.
+    """
+    n_slots, k = partner_lens.shape
+    partner_at = (np.cumsum(partner_lens) - partner_lens.ravel()).reshape(n_slots, k)
+    order = np.argsort(plan.spans[:, :, 0], axis=1)
+    start = np.take_along_axis(plan.spans[:, :, 0], order, 1)
+    end = np.take_along_axis(plan.spans[:, :, 1], order, 1)
+    p_len = np.take_along_axis(partner_lens, order, 1)
+    keep = (plan.lam == 1.0)[:, None]
+    mixed_len = np.where(keep, end - start, np.maximum(end - start, p_len))
+    src_at = src.offsets[plan.example][:, None]
+    src_len = np.diff(src.offsets)[plan.example][:, None]
+    gap_lo = np.concatenate([np.zeros_like(src_at), end], axis=1)
+    gap_hi = np.concatenate([start, src_len], axis=1)
+
+    # pieces in row order: gap, span, gap, ..., span, gap
+    n_pieces = 2 * k + 1
+    piece_len = np.empty((n_slots, n_pieces), np.int64)
+    a_at = np.empty_like(piece_len)
+    a_len = np.empty_like(piece_len)
+    b_at = np.zeros_like(piece_len)
+    b_len = np.zeros_like(piece_len)
+    piece_len[:, 0::2] = a_len[:, 0::2] = gap_hi - gap_lo
+    a_at[:, 0::2] = src_at + gap_lo
+    piece_len[:, 1::2] = mixed_len
+    a_at[:, 1::2] = src_at + start
+    a_len[:, 1::2] = end - start
+    b_at[:, 1::2] = np.take_along_axis(partner_at, order, 1)
+    b_len[:, 1::2] = np.where(keep, 0, p_len)
+
+    lens = piece_len.ravel()
+    piece = np.repeat(np.arange(lens.size), lens)
+    local = np.arange(piece.size) - np.repeat(np.cumsum(lens) - lens, lens)
+    a = np.where(local < a_len.ravel()[piece], a_at.ravel()[piece] + local, -1)
+    b = np.where(local < b_len.ravel()[piece], b_at.ravel()[piece] + local, -1)
+    slot = piece // n_pieces
+    blend = np.flatnonzero((piece % n_pieces % 2 == 1) & ~keep[slot, 0])
+
+    piece_at = np.cumsum(piece_len, axis=1) - piece_len
+    inverse = np.argsort(order, axis=1)
+    mixed_at = np.take_along_axis(piece_at[:, 1::2], inverse, 1)
+    mixed_end = mixed_at + np.take_along_axis(mixed_len, inverse, 1)
+    mixed_spans = np.stack([mixed_at, mixed_end], axis=-1)
+    return a, b, slot, blend, piece_len.sum(axis=1), mixed_spans
+
+
+def _materialize(
+    src: _Source,
     plan: _Plan,
     table: EmbeddingTable,
     vocab: Sequence[str],
     config: MixConfig,
-) -> MixedExample:
-    embeddings = table.embed(sentence.tokens)
-    soft = one_hot(sentence.labels, vocab)
-    lam = plan.lam
-    mixed_lens = [0] * len(plan.spans)
-    for j in sorted(range(len(plan.spans)), key=lambda k: -plan.spans[k][0]):
-        start, end = plan.spans[j]
-        if lam == 1.0:
-            # the identity limit: no padding, no growth, original rows kept
-            mixed_lens[j] = end - start
-            continue
-        seg_b = plan.partner_segments[j]
-        e_a, e_b = pad_to_longer(embeddings[start:end], table.embed(seg_b))
-        mixed_e = mix(e_a, e_b, lam)
-        embeddings = _splice_rows(embeddings, start, end, mixed_e)
-        mixed_lens[j] = len(mixed_e)
-        if plan.variant == "synonym":
-            # synonyms share the label: only the input side is interpolated
-            continue
-        o_a, o_b = pad_to_longer(soft[start:end], one_hot(plan.partner_labels[j], vocab))
-        mixed_o = mix(o_a, o_b, lam)
-        if config.normalize_tail_labels:
-            sums = mixed_o.sum(axis=1)
-            nonzero = sums > 0
-            mixed_o[nonzero] = mixed_o[nonzero] / sums[nonzero, None]
-        soft = _splice_rows(soft, start, end, mixed_o)
-    provenance = Provenance(
-        example_index=plan.example_index,
-        variant=plan.variant,
-        lam=lam,
-        spans=plan.spans,
-        mixed_spans=_final_spans(plan.spans, mixed_lens),
-        pool_index=plan.pool_index,
-        replacements=(
-            tuple(t for seg in plan.partner_segments for t in seg)
-            if plan.variant == "synonym"
-            else None
-        ),
-    )
-    return MixedExample(embeddings, soft, provenance)
+    example_index: int | None = None,
+) -> list:
+    """Build the planned examples with batched gathers and blends.
+
+    Rows outside the mixed spans are gathered from ``table.vectors`` and an
+    identity matrix; rows inside become ``lam * a + (1 - lam) * b`` against
+    the partner's rows, zero-padded on the shorter side. A synonym swap
+    leaves the label rows as they are.
+    """
+    ner = isinstance(src.examples[0], Sentence)
+    # a trailing -1 keeps position -1 (zero pad) reading as -1 after a lookup
+    source_rows = np.append(table.rows(src.tokens), -1)
+    source_labels = np.append(_vocab_ids(src.label_names, vocab)[src.label_ids], -1)
+    eye = np.eye(len(vocab))
+    out = []
+    for lo in range(0, len(plan.example), _BLOCK):
+        block = plan[lo : lo + _BLOCK]
+        segments = [seg for segs in block.segments for seg in segs]
+        partner_lens = np.array([len(seg) for seg in segments], np.int64).reshape(len(block.example), -1)
+        a, b, slot, blend, sizes, mixed_spans = _layout(src, block, partner_lens)
+        partner_tokens = [t for seg in segments for t in seg]
+        partner_rows = np.append(table.rows(partner_tokens), -1)
+        embeddings = _gather(table.vectors, source_rows[a])
+        _blend(embeddings, blend, block.lam[slot[blend]], table.vectors, partner_rows[b[blend]])
+        if ner:
+            soft = _gather(eye, source_labels[a])
+            swapped = np.array([v == "synonym" for v in block.variant])
+            mixed = blend[~swapped[slot[blend]]]
+            partner_labels = np.append(_vocab_ids(_flat_labels(block), vocab), -1)
+            _blend(soft, mixed, block.lam[slot[mixed]], eye, partner_labels[b[mixed]])
+            if config.normalize_tail_labels:
+                rows = soft[mixed]
+                sums = rows.sum(axis=1)
+                nonzero = sums > 0
+                rows[nonzero] = rows[nonzero] / sums[nonzero, None]
+                soft[mixed] = rows
+        else:
+            soft = _gather(eye, source_labels[block.example])
+            _blend(soft, np.arange(len(soft)), block.lam, eye, _vocab_ids(block.labels, vocab))
+        out.extend(_examples(block, embeddings, soft, sizes, mixed_spans, ner, example_index))
+    return out
 
 
-def _materialize_re(
-    sample: RESample,
+def _flat_labels(plan: _Plan) -> list:
+    """Partner labels aligned with the partner tokens (None for a synonym)."""
+    out = []
+    for segs, labels in zip(plan.segments, plan.labels):
+        for j, seg in enumerate(segs):
+            if labels is None:
+                out.extend([None] * len(seg))
+            elif len(labels[j]) != len(seg):
+                raise ValueError("pool entry has unequal token and label counts")
+            else:
+                out.extend(labels[j])
+    return out
+
+
+def _examples(
     plan: _Plan,
-    table: EmbeddingTable,
-    relation_vocab: Sequence[str],
-    config: MixConfig,
-) -> MixedRESample:
-    embeddings = table.embed(sample.tokens)
-    lam = plan.lam
-    mixed_lens = [0] * len(plan.spans)
-    for j in sorted(range(len(plan.spans)), key=lambda k: -plan.spans[k][0]):
-        start, end = plan.spans[j]
-        if lam == 1.0:
-            mixed_lens[j] = end - start
-            continue
-        e_a, e_b = pad_to_longer(embeddings[start:end], table.embed(plan.partner_segments[j]))
-        mixed_e = mix(e_a, e_b, lam)
-        embeddings = _splice_rows(embeddings, start, end, mixed_e)
-        mixed_lens[j] = len(mixed_e)
-    soft_rel = mix(
-        one_hot([sample.relation], relation_vocab),
-        one_hot([plan.partner_labels], relation_vocab),
-        lam,
-    )[0]
-    final = _final_spans(plan.spans, mixed_lens)
-    provenance = Provenance(
-        example_index=plan.example_index,
-        variant=plan.variant,
-        lam=lam,
-        spans=plan.spans,
-        mixed_spans=final,
-        pool_index=plan.pool_index,
-    )
-    return MixedRESample(
-        embeddings,
-        soft_rel,
-        Span(*final[0]),
-        Span(*final[1]),
-        provenance,
+    embeddings: np.ndarray,
+    soft: np.ndarray,
+    sizes: np.ndarray,
+    mixed_spans: np.ndarray,
+    ner: bool,
+    example_index: int | None,
+) -> list:
+    """Slice a block's rows into MixedExample / MixedRESample objects."""
+    bounds = np.concatenate([[0], np.cumsum(sizes)]).tolist()
+    indices = plan.example.tolist() if example_index is None else [example_index] * len(sizes)
+    out = []
+    for i, (spans, final, lam, variant) in enumerate(
+        zip(plan.spans.tolist(), mixed_spans.tolist(), plan.lam.tolist(), plan.variant)
+    ):
+        final = tuple(map(tuple, final))
+        provenance = Provenance(
+            example_index=indices[i],
+            variant=variant,
+            lam=lam,
+            spans=tuple(map(tuple, spans)),
+            mixed_spans=final,
+            pool_index=plan.pool_index[i],
+            replacements=(
+                tuple(t for seg in plan.segments[i] for t in seg)
+                if variant == "synonym"
+                else None
+            ),
+        )
+        rows = slice(bounds[i], bounds[i + 1])
+        if ner:
+            out.append(MixedExample(embeddings[rows], soft[rows], provenance))
+        else:
+            out.append(
+                MixedRESample(
+                    embeddings[rows], soft[i], Span(*final[0]), Span(*final[1]), provenance
+                )
+            )
+    return out
+
+
+def _single_plan(lam, spans, variant, pool_index, segments, labels) -> _Plan:
+    """A one-slot plan for the caller-rng single-example APIs."""
+    return _Plan(
+        np.zeros(1, np.int64), np.array([float(lam)]), np.array([spans], np.int64),
+        [variant], [pool_index], [segments], [labels],
     )
 
 
@@ -654,18 +909,14 @@ def mix_example(
     spans = select_segment(sentence, variant, rng, lexicon=lexicon)
     if spans is None:
         raise ValueError("no eligible segment in example")
-    if variant == "synonym":
-        token = sentence.tokens[spans[0][0]]
-        syns = lexicon.synonyms(token)
-        chosen = syns[int(rng.integers(len(syns)))]
-        plan = _Plan(0, example_index, variant, lam, spans, None, ((chosen,),), None)
+    if lexicon is not None:
+        chosen = draw_synonym(lexicon, sentence.tokens[spans[0][0]], rng)
+        plan = _single_plan(lam, spans, variant, None, ((chosen,),), None)
     else:
         pool_index = pool.draw_index(rng)
         entry = pool.entries[pool_index]
-        plan = _Plan(
-            0, example_index, variant, lam, spans, pool_index, entry.segments, entry.labels
-        )
-    return _materialize_ner(sentence, plan, table, vocab, config)
+        plan = _single_plan(lam, spans, variant, pool_index, entry.segments, entry.labels)
+    return _materialize(_compile([sentence]), plan, table, vocab, config, example_index)[0]
 
 
 def mix_re_sample(
@@ -686,10 +937,8 @@ def mix_re_sample(
     spans = select_segment(sample, "relation", rng)
     pool_index = pool.draw_index(rng)
     entry = pool.entries[pool_index]
-    plan = _Plan(
-        0, example_index, "relation", lam, spans, pool_index, entry.segments, entry.labels
-    )
-    return _materialize_re(sample, plan, table, relation_vocab, config)
+    plan = _single_plan(lam, spans, "relation", pool_index, entry.segments, entry.labels)
+    return _materialize(_compile([sample]), plan, table, relation_vocab, config, example_index)[0]
 
 
 def segmix_generate(
@@ -703,59 +952,27 @@ def segmix_generate(
     ``pools`` may be a single pool/lexicon, a variant->pool mapping, or
     None to build pools from the corpus (synonym always needs a lexicon).
     """
-    plans, skipped, info = _plan_run(corpus, pools, config)
-    out = []
-    if isinstance(corpus, TaggedCorpus):
-        for plan in plans:
-            out.append(
-                _materialize_ner(
-                    corpus.sentences[plan.example_index],
-                    plan,
-                    table,
-                    corpus.label_vocab,
-                    config,
-                )
-            )
-    else:
-        for plan in plans:
-            out.append(
-                _materialize_re(
-                    corpus.samples[plan.example_index],
-                    plan,
-                    table,
-                    corpus.relation_vocab,
-                    config,
-                )
-            )
-    return GenerationResult(out, skipped, info["requested"])
+    src, plan, skipped, requested = _plan_run(corpus, pools, config)
+    if plan is None:
+        return GenerationResult([], skipped, requested)
+    vocab = corpus.label_vocab if isinstance(corpus, TaggedCorpus) else corpus.relation_vocab
+    return GenerationResult(_materialize(src, plan, table, vocab, config), skipped, requested)
 
 
-def _replace_sentence(sentence: Sentence, plan: _Plan) -> Sentence:
-    tokens = list(sentence.tokens)
-    labels = list(sentence.labels)
-    for j in sorted(range(len(plan.spans)), key=lambda k: -plan.spans[k][0]):
-        start, end = plan.spans[j]
-        seg = list(plan.partner_segments[j])
-        tokens[start:end] = seg
-        if plan.variant == "synonym":
-            continue  # label kept, synonym shares it
-        labels[start:end] = list(plan.partner_labels[j])
-    return Sentence(tuple(tokens), tuple(labels))
-
-
-def _replace_re_sample(sample: RESample, plan: _Plan) -> RESample:
-    tokens = list(sample.tokens)
-    mixed_lens = [len(seg) for seg in plan.partner_segments]
-    for j in sorted(range(len(plan.spans)), key=lambda k: -plan.spans[k][0]):
-        start, end = plan.spans[j]
-        tokens[start:end] = list(plan.partner_segments[j])
-    final = _final_spans(plan.spans, mixed_lens)
-    return RESample(
-        tuple(tokens),
-        Span(*final[0]),
-        Span(*final[1]),
-        str(plan.partner_labels),
-    )
+def _splice(seq: Sequence, spans, parts) -> tuple[tuple, list]:
+    """``seq`` with each (non-overlapping) span replaced by its part, and
+    the output span each part landed on, in ``spans`` order."""
+    out: list = []
+    placed: list = [None] * len(spans)
+    at = 0
+    for j in sorted(range(len(spans)), key=lambda j: spans[j][0]):
+        start, end = spans[j]
+        out.extend(seq[at:start])
+        placed[j] = (len(out), len(out) + len(parts[j]))
+        out.extend(parts[j])
+        at = end
+    out.extend(seq[at:])
+    return tuple(out), placed
 
 
 def replacement_da(
@@ -765,20 +982,29 @@ def replacement_da(
 ) -> ReplacementResult:
     """Hard substitution in token space: the ``lam = 0`` limit of mixing.
 
-    Runs the exact plan stream :func:`segmix_generate` would run under the
-    same config, so a fixed_lambda=0 mixing run and a replacement run with
+    Runs the exact plan :func:`segmix_generate` would run under the same
+    config, so a fixed_lambda=0 mixing run and a replacement run with
     equal configs select identical (example, segment, pool entry) triples.
     """
-    plans, skipped, info = _plan_run(corpus, pools, config)
+    src, plan, skipped, requested = _plan_run(corpus, pools, config)
+    items = []
+    if plan is not None:
+        for ex, spans, variant, segments, labels in zip(
+            plan.example.tolist(), plan.spans.tolist(), plan.variant, plan.segments, plan.labels
+        ):
+            source = src.examples[ex]
+            tokens, placed = _splice(source.tokens, spans, segments)
+            if isinstance(source, RESample):
+                items.append(RESample(tokens, Span(*placed[0]), Span(*placed[1]), str(labels)))
+            elif variant == "synonym":
+                items.append(Sentence(tokens, source.labels))  # a synonym shares the label
+            else:
+                items.append(Sentence(tokens, _splice(source.labels, spans, labels)[0]))
     if isinstance(corpus, TaggedCorpus):
-        sentences = [
-            _replace_sentence(corpus.sentences[p.example_index], p) for p in plans
-        ]
-        out: Union[TaggedCorpus, RECorpus] = TaggedCorpus.from_sentences(sentences)
+        out: Union[TaggedCorpus, RECorpus] = TaggedCorpus.from_sentences(items)
     else:
-        samples = [_replace_re_sample(corpus.samples[p.example_index], p) for p in plans]
-        out = RECorpus.from_samples(samples)
-    return ReplacementResult(out, skipped, info["requested"])
+        out = RECorpus.from_samples(items)
+    return ReplacementResult(out, skipped, requested)
 
 
 def encode_corpus(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -143,6 +144,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0 or self.learning_rate <= 0 or self.batch_size <= 0 or self.patience <= 0:
             raise ValueError("train config values must be positive (epochs may be 0)")
+        if not math.isfinite(self.learning_rate):
+            raise ValueError(f"learning_rate must be finite, got {self.learning_rate}")
 
 
 @dataclass

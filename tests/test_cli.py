@@ -1,10 +1,13 @@
 """End-to-end command-line behavior: exit codes, configs, manifests."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from segmix.cli import main
+from segmix.cli import build_parser, main
 from segmix.corpus import corpus_to_text, parse_conll
 from segmix.serialization import load_augmented
 from segmix.synth import synth_tagged_corpus
@@ -284,3 +287,49 @@ def test_from_manifest_rejects_changed_input(tmp_path, ner_file, capsys):
     code = run("--from-manifest", manifest)
     assert code == 1
     assert "changed since" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- bad values
+
+@pytest.mark.parametrize("flag,value", [("--alpha", "inf"), ("--alpha", "nan"), ("--rate", "nan")])
+def test_augment_non_finite_value_exits_1(tmp_path, ner_file, capsys, flag, value):
+    out = tmp_path / "aug.jsonl"
+    assert run("augment", "--input", ner_file, "--output", out, flag, value) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert flag[2:] in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--embed-seed"])
+@pytest.mark.parametrize("value", ["-1", str(2**32)])
+def test_augment_out_of_range_seed_exits_1(tmp_path, ner_file, capsys, flag, value):
+    out = tmp_path / "aug.jsonl"
+    assert run("augment", "--input", ner_file, "--output", out, flag, value) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} must lie in [0, 2**32)") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_train_non_finite_learning_rate_exits_1(tmp_path, ner_file, capsys):
+    code = run("train", "--train", ner_file, "--checkpoint", tmp_path / "m.ckpt", "--lr", "inf")
+    assert code == 1
+    assert "learning_rate" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- docs
+
+def _readme_commands():
+    """Every ``segmix ...`` line of the README's shell blocks, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```sh\n(.*?)```", text, flags=re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("segmix ")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert {c[0] for c in commands} == {"augment", "train", "eval", "sweep", "bench", "recover"}
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)  # a usage error raises SystemExit

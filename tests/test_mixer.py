@@ -106,6 +106,27 @@ def test_sample_mix_ratio_range_and_validation():
         sample_mix_ratio(-1.0, rng)
 
 
+def test_sample_mix_ratio_small_alpha_keeps_the_u_shape():
+    """At alpha=1e-3 both Gammas often underflow to 0; the midpoint is no answer."""
+    rng = np.random.default_rng(0)
+    draws = np.array([sample_mix_ratio(1e-3, rng) for _ in range(4000)])
+    assert np.mean(draws == 0.5) < 0.01
+    assert ((draws >= 0.0) & (draws <= 1.0)).all()
+    assert np.mean((draws < 0.01) | (draws > 0.99)) > 0.95
+    with pytest.raises(ValueError, match="alpha"):
+        sample_mix_ratio(float("inf"), rng)
+
+
+def test_generate_small_alpha_keeps_the_u_shape():
+    corpus = mention_corpus(400)
+    table = EmbeddingTable.random(corpus.token_vocab, 4, 0)
+    cfg = MixConfig(variant="mention", rate=1.0, alpha=1e-3, seed=0)
+    lams = np.array([e.provenance.lam for e in segmix_generate(corpus, None, table, cfg).examples])
+    assert len(lams) == 400
+    assert np.mean(lams == 0.5) < 0.01
+    assert np.mean((lams < 0.01) | (lams > 0.99)) > 0.95
+
+
 def test_pad_to_longer():
     a = np.ones((2, 3))
     b = np.full((4, 3), 2.0)
@@ -148,6 +169,20 @@ def test_mix_config_validation():
         MixConfig(variant="mention+token", weights=(0.7, 0.7))
     with pytest.raises(ValueError, match="fixed_lambda"):
         MixConfig(fixed_lambda=1.5)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        dict(alpha=float("inf")),
+        dict(alpha=float("nan")),
+        dict(rate=float("inf")),
+        dict(rate=float("nan")),
+    ],
+)
+def test_mix_config_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        MixConfig(**bad)
 
 
 def test_variant_weights_default_equal():

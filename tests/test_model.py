@@ -121,6 +121,12 @@ def test_train_config_validation():
             TrainConfig(**bad)
 
 
+@pytest.mark.parametrize("rate", [float("inf"), float("nan")])
+def test_train_config_rejects_non_finite_learning_rate(rate):
+    with pytest.raises(ValueError, match="learning_rate"):
+        TrainConfig(learning_rate=rate)
+
+
 # ---------------------------------------------------------------- training
 
 def toy_tagging_setup(n=40, dim=16, seed=0):

@@ -1,6 +1,7 @@
 """Named stream derivation: the determinism everything else leans on."""
 
 import numpy as np
+import pytest
 
 from segmix.rng import derive_rng
 
@@ -36,3 +37,26 @@ def test_numpy_integer_path_parts_match_python_ints():
     a = derive_rng(1, "x", np.int64(9)).random(4)
     b = derive_rng(1, "x", 9).random(4)
     assert np.array_equal(a, b)
+
+
+def test_in_range_streams_keep_their_values():
+    # pinned draws: range checking and label-hash caching must not move a stream
+    got = derive_rng(7, "mix", 3).integers(0, 2**62, size=2).tolist()
+    assert got == [1177109886749787726, 4152327958525300344]
+
+
+@pytest.mark.parametrize("seed", [2**32, 2**32 + 5, -1, -(2**32)])
+def test_out_of_range_seed_is_rejected(seed):
+    with pytest.raises(ValueError, match="seed"):
+        derive_rng(seed, "x")
+
+
+@pytest.mark.parametrize("part", [2**32, -1, np.int64(-3), np.uint64(2**63)])
+def test_out_of_range_integer_path_part_is_rejected(part):
+    with pytest.raises(ValueError, match="path part"):
+        derive_rng(0, "slot", part)
+
+
+def test_range_edges_are_accepted():
+    top = derive_rng(2**32 - 1, "x", 2**32 - 1).random(8)
+    assert not np.array_equal(top, derive_rng(0, "x", 2**32 - 1).random(8))
