@@ -1,11 +1,18 @@
 """Command-line front end.
 
-Subcommands: augment, train, eval, sweep, bench, recover. Values
-resolve in three layers: hard defaults, then a JSON config file
-(--config), then explicit flags. Every run writes a JSON manifest next
-to its primary output recording resolved arguments, input fingerprints
-and timings; --from-manifest replays a recorded run after checking the
-inputs still hash the same.
+Subcommands: augment, train, eval, sweep, bench, recover. Every flag is
+one row of ``_OPTIONS``, which names the subcommands that take it and the
+default each of them starts from. The parser, the per-command defaults,
+the check of config-file keys and --from-manifest replay all read that
+table, so adding a flag means adding one row there and reading
+``ns.<dest>`` in the command that uses it.
+
+Values resolve in three layers: hard defaults, then a JSON config file
+(--config), then explicit flags. ``_run`` wraps every command: it checks
+the flags the command cannot do without, times it, and writes a JSON
+manifest next to its primary output recording resolved arguments, input
+fingerprints and timings; --from-manifest replays a recorded run after
+checking the inputs still hash the same.
 
 Exit codes: 0 success, 1 operational failure (bad data, missing file,
 training divergence), 2 usage error.
@@ -15,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import sys
 import time
@@ -23,12 +31,12 @@ from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
 from .corpus import (
-    CorpusFormatError,
     downsample,
     parse_conll,
     parse_re,
@@ -37,7 +45,6 @@ from .corpus import (
 from .evaluation import entity_f1, nearest_tokens, re_report, re_scores, tagging_report
 from .mixer import (
     EmbeddingTable,
-    EmptyPoolError,
     MixConfig,
     encode_corpus,
     encode_re_corpus,
@@ -63,6 +70,10 @@ from .serialization import load_augmented, save_augmented
 
 class CliError(Exception):
     """Operational failure; maps to exit code 1."""
+
+
+class UsageError(Exception):
+    """Bad flag or config value; ``main`` reports it through argparse (exit code 2)."""
 
 
 def _sha256_file(path) -> str:
@@ -91,125 +102,109 @@ class RunManifest:
     created: str = ""
     extra: dict = field(default_factory=dict)
 
+    def record_inputs(self, *paths) -> None:
+        for p in paths:
+            self.inputs[str(p)] = _sha256_file(p)
+
     def write(self, path) -> None:
         with open(path, "w") as fh:
             json.dump(asdict(self), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 
-def _start_manifest(command: str, ns: SimpleNamespace, input_paths: list) -> RunManifest:
-    manifest = RunManifest(command=command, args=dict(vars(ns)))
-    manifest.created = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    for p in input_paths:
-        manifest.inputs[str(p)] = _sha256_file(p)
-    return manifest
-
-
-def _finish_manifest(manifest: RunManifest, started: float, outputs: list, write_to) -> None:
-    manifest.duration_seconds = round(time.perf_counter() - started, 4)
-    manifest.outputs = [str(p) for p in outputs]
-    if write_to:
-        manifest.write(write_to)
-
-
 # ---------------------------------------------------------------------------
-# Defaults and three-layer resolution.
+# The option table. One row per flag: its dest (the flag is ``--dest`` with
+# dashes), its kind, its help, and the default of each subcommand that
+# takes it. A kind is int, float or str (the value's type), bool (an on/off
+# switch), list (a repeatable flag) or a tuple of choices. A flag left off
+# the command line parses to None, so that a config file can fill it.
 
-_COMMON = {"config": None, "manifest": None, "seed": 0}
+_ALL = ("augment", "train", "eval", "sweep", "bench", "recover")
+_TASKED = ("augment", "train", "eval", "sweep", "bench")
+
+
+@dataclass(frozen=True)
+class Option:
+    dest: str
+    kind: object
+    help: str | None
+    defaults: dict
+
+    def add_to(self, parser: argparse.ArgumentParser) -> None:
+        if self.kind is bool:
+            how = {"action": "store_const", "const": True}
+        elif self.kind is list:
+            how = {"action": "append"}
+        elif isinstance(self.kind, tuple):
+            how = {"choices": list(self.kind)}
+        else:  # argparse hands strings over as they are
+            how = {} if self.kind is str else {"type": self.kind}
+        flag = "--" + self.dest.replace("_", "-")
+        parser.add_argument(flag, dest=self.dest, help=self.help, **how)
+
+
+def _opt(dest: str, kind, help: str | None = None, **defaults) -> Option:
+    return Option(dest, kind, help, defaults)
+
+
+_OPTIONS = (
+    _opt("config", str, "JSON config file supplying defaults", **dict.fromkeys(_ALL)),
+    _opt("manifest", str, "where to write the run manifest", **dict.fromkeys(_ALL)),
+    _opt("seed", int, "root random seed", **dict.fromkeys(_ALL, 0)),
+    _opt("task", ("ner", "re"), "tagging or relation extraction", **dict.fromkeys(_TASKED, "ner")),
+    _opt("repair_bio", bool, "promote stray I- labels to B-", **dict.fromkeys(_TASKED, False)),
+    # files read and written
+    _opt("input", str, "corpus to read", augment=None, bench=None),
+    _opt("train", str, "training corpus", train=None, sweep=None),
+    _opt("test", str, "test corpus", eval=None, sweep=None),
+    _opt("val", str, "validation corpus for early stopping", train=None),
+    _opt("augmented", str, "augmented JSONL", train=None, recover=None),
+    _opt("synonyms", str, "synonym lexicon TSV", augment=None),
+    _opt("vocab_from", list, "extra corpus for the embedding table (repeatable)", train=[]),
+    _opt("checkpoint", str, "model checkpoint", train=None, eval=None),
+    _opt("output", str, "output file", augment=None, sweep=None, bench=None, recover=None),
+    _opt("loss_trace", str, "per-epoch loss CSV", train=None),
+    _opt("report", str, "JSON report path", eval=None),
+    _opt("confusion", str, "confusion matrix CSV path", eval=None),
+    # mixing
+    _opt("mode", ("mix", "replace"), "mix embeddings or replace tokens", augment="mix"),
+    _opt("variant", str, "pool variant, '+'-joined for combinations", augment="mention",
+         bench="mention"),
+    _opt("rate", float, "mixed examples per original sentence", augment=0.2, bench=1.0),
+    _opt("alpha", float, "Beta(alpha, alpha) concentration", augment=8.0, sweep=8.0, bench=8.0),
+    _opt("fixed_lambda", float, "use this lambda instead of drawing one", augment=None),
+    _opt("weights", str, "comma list of per-variant budget weights", augment=None),
+    _opt("normalize_tail_labels", bool, "rescale mixed soft labels to sum to 1", augment=False),
+    _opt("same_type_only", bool, "mix mentions only with their own type", augment=False),
+    _opt("include_originals", bool, "also write the unmixed examples", augment=False),
+    # embeddings
+    _opt("dim", int, "embedding dimension", augment=32, train=32, sweep=32, bench=32),
+    _opt("embed_seed", int, "embedding table seed", augment=0, train=0, sweep=0, bench=0),
+    _opt("n_buckets", int, "hash buckets for unknown tokens", augment=64, train=64),
+    # training
+    _opt("epochs", int, "training epochs", train=100, sweep=30),
+    _opt("lr", float, "learning rate", train=0.1, sweep=0.1),
+    _opt("batch_size", int, "minibatch size", train=16, sweep=16),
+    _opt("patience", int, "epochs without validation gain before stopping", train=10),
+    _opt("window", int, "tagger context window", train=1, sweep=1),
+    _opt("no_originals", bool, "train on the augmented file alone", train=False),
+    _opt("allow_corpus_mismatch", bool, "accept an augmented file of another corpus", train=False),
+    # sweep grid
+    _opt("sizes", str, "comma list of training sizes", sweep="100"),
+    _opt("rates", str, "comma list of augmentation rates", sweep="0.2"),
+    _opt("variants", str, "comma list of variants ('none' = baseline)", sweep="none,mention"),
+    _opt("seeds", str, "comma list of run seeds", sweep="0,1,2"),
+    _opt("jobs", int, "worker processes (1 = serial)", sweep=1),
+    # bench and recover
+    _opt("n_sentences", int, "sentences to mix", bench=200),
+    _opt("repeats", int, "timed mixing passes", bench=5),
+    _opt("train_epochs", int, "also time a training run for comparison", bench=0),
+    _opt("limit", int, "examples to render", recover=5),
+    _opt("mixed_only", bool, "skip examples with no mixed span", recover=False),
+)
 
 _DEFAULTS: dict[str, dict] = {
-    "augment": {
-        **_COMMON,
-        "task": "ner",
-        "input": None,
-        "output": None,
-        "variant": "mention",
-        "rate": 0.2,
-        "alpha": 8.0,
-        "fixed_lambda": None,
-        "weights": None,
-        "normalize_tail_labels": False,
-        "same_type_only": False,
-        "mode": "mix",
-        "dim": 32,
-        "embed_seed": 0,
-        "n_buckets": 64,
-        "synonyms": None,
-        "repair_bio": False,
-        "include_originals": False,
-    },
-    "train": {
-        **_COMMON,
-        "task": "ner",
-        "train": None,
-        "augmented": None,
-        "val": None,
-        "checkpoint": None,
-        "loss_trace": None,
-        "epochs": 100,
-        "lr": 0.1,
-        "batch_size": 16,
-        "patience": 10,
-        "dim": 32,
-        "embed_seed": 0,
-        "n_buckets": 64,
-        "window": 1,
-        "vocab_from": [],
-        "no_originals": False,
-        "allow_corpus_mismatch": False,
-        "repair_bio": False,
-    },
-    "eval": {
-        **_COMMON,
-        "task": "ner",
-        "checkpoint": None,
-        "test": None,
-        "report": None,
-        "confusion": None,
-        "repair_bio": False,
-    },
-    "sweep": {
-        **_COMMON,
-        "task": "ner",
-        "train": None,
-        "test": None,
-        "output": None,
-        "sizes": "100",
-        "rates": "0.2",
-        "variants": "none,mention",
-        "seeds": "0,1,2",
-        "alpha": 8.0,
-        "epochs": 30,
-        "lr": 0.1,
-        "batch_size": 16,
-        "dim": 32,
-        "embed_seed": 0,
-        "window": 1,
-        "jobs": 1,
-        "repair_bio": False,
-    },
-    "bench": {
-        **_COMMON,
-        "task": "ner",
-        "input": None,
-        "n_sentences": 200,
-        "repeats": 5,
-        "variant": "mention",
-        "rate": 1.0,
-        "alpha": 8.0,
-        "dim": 32,
-        "embed_seed": 0,
-        "output": None,
-        "train_epochs": 0,
-        "repair_bio": False,
-    },
-    "recover": {
-        **_COMMON,
-        "augmented": None,
-        "limit": 5,
-        "output": None,
-        "mixed_only": False,
-    },
+    name: {o.dest: o.defaults[name] for o in _OPTIONS if name in o.defaults} for name in _ALL
 }
 
 
@@ -226,22 +221,17 @@ def _load_config(path) -> dict:
     return config
 
 
-def _resolve(command: str, ns: argparse.Namespace, parser: argparse.ArgumentParser) -> SimpleNamespace:
+def _resolve(command: str, ns: argparse.Namespace) -> SimpleNamespace:
     """defaults < config file < explicit CLI flags."""
     defaults = _DEFAULTS[command]
-    config = _load_config(ns.config) if getattr(ns, "config", None) else {}
+    config = _load_config(ns.config) if ns.config else {}
     unknown = set(config) - set(defaults)
     if unknown:
-        parser.error(f"config keys not understood by '{command}': {', '.join(sorted(unknown))}")
+        raise UsageError(f"config keys not understood by '{command}': {', '.join(sorted(unknown))}")
     merged = {}
     for key, default in defaults.items():
-        cli_value = getattr(ns, key, None)
-        if cli_value is not None:
-            merged[key] = cli_value
-        elif key in config:
-            merged[key] = config[key]
-        else:
-            merged[key] = default
+        value = getattr(ns, key)
+        merged[key] = value if value is not None else config.get(key, default)
     for key in ("seed", "embed_seed"):
         value = merged.get(key)
         if value is not None and not 0 <= int(value) < 2**32:
@@ -249,34 +239,42 @@ def _resolve(command: str, ns: argparse.Namespace, parser: argparse.ArgumentPars
     return SimpleNamespace(**merged)
 
 
-def _parse_corpus(task: str, path, repair_bio: bool):
-    path = _require_file(path, "corpus file")
-    with open(path) as fh:
-        if task == "ner":
-            return parse_conll(fh, repair_bio=repair_bio)
-        return parse_re(fh)
-
-
-def _build_table(tokens, dim: int, embed_seed: int, n_buckets: int) -> EmbeddingTable:
-    return EmbeddingTable.random(tokens, dim, seed=embed_seed, n_buckets=n_buckets)
-
-
-def _manifest_path(ns, primary_output) -> str | None:
-    if ns.manifest:
-        return ns.manifest
-    if primary_output:
-        return str(primary_output) + ".manifest.json"
-    return None
-
-
 # ---------------------------------------------------------------------------
-# augment
+# What differs between tagging and relation classification.
+
+
+def _read_corpus(ns, path, manifest: RunManifest):
+    """The ``ns.task`` corpus at ``path``, fingerprinted in ``manifest``."""
+    with open(_require_file(path, "corpus file")) as fh:
+        corpus = parse_conll(fh, repair_bio=ns.repair_bio) if ns.task == "ner" else parse_re(fh)
+    manifest.record_inputs(path)
+    return corpus
+
+
+def _labels(task: str, corpus) -> tuple[str, ...]:
+    return corpus.label_vocab if task == "ner" else corpus.relation_vocab
+
+
+def _encode(task: str, corpus, table: EmbeddingTable) -> list:
+    return (encode_corpus if task == "ner" else encode_re_corpus)(corpus, table)
+
+
+def _fit(task: str, labels, examples, config: TrainConfig, dim: int, window: int,
+         val_corpus=None, table=None):
+    """A fresh model seeded like ``config``, trained on ``examples``."""
+    if task == "ner":
+        model = TaggerModel.init(labels, dim, window=window, seed=config.seed)
+        return train_tagger(model, examples, config, val_corpus, table)
+    model = REModel.init(labels, dim, seed=config.seed)
+    return train_re(model, examples, config, val_corpus, table)
+
+
+def _predict(task: str, model, table: EmbeddingTable, corpus):
+    return (predict_tagger if task == "ner" else predict_re)(model, table, corpus)
 
 
 def _mix_config(ns) -> MixConfig:
-    weights = None
-    if ns.weights:
-        weights = tuple(float(w) for w in str(ns.weights).split(","))
+    weights = tuple(float(w) for w in str(ns.weights).split(",")) if ns.weights else None
     return MixConfig(
         alpha=float(ns.alpha),
         rate=float(ns.rate),
@@ -289,11 +287,13 @@ def _mix_config(ns) -> MixConfig:
     )
 
 
-def cmd_augment(ns: SimpleNamespace) -> int:
-    if not ns.input or not ns.output:
-        raise CliError("augment needs --input and --output")
-    started = time.perf_counter()
-    corpus = _parse_corpus(ns.task, ns.input, ns.repair_bio)
+def _train_config(ns, patience: int, seed: int) -> TrainConfig:
+    return TrainConfig(epochs=int(ns.epochs), learning_rate=float(ns.lr),
+                       batch_size=int(ns.batch_size), patience=patience, seed=seed)
+
+
+def cmd_augment(ns: SimpleNamespace, manifest: RunManifest) -> None:
+    corpus = _read_corpus(ns, ns.input, manifest)
     config = _mix_config(ns)
     pools = {}
     if "synonym" in config.variant_list():
@@ -301,136 +301,100 @@ def cmd_augment(ns: SimpleNamespace) -> int:
             raise CliError("the synonym variant needs --synonyms LEXICON")
         with open(_require_file(ns.synonyms, "synonym lexicon")) as fh:
             pools["synonym"] = load_synonym_lexicon(fh)
-
-    manifest = _start_manifest("augment", ns, [ns.input] + ([ns.synonyms] if ns.synonyms else []))
+    if ns.synonyms:
+        manifest.record_inputs(ns.synonyms)
+    manifest.outputs = [ns.output]
 
     if ns.mode == "replace":
         result = replacement_da(corpus, pools, config)
         with open(ns.output, "w") as fh:
             write_corpus(result.corpus, fh)
         manifest.extra = {"requested": result.requested, "skipped": result.skipped}
-        _finish_manifest(manifest, started, [ns.output], _manifest_path(ns, ns.output))
         print(f"replaced segments in {result.requested - result.skipped}/{result.requested} "
               f"sampled sentences -> {ns.output}")
-        return 0
+        return
 
     tokens = corpus.token_vocab
-    table = _build_table(tokens, int(ns.dim), int(ns.embed_seed), int(ns.n_buckets))
+    dim, embed_seed, n_buckets = int(ns.dim), int(ns.embed_seed), int(ns.n_buckets)
+    table = EmbeddingTable.random(tokens, dim, seed=embed_seed, n_buckets=n_buckets)
     result = segmix_generate(corpus, pools, table, config)
-    examples = list(result.examples)
-    if ns.include_originals:
-        originals = (
-            encode_corpus(corpus, table) if ns.task == "ner" else encode_re_corpus(corpus, table)
-        )
-        examples = originals + examples
-    if ns.task == "ner":
-        label_vocab = corpus.label_vocab
-    else:
-        label_vocab = corpus.relation_vocab
+    originals = _encode(ns.task, corpus, table) if ns.include_originals else []
+    examples = originals + list(result.examples)
     meta = {
-        "corpus_sha256": _sha256_file(ns.input),
+        "corpus_sha256": manifest.inputs[str(ns.input)],
         "config": {
-            "alpha": config.alpha,
-            "rate": config.rate,
-            "variant": config.variant,
-            "seed": config.seed,
-            "fixed_lambda": config.fixed_lambda,
+            k: getattr(config, k) for k in ("alpha", "rate", "variant", "seed", "fixed_lambda")
         },
-        "table": {
-            "tokens": list(tokens),
-            "dim": int(ns.dim),
-            "seed": int(ns.embed_seed),
-            "n_buckets": int(ns.n_buckets),
-        },
+        "table": {"tokens": list(tokens), "dim": dim, "seed": embed_seed, "n_buckets": n_buckets},
         "skipped": result.skipped,
     }
     with open(ns.output, "w") as fh:
-        save_augmented(fh, examples, label_vocab, task=ns.task, meta=meta)
+        save_augmented(fh, examples, _labels(ns.task, corpus), task=ns.task, meta=meta)
     manifest.extra = {
         "requested": result.requested,
         "generated": len(result.examples),
         "skipped": result.skipped,
         "written": len(examples),
     }
-    _finish_manifest(manifest, started, [ns.output], _manifest_path(ns, ns.output))
     print(f"wrote {len(examples)} examples ({len(result.examples)} mixed, "
           f"{result.skipped} skipped) -> {ns.output}")
-    return 0
 
 
-# ---------------------------------------------------------------------------
-# train
+def _load_matching_augmented(ns, label_vocab, manifest: RunManifest) -> list:
+    """The examples of ``--augmented``, refused unless built for this training run."""
+    with open(_require_file(ns.augmented, "augmented file")) as fh:
+        aug = load_augmented(fh)
+    manifest.record_inputs(ns.augmented)
+    if aug.task != ns.task:
+        raise CliError(f"augmented file is for task {aug.task!r}, not {ns.task!r}")
+    if tuple(aug.label_vocab) != tuple(label_vocab):
+        raise CliError("augmented file label vocabulary differs from the training corpus")
+    if aug.dim != int(ns.dim):
+        raise CliError(f"augmented dim {aug.dim} != --dim {ns.dim}")
+    # rows embedded by another table live in another space; files without a record predate it
+    spec = aug.meta.get("table") or {}
+    built = (spec.get("seed"), spec.get("n_buckets", 64))
+    if spec and built != (int(ns.embed_seed), int(ns.n_buckets)):
+        raise CliError(
+            f"augmented file was embedded with --embed-seed {built[0]} --n-buckets {built[1]}, "
+            f"not --embed-seed {ns.embed_seed} --n-buckets {ns.n_buckets}; rebuild it to match"
+        )
+    recorded = aug.meta.get("corpus_sha256")
+    if recorded and recorded != manifest.inputs[str(ns.train)] and not ns.allow_corpus_mismatch:
+        raise CliError(
+            "augmented file was built from a different corpus "
+            "(pass --allow-corpus-mismatch to train anyway)"
+        )
+    return list(aug.examples)
 
 
-def cmd_train(ns: SimpleNamespace) -> int:
-    if not ns.train or not ns.checkpoint:
-        raise CliError("train needs --train and --checkpoint")
-    started = time.perf_counter()
-    corpus = _parse_corpus(ns.task, ns.train, ns.repair_bio)
-    inputs = [ns.train]
-    tokens = list(corpus.token_vocab)
+def cmd_train(ns: SimpleNamespace, manifest: RunManifest) -> None:
+    corpus = _read_corpus(ns, ns.train, manifest)
+    tokens = dict.fromkeys(corpus.token_vocab)
     for extra in ns.vocab_from or []:
-        extra_corpus = _parse_corpus(ns.task, extra, ns.repair_bio)
-        for tok in extra_corpus.token_vocab:
-            if tok not in tokens:
-                tokens.append(tok)
-        inputs.append(extra)
-    table = _build_table(tokens, int(ns.dim), int(ns.embed_seed), int(ns.n_buckets))
-
-    if ns.task == "ner":
-        label_vocab = corpus.label_vocab
-        examples = [] if ns.no_originals else encode_corpus(corpus, table)
-    else:
-        label_vocab = corpus.relation_vocab
-        examples = [] if ns.no_originals else encode_re_corpus(corpus, table)
-
+        tokens.update(dict.fromkeys(_read_corpus(ns, extra, manifest).token_vocab))
+    table = EmbeddingTable.random(
+        list(tokens), int(ns.dim), seed=int(ns.embed_seed), n_buckets=int(ns.n_buckets)
+    )
+    label_vocab = _labels(ns.task, corpus)
+    examples = [] if ns.no_originals else _encode(ns.task, corpus, table)
     if ns.augmented:
-        inputs.append(ns.augmented)
-        with open(_require_file(ns.augmented, "augmented file")) as fh:
-            aug = load_augmented(fh)
-        if aug.task != ns.task:
-            raise CliError(f"augmented file is for task {aug.task!r}, not {ns.task!r}")
-        if tuple(aug.label_vocab) != tuple(label_vocab):
-            raise CliError("augmented file label vocabulary differs from the training corpus")
-        if aug.dim != int(ns.dim):
-            raise CliError(f"augmented dim {aug.dim} != --dim {ns.dim}")
-        recorded = aug.meta.get("corpus_sha256")
-        if recorded and recorded != _sha256_file(ns.train) and not ns.allow_corpus_mismatch:
-            raise CliError(
-                "augmented file was built from a different corpus "
-                "(pass --allow-corpus-mismatch to train anyway)"
-            )
-        examples = examples + list(aug.examples)
+        examples = examples + _load_matching_augmented(ns, label_vocab, manifest)
     if not examples:
         raise CliError("nothing to train on (originals disabled and no augmented file)")
 
-    val_corpus = None
-    if ns.val:
-        val_corpus = _parse_corpus(ns.task, ns.val, ns.repair_bio)
-        inputs.append(ns.val)
-
-    manifest = _start_manifest("train", ns, inputs)
-    train_config = TrainConfig(
-        epochs=int(ns.epochs),
-        learning_rate=float(ns.lr),
-        batch_size=int(ns.batch_size),
-        patience=int(ns.patience),
-        seed=int(ns.seed),
-    )
+    val_corpus = _read_corpus(ns, ns.val, manifest) if ns.val else None
+    train_config = _train_config(ns, int(ns.patience), int(ns.seed))
     fit_started = time.perf_counter()
-    if ns.task == "ner":
-        model = TaggerModel.init(label_vocab, int(ns.dim), window=int(ns.window), seed=int(ns.seed))
-        result = train_tagger(model, examples, train_config, val_corpus, table)
-    else:
-        model = REModel.init(label_vocab, int(ns.dim), seed=int(ns.seed))
-        result = train_re(model, examples, train_config, val_corpus, table)
+    result = _fit(ns.task, label_vocab, examples, train_config, int(ns.dim), int(ns.window),
+                  val_corpus, table)
     fit_seconds = time.perf_counter() - fit_started
 
     save_checkpoint(ns.checkpoint, result.model, table, meta={"task": ns.task})
-    outputs = [ns.checkpoint]
+    manifest.outputs = [ns.checkpoint]
     if ns.loss_trace:
         write_loss_trace(ns.loss_trace, result)
-        outputs.append(ns.loss_trace)
+        manifest.outputs.append(ns.loss_trace)
     manifest.extra = {
         "n_examples": len(examples),
         "epochs_run": len(result.loss_trace),
@@ -438,21 +402,12 @@ def cmd_train(ns: SimpleNamespace) -> int:
         "final_loss": result.loss_trace[-1] if result.loss_trace else None,
         "fit_seconds": round(fit_seconds, 4),
     }
-    _finish_manifest(manifest, started, outputs, _manifest_path(ns, ns.checkpoint))
     last = f"{result.loss_trace[-1]:.4f}" if result.loss_trace else "n/a"
     print(f"trained on {len(examples)} examples for {len(result.loss_trace)} epochs "
           f"(final loss {last}) -> {ns.checkpoint}")
-    return 0
 
 
-# ---------------------------------------------------------------------------
-# eval
-
-
-def cmd_eval(ns: SimpleNamespace) -> int:
-    if not ns.checkpoint or not ns.test:
-        raise CliError("eval needs --checkpoint and --test")
-    started = time.perf_counter()
+def cmd_eval(ns: SimpleNamespace, manifest: RunManifest) -> None:
     _require_file(ns.checkpoint, "checkpoint")
     try:
         model, table, meta = load_checkpoint(ns.checkpoint)
@@ -461,31 +416,19 @@ def cmd_eval(ns: SimpleNamespace) -> int:
     task = meta.get("task") or ("re" if isinstance(model, REModel) else "ner")
     if task != ns.task:
         raise CliError(f"checkpoint is for task {task!r}, not {ns.task!r}")
-    corpus = _parse_corpus(ns.task, ns.test, ns.repair_bio)
-    manifest = _start_manifest("eval", ns, [ns.checkpoint, ns.test])
+    manifest.record_inputs(ns.checkpoint)
+    corpus = _read_corpus(ns, ns.test, manifest)
 
-    if ns.task == "ner":
-        predicted = predict_tagger(model, table, corpus)
-        report = tagging_report(corpus, predicted)
-    else:
-        predicted = predict_re(model, table, corpus)
-        report = re_report(corpus, predicted)
-
-    outputs = []
+    predicted = _predict(ns.task, model, table, corpus)
+    report = (tagging_report if ns.task == "ner" else re_report)(corpus, predicted)
     if ns.report:
         report.write_json(ns.report)
-        outputs.append(ns.report)
+        manifest.outputs.append(ns.report)
     if ns.confusion:
         report.write_confusion_csv(ns.confusion)
-        outputs.append(ns.confusion)
+        manifest.outputs.append(ns.confusion)
     manifest.extra = {"summary": report.summary}
-    _finish_manifest(manifest, started, outputs, _manifest_path(ns, ns.report))
     sys.stdout.write(report.format_text())
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# sweep
 
 
 def _cell_seed(root_seed: int, size: int, rate: float, variant: str, seed: int) -> int:
@@ -493,168 +436,86 @@ def _cell_seed(root_seed: int, size: int, rate: float, variant: str, seed: int) 
     return int.from_bytes(hashlib.sha256(key).digest()[:4], "big") & 0x7FFFFFFF
 
 
-def _sweep_cell(params: dict) -> dict:
-    """One grid cell; module-level so worker processes can unpickle it."""
-    task = params["task"]
-    if task == "ner":
-        with open(params["train_path"]) as fh:
-            corpus = parse_conll(fh, repair_bio=params["repair_bio"])
-        with open(params["test_path"]) as fh:
-            test = parse_conll(fh, repair_bio=params["repair_bio"])
+def _sweep_cell(cell: tuple, ns: SimpleNamespace, train, test, table: EmbeddingTable) -> str:
+    """Train and score one (size, rate, variant, seed) grid cell; returns its CSV row."""
+    size, rate, variant, seed = cell
+    cell_seed = _cell_seed(int(ns.seed), size, rate, variant, seed)
+    n = min(size, len(train))
+    sub = downsample(train, n, seed=cell_seed) if n < len(train) else train
+    generated = []
+    if variant != "none":
+        config = MixConfig(alpha=float(ns.alpha), rate=rate, variant=variant, seed=cell_seed)
+        generated = segmix_generate(sub, {}, table, config).examples
+    examples = _encode(ns.task, sub, table) + list(generated)
+    train_config = _train_config(ns, int(ns.epochs) + 1, cell_seed)
+    model = _fit(ns.task, _labels(ns.task, sub), examples, train_config, int(ns.dim),
+                 int(ns.window)).model
+    predicted = _predict(ns.task, model, table, test)
+    if ns.task == "ner":
+        score = entity_f1(test, predicted).f1
     else:
-        with open(params["train_path"]) as fh:
-            corpus = parse_re(fh)
-        with open(params["test_path"]) as fh:
-            test = parse_re(fh)
-    cell_seed = params["cell_seed"]
-    size = min(params["size"], len(corpus))
-    sub = downsample(corpus, size, seed=cell_seed) if size < len(corpus) else corpus
-
-    tokens = list(corpus.token_vocab)
-    for tok in test.token_vocab:
-        if tok not in tokens:
-            tokens.append(tok)
-    table = EmbeddingTable.random(tokens, params["dim"], seed=params["embed_seed"])
-
-    if task == "ner":
-        examples = encode_corpus(sub, table)
-    else:
-        examples = encode_re_corpus(sub, table)
-    n_aug = 0
-    if params["variant"] != "none":
-        config = MixConfig(
-            alpha=params["alpha"],
-            rate=params["rate"],
-            variant=params["variant"],
-            seed=cell_seed,
-        )
-        generated = segmix_generate(sub, {}, table, config)
-        examples = examples + list(generated.examples)
-        n_aug = len(generated.examples)
-
-    train_config = TrainConfig(
-        epochs=params["epochs"],
-        learning_rate=params["lr"],
-        batch_size=params["batch_size"],
-        patience=params["epochs"] + 1,
-        seed=cell_seed,
-    )
-    if task == "ner":
-        labels = sub.label_vocab
-        model = TaggerModel.init(labels, params["dim"], window=params["window"], seed=cell_seed)
-        result = train_tagger(model, examples, train_config)
-        score = entity_f1(test, predict_tagger(result.model, table, test)).f1
-    else:
-        model = REModel.init(sub.relation_vocab, params["dim"], seed=cell_seed)
-        result = train_re(model, examples, train_config)
-        score = re_scores(test, predict_re(result.model, table, test)).accuracy
-    return {
-        "size": params["size"],
-        "rate": params["rate"],
-        "variant": params["variant"],
-        "seed": params["seed"],
-        "cell_seed": cell_seed,
-        "n_train": len(sub),
-        "n_augmented": n_aug,
-        "score": score,
-    }
+        score = re_scores(test, predicted).accuracy
+    return f"{size},{rate:g},{variant},{seed},{cell_seed},{len(sub)},{len(generated)},{score:.4f}\n"
 
 
-def _parse_grid_list(raw: str, cast, flag: str, parser_error) -> list:
+# A pool worker's (ns, train corpus, test corpus, table), set once by the pool's initializer:
+# a forked worker inherits it, a spawned one unpickles it once instead of once per cell.
+_WORKER_SWEEP: tuple = ()
+
+
+def _share_sweep(*shared) -> None:
+    global _WORKER_SWEEP
+    _WORKER_SWEEP = shared
+
+
+def _worker_cell(cell: tuple) -> str:
+    return _sweep_cell(cell, *_WORKER_SWEEP)
+
+
+def _grid_values(raw: str, cast, flag: str) -> list:
     try:
         values = [cast(v.strip()) for v in str(raw).split(",") if v.strip()]
     except ValueError:
-        parser_error(f"cannot parse {flag} value {raw!r}")
+        raise UsageError(f"cannot parse {flag} value {raw!r}") from None
     if not values:
-        parser_error(f"{flag} needs at least one value")
+        raise UsageError(f"{flag} needs at least one value")
     return values
 
 
-def sweep_rows(ns: SimpleNamespace, parser_error) -> list[dict]:
-    sizes = _parse_grid_list(ns.sizes, int, "--sizes", parser_error)
-    rates = _parse_grid_list(ns.rates, float, "--rates", parser_error)
-    variants = _parse_grid_list(ns.variants, str, "--variants", parser_error)
-    seeds = _parse_grid_list(ns.seeds, int, "--seeds", parser_error)
-    grid = []
-    for size in sizes:
-        for rate in rates:
-            for variant in variants:
-                for seed in seeds:
-                    grid.append({
-                        "task": ns.task,
-                        "train_path": str(ns.train),
-                        "test_path": str(ns.test),
-                        "repair_bio": bool(ns.repair_bio),
-                        "size": size,
-                        "rate": rate,
-                        "variant": variant,
-                        "seed": seed,
-                        "cell_seed": _cell_seed(int(ns.seed), size, rate, variant, seed),
-                        "alpha": float(ns.alpha),
-                        "dim": int(ns.dim),
-                        "embed_seed": int(ns.embed_seed),
-                        "window": int(ns.window),
-                        "epochs": int(ns.epochs),
-                        "lr": float(ns.lr),
-                        "batch_size": int(ns.batch_size),
-                    })
-    jobs = int(ns.jobs)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as executor:
-            rows = list(executor.map(_sweep_cell, grid))
-    else:
-        rows = [_sweep_cell(cell) for cell in grid]
-    return rows
-
-
-def format_sweep_csv(rows: list[dict]) -> str:
-    lines = ["size,rate,variant,seed,cell_seed,n_train,n_augmented,score"]
-    for row in rows:
-        lines.append(
-            f"{row['size']},{row['rate']:g},{row['variant']},{row['seed']},"
-            f"{row['cell_seed']},{row['n_train']},{row['n_augmented']},{row['score']:.4f}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def cmd_sweep(ns: SimpleNamespace, parser_error=None) -> int:
-    if not ns.train or not ns.test or not ns.output:
-        raise CliError("sweep needs --train, --test and --output")
+def cmd_sweep(ns: SimpleNamespace, manifest: RunManifest) -> None:
     _require_file(ns.train, "training corpus")
     _require_file(ns.test, "test corpus")
-
-    def fail(msg):
-        raise CliError(msg)
-
-    parser_error = parser_error or fail
-    started = time.perf_counter()
-    manifest = _start_manifest("sweep", ns, [ns.train, ns.test])
-    rows = sweep_rows(ns, parser_error)
-    text = format_sweep_csv(rows)
+    grid = list(itertools.product(
+        _grid_values(ns.sizes, int, "--sizes"),
+        _grid_values(ns.rates, float, "--rates"),
+        _grid_values(ns.variants, str, "--variants"),
+        _grid_values(ns.seeds, int, "--seeds"),
+    ))
+    train = _read_corpus(ns, ns.train, manifest)
+    test = _read_corpus(ns, ns.test, manifest)
+    tokens = list(dict.fromkeys([*train.token_vocab, *test.token_vocab]))
+    shared = (ns, train, test, EmbeddingTable.random(tokens, int(ns.dim), seed=int(ns.embed_seed)))
+    jobs = int(ns.jobs)
+    if jobs > 1:
+        with ProcessPoolExecutor(jobs, initializer=_share_sweep, initargs=shared) as executor:
+            rows = list(executor.map(_worker_cell, grid))
+    else:
+        rows = [_sweep_cell(cell, *shared) for cell in grid]
     with open(ns.output, "w", newline="") as fh:
-        fh.write(text)
+        fh.write("size,rate,variant,seed,cell_seed,n_train,n_augmented,score\n" + "".join(rows))
+    manifest.outputs = [ns.output]
     manifest.extra = {"cells": len(rows)}
-    _finish_manifest(manifest, started, [ns.output], _manifest_path(ns, ns.output))
     print(f"swept {len(rows)} cells -> {ns.output}")
-    return 0
 
 
-# ---------------------------------------------------------------------------
-# bench
-
-
-def cmd_bench(ns: SimpleNamespace) -> int:
-    if not ns.input:
-        raise CliError("bench needs --input")
-    started = time.perf_counter()
-    corpus = _parse_corpus(ns.task, ns.input, ns.repair_bio)
+def cmd_bench(ns: SimpleNamespace, manifest: RunManifest) -> None:
+    corpus = _read_corpus(ns, ns.input, manifest)
     n = min(int(ns.n_sentences), len(corpus))
     sub = downsample(corpus, n, seed=int(ns.seed)) if n < len(corpus) else corpus
-    table = _build_table(sub.token_vocab, int(ns.dim), int(ns.embed_seed), 64)
+    table = EmbeddingTable.random(sub.token_vocab, int(ns.dim), seed=int(ns.embed_seed))
     config = MixConfig(
         alpha=float(ns.alpha), rate=float(ns.rate), variant=ns.variant, seed=int(ns.seed)
     )
-    manifest = _start_manifest("bench", ns, [ns.input])
 
     timings = []
     generated = 0
@@ -676,40 +537,25 @@ def cmd_bench(ns: SimpleNamespace) -> int:
     print(f"mix: {mean:.4f}s +/- {std:.4f}s over {ns.repeats} passes "
           f"({len(sub)} sentences, {generated} mixed examples per pass)")
 
-    if int(ns.train_epochs) > 0:
-        if ns.task == "ner":
-            examples = encode_corpus(sub, table)
-            model = TaggerModel.init(sub.label_vocab, int(ns.dim), seed=int(ns.seed))
-            trainer = train_tagger
-        else:
-            examples = encode_re_corpus(sub, table)
-            model = REModel.init(sub.relation_vocab, int(ns.dim), seed=int(ns.seed))
-            trainer = train_re
-        train_config = TrainConfig(
-            epochs=int(ns.train_epochs), seed=int(ns.seed), patience=int(ns.train_epochs) + 1
-        )
+    epochs = int(ns.train_epochs)
+    if epochs > 0:
+        examples = _encode(ns.task, sub, table)
+        train_config = TrainConfig(epochs=epochs, seed=int(ns.seed), patience=epochs + 1)
         t0 = time.perf_counter()
-        trainer(model, examples, train_config)
+        _fit(ns.task, _labels(ns.task, sub), examples, train_config, int(ns.dim), window=1)
         train_seconds = time.perf_counter() - t0
-        report["train_epochs"] = int(ns.train_epochs)
+        report["train_epochs"] = epochs
         report["train_seconds"] = train_seconds
         report["mix_over_train"] = mean / train_seconds if train_seconds else float("inf")
         print(f"train: {train_seconds:.4f}s for {ns.train_epochs} epochs "
               f"(mixing is {100 * report['mix_over_train']:.2f}% of that)")
 
-    outputs = []
     if ns.output:
         with open(ns.output, "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        outputs.append(ns.output)
+        manifest.outputs.append(ns.output)
     manifest.extra = report
-    _finish_manifest(manifest, started, outputs, _manifest_path(ns, ns.output))
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# recover
 
 
 def _render_example(example, table, index: int, lines: list[str]) -> None:
@@ -719,21 +565,14 @@ def _render_example(example, table, index: int, lines: list[str]) -> None:
     mixed = sorted(tuple(s) for s in prov.mixed_spans)
     recovered = nearest_tokens(table, example.embeddings)
     for pos, (token, dist) in enumerate(recovered):
-        marker = ""
-        for k, (s, e) in enumerate(mixed):
-            if s <= pos < e:
-                marker = f"  [mixed span {k}]"
-                break
+        marker = next((f"  [mixed span {k}]" for k, (s, e) in enumerate(mixed) if s <= pos < e), "")
         lines.append(f"{pos:4d}  {token:<20s} {dist:8.4f}{marker}")
     if hasattr(example, "soft_relation"):
         e1, e2 = example.e1, example.e2
         lines.append(f"      e1=[{e1.start},{e1.end})  e2=[{e2.start},{e2.end})")
 
 
-def cmd_recover(ns: SimpleNamespace) -> int:
-    if not ns.augmented:
-        raise CliError("recover needs --augmented")
-    started = time.perf_counter()
+def cmd_recover(ns: SimpleNamespace, manifest: RunManifest) -> None:
     with open(_require_file(ns.augmented, "augmented file")) as fh:
         aug = load_augmented(fh)
     spec = aug.meta.get("table")
@@ -742,7 +581,7 @@ def cmd_recover(ns: SimpleNamespace) -> int:
     table = EmbeddingTable.random(
         spec["tokens"], spec["dim"], seed=spec["seed"], n_buckets=spec.get("n_buckets", 64)
     )
-    manifest = _start_manifest("recover", ns, [ns.augmented])
+    manifest.record_inputs(ns.augmented)
     lines: list[str] = []
     shown = 0
     for i, example in enumerate(aug.examples):
@@ -753,26 +592,61 @@ def cmd_recover(ns: SimpleNamespace) -> int:
         if shown >= int(ns.limit):
             break
     text = "\n".join(lines) + ("\n" if lines else "")
-    outputs = []
     if ns.output:
         with open(ns.output, "w") as fh:
             fh.write(text)
-        outputs.append(ns.output)
+        manifest.outputs.append(ns.output)
     else:
         sys.stdout.write(text)
     manifest.extra = {"examples_shown": shown}
-    _finish_manifest(manifest, started, outputs, _manifest_path(ns, ns.output))
-    return 0
 
 
 # ---------------------------------------------------------------------------
-# argument wiring
+# commands, the runner and the parser
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON config file supplying defaults")
-    sub.add_argument("--manifest", help="where to write the run manifest")
-    sub.add_argument("--seed", type=int, help="root random seed")
+@dataclass(frozen=True)
+class Command:
+    run: Callable[[SimpleNamespace, RunManifest], None]
+    help: str
+    needs: tuple[str, ...]  # options the command cannot do without
+    output: str  # the option naming the file its manifest sits beside
+
+
+_COMMANDS = {
+    "augment": Command(cmd_augment, "generate mixed training examples as augmented JSONL "
+                       "(a corpus file with --mode replace)", ("input", "output"), "output"),
+    "train": Command(cmd_train, "train a tagger or relation classifier",
+                     ("train", "checkpoint"), "checkpoint"),
+    "eval": Command(cmd_eval, "score a checkpoint on a test corpus", ("checkpoint", "test"),
+                    "report"),
+    "sweep": Command(cmd_sweep, "grid over sizes, rates, variants and seeds into a CSV",
+                     ("train", "test", "output"), "output"),
+    "bench": Command(cmd_bench, "time the mixing pass (--output: JSON report)", ("input",),
+                     "output"),
+    "recover": Command(cmd_recover, "render augmented examples as nearest tokens",
+                       ("augmented",), "output"),
+}
+
+
+def _run(command: str, ns: SimpleNamespace) -> int:
+    """Run one command and write its manifest; what every command shares."""
+    spec = _COMMANDS[command]
+    if not all(getattr(ns, dest) for dest in spec.needs):
+        flags = [f"--{dest.replace('_', '-')}" for dest in spec.needs]
+        listed = flags[-1] if len(flags) == 1 else f"{', '.join(flags[:-1])} and {flags[-1]}"
+        raise CliError(f"{command} needs {listed}")
+    started = time.perf_counter()
+    created = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    manifest = RunManifest(command=command, args=dict(vars(ns)), created=created)
+    spec.run(ns, manifest)
+    manifest.duration_seconds = round(time.perf_counter() - started, 4)
+    manifest.outputs = [str(p) for p in manifest.outputs]
+    primary = getattr(ns, spec.output)
+    write_to = ns.manifest or (str(primary) + ".manifest.json" if primary else None)
+    if write_to:
+        manifest.write(write_to)
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -785,136 +659,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay a recorded run (inputs must hash unchanged)",
     )
     commands = parser.add_subparsers(dest="command")
-
-    p = commands.add_parser("augment", help="generate mixed training examples")
-    _add_common(p)
-    p.add_argument("--task", choices=["ner", "re"])
-    p.add_argument("--input", help="corpus to augment")
-    p.add_argument("--output", help="augmented JSONL (or corpus file in replace mode)")
-    p.add_argument("--variant", help="pool variant, '+'-joined for combinations")
-    p.add_argument("--rate", type=float, help="mixed examples requested per original sentence")
-    p.add_argument("--alpha", type=float, help="Beta(alpha, alpha) concentration")
-    p.add_argument("--fixed-lambda", type=float, dest="fixed_lambda")
-    p.add_argument("--weights", help="comma list of per-variant budget weights")
-    p.add_argument("--normalize-tail-labels", action="store_const", const=True,
-                   dest="normalize_tail_labels")
-    p.add_argument("--same-type-only", action="store_const", const=True, dest="same_type_only")
-    p.add_argument("--mode", choices=["mix", "replace"])
-    p.add_argument("--dim", type=int, help="embedding dimension")
-    p.add_argument("--embed-seed", type=int, dest="embed_seed")
-    p.add_argument("--n-buckets", type=int, dest="n_buckets")
-    p.add_argument("--synonyms", help="synonym lexicon TSV")
-    p.add_argument("--repair-bio", action="store_const", const=True, dest="repair_bio")
-    p.add_argument("--include-originals", action="store_const", const=True,
-                   dest="include_originals")
-
-    p = commands.add_parser("train", help="train a tagger or relation classifier")
-    _add_common(p)
-    p.add_argument("--task", choices=["ner", "re"])
-    p.add_argument("--train", help="training corpus")
-    p.add_argument("--augmented", help="augmented JSONL to add")
-    p.add_argument("--val", help="validation corpus for early stopping")
-    p.add_argument("--checkpoint", help="where to save the model")
-    p.add_argument("--loss-trace", dest="loss_trace", help="per-epoch loss CSV")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--patience", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--embed-seed", type=int, dest="embed_seed")
-    p.add_argument("--n-buckets", type=int, dest="n_buckets")
-    p.add_argument("--window", type=int)
-    p.add_argument("--vocab-from", action="append", dest="vocab_from",
-                   help="extra corpus whose tokens join the embedding table (repeatable)")
-    p.add_argument("--no-originals", action="store_const", const=True, dest="no_originals")
-    p.add_argument("--allow-corpus-mismatch", action="store_const", const=True,
-                   dest="allow_corpus_mismatch")
-    p.add_argument("--repair-bio", action="store_const", const=True, dest="repair_bio")
-
-    p = commands.add_parser("eval", help="score a checkpoint on a test corpus")
-    _add_common(p)
-    p.add_argument("--task", choices=["ner", "re"])
-    p.add_argument("--checkpoint")
-    p.add_argument("--test")
-    p.add_argument("--report", help="JSON report path")
-    p.add_argument("--confusion", help="confusion matrix CSV path")
-    p.add_argument("--repair-bio", action="store_const", const=True, dest="repair_bio")
-
-    p = commands.add_parser("sweep", help="grid over sizes, rates, variants and seeds")
-    _add_common(p)
-    p.add_argument("--task", choices=["ner", "re"])
-    p.add_argument("--train")
-    p.add_argument("--test")
-    p.add_argument("--output", help="results CSV")
-    p.add_argument("--sizes", help="comma list of training sizes")
-    p.add_argument("--rates", help="comma list of augmentation rates")
-    p.add_argument("--variants", help="comma list of variants ('none' = baseline)")
-    p.add_argument("--seeds", help="comma list of run seeds")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--embed-seed", type=int, dest="embed_seed")
-    p.add_argument("--window", type=int)
-    p.add_argument("--jobs", type=int, help="worker processes (1 = serial)")
-    p.add_argument("--repair-bio", action="store_const", const=True, dest="repair_bio")
-
-    p = commands.add_parser("bench", help="time the mixing pass")
-    _add_common(p)
-    p.add_argument("--task", choices=["ner", "re"])
-    p.add_argument("--input")
-    p.add_argument("--n-sentences", type=int, dest="n_sentences")
-    p.add_argument("--repeats", type=int)
-    p.add_argument("--variant")
-    p.add_argument("--rate", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--embed-seed", type=int, dest="embed_seed")
-    p.add_argument("--output", help="JSON timing report")
-    p.add_argument("--train-epochs", type=int, dest="train_epochs",
-                   help="also time a training run for comparison")
-    p.add_argument("--repair-bio", action="store_const", const=True, dest="repair_bio")
-
-    p = commands.add_parser("recover", help="render augmented examples as nearest tokens")
-    _add_common(p)
-    p.add_argument("--augmented", help="augmented JSONL")
-    p.add_argument("--limit", type=int, help="examples to render")
-    p.add_argument("--output", help="write text here instead of stdout")
-    p.add_argument("--mixed-only", action="store_const", const=True, dest="mixed_only")
-
+    for name, spec in _COMMANDS.items():
+        sub = commands.add_parser(name, help=spec.help, description=spec.help)
+        for option in _OPTIONS:
+            if name in option.defaults:
+                option.add_to(sub)
     return parser
 
 
-_HANDLERS = {
-    "augment": cmd_augment,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "bench": cmd_bench,
-    "recover": cmd_recover,
-}
-
-
-def _dispatch(command: str, ns: SimpleNamespace, parser: argparse.ArgumentParser) -> int:
-    if command == "sweep":
-        return cmd_sweep(ns, parser.error)
-    return _HANDLERS[command](ns)
-
-
-def _replay_manifest(path: str, parser: argparse.ArgumentParser) -> int:
-    manifest_path = _require_file(path, "manifest")
-    with open(manifest_path) as fh:
+def _replay_manifest(path: str) -> int:
+    with open(_require_file(path, "manifest")) as fh:
         data = json.load(fh)
     command = data.get("command")
-    if command not in _DEFAULTS:
+    if command not in _COMMANDS:
         raise CliError(f"manifest names unknown command {command!r}")
     for input_path, recorded in data.get("inputs", {}).items():
-        current = _sha256_file(_require_file(input_path, "recorded input"))
-        if current != recorded:
+        if _sha256_file(_require_file(input_path, "recorded input")) != recorded:
             raise CliError(f"input {input_path} changed since the manifest was written")
-    args = dict(_DEFAULTS[command])
-    args.update(data.get("args", {}))
-    return _dispatch(command, SimpleNamespace(**args), parser)
+    return _run(command, SimpleNamespace(**{**_DEFAULTS[command], **data.get("args", {})}))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -922,15 +684,14 @@ def main(argv: list[str] | None = None) -> int:
     ns = parser.parse_args(argv)
     try:
         if ns.from_manifest:
-            return _replay_manifest(ns.from_manifest, parser)
+            return _replay_manifest(ns.from_manifest)
         if not ns.command:
             parser.error("a subcommand is required (or --from-manifest)")
-        resolved = _resolve(ns.command, ns, parser)
-        return _dispatch(ns.command, resolved, parser)
-    except (CliError, CorpusFormatError, EmptyPoolError, TrainingDivergedError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        return _run(ns.command, _resolve(ns.command, ns))
+    except UsageError as exc:
+        parser.error(str(exc))
+    except (CliError, ValueError, TrainingDivergedError, OSError) as exc:
+        # bad data arrives as a ValueError, CorpusFormatError and EmptyPoolError among them
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

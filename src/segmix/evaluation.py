@@ -273,6 +273,8 @@ class EvalReport:
 
 def tagging_report(gold: TaggedCorpus, predicted: Sequence[Sequence[str]]) -> EvalReport:
     overall = entity_f1(gold, predicted)
+    # a model may predict labels the test corpus never uses; they join in first-seen order
+    vocab = tuple(dict.fromkeys([*gold.label_vocab, *(p for row in predicted for p in row)]))
     spans = span_only_f1(gold, predicted)
     per_type = {
         t: {
@@ -297,17 +299,14 @@ def tagging_report(gold: TaggedCorpus, predicted: Sequence[Sequence[str]]) -> Ev
             "n_sentences": len(gold),
         },
         per_type=per_type,
-        confusion=token_confusion(gold, predicted, gold.label_vocab),
-        confusion_vocab=tuple(gold.label_vocab),
+        confusion=token_confusion(gold, predicted, vocab),
+        confusion_vocab=vocab,
     )
 
 
 def re_report(gold: RECorpus, predicted: Sequence[str]) -> EvalReport:
     scores = re_scores(gold, predicted)
-    vocab = list(gold.relation_vocab)
-    for label in predicted:
-        if label not in vocab:
-            vocab.append(label)
+    vocab = tuple(dict.fromkeys([*gold.relation_vocab, *predicted]))
     return EvalReport(
         task="re",
         summary={
@@ -317,5 +316,5 @@ def re_report(gold: RECorpus, predicted: Sequence[str]) -> EvalReport:
             "n_samples": scores.n,
         },
         confusion=re_confusion(gold, predicted, vocab),
-        confusion_vocab=tuple(vocab),
+        confusion_vocab=vocab,
     )

@@ -220,7 +220,6 @@ class MixConfig:
     rate: float = 0.2
     variant: str = "mention"
     weights: tuple[float, ...] | None = None
-    pad_policy: str = "zero_pad"
     normalize_tail_labels: bool = False
     seed: int = 0
     fixed_lambda: float | None = None
@@ -232,8 +231,6 @@ class MixConfig:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if not (self.rate >= 0 and math.isfinite(self.rate)):
             raise ValueError(f"rate must be nonnegative and finite, got {self.rate}")
-        if self.pad_policy != "zero_pad":
-            raise ValueError(f"unsupported pad policy {self.pad_policy!r}")
         parts = self.variant_list()
         for part in parts:
             if part not in VARIANTS:

@@ -41,6 +41,45 @@ def _dump(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _shape_problem(emb_shape, label_shape, spans, dim: int, n_labels: int) -> str | None:
+    """Why a record with these shapes does not fit its file's header, or None.
+
+    ``spans`` maps "e1"/"e2" to (start, end) for a relation record and is
+    None for a tagging record. Reads shapes only, so a load pays O(1) per
+    record before decoding.
+    """
+    if len(emb_shape) != 2 or emb_shape[1] != dim:
+        return f"embeddings have shape {list(emb_shape)}, expected (n, {dim})"
+    n = emb_shape[0]
+    if spans is None:
+        name, expected = "soft_labels", (n, n_labels)
+    else:
+        name, expected = "soft_relation", (n_labels,)
+    if tuple(label_shape) != expected:
+        return f"{name} have shape {list(label_shape)}, expected {expected}"
+    for span_name, (start, end) in (spans or {}).items():
+        if not 0 <= start < end <= n:
+            return f"{span_name} span [{start}, {end}) lies outside the {n}-token sentence"
+    return None
+
+
+def _read_record(record: dict, task: str, dim: int, n_labels: int):
+    provenance = Provenance.from_json(record["provenance"])
+    if task == "ner":
+        labels, spans = record["soft_labels"], None
+    else:
+        labels, spans = record["soft_relation"], {"e1": record["e1"], "e2": record["e2"]}
+    problem = _shape_problem(record["embeddings"]["shape"], labels["shape"], spans, dim, n_labels)
+    if problem:
+        raise ValueError(problem)
+    embeddings = decode_array(record["embeddings"])
+    if task == "ner":
+        return MixedExample(embeddings, decode_array(labels), provenance)
+    return MixedRESample(
+        embeddings, decode_array(labels), Span(*record["e1"]), Span(*record["e2"]), provenance
+    )
+
+
 @dataclass
 class AugmentedFile:
     """Parsed contents of an augmented JSONL file."""
@@ -63,6 +102,15 @@ def save_augmented(
     if task not in ("ner", "re"):
         raise ValueError(f"task must be 'ner' or 're', got {task!r}")
     dim = int(examples[0].embeddings.shape[1]) if examples else 0
+    for i, example in enumerate(examples):  # all checked before a byte is written
+        if task == "ner":
+            labels, spans = example.soft_labels, None
+        else:
+            labels = example.soft_relation
+            spans = {"e1": (example.e1.start, example.e1.end), "e2": (example.e2.start, example.e2.end)}
+        problem = _shape_problem(example.embeddings.shape, labels.shape, spans, dim, len(label_vocab))
+        if problem:
+            raise ValueError(f"example {i}: {problem}")
     header = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -98,27 +146,17 @@ def load_augmented(stream: TextIO) -> AugmentedFile:
     if header.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported version {header.get('version')}")
     task = header["task"]
+    dim, n_labels = header["dim"], len(header["label_vocab"])
     examples = []
-    for line in stream:
+    for lineno, line in enumerate(stream, start=2):
         if not line.strip():
             continue
-        record = json.loads(line)
-        provenance = Provenance.from_json(record["provenance"])
-        embeddings = decode_array(record["embeddings"])
-        if task == "ner":
-            examples.append(
-                MixedExample(embeddings, decode_array(record["soft_labels"]), provenance)
-            )
-        else:
-            examples.append(
-                MixedRESample(
-                    embeddings,
-                    decode_array(record["soft_relation"]),
-                    Span(*record["e1"]),
-                    Span(*record["e2"]),
-                    provenance,
-                )
-            )
+        try:
+            examples.append(_read_record(json.loads(line), task, dim, n_labels))
+        except KeyError as exc:
+            raise ValueError(f"line {lineno}: record has no {exc} field") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     if len(examples) != header["count"]:
         raise ValueError(
             f"header says {header['count']} examples, file has {len(examples)}"

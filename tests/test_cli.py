@@ -333,3 +333,52 @@ def test_readme_commands_parse():
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv)  # a usage error raises SystemExit
+
+
+# ---------------------------------------------------------------- refusals and edge cases
+
+def test_eval_scores_a_label_missing_from_the_test_corpus(tmp_path, capsys):
+    train = tmp_path / "train.conll"
+    train.write_text("paris\tB-LOC\nis\tO\n\njohn\tB-PER\nis\tO\n\n" * 20)
+    test = tmp_path / "test.conll"
+    test.write_text("paris\tO\nis\tO\n\njohn\tB-PER\nis\tO\n")
+    ckpt, confusion = tmp_path / "m.ckpt", tmp_path / "confusion.csv"
+    assert run("train", "--train", train, "--checkpoint", ckpt, "--epochs", "30") == 0
+    assert run("eval", "--checkpoint", ckpt, "--test", test, "--confusion", confusion) == 0
+    assert "f1:" in capsys.readouterr().out
+    header = confusion.read_text().splitlines()[0]
+    assert header.split(",")[1:] == ["O", "B-PER", "B-LOC"]
+
+
+@pytest.mark.parametrize("flag,value", [("--embed-seed", "1"), ("--n-buckets", "32")])
+def test_train_refuses_augmented_file_from_another_embedding_table(
+    tmp_path, ner_file, capsys, flag, value
+):
+    aug = tmp_path / "aug.jsonl"
+    assert run("augment", "--input", ner_file, "--output", aug) == 0
+    capsys.readouterr()
+    ckpt = tmp_path / "m.ckpt"
+    code = run("train", "--train", ner_file, "--augmented", aug, "--checkpoint", ckpt,
+               "--epochs", "1", flag, value)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert flag in err
+    assert not ckpt.exists()
+
+
+def test_train_reports_the_line_of_a_malformed_augmented_record(tmp_path, ner_file, capsys):
+    aug = tmp_path / "aug.jsonl"
+    assert run("augment", "--input", ner_file, "--output", aug) == 0
+    lines = aug.read_text().splitlines(keepends=True)
+    record = json.loads(lines[2])
+    record["embeddings"]["shape"] = [record["embeddings"]["shape"][0] * 2, 16]
+    lines[2] = json.dumps(record) + "\n"
+    aug.write_text("".join(lines))
+    capsys.readouterr()
+    code = run("train", "--train", ner_file, "--augmented", aug,
+               "--checkpoint", tmp_path / "m.ckpt", "--epochs", "1")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "line 3" in err

@@ -236,3 +236,11 @@ def test_re_report_extends_vocab_with_unseen_predictions(hand_re_corpus):
     assert report.summary["accuracy"] == 0.0
     assert "Nonsense(e1,e2)" in report.confusion_vocab
     assert report.confusion.sum() == len(hand_re_corpus)
+
+
+def test_tagging_report_extends_vocab_with_unseen_predictions():
+    gold = TaggedCorpus.from_sentences([Sentence(("Ann", "ran"), ("B-PER", "O"))])
+    report = tagging_report(gold, [["B-LOC", "O"]])
+    assert report.summary["f1"] == 0.0
+    assert report.confusion_vocab == ("B-PER", "O", "B-LOC")
+    assert report.confusion.tolist() == [[0, 0, 1], [0, 1, 0], [0, 0, 0]]

@@ -161,8 +161,6 @@ def test_mix_config_validation():
         MixConfig(rate=-0.1)
     with pytest.raises(ValueError, match="unknown variant"):
         MixConfig(variant="mentions")
-    with pytest.raises(ValueError, match="pad policy"):
-        MixConfig(pad_policy="truncate")
     with pytest.raises(ValueError, match="weights"):
         MixConfig(variant="mention+token", weights=(1.0,))
     with pytest.raises(ValueError, match="sum to 1"):

@@ -2,6 +2,7 @@
 
 import base64
 import io
+import json
 
 import numpy as np
 import pytest
@@ -140,3 +141,68 @@ def test_load_rejects_truncated_file():
     truncated = "".join(lines[:-1])
     with pytest.raises(ValueError, match="header says 2 examples, file has 1"):
         load_augmented(io.StringIO(truncated))
+
+
+# ---------------------------------------------------------------- record shapes
+
+def _saved_lines(examples, vocab, task):
+    buf = io.StringIO()
+    save_augmented(buf, examples, vocab, task=task)
+    return buf.getvalue().splitlines(keepends=True)
+
+
+def _with_record(lines, index, **fields):
+    """``lines`` with record ``index`` (0 = header) rewritten by ``fields``."""
+    record = json.loads(lines[index])
+    record.update(fields)
+    return "".join(lines[:index] + [json.dumps(record) + "\n"] + lines[index + 1:])
+
+
+def _ner_examples():
+    prov = Provenance(0, "mention", 0.5, ((0, 1),), ((0, 1),))
+    return [MixedExample(np.ones((2, 4)), np.ones((2, 2)), prov) for _ in range(2)]
+
+
+def _re_examples():
+    prov = Provenance(0, "relation", 0.5, ((0, 1), (2, 3)), ((0, 1), (2, 3)))
+    return [
+        MixedRESample(np.ones((4, 4)), np.ones(2), Span(0, 1), Span(2, 3), prov)
+        for _ in range(2)
+    ]
+
+
+def test_save_refuses_example_that_disagrees_with_the_first():
+    examples = _ner_examples()
+    examples[1] = MixedExample(np.ones((2, 3)), np.ones((2, 2)), examples[1].provenance)
+    with pytest.raises(ValueError, match="example 1"):
+        save_augmented(io.StringIO(), examples, ("B-X", "O"), task="ner")
+    with pytest.raises(ValueError, match="example 0"):
+        save_augmented(io.StringIO(), _ner_examples(), ("B-X", "I-X", "O"), task="ner")
+
+
+def test_load_rejects_embedding_width_other_than_header_dim():
+    lines = _saved_lines(_ner_examples(), ("B-X", "O"), "ner")
+    text = _with_record(lines, 2, embeddings=encode_array(np.ones((2, 3))))
+    with pytest.raises(ValueError, match="line 3"):
+        load_augmented(io.StringIO(text))
+    text = _with_record(lines, 2, embeddings=encode_array(np.ones(8)))
+    with pytest.raises(ValueError, match="line 3"):
+        load_augmented(io.StringIO(text))
+
+
+def test_load_rejects_soft_labels_other_than_label_vocab():
+    lines = _saved_lines(_ner_examples(), ("B-X", "O"), "ner")
+    text = _with_record(lines, 1, soft_labels=encode_array(np.ones((2, 3))))
+    with pytest.raises(ValueError, match="line 2"):
+        load_augmented(io.StringIO(text))
+
+
+@pytest.mark.parametrize("fields", [
+    {"soft_relation": encode_array(np.ones(3))},
+    {"e2": [2, 5]},
+    {"e1": [-1, 1]},
+])
+def test_load_rejects_bad_relation_record(fields):
+    lines = _saved_lines(_re_examples(), ("R(e1,e2)", "Other"), "re")
+    with pytest.raises(ValueError, match="line 3"):
+        load_augmented(io.StringIO(_with_record(lines, 2, **fields)))
