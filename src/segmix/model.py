@@ -34,6 +34,17 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
+def _soft_loss(logits: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row soft cross-entropy and its gradient with respect to the logits.
+
+    The gradient is softmax * sum(target) - target, so targets need not sum
+    to one.
+    """
+    log_probs = log_softmax(logits)
+    dlogits = np.exp(log_probs) * target.sum(axis=-1, keepdims=True) - target
+    return -(target * log_probs).sum(axis=-1), dlogits
+
+
 def soft_cross_entropy(logits: np.ndarray, target: np.ndarray) -> float:
     """-sum_c target_c * log softmax(logits)_c for one prediction.
 
@@ -47,26 +58,46 @@ def soft_cross_entropy(logits: np.ndarray, target: np.ndarray) -> float:
         raise ValueError(f"shape mismatch: {logits.shape} vs {target.shape}")
     if not np.isfinite(logits).all():
         raise ValueError("non-finite logits")
-    per_row = -(target * log_softmax(logits)).sum(axis=-1)
-    return float(per_row.mean())
+    return float(_soft_loss(logits, target)[0].mean())
 
 
-def _window_features(embeddings: np.ndarray, window: int) -> np.ndarray:
-    """Concatenate rows t-w..t+w per position, zero rows past boundaries,
-    plus a trailing bias column."""
-    n, dim = embeddings.shape
-    pieces = []
-    for offset in range(-window, window + 1):
-        shifted = np.zeros((n, dim))
-        if offset < 0:
-            shifted[-offset:] = embeddings[:n + offset]
-        elif offset > 0:
-            shifted[: n - offset] = embeddings[offset:]
-        else:
-            shifted = embeddings
-        pieces.append(shifted)
-    pieces.append(np.ones((n, 1)))
-    return np.concatenate(pieces, axis=1)
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Rows ``starts[i] .. starts[i] + lengths[i] - 1`` for every i, concatenated."""
+    return np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
+
+
+def _joined(lengths: np.ndarray, window: int) -> tuple[np.ndarray, int]:
+    """Layout of sequences stacked with ``window`` zero rows before, between
+    and after them: each sequence's first row, and the total row count.
+
+    The zero rows are what a window past a sentence boundary reads.
+    """
+    starts = np.cumsum(lengths + window) - lengths
+    return starts, int(starts[-1] + lengths[-1] + window)
+
+
+def _windows(flat: np.ndarray, rows: np.ndarray, window: int) -> np.ndarray:
+    """Rows ``flat[rows + o]`` for o = -w..w side by side, plus a bias column."""
+    dim = flat.shape[1]
+    feats = np.empty((len(rows), (2 * window + 1) * dim + 1))
+    feats[:, -1] = 1.0
+    for k, offset in enumerate(range(-window, window + 1)):
+        feats[:, k * dim : (k + 1) * dim] = flat[rows + offset]
+    return feats
+
+
+def _pooled(dim: int, samples) -> np.ndarray:
+    """One ``[mean(e1 rows); mean(e2 rows); 1]`` row per (embeddings, e1, e2)."""
+    feats = np.ones((len(samples), 2 * dim + 1))
+    for row, (embeddings, e1, e2) in zip(feats, samples):
+        embeddings[e1.start : e1.end].mean(axis=0, out=row[:dim])
+        embeddings[e2.start : e2.end].mean(axis=0, out=row[dim : 2 * dim])
+    return feats
+
+
+def _require_dim(model, width: int) -> None:
+    if width != model.dim:
+        raise ValueError(f"embedding dim {width} != model dim {model.dim}")
 
 
 @dataclass
@@ -89,9 +120,10 @@ class TaggerModel:
         return cls(tuple(labels), window, dim, weights)
 
     def features(self, embeddings: np.ndarray) -> np.ndarray:
-        if embeddings.shape[1] != self.dim:
-            raise ValueError(f"embedding dim {embeddings.shape[1]} != model dim {self.dim}")
-        return _window_features(embeddings, self.window)
+        """Rows t-w..t+w per position (zero rows past the boundaries) and a bias."""
+        _require_dim(self, embeddings.shape[1])
+        w = self.window
+        return _windows(np.pad(embeddings, ((w, w), (0, 0))), np.arange(len(embeddings)) + w, w)
 
     def forward(self, embeddings: np.ndarray) -> np.ndarray:
         """Logits matrix, one row per position."""
@@ -120,11 +152,8 @@ class REModel:
         return cls(tuple(labels), dim, weights)
 
     def features(self, embeddings: np.ndarray, e1, e2) -> np.ndarray:
-        if embeddings.shape[1] != self.dim:
-            raise ValueError(f"embedding dim {embeddings.shape[1]} != model dim {self.dim}")
-        pooled1 = embeddings[e1.start : e1.end].mean(axis=0)
-        pooled2 = embeddings[e2.start : e2.end].mean(axis=0)
-        return np.concatenate([pooled1, pooled2, [1.0]])
+        _require_dim(self, embeddings.shape[1])
+        return _pooled(self.dim, [(embeddings, e1, e2)])[0]
 
     def forward(self, embeddings: np.ndarray, e1, e2) -> np.ndarray:
         return self.features(embeddings, e1, e2) @ self.weights
@@ -157,17 +186,15 @@ class TrainResult:
 
 
 def _tagger_loss_grad(model: TaggerModel, example) -> tuple[float, np.ndarray]:
+    """Loss and weight gradient of one example; the per-example reference
+    for :func:`gradient_check` and for the batched trainer."""
     feats = model.features(example.embeddings)
     logits = feats @ model.weights
     if not np.isfinite(logits).all():
         raise FloatingPointError("non-finite logits")
     target = example.soft_labels
-    log_probs = log_softmax(logits)
-    loss = float(-(target * log_probs).sum(axis=1).mean())
-    probs = np.exp(log_probs)
-    # dL/dlogits = softmax * sum(target) - target, averaged over positions
-    dlogits = (probs * target.sum(axis=1, keepdims=True) - target) / len(target)
-    return loss, feats.T @ dlogits
+    loss, dlogits = _soft_loss(logits, target)
+    return float(loss.mean()), feats.T @ (dlogits / len(target))
 
 
 def _re_loss_grad(model: REModel, example) -> tuple[float, np.ndarray]:
@@ -175,24 +202,76 @@ def _re_loss_grad(model: REModel, example) -> tuple[float, np.ndarray]:
     logits = feats @ model.weights
     if not np.isfinite(logits).all():
         raise FloatingPointError("non-finite logits")
-    target = example.soft_relation
-    log_probs = log_softmax(logits)
-    loss = float(-(target * log_probs).sum())
-    probs = np.exp(log_probs)
-    dlogits = probs * target.sum() - target
-    return loss, np.outer(feats, dlogits)
+    loss, dlogits = _soft_loss(logits, example.soft_relation)
+    return float(loss), np.outer(feats, dlogits)
+
+
+def _check_examples(model, examples: Sequence) -> None:
+    """Refuse, before training starts, an example the model cannot take."""
+    n_labels = len(model.labels)
+    for i, example in enumerate(examples):
+        embeddings, n = example.embeddings, len(example.embeddings)
+        if isinstance(model, REModel):
+            labels, want, spans = example.soft_relation, (n_labels,), (example.e1, example.e2)
+        else:
+            labels, want, spans = example.soft_labels, (n, n_labels), ()
+        if embeddings.ndim != 2 or embeddings.shape[1] != model.dim:
+            problem = f"embeddings of shape {embeddings.shape}, model dim {model.dim}"
+        elif not n:
+            problem = "no tokens"
+        elif labels.shape != want:
+            problem = f"labels of shape {labels.shape}, expected {want}"
+        elif any(span.end > n for span in spans):  # a Span has 0 <= start < end
+            problem = f"spans {[(s.start, s.end) for s in spans]} reach past its {n} tokens"
+        else:
+            continue
+        raise ValueError(f"training example {i}: {problem}")
+
+
+def _tagger_rows(model: TaggerModel, examples: Sequence) -> Callable:
+    """Join the examples once, ``window`` zero rows apart; return a gather
+    from example indices to window features, targets and row weights
+    ``1/len(example)``."""
+    lengths = np.array([len(e.embeddings) for e in examples])
+    starts, total = _joined(lengths, model.window)
+    flat, target = np.zeros((total, model.dim)), np.zeros((total, len(model.labels)))
+    weight = np.zeros(total)
+    for example, lo, n in zip(examples, starts.tolist(), lengths.tolist()):
+        flat[lo : lo + n], target[lo : lo + n], weight[lo : lo + n] = (
+            example.embeddings, example.soft_labels, 1.0 / n)
+
+    def gather(batch: np.ndarray):
+        rows = _ranges(starts[batch], lengths[batch])
+        return _windows(flat, rows, model.window), target[rows], weight[rows]
+
+    return gather
+
+
+def _re_rows(model: REModel, examples: Sequence) -> Callable:
+    """Pool every example's spans once; one row per example, weight 1."""
+    feats = _pooled(model.dim, [(e.embeddings, e.e1, e.e2) for e in examples])
+    target = np.array([e.soft_relation for e in examples])
+    weight = np.ones(len(examples))
+    return lambda batch: (feats[batch], target[batch], weight[batch])
 
 
 def _train(
     model,
     examples: Sequence,
     config: TrainConfig,
-    loss_grad: Callable,
+    layout: Callable,
     score_fn: Callable | None,
 ) -> TrainResult:
-    """Mini-batch SGD with optional early stopping on a validation score."""
+    """Mini-batch SGD with optional early stopping on a validation score.
+
+    Before epoch 0 the examples are checked and ``layout(model, examples)``
+    lays them out and returns the batch gather; each batch is then one
+    gather, one forward and one gradient matmul.
+    """
     if not examples:
         raise ValueError("empty training set")
+    _check_examples(model, examples)
+    gather = layout(model, examples)
     rng = derive_rng(config.seed, "train-shuffle")
     trace: list[float] = []
     scores: list[float] = []
@@ -205,14 +284,13 @@ def _train(
         total = 0.0
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
-            grad = np.zeros_like(model.weights)
-            for i in batch:
-                try:
-                    loss, g = loss_grad(model, examples[i])
-                except FloatingPointError:
-                    raise TrainingDivergedError(f"non-finite loss at epoch {epoch}") from None
-                grad += g
-                total += loss
+            feats, target, weight = gather(batch)
+            logits = feats @ model.weights
+            if not np.isfinite(logits).all():
+                raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
+            loss, dlogits = _soft_loss(logits, target)
+            total += float(loss @ weight)
+            grad = feats.T @ (dlogits * weight[:, None])
             model.weights -= config.learning_rate * grad / len(batch)
         mean_loss = total / len(examples)
         if not np.isfinite(mean_loss):
@@ -258,7 +336,7 @@ def train_tagger(
             pred = predict_tagger(m, _table, _corpus)
             return entity_f1(_corpus, pred).f1
 
-    return _train(model, examples, config, _tagger_loss_grad, score_fn)
+    return _train(model, examples, config, _tagger_rows, score_fn)
 
 
 def train_re(
@@ -279,25 +357,50 @@ def train_re(
             hits = sum(p == s.relation for p, s in zip(pred, _corpus.samples))
             return hits / len(_corpus)
 
-    return _train(model, examples, config, _re_loss_grad, score_fn)
+    return _train(model, examples, config, _re_rows, score_fn)
+
+
+# Sentences per prediction block: enough to amortise the per-block calls;
+# a block's window features are held whole, so peak memory grows with it.
+_PREDICT_BLOCK = 64
+
+
+def _blocks(items: Sequence):
+    return (items[lo : lo + _PREDICT_BLOCK] for lo in range(0, len(items), _PREDICT_BLOCK))
 
 
 def predict_tagger(
     model: TaggerModel, table: EmbeddingTable, corpus: TaggedCorpus
 ) -> list[list[str]]:
-    """Predicted label strings per sentence (argmax, no repair)."""
+    """Predicted label strings per sentence (argmax, no repair).
+
+    Sentences go in blocks, joined as the trainer joins its examples: one
+    table lookup and one matmul per block.
+    """
+    _require_dim(model, table.dim)
     out = []
-    for sent in corpus.sentences:
-        idx = model.predict(table.embed(sent.tokens))
-        out.append([model.labels[i] for i in idx])
+    for block in _blocks(corpus.sentences):
+        lengths = np.array([len(s.tokens) for s in block])
+        starts, total = _joined(lengths, model.window)
+        rows = _ranges(starts, lengths)
+        flat = np.zeros((total, model.dim))
+        flat[rows] = table.vectors[table.rows([t for s in block for t in s.tokens])]
+        best = (_windows(flat, rows, model.window) @ model.weights).argmax(axis=1)
+        names = [model.labels[i] for i in best.tolist()]
+        ends = np.cumsum(lengths).tolist()
+        out.extend(names[end - n : end] for end, n in zip(ends, lengths.tolist()))
     return out
 
 
 def predict_re(model: REModel, table: EmbeddingTable, corpus: RECorpus) -> list[str]:
+    """Predicted relation per sample, in blocks of one lookup and one matmul."""
+    _require_dim(model, table.dim)
     out = []
-    for sample in corpus.samples:
-        logits = model.forward(table.embed(sample.tokens), sample.e1, sample.e2)
-        out.append(model.labels[int(logits.argmax())])
+    for block in _blocks(corpus.samples):
+        embeddings = table.vectors[table.rows([t for s in block for t in s.tokens])]
+        pieces = np.split(embeddings, np.cumsum([len(s.tokens) for s in block])[:-1])
+        feats = _pooled(model.dim, [(p, s.e1, s.e2) for p, s in zip(pieces, block)])
+        out.extend(model.labels[i] for i in (feats @ model.weights).argmax(axis=1).tolist())
     return out
 
 

@@ -141,10 +141,13 @@ def load_augmented(stream: TextIO) -> AugmentedFile:
     if not header_line.strip():
         raise ValueError("empty augmented file")
     header = json.loads(header_line)
-    if header.get("format") != FORMAT_NAME:
+    if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
         raise ValueError(f"not a {FORMAT_NAME} file")
     if header.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported version {header.get('version')}")
+    for key in ("task", "dim", "label_vocab", "count"):
+        if key not in header:
+            raise ValueError(f"header has no '{key}' field")
     task = header["task"]
     dim, n_labels = header["dim"], len(header["label_vocab"])
     examples = []

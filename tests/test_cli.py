@@ -257,6 +257,19 @@ def test_recover_renders_mixed_spans(tmp_path, ner_file, capsys):
     assert "[mixed span 0]" in out
 
 
+@pytest.mark.parametrize("missing", ["task", "dim", "label_vocab", "count"])
+def test_recover_names_a_field_missing_from_the_augmented_header(tmp_path, capsys, missing):
+    header = {"format": "segmix-augmented", "version": 1, "task": "ner", "dim": 4,
+              "label_vocab": ["O"], "count": 0}
+    del header[missing]
+    aug = tmp_path / "aug.jsonl"
+    aug.write_text(json.dumps(header) + "\n")
+    assert run("recover", "--augmented", aug) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"'{missing}'" in err
+
+
 def test_recover_to_file(tmp_path, ner_file):
     aug = tmp_path / "aug.jsonl"
     run("augment", "--input", ner_file, "--output", aug, "--rate", "0.2")

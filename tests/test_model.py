@@ -1,19 +1,31 @@
 """Soft-target losses, SGD training, gradient checks, and checkpoints."""
 
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segmix.corpus import RECorpus, RESample, Sentence, Span, TaggedCorpus
-from segmix.mixer import EmbeddingTable, MixedExample, Provenance, encode_corpus, encode_re_corpus
+from segmix.mixer import (
+    EmbeddingTable,
+    MixedExample,
+    MixedRESample,
+    Provenance,
+    encode_corpus,
+    encode_re_corpus,
+)
 from segmix.model import (
     REModel,
     TaggerModel,
     TrainConfig,
     TrainingDivergedError,
-    _train,
+    _re_loss_grad,
     _tagger_loss_grad,
+    _tagger_rows,
+    _train,
     gradient_check,
     load_checkpoint,
     log_softmax,
@@ -25,6 +37,7 @@ from segmix.model import (
     train_tagger,
     write_loss_trace,
 )
+from segmix.rng import derive_rng
 
 
 # ---------------------------------------------------------------- losses
@@ -209,7 +222,7 @@ def test_early_stopping_returns_best_checkpoint():
         return next(planned)
 
     result = _train(
-        model, examples, TrainConfig(epochs=10, patience=2), _tagger_loss_grad, score_fn
+        model, examples, TrainConfig(epochs=10, patience=2), _tagger_rows, score_fn
     )
     assert result.best_epoch == 1
     assert result.val_scores == [0.1, 0.9, 0.5, 0.4]
@@ -259,6 +272,157 @@ def test_train_re_with_validation_tracks_accuracy():
     assert result.val_scores
     assert all(0.0 <= s <= 1.0 for s in result.val_scores)
     assert result.best_epoch >= 0
+
+
+_BREAKS = {
+    "ner embedding width": lambda e: replace(e, embeddings=e.embeddings[:, :-1]),
+    "ner label width": lambda e: replace(e, soft_labels=e.soft_labels[:, :-1]),
+    "ner no tokens": lambda e: replace(e, embeddings=e.embeddings[:0], soft_labels=e.soft_labels[:0]),
+    "re embedding width": lambda e: replace(e, embeddings=e.embeddings[:, :-1]),
+    "re relation width": lambda e: replace(e, soft_relation=e.soft_relation[:-1]),
+    "re span outside": lambda e: replace(e, e2=Span(2, 4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BREAKS))
+def test_training_refuses_a_malformed_example_before_epoch_0(name):
+    if name.startswith("ner"):
+        corpus, table = toy_tagging_setup(n=6)
+        examples, fit = encode_corpus(corpus, table), train_tagger
+        model = TaggerModel.init(corpus.label_vocab, table.dim, seed=0)
+    else:
+        corpus, table = toy_re_setup(n=6)
+        examples, fit = encode_re_corpus(corpus, table), train_re
+        model = REModel.init(corpus.relation_vocab, table.dim, seed=0)
+    examples[4] = _BREAKS[name](examples[4])
+    before = model.weights.copy()
+    with pytest.raises(ValueError, match=r"^training example 4: "):
+        fit(model, examples, TrainConfig(epochs=2))
+    assert np.array_equal(model.weights, before)
+
+
+# ------------------------------------------------- batched vs per-example
+
+def _reference_train(model, examples, config, loss_grad):
+    """Mini-batch SGD one example at a time on the per-example oracle."""
+    rng = derive_rng(config.seed, "train-shuffle")
+    trace = []
+    for _ in range(config.epochs):
+        order = rng.permutation(len(examples))
+        total = 0.0
+        for start in range(0, len(order), config.batch_size):
+            batch = order[start : start + config.batch_size]
+            grad = np.zeros_like(model.weights)
+            for i in batch:
+                loss, g = loss_grad(model, examples[i])
+                grad += g
+                total += loss
+            model.weights -= config.learning_rate * grad / len(batch)
+        trace.append(total / len(examples))
+    return model.weights, trace
+
+
+def _soft_rows(rng, n, n_labels):
+    """Interpolated targets: a random blend of two one-hot rows per position."""
+    eye = np.eye(n_labels)
+    lam = rng.random((n, 1))
+    return lam * eye[rng.integers(n_labels, size=n)] + (1 - lam) * eye[rng.integers(n_labels, size=n)]
+
+
+_training_cases = st.fixed_dictionaries({
+    "lengths": st.lists(st.integers(1, 7), min_size=1, max_size=10),
+    "window": st.integers(0, 2),
+    "dim": st.integers(1, 4),
+    "n_labels": st.integers(2, 4),
+    "batch_size": st.integers(1, 14),
+    "epochs": st.integers(1, 3),
+    "seed": st.integers(0, 2**16),
+})
+
+
+def _assert_matches_reference(result, weights, trace):
+    assert np.max(np.abs(result.model.weights - weights)) <= 1e-12
+    assert len(result.loss_trace) == len(trace)
+    assert np.max(np.abs(np.subtract(result.loss_trace, trace))) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(_training_cases)
+def test_batched_tagger_training_matches_per_example_reference(case):
+    rng = np.random.default_rng(case["seed"])
+    labels = [f"L{i}" for i in range(case["n_labels"])]
+    examples = [
+        MixedExample(rng.standard_normal((n, case["dim"])), _soft_rows(rng, n, len(labels)),
+                     Provenance(i, "mention", 0.5, (), ()))
+        for i, n in enumerate(case["lengths"])
+    ]
+    config = TrainConfig(epochs=case["epochs"], learning_rate=0.5,
+                         batch_size=case["batch_size"], seed=case["seed"])
+    init = TaggerModel.init(labels, case["dim"], window=case["window"], seed=case["seed"], scale=0.5)
+    weights, trace = _reference_train(init.copy(), examples, config, _tagger_loss_grad)
+    _assert_matches_reference(train_tagger(init, examples, config), weights, trace)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_training_cases)
+def test_batched_re_training_matches_per_example_reference(case):
+    rng = np.random.default_rng(case["seed"])
+    labels = [f"R{i}" for i in range(case["n_labels"])]
+    examples = []
+    for i, n in enumerate(case["lengths"]):
+        n += 1  # room for two spans
+        cut = int(rng.integers(1, n))
+        examples.append(MixedRESample(
+            rng.standard_normal((n, case["dim"])), _soft_rows(rng, 1, len(labels))[0],
+            Span(int(rng.integers(0, cut)), cut), Span(cut, int(rng.integers(cut, n)) + 1),
+            Provenance(i, "relation", 0.5, (), ()),
+        ))
+    config = TrainConfig(epochs=case["epochs"], learning_rate=0.5,
+                         batch_size=case["batch_size"], seed=case["seed"])
+    init = REModel.init(labels, case["dim"], seed=case["seed"], scale=0.5)
+    weights, trace = _reference_train(init.copy(), examples, config, _re_loss_grad)
+    _assert_matches_reference(train_re(init, examples, config), weights, trace)
+
+
+_VOCAB = ("a", "b", "c", "d", "e")
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 150), st.integers(0, 2), st.integers(0, 2**16))
+def test_blocked_predict_tagger_matches_per_sentence_predict(n_sentences, window, seed):
+    rng = np.random.default_rng(seed)
+    words = _VOCAB + ("unseen", "other")  # the last two fall back to hash buckets
+    sentences = []
+    for _ in range(n_sentences):
+        n = int(rng.integers(1, 8))
+        tokens = tuple(words[i] for i in rng.integers(len(words), size=n))
+        sentences.append(Sentence(tokens, ("O",) * n))
+    corpus = TaggedCorpus.from_sentences(sentences)
+    table = EmbeddingTable.random(_VOCAB, 3, seed=seed, n_buckets=4)
+    model = TaggerModel.init(["O", "B-X", "I-X"], 3, window=window, seed=seed, scale=1.0)
+    want = [[model.labels[i] for i in model.predict(table.embed(s.tokens))] for s in sentences]
+    assert predict_tagger(model, table, corpus) == want
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 150), st.integers(0, 2**16))
+def test_blocked_predict_re_matches_per_sample_forward(n_samples, seed):
+    rng = np.random.default_rng(seed)
+    words = _VOCAB + ("unseen",)
+    samples = []
+    for _ in range(n_samples):
+        n = int(rng.integers(2, 8))
+        tokens = tuple(words[i] for i in rng.integers(len(words), size=n))
+        cut = int(rng.integers(1, n))
+        samples.append(RESample(tokens, Span(0, cut), Span(cut, n), "R1"))
+    corpus = RECorpus.from_samples(samples)
+    table = EmbeddingTable.random(_VOCAB, 3, seed=seed, n_buckets=4)
+    model = REModel.init(["R1", "R2", "R3"], 3, seed=seed, scale=1.0)
+    want = [
+        model.labels[int(model.forward(table.embed(s.tokens), s.e1, s.e2).argmax())]
+        for s in samples
+    ]
+    assert predict_re(model, table, corpus) == want
 
 
 # ---------------------------------------------------------------- gradients
