@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, TextIO, Union
+from typing import Iterable, Iterator, Sequence, TextIO, Union
+
+import numpy as np
 
 from .rng import derive_rng
 
@@ -39,31 +41,59 @@ def split_bio(label: str) -> tuple[str, str | None]:
     raise CorpusFormatError(f"not a BIO label: {label!r}")
 
 
-def bio_spans(labels: Iterable[str]) -> list[tuple[int, int, str]]:
-    """Extract maximal mention spans as (start, end, type), end-exclusive.
+_O, _B, _I = range(3)  # label kinds, numbered by their place in "OBI"
 
-    Assumes the sequence is BIO-valid; an I- run directly continues the
-    mention opened by its B-.
+
+def _bio_arrays(labels: Iterable[str]) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """Kind (``_O``/``_B``/``_I``) and entity-type id of every label in a flat stream.
+
+    Type ids index the returned type names, numbered in first-occurrence
+    order; an O label has type -1. Each distinct label is split once.
     """
-    labels = list(labels)
-    spans = []
-    start = None
-    span_type = None
-    for i, label in enumerate(labels):
+    index: dict[str, int] = {}
+    ids = np.fromiter((index.setdefault(l, len(index)) for l in labels), np.int64)
+    types: dict[str, int] = {}
+    kind_of = np.empty(len(index), np.int64)
+    type_of = np.empty(len(index), np.int64)
+    for i, label in enumerate(index):
         kind, etype = split_bio(label)
-        if kind == "B":
-            if start is not None:
-                spans.append((start, i, span_type))
-            start, span_type = i, etype
-        elif kind == "I":
-            continue
-        else:
-            if start is not None:
-                spans.append((start, i, span_type))
-                start, span_type = None, None
-    if start is not None:
-        spans.append((start, len(labels), span_type))
-    return spans
+        kind_of[i] = "OBI".index(kind)
+        type_of[i] = -1 if etype is None else types.setdefault(etype, len(types))
+    return kind_of[ids], type_of[ids], tuple(types)
+
+
+def _mentions(kind: np.ndarray, etype: np.ndarray, offsets) -> tuple[np.ndarray, np.ndarray]:
+    """Flat (start, end) of every mention; sentence i owns positions offsets[i]:offsets[i + 1].
+
+    B-X opens a mention. I-X continues the mention before it when that one
+    has type X and otherwise opens a new one (the conlleval reading, so
+    ill-formed BIO needs no repair). No mention crosses a sentence boundary.
+    """
+    cont = kind == _I
+    cont[1:] &= etype[1:] == etype[:-1]  # an O before it has type -1, so never matches
+    cont[:1] = False
+    cont[np.asarray(offsets)[1:-1]] = False
+    starts = np.flatnonzero((kind != _O) & ~cont)
+    stops = np.flatnonzero(np.append(~cont, True))
+    return starts, stops[np.searchsorted(stops, starts, side="right")]
+
+
+def _flatten(rows: Iterable[Sequence]) -> tuple[list, np.ndarray]:
+    """The items of ``rows`` end to end, and offsets: row i is ``flat[offsets[i]:offsets[i + 1]]``."""
+    rows = list(rows)
+    lengths = np.fromiter(map(len, rows), np.int64, len(rows))
+    return [x for row in rows for x in row], np.concatenate([[0], np.cumsum(lengths)])
+
+
+def bio_spans(labels: Iterable[str]) -> list[tuple[int, int, str]]:
+    """Mention spans of one sentence as (start, end, type), end-exclusive.
+
+    Follows :func:`_mentions`: B-X opens a span; I-X continues a span of
+    type X and otherwise opens one.
+    """
+    kind, etype, types = _bio_arrays(labels)
+    starts, ends = _mentions(kind, etype, [0, len(kind)])
+    return list(zip(starts.tolist(), ends.tolist(), (types[t] for t in etype[starts].tolist())))
 
 
 def validate_bio(labels: Iterable[str], repair: bool = False) -> tuple[str, ...]:

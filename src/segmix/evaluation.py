@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import RECorpus, TaggedCorpus, split_bio
-from .mixer import EmbeddingTable
+from .corpus import RECorpus, TaggedCorpus, _bio_arrays, _flatten, _mentions, bio_spans
+from .mixer import EmbeddingTable, _label_ids
 
 
 @dataclass(frozen=True)
@@ -39,93 +39,78 @@ class PRF:
         return 2 * p * r / (p + r) if p + r else 0.0
 
 
-def pred_spans(labels: Sequence[str]) -> list[tuple[int, int, str]]:
-    """Extract (start, end, type) spans, tolerating ill-formed BIO.
-
-    B-X always opens a span; I-X continues a same-type span or, when it
-    cannot, opens one.
-    """
-    spans = []
-    start = None
-    current = None
-    for i, label in enumerate(labels):
-        kind, etype = split_bio(label)
-        if kind == "O":
-            if current is not None:
-                spans.append((start, i, current))
-            start = current = None
-        elif kind == "B" or etype != current:
-            if current is not None:
-                spans.append((start, i, current))
-            start, current = i, etype
-    if current is not None:
-        spans.append((start, len(labels), current))
-    return spans
+pred_spans = bio_spans
 
 
-def _as_label_lists(gold) -> list[list[str]]:
-    if isinstance(gold, TaggedCorpus):
-        return [list(s.labels) for s in gold.sentences]
-    return [list(s) for s in gold]
-
-
-def _span_counts(gold, predicted, erase_types: bool):
-    gold_lists = _as_label_lists(gold)
-    if len(gold_lists) != len(predicted):
+def _aligned(gold, predicted) -> tuple[list[str], list[str], np.ndarray]:
+    """Both label streams flattened, and their sentence offsets; refuses a mismatch."""
+    gold = [s.labels for s in gold.sentences] if isinstance(gold, TaggedCorpus) else gold
+    if len(gold) != len(predicted):
         raise ValueError("gold and predicted sentence counts differ")
-    tp = fp = fn = 0
-    for g_labels, p_labels in zip(gold_lists, predicted):
-        if len(g_labels) != len(p_labels):
-            raise ValueError("gold and predicted sentence lengths differ")
-        g = set(pred_spans(g_labels))
-        p = set(pred_spans(p_labels))
-        if erase_types:
-            g = {(s, e) for s, e, _ in g}
-            p = {(s, e) for s, e, _ in p}
-        tp += len(g & p)
-        fp += len(p - g)
-        fn += len(g - p)
-    return PRF(tp, fp, fn)
+    (gold, offsets), (predicted, pred_offsets) = _flatten(gold), _flatten(predicted)
+    if not np.array_equal(offsets, pred_offsets):
+        raise ValueError("gold and predicted sentence lengths differ")
+    return gold, predicted, offsets
+
+
+def _prf(matched, predicted, gold) -> PRF:
+    """PRF from the numbers of matched, predicted and gold spans."""
+    return PRF(int(matched), int(predicted - matched), int(gold - matched))
+
+
+def _span_counts(gold, predicted) -> tuple[PRF, PRF, dict[str, PRF]]:
+    """Exact-match counts overall and per entity type, and boundary-only counts.
+
+    The gold and predicted streams are laid end to end so their spans are
+    found in one pass; spans match as integer keys of (start, end) and of
+    (start, end, type).
+    """
+    gold_flat, pred_flat, offsets = _aligned(gold, predicted)
+    n = len(gold_flat)
+    kind, etype, types = _bio_arrays(gold_flat + pred_flat)
+    starts, ends = _mentions(kind, etype, np.concatenate([offsets, offsets[1:] + n]))
+    is_gold = starts < n
+    shift = np.where(is_gold, 0, n)
+    where = (starts - shift) * (n + 1) + (ends - shift)
+    gold_type, pred_type = etype[starts[is_gold]], etype[starts[~is_gold]]
+    typed = where * len(types) + etype[starts]
+    tp = np.bincount(gold_type[np.isin(typed[is_gold], typed[~is_gold])], minlength=len(types))
+    n_pred = np.bincount(pred_type, minlength=len(types))
+    n_gold = np.bincount(gold_type, minlength=len(types))
+    per_type = dict(sorted((t, _prf(tp[i], n_pred[i], n_gold[i])) for i, t in enumerate(types)))
+    span_tp = np.isin(where[is_gold], where[~is_gold]).sum()
+    found, wanted = len(pred_type), len(gold_type)
+    return _prf(tp.sum(), found, wanted), _prf(span_tp, found, wanted), per_type
 
 
 def entity_f1(gold, predicted: Sequence[Sequence[str]]) -> PRF:
     """Micro-averaged exact-span-and-type F1."""
-    return _span_counts(gold, predicted, erase_types=False)
+    return _span_counts(gold, predicted)[0]
 
 
 def span_only_f1(gold, predicted: Sequence[Sequence[str]]) -> PRF:
     """Boundary-only F1: spans match on (start, end), types erased."""
-    return _span_counts(gold, predicted, erase_types=True)
+    return _span_counts(gold, predicted)[1]
 
 
 def per_type_f1(gold, predicted: Sequence[Sequence[str]]) -> dict[str, PRF]:
     """Exact-match F1 split by entity type."""
-    gold_lists = _as_label_lists(gold)
-    counts: dict[str, list[int]] = {}
-    for g_labels, p_labels in zip(gold_lists, predicted):
-        g = set(pred_spans(g_labels))
-        p = set(pred_spans(p_labels))
-        for span in g | p:
-            c = counts.setdefault(span[2], [0, 0, 0])
-            if span in g and span in p:
-                c[0] += 1
-            elif span in p:
-                c[1] += 1
-            else:
-                c[2] += 1
-    return {t: PRF(*c) for t, c in sorted(counts.items())}
+    return _span_counts(gold, predicted)[2]
+
+
+def _confusion(gold: Sequence[str], predicted: Sequence[str], vocab: Sequence[str]) -> np.ndarray:
+    """counts[gold_index, predicted_index] over paired labels."""
+    size = len(vocab)
+    cells = _label_ids(gold, vocab) * size + _label_ids(predicted, vocab)
+    return np.bincount(cells, minlength=size * size).reshape(size, size)
 
 
 def token_confusion(
     gold, predicted: Sequence[Sequence[str]], vocab: Sequence[str]
 ) -> np.ndarray:
     """counts[gold_index, predicted_index] over token-level labels."""
-    index = {label: i for i, label in enumerate(vocab)}
-    matrix = np.zeros((len(vocab), len(vocab)), dtype=np.int64)
-    for g_labels, p_labels in zip(_as_label_lists(gold), predicted):
-        for g, p in zip(g_labels, p_labels):
-            matrix[index[g], index[p]] += 1
-    return matrix
+    gold_flat, pred_flat, _ = _aligned(gold, predicted)
+    return _confusion(gold_flat, pred_flat, vocab)
 
 
 def split_relation(label: str) -> tuple[str, str | None]:
@@ -159,12 +144,16 @@ class REScores:
         return self.direction_correct / self.direction_pairs if self.direction_pairs else 0.0
 
 
-def re_scores(gold, predicted: Sequence[str]) -> REScores:
-    if isinstance(gold, RECorpus):
-        gold = [s.relation for s in gold.samples]
-    gold = list(gold)
+def _relations(gold, predicted: Sequence[str]) -> list[str]:
+    """The gold relation labels, refusing a count other than the predictions'."""
+    gold = [s.relation for s in gold.samples] if isinstance(gold, RECorpus) else list(gold)
     if len(gold) != len(predicted):
         raise ValueError("gold and predicted counts differ")
+    return gold
+
+
+def re_scores(gold, predicted: Sequence[str]) -> REScores:
+    gold = _relations(gold, predicted)
     correct = type_correct = dir_pairs = dir_correct = 0
     for g, p in zip(gold, predicted):
         g_type, g_dir = split_relation(g)
@@ -181,13 +170,7 @@ def re_scores(gold, predicted: Sequence[str]) -> REScores:
 
 
 def re_confusion(gold, predicted: Sequence[str], vocab: Sequence[str]) -> np.ndarray:
-    if isinstance(gold, RECorpus):
-        gold = [s.relation for s in gold.samples]
-    index = {label: i for i, label in enumerate(vocab)}
-    matrix = np.zeros((len(vocab), len(vocab)), dtype=np.int64)
-    for g, p in zip(gold, predicted):
-        matrix[index[g], index[p]] += 1
-    return matrix
+    return _confusion(_relations(gold, predicted), predicted, vocab)
 
 
 # ---------------------------------------------------------------------------
@@ -272,21 +255,9 @@ class EvalReport:
 
 
 def tagging_report(gold: TaggedCorpus, predicted: Sequence[Sequence[str]]) -> EvalReport:
-    overall = entity_f1(gold, predicted)
+    overall, spans, per_type = _span_counts(gold, predicted)
     # a model may predict labels the test corpus never uses; they join in first-seen order
     vocab = tuple(dict.fromkeys([*gold.label_vocab, *(p for row in predicted for p in row)]))
-    spans = span_only_f1(gold, predicted)
-    per_type = {
-        t: {
-            "precision": prf.precision,
-            "recall": prf.recall,
-            "f1": prf.f1,
-            "tp": prf.tp,
-            "fp": prf.fp,
-            "fn": prf.fn,
-        }
-        for t, prf in per_type_f1(gold, predicted).items()
-    }
     return EvalReport(
         task="ner",
         summary={
@@ -298,7 +269,10 @@ def tagging_report(gold: TaggedCorpus, predicted: Sequence[Sequence[str]]) -> Ev
             "span_f1": spans.f1,
             "n_sentences": len(gold),
         },
-        per_type=per_type,
+        per_type={
+            t: {"precision": prf.precision, "recall": prf.recall, "f1": prf.f1, **asdict(prf)}
+            for t, prf in per_type.items()
+        },
         confusion=token_confusion(gold, predicted, vocab),
         confusion_vocab=vocab,
     )

@@ -34,7 +34,9 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .corpus import RECorpus, RESample, Sentence, Span, TaggedCorpus, split_bio
+from .corpus import (
+    RECorpus, RESample, Sentence, Span, TaggedCorpus, _O, _bio_arrays, _flatten, _mentions,
+)
 from .pools import (
     EmptyPoolError,
     SegmentPool,
@@ -156,16 +158,18 @@ class EmbeddingTable:
         return self.vectors[self.rows(tokens)]
 
 
+def _label_ids(labels: Sequence[str], vocab: Sequence[str]) -> np.ndarray:
+    """Index of every label in ``vocab``; unknown labels raise ValueError."""
+    index = {l: i for i, l in enumerate(vocab)}
+    try:
+        return np.fromiter(map(index.__getitem__, labels), np.int64, len(labels))
+    except KeyError as exc:
+        raise ValueError(f"label {exc.args[0]!r} not in vocabulary") from None
+
+
 def one_hot(labels: Sequence[str], vocab: Sequence[str]) -> np.ndarray:
     """One-hot rows over ``vocab``; unknown labels raise ValueError."""
-    index = {l: i for i, l in enumerate(vocab)}
-    out = np.zeros((len(labels), len(vocab)))
-    for row, label in enumerate(labels):
-        try:
-            out[row, index[label]] = 1.0
-        except KeyError:
-            raise ValueError(f"label {label!r} not in vocabulary") from None
-    return out
+    return np.eye(len(vocab))[_label_ids(labels, vocab)]
 
 
 def sample_mix_ratio(alpha: float, rng: np.random.Generator) -> float:
@@ -380,17 +384,13 @@ class _Source:
 
 def _compile(examples: Sequence) -> _Source:
     examples = tuple(examples)
-    lengths = np.fromiter((len(x.tokens) for x in examples), np.int64, len(examples))
-    offsets = np.concatenate([[0], np.cumsum(lengths)])
-    tokens = [t for x in examples for t in x.tokens]
+    tokens, offsets = _flatten(x.tokens for x in examples)
     if examples and isinstance(examples[0], RESample):
         labels = [x.relation for x in examples]
     else:
         labels = [l for x in examples for l in x.labels]
     names = tuple(dict.fromkeys(labels))
-    index = {name: i for i, name in enumerate(names)}
-    ids = np.fromiter(map(index.__getitem__, labels), np.int64, len(labels))
-    return _Source(examples, offsets, tokens, names, ids)
+    return _Source(examples, offsets, tokens, names, _label_ids(labels, names))
 
 
 @dataclass
@@ -501,9 +501,6 @@ class _Segments:
     type_ids: dict
 
 
-_KIND = {"O": 0, "B": 1, "I": 2}
-
-
 def _segments(src: _Source, variant: str, lexicon: SynonymLexicon | None) -> _Segments:
     n = len(src.examples)
     lengths = np.diff(src.offsets)
@@ -523,25 +520,15 @@ def _segments(src: _Source, variant: str, lexicon: SynonymLexicon | None) -> _Se
         ends = pos + 1
         types = np.full(len(pos), -1)
     else:
-        bio = [split_bio(name) for name in src.label_names]
-        kind_of = np.array([_KIND[k] for k, _ in bio], np.int64)
-        type_of = np.array(
-            [-1 if t is None else type_ids.setdefault(t, len(type_ids)) for _, t in bio],
-            np.int64,
-        )
-        kind = kind_of[src.label_ids]
+        kind, etype, names = _bio_arrays(src.label_names)
+        kind, etype = kind[src.label_ids], etype[src.label_ids]
+        type_ids = {t: i for i, t in enumerate(names)}
         if variant == "mention":
-            # a mention opens at B- and runs over the following I- labels
-            pos = np.flatnonzero(kind == _KIND["B"])
-            stop = np.ones(len(kind) + 1, bool)
-            stop[:-1] = kind != _KIND["I"]
-            stop[src.offsets[1:]] = True  # a mention never runs past its sentence
-            stops = np.flatnonzero(stop)
-            ends = stops[np.searchsorted(stops, pos, side="right")]
+            pos, ends = _mentions(kind, etype, src.offsets)
         else:
-            pos = np.flatnonzero(kind != _KIND["O"])
+            pos = np.flatnonzero(kind != _O)
             ends = pos + 1
-        types = type_of[src.label_ids[pos]]
+        types = etype[pos]
     off = np.searchsorted(pos, src.offsets)
     base = np.repeat(src.offsets[:-1], np.diff(off))
     return _Segments((pos - base)[:, None], (ends - base)[:, None], types, off, type_ids)
@@ -552,11 +539,9 @@ def _by_type(pool: SegmentPool, type_ids: dict) -> tuple[np.ndarray, np.ndarray]
 
     Entries of type t are ``order[off[t]:off[t + 1]]``, in pool order.
     """
-    types = np.fromiter(
-        (type_ids.get(split_bio(e.labels[0][0])[1], -1) for e in pool.entries),
-        np.int64,
-        len(pool),
-    )
+    _, etype, names = _bio_arrays(e.labels[0][0] for e in pool.entries)
+    # a type the corpus lacks, and O (type -1, the appended last row), read as -1
+    types = np.array([type_ids.get(t, -1) for t in names] + [-1], np.int64)[etype]
     typed = np.flatnonzero(types >= 0)
     order = typed[np.argsort(types[typed], kind="stable")]
     counts = np.bincount(types[typed], minlength=len(type_ids))
@@ -710,15 +695,6 @@ def _blend(out: np.ndarray, at: np.ndarray, lam: np.ndarray, table: np.ndarray, 
     out[at] = a
 
 
-def _vocab_ids(labels: Sequence, vocab: Sequence[str]) -> np.ndarray:
-    index = {l: i for i, l in enumerate(vocab)}
-    index[None] = -1  # a synonym partner's labels, which are never read
-    try:
-        return np.array([index[l] for l in labels], np.int64)
-    except KeyError as exc:
-        raise ValueError(f"label {exc.args[0]!r} not in vocabulary") from None
-
-
 def _layout(src: _Source, plan: _Plan, partner_lens: np.ndarray):
     """Where each output row of a block comes from, as flat index arrays.
 
@@ -791,7 +767,7 @@ def _materialize(
     ner = isinstance(src.examples[0], Sentence)
     # a trailing -1 keeps position -1 (zero pad) reading as -1 after a lookup
     source_rows = np.append(table.rows(src.tokens), -1)
-    source_labels = np.append(_vocab_ids(src.label_names, vocab)[src.label_ids], -1)
+    source_labels = np.append(_label_ids(src.label_names, vocab)[src.label_ids], -1)
     eye = np.eye(len(vocab))
     out = []
     for lo in range(0, len(plan.example), _BLOCK):
@@ -807,7 +783,8 @@ def _materialize(
             soft = _gather(eye, source_labels[a])
             swapped = np.array([v == "synonym" for v in block.variant])
             mixed = blend[~swapped[slot[blend]]]
-            partner_labels = np.append(_vocab_ids(_flat_labels(block), vocab), -1)
+            # None stands for a synonym partner's labels, which are never read
+            partner_labels = np.append(_label_ids(_flat_labels(block), (*vocab, None)), -1)
             _blend(soft, mixed, block.lam[slot[mixed]], eye, partner_labels[b[mixed]])
             if config.normalize_tail_labels:
                 rows = soft[mixed]
@@ -817,7 +794,7 @@ def _materialize(
                 soft[mixed] = rows
         else:
             soft = _gather(eye, source_labels[block.example])
-            _blend(soft, np.arange(len(soft)), block.lam, eye, _vocab_ids(block.labels, vocab))
+            _blend(soft, np.arange(len(soft)), block.lam, eye, _label_ids(block.labels, vocab))
         out.extend(_examples(block, embeddings, soft, sizes, mixed_spans, ner, example_index))
     return out
 
@@ -1004,16 +981,24 @@ def replacement_da(
     return ReplacementResult(out, skipped, requested)
 
 
+def _encode(examples: Sequence, table: EmbeddingTable, vocab: Sequence[str]):
+    """A corpus's embedding rows, one-hot label rows and each example's (start, end) row."""
+    src = _compile(examples)
+    embeddings = table.vectors[table.rows(src.tokens)]
+    bounds = src.offsets.tolist()
+    return embeddings, one_hot(src.label_names, vocab)[src.label_ids], zip(bounds, bounds[1:])
+
+
 def encode_corpus(
     corpus: TaggedCorpus, table: EmbeddingTable, vocab: Sequence[str] | None = None
 ) -> list[MixedExample]:
     """Embed original sentences as degenerate mixed examples (lam = 1)."""
     vocab = corpus.label_vocab if vocab is None else vocab
-    out = []
-    for i, sent in enumerate(corpus.sentences):
-        prov = Provenance(i, "original", 1.0, (), (), None)
-        out.append(MixedExample(table.embed(sent.tokens), one_hot(sent.labels, vocab), prov))
-    return out
+    embeddings, soft, bounds = _encode(corpus.sentences, table, vocab)
+    return [
+        MixedExample(embeddings[a:b], soft[a:b], Provenance(i, "original", 1.0, (), (), None))
+        for i, (a, b) in enumerate(bounds)
+    ]
 
 
 def encode_re_corpus(
@@ -1021,16 +1006,10 @@ def encode_re_corpus(
 ) -> list[MixedRESample]:
     """Embed original RE samples as degenerate mixed samples (lam = 1)."""
     vocab = corpus.relation_vocab if vocab is None else vocab
-    out = []
-    for i, sample in enumerate(corpus.samples):
-        prov = Provenance(i, "original", 1.0, (), (), None)
-        out.append(
-            MixedRESample(
-                table.embed(sample.tokens),
-                one_hot([sample.relation], vocab)[0],
-                sample.e1,
-                sample.e2,
-                prov,
-            )
+    embeddings, soft, bounds = _encode(corpus.samples, table, vocab)
+    return [
+        MixedRESample(
+            embeddings[a:b], soft[i], s.e1, s.e2, Provenance(i, "original", 1.0, (), (), None)
         )
-    return out
+        for i, (s, (a, b)) in enumerate(zip(corpus.samples, bounds))
+    ]

@@ -441,6 +441,7 @@ def gradient_check(
 
 _MAGIC = b"SGMX"
 _CKPT_VERSION = 1
+_CKPT_KEYS = ("kind", "labels", "dim", "weights_shape", "table_tokens", "table_buckets", "table_shape")
 
 
 def save_checkpoint(path, model, table: EmbeddingTable, meta: dict | None = None) -> None:
@@ -472,10 +473,18 @@ def load_checkpoint(path) -> tuple[object, EmbeddingTable, dict]:
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise ValueError("not a checkpoint file")
-        version, header_len = struct.unpack("<II", fh.read(8))
+        head = fh.read(8)
+        if len(head) < 8:
+            raise ValueError("checkpoint file is truncated")
+        version, header_len = struct.unpack("<II", head)
         if version != _CKPT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
         header = json.loads(fh.read(header_len))
+        if not isinstance(header, dict):
+            raise ValueError("checkpoint header is not a JSON object")
+        for key in _CKPT_KEYS + (("window",) if header.get("kind") == "tagger" else ()):
+            if key not in header:
+                raise ValueError(f"checkpoint header has no '{key}' field")
         w_shape = tuple(header["weights_shape"])
         t_shape = tuple(header["table_shape"])
         w_bytes = fh.read(4 * int(np.prod(w_shape)))

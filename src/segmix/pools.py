@@ -15,7 +15,9 @@ from typing import Iterable, TextIO
 
 import numpy as np
 
-from .corpus import CorpusFormatError, RECorpus, TaggedCorpus, _iter_lines, split_bio
+from .corpus import (
+    CorpusFormatError, RECorpus, TaggedCorpus, _O, _bio_arrays, _flatten, _iter_lines, _mentions,
+)
 
 POOL_SOURCES = ("mention", "token", "synonym", "relation", "sequence")
 
@@ -79,29 +81,28 @@ def draw_tuple(pool: SegmentPool, rng: np.random.Generator) -> SegmentTuple:
 
 
 def build_mention_pool(corpus: TaggedCorpus) -> SegmentPool:
-    """One entry per maximal mention span, labels kept in BIO form."""
-    entries = []
-    for sent in corpus.sentences:
-        for start, end, _ in sent.mentions():
-            entries.append(
-                SegmentTuple(
-                    (sent.tokens[start:end],),
-                    (sent.labels[start:end],),
-                )
-            )
-    return SegmentPool(1, tuple(entries), "mention")
+    """One entry per mention span (see :func:`bio_spans`), labels kept in BIO form."""
+    tokens, offsets = _flatten(s.tokens for s in corpus.sentences)
+    labels, _ = _flatten(s.labels for s in corpus.sentences)
+    kind, etype, _ = _bio_arrays(labels)
+    starts, ends = _mentions(kind, etype, offsets)
+    entries = tuple(
+        SegmentTuple((tuple(tokens[s:e]),), (tuple(labels[s:e]),))
+        for s, e in zip(starts.tolist(), ends.tolist())
+    )
+    return SegmentPool(1, entries, "mention")
 
 
 def build_token_pool(corpus: TaggedCorpus, include_outside: bool = False) -> SegmentPool:
     """One entry per labeled token; ``include_outside`` admits O tokens too."""
-    entries = []
-    for sent in corpus.sentences:
-        for token, label in zip(sent.tokens, sent.labels):
-            kind, _ = split_bio(label)
-            if kind == "O" and not include_outside:
-                continue
-            entries.append(SegmentTuple(((token,),), ((label,),)))
-    return SegmentPool(1, tuple(entries), "token")
+    tokens, _ = _flatten(s.tokens for s in corpus.sentences)
+    labels, _ = _flatten(s.labels for s in corpus.sentences)
+    kind, _, _ = _bio_arrays(labels)  # also rejects a label that is not BIO
+    entries = tuple(
+        SegmentTuple(((tokens[i],),), ((labels[i],),))
+        for i in np.flatnonzero(include_outside | (kind != _O)).tolist()
+    )
+    return SegmentPool(1, entries, "token")
 
 
 def build_relation_pool(corpus: RECorpus) -> SegmentPool:

@@ -148,14 +148,20 @@ def load_augmented(stream: TextIO) -> AugmentedFile:
     for key in ("task", "dim", "label_vocab", "count"):
         if key not in header:
             raise ValueError(f"header has no '{key}' field")
-    task = header["task"]
-    dim, n_labels = header["dim"], len(header["label_vocab"])
+    task, dim, vocab = header["task"], header["dim"], header["label_vocab"]
+    if task not in ("ner", "re"):
+        raise ValueError(f"header 'task' must be 'ner' or 're', got {task!r}")
+    for key in ("dim", "count"):
+        if type(header[key]) is not int or header[key] < 0:
+            raise ValueError(f"header '{key}' must be a nonnegative integer, got {header[key]!r}")
+    if not isinstance(vocab, list) or not all(isinstance(label, str) for label in vocab):
+        raise ValueError("header 'label_vocab' must be a list of strings")
     examples = []
     for lineno, line in enumerate(stream, start=2):
         if not line.strip():
             continue
         try:
-            examples.append(_read_record(json.loads(line), task, dim, n_labels))
+            examples.append(_read_record(json.loads(line), task, dim, len(vocab)))
         except KeyError as exc:
             raise ValueError(f"line {lineno}: record has no {exc} field") from None
         except (TypeError, ValueError) as exc:
@@ -166,8 +172,8 @@ def load_augmented(stream: TextIO) -> AugmentedFile:
         )
     return AugmentedFile(
         task=task,
-        label_vocab=tuple(header["label_vocab"]),
-        dim=header["dim"],
+        label_vocab=tuple(vocab),
+        dim=dim,
         examples=examples,
         meta=header.get("meta", {}),
     )

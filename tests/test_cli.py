@@ -3,6 +3,7 @@
 import json
 import re
 import shlex
+import struct
 from pathlib import Path
 
 import pytest
@@ -270,6 +271,21 @@ def test_recover_names_a_field_missing_from_the_augmented_header(tmp_path, capsy
     assert f"'{missing}'" in err
 
 
+@pytest.mark.parametrize("key,value", [
+    ("task", "xx"), ("dim", "4"), ("dim", -1), ("label_vocab", 5), ("label_vocab", [1]),
+    ("count", 0.0),
+])
+def test_recover_refuses_a_mistyped_augmented_header(tmp_path, capsys, key, value):
+    header = {"format": "segmix-augmented", "version": 1, "task": "ner", "dim": 4,
+              "label_vocab": ["O"], "count": 0, key: value}
+    aug = tmp_path / "aug.jsonl"
+    aug.write_text(json.dumps(header) + "\n")
+    assert run("recover", "--augmented", aug) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"'{key}'" in err
+
+
 def test_recover_to_file(tmp_path, ner_file):
     aug = tmp_path / "aug.jsonl"
     run("augment", "--input", ner_file, "--output", aug, "--rate", "0.2")
@@ -395,3 +411,29 @@ def test_train_reports_the_line_of_a_malformed_augmented_record(tmp_path, ner_fi
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "line 3" in err
+
+
+def _checkpoint_without(path, key):
+    """Rewrite a saved checkpoint with ``key`` dropped from its JSON header."""
+    raw = path.read_bytes()
+    (length,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12 : 12 + length])
+    del header[key]
+    blob = json.dumps(header).encode()
+    path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + length :])
+
+
+@pytest.mark.parametrize("missing", [None, "kind", "labels", "dim", "weights_shape",
+                                     "table_tokens", "table_buckets", "table_shape", "window"])
+def test_eval_refuses_a_truncated_checkpoint_header(tmp_path, ner_file, capsys, missing):
+    ckpt = tmp_path / "m.ckpt"
+    assert run("train", "--train", ner_file, "--checkpoint", ckpt, "--epochs", "1") == 0
+    if missing is None:
+        ckpt.write_bytes(b"SGMX")
+    else:
+        _checkpoint_without(ckpt, missing)
+    capsys.readouterr()
+    assert run("eval", "--checkpoint", ckpt, "--test", ner_file) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert ("truncated" if missing is None else f"'{missing}'") in err

@@ -4,6 +4,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segmix.corpus import (
     BioValidationError,
@@ -13,6 +15,8 @@ from segmix.corpus import (
     Sentence,
     Span,
     TaggedCorpus,
+    _bio_arrays,
+    _mentions,
     bio_spans,
     corpus_to_text,
     downsample,
@@ -49,6 +53,51 @@ def test_bio_spans_hand_cases():
     # span running to the end of the sentence is closed
     assert bio_spans(["O", "B-ORG", "I-ORG"]) == [(1, 3, "ORG")]
     assert bio_spans(["B-PER", "I-PER", "B-LOC"]) == [(0, 2, "PER"), (2, 3, "LOC")]
+
+
+def _oracle_spans(labels):
+    """Per-sentence walk: a non-O label opens a span unless it is I-t right
+    after B-t or I-t; the span runs while labels stay I-t."""
+    spans = []
+    for i, label in enumerate(labels):
+        if label == "O":
+            continue
+        kind, etype = label.split("-", 1)
+        if kind == "I" and i > 0 and labels[i - 1] in (f"B-{etype}", f"I-{etype}"):
+            continue
+        j = i + 1
+        while j < len(labels) and labels[j] == f"I-{etype}":
+            j += 1
+        spans.append((i, j, etype))
+    return spans
+
+
+_labels = st.sampled_from(["O", "B-A", "I-A", "B-B", "I-B", "I-C"])
+_sentences = st.lists(st.lists(_labels, min_size=1, max_size=8), min_size=1, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sentences)
+def test_mentions_of_a_flat_stream_match_a_per_sentence_oracle(sentences):
+    flat = [label for sent in sentences for label in sent]
+    offsets = np.cumsum([0] + [len(sent) for sent in sentences])
+    kind, etype, types = _bio_arrays(flat)
+    starts, ends = _mentions(kind, etype, offsets)
+    got = [(s, e, types[etype[s]]) for s, e in zip(starts.tolist(), ends.tolist())]
+    want = [
+        (at + s, at + e, t)
+        for at, sent in zip(offsets.tolist(), sentences)
+        for s, e, t in _oracle_spans(sent)
+    ]
+    assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_labels, max_size=12))
+def test_repair_keeps_the_spans_and_is_idempotent(labels):
+    repaired = validate_bio(labels, repair=True)
+    assert bio_spans(repaired) == bio_spans(labels)
+    assert validate_bio(repaired, repair=True) == repaired
 
 
 def test_validate_bio_accepts_valid():

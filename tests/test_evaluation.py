@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from segmix.corpus import Sentence, TaggedCorpus
+from segmix.corpus import Sentence, TaggedCorpus, bio_spans
 from segmix.evaluation import (
     PRF,
     entity_f1,
@@ -44,6 +44,10 @@ def test_pred_spans_tolerates_ill_formed():
     assert pred_spans(["B-X", "I-X", "I-X"]) == [(0, 3, "X")]
 
 
+def test_scoring_reads_spans_with_the_corpus_reader():
+    assert pred_spans is bio_spans
+
+
 def test_prf_zero_denominators():
     assert PRF(0, 0, 0).precision == 0.0
     assert PRF(0, 0, 0).recall == 0.0
@@ -78,6 +82,24 @@ def test_entity_f1_validates_alignment():
         entity_f1([["O"]], [])
     with pytest.raises(ValueError, match="lengths differ"):
         entity_f1([["O", "O"]], [["O"]])
+
+
+def test_per_type_f1_refuses_misaligned_predictions(hand_corpus):
+    gold = [list(s.labels) for s in hand_corpus.sentences]
+    with pytest.raises(ValueError, match="counts differ"):
+        per_type_f1(hand_corpus, gold[:-1])
+    with pytest.raises(ValueError, match="lengths differ"):
+        per_type_f1(hand_corpus, [gold[0][:-1], *gold[1:]])
+
+
+def test_confusions_refuse_misaligned_predictions():
+    vocab = ("B-X", "O")
+    with pytest.raises(ValueError, match="counts differ"):
+        token_confusion([["B-X"], ["O"]], [["B-X"]], vocab)
+    with pytest.raises(ValueError, match="lengths differ"):
+        token_confusion([["B-X", "O"]], [["B-X"]], vocab)
+    with pytest.raises(ValueError, match="counts differ"):
+        re_confusion(["R1", "R2"], ["R1"], ("R1", "R2"))
 
 
 def test_span_only_f1_erases_types():

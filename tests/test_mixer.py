@@ -202,6 +202,15 @@ def test_select_segment_mention_and_token(hand_corpus):
     assert select_segment(hand_corpus.sentences[2], "token", rng) is None
 
 
+def test_select_segment_reads_ill_formed_bio_like_scoring():
+    rng = np.random.default_rng(0)
+    sent = Sentence(("paris", "hilton", "x"), ("B-LOC", "I-PER", "O"))
+    spans = {select_segment(sent, "mention", rng) for _ in range(60)}
+    assert spans == {((0, 1),), ((1, 2),)}
+    stray = Sentence(("x", "rome"), ("O", "I-LOC"))
+    assert select_segment(stray, "mention", rng) == ((1, 2),)
+
+
 def test_select_segment_mention_uniform():
     sent = Sentence(
         ("a", "b", "c", "d", "x"),

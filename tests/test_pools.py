@@ -42,6 +42,21 @@ def test_mention_pool_contents(hand_corpus):
     assert got == want
 
 
+def test_mention_pool_reads_ill_formed_bio_like_scoring():
+    # only direct API calls build such sentences: parse_conll validates BIO
+    corpus = TaggedCorpus.from_sentences([
+        Sentence(("paris", "hilton"), ("B-LOC", "I-PER")),
+        Sentence(("the", "rome", "club"), ("O", "I-LOC", "I-ORG")),
+    ])
+    got = [entry_key(e) for e in build_mention_pool(corpus).entries]
+    assert got == [
+        ((("paris",),), (("B-LOC",),)),
+        ((("hilton",),), (("I-PER",),)),
+        ((("rome",),), (("I-LOC",),)),
+        ((("club",),), (("I-ORG",),)),
+    ]
+
+
 def test_mention_pool_keeps_duplicates():
     sent = Sentence(("rome", "and", "rome"), ("B-LOC", "O", "B-LOC"))
     pool = build_mention_pool(TaggedCorpus.from_sentences([sent, sent]))
