@@ -56,16 +56,15 @@ from .model import (
     TaggerModel,
     TrainConfig,
     TrainingDivergedError,
-    load_checkpoint,
     predict_re,
     predict_tagger,
-    save_checkpoint,
     train_re,
     train_tagger,
-    write_loss_trace,
 )
 from .pools import load_synonym_lexicon
-from .serialization import load_augmented, save_augmented
+from .serialization import (
+    load_augmented, load_checkpoint, save_augmented, save_checkpoint, write_loss_trace,
+)
 
 
 class CliError(Exception):
@@ -352,11 +351,11 @@ def _load_matching_augmented(ns, label_vocab, manifest: RunManifest) -> list:
     if aug.dim != int(ns.dim):
         raise CliError(f"augmented dim {aug.dim} != --dim {ns.dim}")
     # rows embedded by another table live in another space; files without a record predate it
-    spec = aug.meta.get("table") or {}
-    built = (spec.get("seed"), spec.get("n_buckets", 64))
-    if spec and built != (int(ns.embed_seed), int(ns.n_buckets)):
+    spec = aug.table_record()
+    if spec and (spec["seed"], spec["n_buckets"]) != (int(ns.embed_seed), int(ns.n_buckets)):
         raise CliError(
-            f"augmented file was embedded with --embed-seed {built[0]} --n-buckets {built[1]}, "
+            f"augmented file was embedded with --embed-seed {spec['seed']} "
+            f"--n-buckets {spec['n_buckets']}, "
             f"not --embed-seed {ns.embed_seed} --n-buckets {ns.n_buckets}; rebuild it to match"
         )
     recorded = aug.meta.get("corpus_sha256")
@@ -575,11 +574,11 @@ def _render_example(example, table, index: int, lines: list[str]) -> None:
 def cmd_recover(ns: SimpleNamespace, manifest: RunManifest) -> None:
     with open(_require_file(ns.augmented, "augmented file")) as fh:
         aug = load_augmented(fh)
-    spec = aug.meta.get("table")
+    spec = aug.table_record()
     if not spec:
         raise CliError("augmented file carries no embedding-table record; cannot recover tokens")
     table = EmbeddingTable.random(
-        spec["tokens"], spec["dim"], seed=spec["seed"], n_buckets=spec.get("n_buckets", 64)
+        spec["tokens"], spec["dim"], seed=spec["seed"], n_buckets=spec["n_buckets"]
     )
     manifest.record_inputs(ns.augmented)
     lines: list[str] = []

@@ -324,6 +324,42 @@ class MixedRESample:
     provenance: Provenance
 
 
+def _shape_problem(emb_shape, label_shape, spans, dim: int, n_labels: int) -> str | None:
+    """Why an example with these shapes cannot be stored or trained on, or None.
+
+    ``spans`` maps "e1"/"e2" to a :class:`Span` for a relation example and
+    is None for a tagging one. Reads shapes only, so a file load pays O(1)
+    per record before decoding.
+    """
+    if len(emb_shape) != 2 or emb_shape[1] != dim:
+        return f"embeddings have shape {list(emb_shape)}, expected (n, {dim})"
+    n = emb_shape[0]
+    if not n:
+        return "embeddings have no rows"
+    if spans is None:
+        name, expected = "soft_labels", (n, n_labels)
+    else:
+        name, expected = "soft_relation", (n_labels,)
+    if tuple(label_shape) != expected:
+        return f"{name} have shape {list(label_shape)}, expected {expected}"
+    for span_name, span in (spans or {}).items():
+        if span.end > n:  # a Span has 0 <= start < end
+            return (f"{span_name} span [{span.start}, {span.end}) lies outside "
+                    f"the {n}-token sentence")
+    return None
+
+
+def _examples_problem(examples: Sequence, relation: bool, dim: int, n_labels: int) -> str | None:
+    """The first example :func:`_shape_problem` refuses, as "example i: why", or None."""
+    for i, e in enumerate(examples):
+        labels = e.soft_relation if relation else e.soft_labels
+        spans = {"e1": e.e1, "e2": e.e2} if relation else None
+        problem = _shape_problem(e.embeddings.shape, labels.shape, spans, dim, n_labels)
+        if problem:
+            return f"example {i}: {problem}"
+    return None
+
+
 @dataclass
 class GenerationResult:
     examples: list

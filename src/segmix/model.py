@@ -5,22 +5,21 @@ rows (zero rows past sentence boundaries); the relation classifier is a
 linear map over the concatenated mean-pooled nominal span embeddings.
 Both train with mini-batch SGD on soft cross-entropy, so interpolated
 label vectors are first-class targets. Everything is float64 numpy and
-deterministic under a seed.
+deterministic under a seed. Training refuses malformed examples by the
+rule augmented files are saved and loaded under (``mixer._shape_problem``);
+checkpoints and loss traces live in :mod:`segmix.serialization`.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import math
-import struct
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .corpus import RECorpus, TaggedCorpus
-from .mixer import EmbeddingTable, MixedExample, MixedRESample
+from .mixer import EmbeddingTable, MixedExample, MixedRESample, _examples_problem
 from .rng import derive_rng
 
 
@@ -206,28 +205,6 @@ def _re_loss_grad(model: REModel, example) -> tuple[float, np.ndarray]:
     return float(loss), np.outer(feats, dlogits)
 
 
-def _check_examples(model, examples: Sequence) -> None:
-    """Refuse, before training starts, an example the model cannot take."""
-    n_labels = len(model.labels)
-    for i, example in enumerate(examples):
-        embeddings, n = example.embeddings, len(example.embeddings)
-        if isinstance(model, REModel):
-            labels, want, spans = example.soft_relation, (n_labels,), (example.e1, example.e2)
-        else:
-            labels, want, spans = example.soft_labels, (n, n_labels), ()
-        if embeddings.ndim != 2 or embeddings.shape[1] != model.dim:
-            problem = f"embeddings of shape {embeddings.shape}, model dim {model.dim}"
-        elif not n:
-            problem = "no tokens"
-        elif labels.shape != want:
-            problem = f"labels of shape {labels.shape}, expected {want}"
-        elif any(span.end > n for span in spans):  # a Span has 0 <= start < end
-            problem = f"spans {[(s.start, s.end) for s in spans]} reach past its {n} tokens"
-        else:
-            continue
-        raise ValueError(f"training example {i}: {problem}")
-
-
 def _tagger_rows(model: TaggerModel, examples: Sequence) -> Callable:
     """Join the examples once, ``window`` zero rows apart; return a gather
     from example indices to window features, targets and row weights
@@ -270,7 +247,9 @@ def _train(
     """
     if not examples:
         raise ValueError("empty training set")
-    _check_examples(model, examples)
+    problem = _examples_problem(examples, isinstance(model, REModel), model.dim, len(model.labels))
+    if problem:
+        raise ValueError(f"training {problem}")
     gather = layout(model, examples)
     rng = derive_rng(config.seed, "train-shuffle")
     trace: list[float] = []
@@ -434,77 +413,3 @@ def gradient_check(
         err = abs(fd - analytic[idx]) / max(abs(fd), abs(analytic[idx]), floor)
         worst = max(worst, err)
     return worst
-
-
-# ---------------------------------------------------------------------------
-# Checkpoints: magic + version + JSON header + raw little-endian float32.
-
-_MAGIC = b"SGMX"
-_CKPT_VERSION = 1
-_CKPT_KEYS = ("kind", "labels", "dim", "weights_shape", "table_tokens", "table_buckets", "table_shape")
-
-
-def save_checkpoint(path, model, table: EmbeddingTable, meta: dict | None = None) -> None:
-    """Self-contained binary checkpoint: model weights + embedding table."""
-    kind = "re" if isinstance(model, REModel) else "tagger"
-    header = {
-        "kind": kind,
-        "labels": list(model.labels),
-        "dim": model.dim,
-        "weights_shape": list(model.weights.shape),
-        "table_tokens": list(table.tokens),
-        "table_buckets": table.n_buckets,
-        "table_shape": list(table.vectors.shape),
-        "meta": meta or {},
-    }
-    if kind == "tagger":
-        header["window"] = model.window
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", _CKPT_VERSION, len(blob)))
-        fh.write(blob)
-        fh.write(np.ascontiguousarray(model.weights, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(table.vectors, dtype="<f4").tobytes())
-
-
-def load_checkpoint(path) -> tuple[object, EmbeddingTable, dict]:
-    """Load (model, table, meta) written by :func:`save_checkpoint`."""
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ValueError("not a checkpoint file")
-        head = fh.read(8)
-        if len(head) < 8:
-            raise ValueError("checkpoint file is truncated")
-        version, header_len = struct.unpack("<II", head)
-        if version != _CKPT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        header = json.loads(fh.read(header_len))
-        if not isinstance(header, dict):
-            raise ValueError("checkpoint header is not a JSON object")
-        for key in _CKPT_KEYS + (("window",) if header.get("kind") == "tagger" else ()):
-            if key not in header:
-                raise ValueError(f"checkpoint header has no '{key}' field")
-        w_shape = tuple(header["weights_shape"])
-        t_shape = tuple(header["table_shape"])
-        w_bytes = fh.read(4 * int(np.prod(w_shape)))
-        t_bytes = fh.read(4 * int(np.prod(t_shape)))
-    weights = np.frombuffer(w_bytes, dtype="<f4").reshape(w_shape).astype(np.float64)
-    vectors = np.frombuffer(t_bytes, dtype="<f4").reshape(t_shape).astype(np.float64)
-    table = EmbeddingTable(header["table_tokens"], vectors, header["table_buckets"])
-    labels = tuple(header["labels"])
-    if header["kind"] == "tagger":
-        model: object = TaggerModel(labels, header["window"], header["dim"], weights)
-    else:
-        model = REModel(labels, header["dim"], weights)
-    return model, table, header.get("meta", {})
-
-
-def write_loss_trace(path, result: TrainResult) -> None:
-    """Per-epoch training loss (and validation score, when present) as CSV."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_score"])
-        for epoch, loss in enumerate(result.loss_trace):
-            score = result.val_scores[epoch] if epoch < len(result.val_scores) else ""
-            writer.writerow([epoch, f"{loss:.8f}", f"{score:.6f}" if score != "" else ""])

@@ -437,3 +437,82 @@ def test_eval_refuses_a_truncated_checkpoint_header(tmp_path, ner_file, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert ("truncated" if missing is None else f"'{missing}'") in err
+
+
+def _rewrite_checkpoint(path, header_edit=None, payload_edit=None):
+    """Rewrite a saved checkpoint through ``header_edit(header)`` (in place)
+    and ``payload_edit(payload) -> payload``."""
+    raw = path.read_bytes()
+    (length,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12 : 12 + length])
+    payload = raw[12 + length :]
+    if header_edit:
+        header_edit(header)
+    if payload_edit:
+        payload = payload_edit(payload)
+    blob = json.dumps(header).encode()
+    path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + payload)
+
+
+def _set(**fields):
+    return lambda header: header.update(fields)
+
+
+_CHECKPOINT_DEFECTS = {  # header edit, payload edit, what the error must name
+    "weights_shape not a list": (_set(weights_shape="ab"), None, "'weights_shape'"),
+    "labels not a list": (_set(labels=5), None, "'labels'"),
+    "window not an integer": (_set(window="x"), None, "'window'"),
+    "table_tokens not a list": (_set(table_tokens=3), None, "'table_tokens'"),
+    "meta not an object": (_set(meta=[1]), None, "'meta'"),
+    "labels short of the weight columns": (lambda h: h["labels"].pop(), None, "'labels'"),
+    "weights_shape off labels": (
+        lambda h: h.update(weights_shape=[h["weights_shape"][0], len(h["labels"]) - 1]),
+        None, "'weights_shape'"),
+    "unknown kind": (_set(kind="xx"), None, "'kind'"),
+    "trailing bytes": (None, lambda payload: payload + b"\x00" * 4, "bytes"),
+    "payload one float short": (None, lambda payload: payload[:-4], "bytes"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(_CHECKPOINT_DEFECTS))
+def test_eval_refuses_a_malformed_checkpoint(tmp_path, ner_file, capsys, defect):
+    header_edit, payload_edit, field_name = _CHECKPOINT_DEFECTS[defect]
+    ckpt = tmp_path / "m.ckpt"
+    assert run("train", "--train", ner_file, "--checkpoint", ckpt, "--epochs", "1") == 0
+    _rewrite_checkpoint(ckpt, header_edit, payload_edit)
+    capsys.readouterr()
+    assert run("eval", "--checkpoint", ckpt, "--test", ner_file) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert field_name in err
+
+
+_TABLE_RECORD_DEFECTS = {  # meta -> the meta to write instead, and what the error names
+    "table record without tokens": (
+        lambda meta: {**meta, "table": {k: v for k, v in meta["table"].items() if k != "tokens"}},
+        "'tokens'"),
+    "table record a list": (lambda meta: {**meta, "table": [1]}, "table record"),
+    "meta a list": (lambda meta: [1], "'meta'"),
+}
+
+
+@pytest.mark.parametrize("command", ["train", "recover"])
+@pytest.mark.parametrize("defect", sorted(_TABLE_RECORD_DEFECTS))
+def test_a_malformed_table_record_is_one_error_line(tmp_path, ner_file, capsys, command, defect):
+    edit, field_name = _TABLE_RECORD_DEFECTS[defect]
+    aug = tmp_path / "aug.jsonl"
+    assert run("augment", "--input", ner_file, "--output", aug) == 0
+    lines = aug.read_text().splitlines(keepends=True)
+    header = json.loads(lines[0])
+    header["meta"] = edit(header["meta"])
+    aug.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+    capsys.readouterr()
+    if command == "train":
+        code = run("train", "--train", ner_file, "--augmented", aug,
+                   "--checkpoint", tmp_path / "m.ckpt", "--epochs", "1")
+    else:
+        code = run("recover", "--augmented", aug)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert field_name in err

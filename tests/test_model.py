@@ -27,17 +27,15 @@ from segmix.model import (
     _tagger_rows,
     _train,
     gradient_check,
-    load_checkpoint,
     log_softmax,
     predict_re,
     predict_tagger,
-    save_checkpoint,
     soft_cross_entropy,
     train_re,
     train_tagger,
-    write_loss_trace,
 )
 from segmix.rng import derive_rng
+from segmix.serialization import load_checkpoint, save_checkpoint, write_loss_trace
 
 
 # ---------------------------------------------------------------- losses

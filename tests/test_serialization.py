@@ -1,11 +1,15 @@
-"""Augmented-file round trips and the base64 float32 array encoding."""
+"""Augmented-file and checkpoint round trips and the float32 array encoding."""
 
 import base64
 import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segmix.corpus import Span
 from segmix.mixer import (
@@ -16,11 +20,14 @@ from segmix.mixer import (
     Provenance,
     segmix_generate,
 )
+from segmix.model import REModel, TaggerModel
 from segmix.serialization import (
     decode_array,
     encode_array,
     load_augmented,
+    load_checkpoint,
     save_augmented,
+    save_checkpoint,
 )
 
 from conftest import random_corpus, random_re_corpus
@@ -206,3 +213,122 @@ def test_load_rejects_bad_relation_record(fields):
     lines = _saved_lines(_re_examples(), ("R(e1,e2)", "Other"), "re")
     with pytest.raises(ValueError, match="line 3"):
         load_augmented(io.StringIO(_with_record(lines, 2, **fields)))
+
+
+# ---------------------------------------------------------------- round-trip properties
+
+def _f32(array):
+    return array.astype(np.float32).astype(np.float64)
+
+
+@st.composite
+def _spans(draw, n):
+    start = draw(st.integers(0, n - 1))
+    return Span(start, draw(st.integers(start + 1, n)))
+
+
+@st.composite
+def _augmented_cases(draw):
+    """(task, label vocab, examples) with random widths, label counts and spans."""
+    task = draw(st.sampled_from(["ner", "re"]))
+    dim, n_labels = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    examples = []
+    for i, n in enumerate(draw(st.lists(st.integers(1, 9), min_size=1, max_size=6))):
+        e1, e2 = draw(_spans(n)), draw(_spans(n))
+        prov = Provenance(i, "relation" if task == "re" else "mention", float(rng.random()),
+                          ((e1.start, e1.end),), ((e2.start, e2.end),), pool_index=i)
+        embeddings = scale * rng.standard_normal((n, dim))
+        if task == "ner":
+            examples.append(MixedExample(embeddings, rng.random((n, n_labels)), prov))
+        else:
+            examples.append(MixedRESample(embeddings, rng.random(n_labels), e1, e2, prov))
+    return task, tuple(f"L{k}" for k in range(n_labels)), examples
+
+
+def _saved(examples, vocab, task) -> str:
+    buf = io.StringIO()
+    save_augmented(buf, examples, vocab, task=task, meta={"n": len(examples)})
+    return buf.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_augmented_cases())
+def test_augmented_round_trip_equals_the_float32_rounded_input(case):
+    task, vocab, examples = case
+    loaded = load_augmented(io.StringIO(_saved(examples, vocab, task)))
+    dim = examples[0].embeddings.shape[1]
+    assert (loaded.task, loaded.label_vocab, loaded.dim) == (task, vocab, dim)
+    assert loaded.meta == {"n": len(examples)}
+    assert len(loaded.examples) == len(examples)
+    labels = "soft_labels" if task == "ner" else "soft_relation"
+    for got, want in zip(loaded.examples, examples):
+        assert np.array_equal(got.embeddings, _f32(want.embeddings))
+        assert np.array_equal(getattr(got, labels), _f32(getattr(want, labels)))
+        assert got.provenance == want.provenance
+        if task == "re":
+            assert (got.e1, got.e2) == (want.e1, want.e2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_augmented_cases(), st.data())
+def test_augmented_load_refuses_a_payload_one_byte_off(case, data):
+    task, vocab, examples = case
+    lines = _saved(examples, vocab, task).splitlines(keepends=True)
+    index = data.draw(st.integers(1, len(examples)))
+    labels = "soft_labels" if task == "ner" else "soft_relation"
+    field = data.draw(st.sampled_from(["embeddings", labels]))
+    record = json.loads(lines[index])
+    raw = base64.b64decode(record[field]["data"])
+    raw = raw[:-1] if data.draw(st.booleans()) else raw + b"\x00"
+    record[field]["data"] = base64.b64encode(raw).decode("ascii")
+    lines[index] = json.dumps(record) + "\n"
+    with pytest.raises(ValueError, match=f"^line {index + 1}: .*bytes"):
+        load_augmented(io.StringIO("".join(lines)))
+
+
+@st.composite
+def _checkpoint_cases(draw):
+    """(model, table) for a tagger at windows 0-3 or a relation model."""
+    window = draw(st.sampled_from([0, 1, 2, 3, None]))
+    dim, n_labels = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**16))
+    labels = [f"L{k}" for k in range(n_labels)]
+    if window is None:
+        model = REModel.init(labels, dim, seed=seed, scale=1.0)
+    else:
+        model = TaggerModel.init(labels, dim, window=window, seed=seed, scale=1.0)
+    tokens = [f"t{k}" for k in range(draw(st.integers(0, 6)))]
+    table = EmbeddingTable.random(tokens, dim, seed=seed, n_buckets=draw(st.integers(1, 4)))
+    return model, table
+
+
+@settings(max_examples=40, deadline=None)
+@given(_checkpoint_cases())
+def test_checkpoint_round_trip_equals_the_float32_rounded_input(case):
+    model, table = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.ckpt"
+        save_checkpoint(path, model, table, meta={"task": "x"})
+        loaded, loaded_table, meta = load_checkpoint(path)
+    assert type(loaded) is type(model)
+    assert (loaded.labels, loaded.dim) == (model.labels, model.dim)
+    assert getattr(loaded, "window", None) == getattr(model, "window", None)
+    assert np.array_equal(loaded.weights, _f32(model.weights))
+    assert (loaded_table.tokens, loaded_table.n_buckets) == (table.tokens, table.n_buckets)
+    assert np.array_equal(loaded_table.vectors, _f32(table.vectors))
+    assert meta == {"task": "x"}
+
+
+@settings(max_examples=20, deadline=None)
+@given(_checkpoint_cases(), st.booleans())
+def test_checkpoint_load_refuses_a_payload_one_byte_off(case, cut):
+    model, table = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.ckpt"
+        save_checkpoint(path, model, table)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-1] if cut else raw + b"\x00")
+        with pytest.raises(ValueError, match="bytes"):
+            load_checkpoint(path)
