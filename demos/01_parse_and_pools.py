@@ -12,7 +12,6 @@ from segmix.pools import (
     build_mention_pool,
     build_sequence_pool,
     build_token_pool,
-    draw_tuple,
 )
 from segmix.rng import derive_rng
 
@@ -57,7 +56,7 @@ for entry in mentions.entries:
 # draws are uniform and reproducible given the same derived stream
 rng = derive_rng(7, "demo-draws")
 for _ in range(3):
-    entry = draw_tuple(mentions, rng)
+    entry = mentions.entries[int(rng.integers(len(mentions)))]
     print("  drew:", " ".join(entry.segments[0]))
 
 # pools serialize to JSON lines for inspection

@@ -183,6 +183,8 @@ def nearest_tokens(table: EmbeddingTable, embeddings: np.ndarray) -> list[tuple[
     Only real vocabulary rows compete; hash-bucket rows are excluded. A
     mixed row typically lands nearest whichever side dominates lambda.
     """
+    if not table.tokens:
+        raise ValueError("embedding table has no vocabulary rows to recover tokens from")
     vocab_vectors = table.vectors[: len(table.tokens)]
     embeddings = np.asarray(embeddings, dtype=np.float64)
     if embeddings.ndim != 2 or embeddings.shape[1] != vocab_vectors.shape[1]:

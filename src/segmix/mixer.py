@@ -22,13 +22,17 @@ eligible segment opens a stream of its own, (seed, "retry", k), to
 re-draw its example. Finally the examples are materialized in blocks of
 slots: plain rows are gathered from the embedding table and an identity
 matrix, and every mixed row of a block is computed in one blend.
+
+A single-example call (:func:`mix_example`, :func:`mix_re_sample`) is a
+one-slot run of the same planner and builder. It draws lam and then one
+(1, 2) uniform row from the caller's rng.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import Mapping, Sequence, Union
 
@@ -45,7 +49,6 @@ from .pools import (
     build_relation_pool,
     build_sequence_pool,
     build_token_pool,
-    draw_synonym,
 )
 from .rng import derive_rng
 
@@ -172,22 +175,29 @@ def one_hot(labels: Sequence[str], vocab: Sequence[str]) -> np.ndarray:
     return np.eye(len(vocab))[_label_ids(labels, vocab)]
 
 
-def sample_mix_ratio(alpha: float, rng: np.random.Generator) -> float:
-    """One Beta(alpha, alpha) draw via the two-Gamma ratio construction.
+def _beta(alpha: float, n: int, rng: np.random.Generator, redraw: np.random.Generator) -> np.ndarray:
+    """``n`` Beta(alpha, alpha) draws via the two-Gamma ratio construction.
 
-    When both Gammas underflow to 0 (alpha far below 1) the ratio is
-    undefined; since it is independent of the sum, the draw is redone with
-    ``rng.beta`` rather than returning the midpoint, where Beta(alpha,
-    alpha) has almost no mass.
+    Draw i is ``x / (x + y)`` for row i of an (n, 2) Gamma block from
+    ``rng``. Where both Gammas underflow to 0 (alpha far below 1) the ratio
+    is undefined; since it is independent of the sum, draw i is redone as
+    entry i of ``redraw.beta(alpha, alpha, n)`` rather than returning the
+    midpoint, where Beta(alpha, alpha) has almost no mass.
     """
+    gammas = rng.gamma(alpha, size=(n, 2))
+    total = gammas.sum(axis=1)
+    lam = np.divide(gammas[:, 0], total, out=np.zeros(n), where=total > 0)
+    stuck = total == 0.0
+    if stuck.any():
+        lam[stuck] = redraw.beta(alpha, alpha, n)[stuck]
+    return lam
+
+
+def sample_mix_ratio(alpha: float, rng: np.random.Generator) -> float:
+    """One Beta(alpha, alpha) draw from ``rng`` (see :func:`_beta`)."""
     if not (alpha > 0 and math.isfinite(alpha)):
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
-    x = rng.gamma(alpha)
-    y = rng.gamma(alpha)
-    total = x + y
-    if total == 0.0:
-        return float(rng.beta(alpha, alpha))
-    return float(x / total)
+    return float(_beta(alpha, 1, rng, rng)[0])
 
 
 def pad_to_longer(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -374,6 +384,19 @@ class ReplacementResult:
     requested: int
 
 
+def _check_segment_args(example, variant: str, lexicon: SynonymLexicon | None) -> None:
+    """Refuse an example of the wrong kind for ``variant``, or a synonym without a lexicon."""
+    if variant == "relation":
+        if not isinstance(example, RESample):
+            raise TypeError("relation variant needs an RESample")
+    elif not isinstance(example, Sentence):
+        raise TypeError(f"{variant} variant needs a Sentence")
+    elif variant not in NER_VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    elif variant == "synonym" and lexicon is None:
+        raise ValueError("synonym variant needs a lexicon")
+
+
 def select_segment(
     example: Union[Sentence, RESample],
     variant: str,
@@ -387,15 +410,7 @@ def select_segment(
     entry; whole_sequence: the full range; relation: the gold (e1, e2).
     Only the uniform choices draw from ``rng``.
     """
-    if variant == "relation":
-        if not isinstance(example, RESample):
-            raise TypeError("relation variant needs an RESample")
-    elif not isinstance(example, Sentence):
-        raise TypeError(f"{variant} variant needs a Sentence")
-    elif variant not in NER_VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    elif variant == "synonym" and lexicon is None:
-        raise ValueError("synonym variant needs a lexicon")
+    _check_segment_args(example, variant, lexicon)
     segs = _segments(_compile([example]), variant, lexicon)
     if not len(segs.start):
         return None
@@ -469,40 +484,34 @@ class _Plan:
 PoolSpec = Union[SegmentPool, SynonymLexicon, Mapping[str, Union[SegmentPool, SynonymLexicon]], None]
 
 
+_DEFAULT_POOLS = {
+    "mention": build_mention_pool,
+    "token": build_token_pool,
+    "whole_sequence": build_sequence_pool,
+    "relation": build_relation_pool,
+}
+
+
 def _normalize_pools(
     corpus: Union[TaggedCorpus, RECorpus], pools: PoolSpec, config: MixConfig
 ) -> dict[str, Union[SegmentPool, SynonymLexicon]]:
     """Accept a bare pool/lexicon or a variant->pool mapping; build defaults."""
     parts = config.variant_list()
-    table: dict[str, Union[SegmentPool, SynonymLexicon]] = {}
-    if isinstance(pools, Mapping):
-        table.update(pools)
-    elif isinstance(pools, (SegmentPool, SynonymLexicon)):
+    table = dict(pools) if isinstance(pools, Mapping) else {}
+    if isinstance(pools, (SegmentPool, SynonymLexicon)):
         if len(parts) != 1:
             raise ValueError("combination variants need a mapping of pools")
         table[parts[0]] = pools
-    weights = config.variant_weights()
-    for part, weight in zip(parts, weights):
-        if part in table:
-            continue
-        if part == "synonym":
-            raise ValueError("synonym variant needs an explicit lexicon")
-        if part == "mention":
-            built: Union[SegmentPool, SynonymLexicon] = build_mention_pool(corpus)
-        elif part == "token":
-            built = build_token_pool(corpus)
-        elif part == "whole_sequence":
-            built = build_sequence_pool(corpus)
-        elif part == "relation":
-            built = build_relation_pool(corpus)
-        else:
-            raise ValueError(f"unknown variant {part!r}")
-        table[part] = built
-    for part, weight in zip(parts, weights):
-        if weight > 0 and isinstance(table[part], SegmentPool) and not len(table[part]):
-            raise EmptyPoolError(f"empty segment pool for variant {part!r}")
-        if weight > 0 and isinstance(table[part], SynonymLexicon) and not len(table[part]):
-            raise EmptyPoolError("empty synonym lexicon")
+    for part, weight in zip(parts, config.variant_weights()):
+        if part not in table:
+            if part == "synonym":
+                raise ValueError("synonym variant needs an explicit lexicon")
+            table[part] = _DEFAULT_POOLS[part](corpus)
+        kind = "synonym lexicon" if part == "synonym" else "segment pool"
+        if (part == "synonym") != isinstance(table[part], SynonymLexicon):
+            raise ValueError(f"variant {part!r} needs a {kind}")
+        if weight > 0 and not len(table[part]):
+            raise EmptyPoolError(f"empty {kind} for variant {part!r}")
     return table
 
 
@@ -517,7 +526,6 @@ def _split_budget(total: int, weights: Sequence[float]) -> list[int]:
     for i in remainders[:short]:
         counts[i] += 1
     return counts
-
 
 
 @dataclass
@@ -653,15 +661,9 @@ def _mix_ratios(config: MixConfig, requested: int) -> np.ndarray:
     """Row k is slot k's lam; it depends only on (seed, k)."""
     if config.fixed_lambda is not None:
         return np.full(requested, float(config.fixed_lambda))
-    gammas = derive_rng(config.seed, "lambda").gamma(config.alpha, size=(requested, 2))
-    total = gammas.sum(axis=1)
-    lam = np.divide(gammas[:, 0], total, out=np.zeros(requested), where=total > 0)
-    stuck = total == 0.0
-    if stuck.any():
-        # both gammas underflowed (alpha << 1): redraw from the Beta law itself
-        redraw = derive_rng(config.seed, "lambda-beta").beta(config.alpha, config.alpha, requested)
-        lam[stuck] = redraw[stuck]
-    return lam
+    return _beta(
+        config.alpha, requested, derive_rng(config.seed, "lambda"), derive_rng(config.seed, "lambda-beta")
+    )
 
 
 def _plan_run(
@@ -891,12 +893,20 @@ def _examples(
     return out
 
 
-def _single_plan(lam, spans, variant, pool_index, segments, labels) -> _Plan:
-    """A one-slot plan for the caller-rng single-example APIs."""
-    return _Plan(
-        np.zeros(1, np.int64), np.array([float(lam)]), np.array([spans], np.int64),
-        [variant], [pool_index], [segments], [labels],
-    )
+def _mix_one(example, variant: str, pool, table: EmbeddingTable, vocab: Sequence[str],
+             config: MixConfig, rng: np.random.Generator, example_index: int):
+    """One example as a one-slot run: lam, then one (1, 2) uniform row, from ``rng``."""
+    _check_segment_args(example, variant, pool if isinstance(pool, SynonymLexicon) else None)
+    # a single example has no other example to retry with
+    config = replace(config, variant=variant, weights=None, retry_limit=0)
+    pool = _normalize_pools(None, pool, config)[variant]
+    lam = config.fixed_lambda
+    lam = np.array([sample_mix_ratio(config.alpha, rng) if lam is None else float(lam)])
+    src, zero = _compile([example]), np.zeros(1, np.int64)
+    plan = _plan_part(src, variant, pool, zero, zero, lam, rng.random((1, 2)), config)
+    if not len(plan.example):
+        raise ValueError("no eligible segment in example")
+    return _materialize(src, plan, table, vocab, config, example_index)[0]
 
 
 def mix_example(
@@ -909,24 +919,9 @@ def mix_example(
     example_index: int = 0,
 ) -> MixedExample:
     """Mix one sentence against one pool draw (single-variant, NER)."""
-    variant = config.variant
-    if variant not in NER_VARIANTS:
-        raise ValueError(f"mix_example handles NER variants, not {variant!r}")
-    lam = config.fixed_lambda
-    if lam is None:
-        lam = sample_mix_ratio(config.alpha, rng)
-    lexicon = pool if isinstance(pool, SynonymLexicon) else None
-    spans = select_segment(sentence, variant, rng, lexicon=lexicon)
-    if spans is None:
-        raise ValueError("no eligible segment in example")
-    if lexicon is not None:
-        chosen = draw_synonym(lexicon, sentence.tokens[spans[0][0]], rng)
-        plan = _single_plan(lam, spans, variant, None, ((chosen,),), None)
-    else:
-        pool_index = pool.draw_index(rng)
-        entry = pool.entries[pool_index]
-        plan = _single_plan(lam, spans, variant, pool_index, entry.segments, entry.labels)
-    return _materialize(_compile([sentence]), plan, table, vocab, config, example_index)[0]
+    if config.variant not in NER_VARIANTS:
+        raise ValueError(f"mix_example handles NER variants, not {config.variant!r}")
+    return _mix_one(sentence, config.variant, pool, table, vocab, config, rng, example_index)
 
 
 def mix_re_sample(
@@ -939,16 +934,7 @@ def mix_re_sample(
     example_index: int = 0,
 ) -> MixedRESample:
     """Mix one RE sample's nominal pair against a pool pair, shared lam."""
-    if pool.arity != 2:
-        raise ValueError("relation mixing needs an arity-2 pool")
-    lam = config.fixed_lambda
-    if lam is None:
-        lam = sample_mix_ratio(config.alpha, rng)
-    spans = select_segment(sample, "relation", rng)
-    pool_index = pool.draw_index(rng)
-    entry = pool.entries[pool_index]
-    plan = _single_plan(lam, spans, "relation", pool_index, entry.segments, entry.labels)
-    return _materialize(_compile([sample]), plan, table, relation_vocab, config, example_index)[0]
+    return _mix_one(sample, "relation", pool, table, relation_vocab, config, rng, example_index)
 
 
 def segmix_generate(

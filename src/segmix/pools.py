@@ -23,7 +23,7 @@ POOL_SOURCES = ("mention", "token", "synonym", "relation", "sequence")
 
 
 class EmptyPoolError(ValueError):
-    """Raised when drawing from a pool with no entries."""
+    """Raised when mixing against a pool or lexicon with no entries."""
 
 
 @dataclass(frozen=True)
@@ -58,11 +58,6 @@ class SegmentPool:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def draw_index(self, rng: np.random.Generator) -> int:
-        if not self.entries:
-            raise EmptyPoolError("empty segment pool")
-        return int(rng.integers(len(self.entries)))
-
     def dump_jsonl(self, stream: TextIO) -> None:
         """One JSON object per entry, for inspection."""
         for entry in self.entries:
@@ -73,11 +68,6 @@ class SegmentPool:
                 )
                 + "\n"
             )
-
-
-def draw_tuple(pool: SegmentPool, rng: np.random.Generator) -> SegmentTuple:
-    """Uniform draw over pool entries; deterministic under a seeded rng."""
-    return pool.entries[pool.draw_index(rng)]
 
 
 def build_mention_pool(corpus: TaggedCorpus) -> SegmentPool:
@@ -107,26 +97,17 @@ def build_token_pool(corpus: TaggedCorpus, include_outside: bool = False) -> Seg
 
 def build_relation_pool(corpus: RECorpus) -> SegmentPool:
     """One entry per sample: (e1 tokens, e2 tokens) with the relation label."""
-    entries = []
-    for sample in corpus.samples:
-        entries.append(
-            SegmentTuple(
-                (
-                    sample.tokens[sample.e1.start : sample.e1.end],
-                    sample.tokens[sample.e2.start : sample.e2.end],
-                ),
-                sample.relation,
-            )
-        )
-    return SegmentPool(2, tuple(entries), "relation")
+    entries = tuple(
+        SegmentTuple((s.tokens[s.e1.start : s.e1.end], s.tokens[s.e2.start : s.e2.end]), s.relation)
+        for s in corpus.samples
+    )
+    return SegmentPool(2, entries, "relation")
 
 
 def build_sequence_pool(corpus: TaggedCorpus) -> SegmentPool:
     """Whole sentences as single segments (classic sentence-level mixup)."""
-    entries = [
-        SegmentTuple((sent.tokens,), (sent.labels,)) for sent in corpus.sentences
-    ]
-    return SegmentPool(1, tuple(entries), "sequence")
+    entries = tuple(SegmentTuple((s.tokens,), (s.labels,)) for s in corpus.sentences)
+    return SegmentPool(1, entries, "sequence")
 
 
 class SynonymLexicon:
@@ -147,9 +128,6 @@ class SynonymLexicon:
     def synonyms(self, token: str) -> tuple[str, ...]:
         return self._table.get(token, ())
 
-    def keys(self):
-        return self._table.keys()
-
 
 def load_synonym_lexicon(source) -> SynonymLexicon:
     """Read ``<token>\\t<syn1>,<syn2>,...`` lines; repeated keys extend."""
@@ -167,16 +145,6 @@ def load_synonym_lexicon(source) -> SynonymLexicon:
             raise CorpusFormatError(f"line {lineno}: empty or multiword synonym entry")
         table.setdefault(token, []).extend(syns)
     return SynonymLexicon({k: tuple(v) for k, v in table.items()})
-
-
-def draw_synonym(
-    lexicon: SynonymLexicon, token: str, rng: np.random.Generator
-) -> str | None:
-    """Uniform synonym of ``token``, or None when the lexicon lacks it."""
-    syns = lexicon.synonyms(token)
-    if not syns:
-        return None
-    return syns[int(rng.integers(len(syns)))]
 
 
 def identity_lexicon(tokens: Iterable[str]) -> SynonymLexicon:

@@ -516,3 +516,17 @@ def test_a_malformed_table_record_is_one_error_line(tmp_path, ner_file, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert field_name in err
+
+
+def test_recover_from_a_table_record_with_no_tokens_is_one_error_line(tmp_path, ner_file, capsys):
+    aug = tmp_path / "aug.jsonl"
+    assert run("augment", "--input", ner_file, "--output", aug) == 0
+    lines = aug.read_text().splitlines(keepends=True)
+    header = json.loads(lines[0])
+    header["meta"]["table"]["tokens"] = []
+    aug.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+    capsys.readouterr()
+    assert run("recover", "--augmented", aug) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "no vocabulary rows" in err

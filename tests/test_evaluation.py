@@ -225,6 +225,12 @@ def test_nearest_tokens_validates_shape():
         nearest_tokens(table, np.zeros((2, 5)))
 
 
+def test_nearest_tokens_refuses_a_table_without_vocabulary():
+    table = EmbeddingTable.random([], 4, seed=0, n_buckets=8)
+    with pytest.raises(ValueError, match="no vocabulary rows"):
+        nearest_tokens(table, np.zeros((2, 4)))
+
+
 # ---------------------------------------------------------------- reports
 
 def test_tagging_report_structure(hand_corpus, tmp_path):

@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segmix.corpus import (
     RECorpus,
@@ -30,13 +32,18 @@ from segmix.mixer import (
     encode_re_corpus,
     segmix_generate,
     select_segment,
+    _mix_ratios,
+    _splice,
 )
 from segmix.pools import (
     EmptyPoolError,
     SegmentTuple,
     SynonymLexicon,
     build_mention_pool,
+    build_relation_pool,
+    build_sequence_pool,
     build_token_pool,
+    identity_lexicon,
 )
 
 
@@ -115,6 +122,64 @@ def test_sample_mix_ratio_small_alpha_keeps_the_u_shape():
     assert np.mean((draws < 0.01) | (draws > 0.99)) > 0.95
     with pytest.raises(ValueError, match="alpha"):
         sample_mix_ratio(float("inf"), rng)
+
+
+# First eight draws, as float.hex, recorded before the scalar and the
+# whole-run samplers became one body: sample_mix_ratio from default_rng(0),
+# and a run's lam block at seed 3. At alpha 1e-300 both Gammas underflow,
+# so those draws come from the Beta redraw.
+_SAMPLE_MIX_RATIO_PINS = {
+    8.0: (
+        "0x1.d29e09f5caeaep-2", "0x1.6220c163c3de4p-2", "0x1.f7ea6af4fa459p-2",
+        "0x1.832f51265831bp-2", "0x1.a7b3b3a5b3373p-2", "0x1.19f950a96244cp-1",
+        "0x1.4986a32ee6b64p-1", "0x1.1be2d0643680ap-1",
+    ),
+    0.3: (
+        "0x1.fff205c0e08aap-1", "0x1.7f88e8d0a9e14p-1", "0x1.2b563e177d81cp-3",
+        "0x1.38d10f0542200p-2", "0x1.ffcda7a7a9c4cp-1", "0x1.246d8350a2900p-1",
+        "0x1.fc6459c2b3e8cp-2", "0x1.5e8d1e58c1653p-7",
+    ),
+    0.001: (
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.3b841cdee3732p-586",
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x0.0p+0",
+        "0x1.81f40b234f3c1p-697", "0x1.d6d8d198e41f6p-7",
+    ),
+    1e-300: (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x1.0000000000000p+0", "0x0.0p+0", "0x1.0000000000000p+0",
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+    ),
+}
+_MIX_RATIOS_PINS = {
+    8.0: (
+        "0x1.ffc6871aa6176p-2", "0x1.0aef568fdf109p-1", "0x1.16c2adc52c085p-1",
+        "0x1.2542f84cd000fp-1", "0x1.86dd8ea83498cp-1", "0x1.3bc0bced4879fp-1",
+        "0x1.d704019258072p-2", "0x1.bc21bc5dd0bb0p-2",
+    ),
+    0.001: (
+        "0x1.13b5cc99eb751p-202", "0x0.0p+0", "0x1.0000000000000p+0",
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x0.0p+0",
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+    ),
+    1e-300: (
+        "0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x1.0000000000000p+0",
+    ),
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(_SAMPLE_MIX_RATIO_PINS))
+def test_sample_mix_ratio_draws_are_pinned(alpha):
+    rng = np.random.default_rng(0)
+    got = tuple(sample_mix_ratio(alpha, rng).hex() for _ in range(8))
+    assert got == _SAMPLE_MIX_RATIO_PINS[alpha]
+
+
+@pytest.mark.parametrize("alpha", sorted(_MIX_RATIOS_PINS))
+def test_run_mix_ratios_are_pinned(alpha):
+    got = tuple(x.hex() for x in _mix_ratios(MixConfig(alpha=alpha, seed=3), 8).tolist())
+    assert got == _MIX_RATIOS_PINS[alpha]
 
 
 def test_generate_small_alpha_keeps_the_u_shape():
@@ -454,6 +519,46 @@ def test_re_mix_arity_validated():
         )
 
 
+def test_same_type_only_single_mix_refuses_a_pool_without_the_type(loc_sentence):
+    """A LOC mention against a PER-only pool has no same-type partner, as in a run."""
+    table = EmbeddingTable.random(VOCAB + ("ann",), 8, 0)
+    pool = single_entry_pool(("ann",), ("B-PER",))
+    cfg = MixConfig(variant="mention", same_type_only=True)
+    with pytest.raises(ValueError, match="no eligible segment"):
+        mix_example(loc_sentence, pool, table, VOCAB, cfg, np.random.default_rng(0))
+    loc_pool = single_entry_pool(("rome",), ("B-LOC",))
+    got = mix_example(loc_sentence, loc_pool, table, VOCAB, cfg, np.random.default_rng(0))
+    assert got.provenance.pool_index == 0
+
+
+def test_single_mix_refuses_an_empty_pool(loc_sentence):
+    table = EmbeddingTable.random(VOCAB, 8, 0)
+    rng = np.random.default_rng(0)
+    with pytest.raises(EmptyPoolError):
+        mix_example(loc_sentence, SegmentPool(1, (), "mention"), table, VOCAB, MixConfig(), rng)
+    with pytest.raises(EmptyPoolError):
+        mix_example(loc_sentence, SynonymLexicon({}), table, VOCAB,
+                    MixConfig(variant="synonym"), rng)
+    sample = RESample(("a", "b"), Span(0, 1), Span(1, 2), "Other")
+    with pytest.raises(EmptyPoolError):
+        mix_re_sample(sample, SegmentPool(2, (), "relation"), table, ("Other",),
+                      MixConfig(variant="relation"), rng)
+
+
+def test_pool_kind_must_match_the_variant(loc_sentence):
+    """A lexicon serves only the synonym variant, and a segment pool every other one."""
+    corpus = TaggedCorpus.from_sentences([loc_sentence])
+    table = EmbeddingTable.random(corpus.token_vocab, 8, 0)
+    lex = identity_lexicon(corpus.token_vocab)
+    pool = build_mention_pool(corpus)
+    for variant, wrong in (("mention", lex), ("synonym", pool)):
+        cfg = MixConfig(variant=variant, rate=1.0)
+        with pytest.raises(ValueError, match=f"variant '{variant}' needs a"):
+            segmix_generate(corpus, {variant: wrong}, table, cfg)
+        with pytest.raises(ValueError, match="needs a"):
+            mix_example(loc_sentence, wrong, table, VOCAB, cfg, np.random.default_rng(0))
+
+
 # ---------------------------------------------------------------- generation
 
 def mention_corpus(n=10):
@@ -644,6 +749,105 @@ def test_generate_lambda_zero_matches_replacement_da():
     for ex, sent in zip(mixed.examples, replaced.corpus.sentences):
         assert np.array_equal(ex.embeddings, table.embed(sent.tokens))
         assert np.array_equal(ex.soft_labels, one_hot(sent.labels, corpus.label_vocab))
+
+
+_WORDS = ("a", "b", "c", "d", "e", "f")
+_TAGS = ("O", "B-LOC", "I-LOC", "B-PER", "I-PER")  # stray I- tags included
+_RELATIONS = ("Other", "Cause(e1,e2)", "Cause(e2,e1)")
+_POOL_BUILDERS = {
+    "mention": build_mention_pool,
+    "token": build_token_pool,
+    "whole_sequence": build_sequence_pool,
+    "relation": build_relation_pool,
+}
+
+
+@st.composite
+def _tagged_corpora(draw):
+    rows = draw(st.lists(
+        st.lists(st.tuples(st.sampled_from(_WORDS), st.sampled_from(_TAGS)), min_size=1, max_size=6),
+        min_size=1, max_size=6,
+    ))
+    rows[0][0] = (rows[0][0][0], "B-LOC")  # one mention, so no default pool is empty
+    return TaggedCorpus.from_sentences(Sentence(*map(tuple, zip(*row))) for row in rows)
+
+
+@st.composite
+def _re_corpora(draw):
+    samples = []
+    for _ in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(3, 8))
+        a, b, c, d = sorted(draw(st.lists(st.integers(0, n), min_size=4, max_size=4, unique=True)))
+        spans = (Span(a, b), Span(c, d))
+        if draw(st.booleans()):
+            spans = spans[::-1]
+        tokens = tuple(draw(st.lists(st.sampled_from(_WORDS), min_size=n, max_size=n)))
+        samples.append(RESample(tokens, *spans, draw(st.sampled_from(_RELATIONS))))
+    return RECorpus.from_samples(samples)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    variant=st.sampled_from(sorted(_POOL_BUILDERS)),
+    rate=st.sampled_from([0.5, 1.0, 3.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lambda_limits_on_random_corpora(data, variant, rate, seed):
+    """lam = 1 returns each source as encoded; lam = 0 is replacement_da in embedding space.
+
+    At lam = 0 each mixed span holds the partner's rows followed by zero rows
+    where the span is the longer, so splicing those padded partners into
+    the source rows must give the whole example and its mixed spans.
+    """
+    relation = variant == "relation"
+    corpus = data.draw(_re_corpora() if relation else _tagged_corpora())
+    examples = corpus.samples if relation else corpus.sentences
+    vocab = corpus.relation_vocab if relation else corpus.label_vocab
+    pool = _POOL_BUILDERS[variant](corpus)
+    table = EmbeddingTable.random(corpus.token_vocab, 4, seed % 1000)
+
+    def labels_of(source):
+        return one_hot([source.relation] if relation else source.labels, vocab)
+
+    config = MixConfig(variant=variant, rate=rate, seed=seed, fixed_lambda=1.0)
+    for ex in segmix_generate(corpus, pool, table, config).examples:
+        source = examples[ex.provenance.example_index]
+        assert np.array_equal(ex.embeddings, table.embed(source.tokens))
+        got_labels = ex.soft_relation[None] if relation else ex.soft_labels
+        assert np.array_equal(got_labels, labels_of(source))
+        assert ex.provenance.mixed_spans == ex.provenance.spans
+
+    cfg = MixConfig(variant=variant, rate=rate, seed=seed, fixed_lambda=0.0)
+    mixed = segmix_generate(corpus, pool, table, cfg)
+    replaced = replacement_da(corpus, pool, cfg)
+    items = replaced.corpus.samples if relation else replaced.corpus.sentences
+    assert len(items) == len(mixed.examples) and replaced.skipped == mixed.skipped
+    for ex, item in zip(mixed.examples, items):
+        prov = ex.provenance
+        source, entry = examples[prov.example_index], pool.entries[prov.pool_index]
+        tokens, placed = _splice(source.tokens, prov.spans, entry.segments)
+        assert item.tokens == tokens
+        if relation:
+            assert (item.e1, item.e2, item.relation) == (Span(*placed[0]), Span(*placed[1]), entry.labels)
+            assert np.array_equal(ex.soft_relation, one_hot([entry.labels], vocab)[0])
+            assert (ex.e1, ex.e2) == (Span(*prov.mixed_spans[0]), Span(*prov.mixed_spans[1]))
+        else:
+            assert item.labels == _splice(source.labels, prov.spans, entry.labels)[0]
+
+        sides = [(ex.embeddings, table.embed(source.tokens), map(table.embed, entry.segments))]
+        if not relation:
+            sides.append((ex.soft_labels, labels_of(source), [one_hot(l, vocab) for l in entry.labels]))
+        for got, rows, partners in sides:
+            padded = [
+                np.vstack([p, np.zeros((max(end - start - len(p), 0), p.shape[1]))])
+                for (start, end), p in zip(prov.spans, partners)
+            ]
+            want, want_spans = _splice(list(rows), prov.spans, [list(p) for p in padded])
+            assert np.array_equal(got, np.array(want))
+            assert tuple(want_spans) == prov.mixed_spans
+        if all(len(seg) >= end - start for (start, end), seg in zip(prov.spans, entry.segments)):
+            assert tuple(placed) == prov.mixed_spans
 
 
 # ---------------------------------------------------------------- replacement

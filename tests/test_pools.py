@@ -3,10 +3,10 @@
 import io
 from collections import Counter
 
-import numpy as np
 import pytest
 
 from segmix.corpus import CorpusFormatError, Sentence, TaggedCorpus
+from segmix.mixer import EmbeddingTable, MixConfig, segmix_generate
 from segmix.pools import (
     EmptyPoolError,
     SegmentPool,
@@ -15,8 +15,6 @@ from segmix.pools import (
     build_relation_pool,
     build_sequence_pool,
     build_token_pool,
-    draw_synonym,
-    draw_tuple,
     identity_lexicon,
     load_synonym_lexicon,
 )
@@ -112,21 +110,28 @@ def test_pool_arity_mismatch_rejected():
         SegmentPool(1, (), "mentions")
 
 
+ONE_MENTION = TaggedCorpus.from_sentences([Sentence(("big", "rome"), ("O", "B-LOC"))])
+
+
 def test_empty_pool_draw_raises():
     pool = SegmentPool(1, (), "mention")
+    table = EmbeddingTable.random(ONE_MENTION.token_vocab, 4, 0)
     with pytest.raises(EmptyPoolError):
-        pool.draw_index(np.random.default_rng(0))
+        segmix_generate(ONE_MENTION, pool, table, MixConfig(rate=1.0))
 
 
 def test_draw_tuple_uniform():
+    """Generation draws its partners uniformly over the pool's entries."""
     entries = tuple(
-        SegmentTuple(((f"t{i}",),), ((f"B-X{i}",),)) for i in range(4)
+        SegmentTuple(((f"t{i}",),), (("B-LOC",),)) for i in range(4)
     )
     pool = SegmentPool(1, entries, "mention")
-    rng = np.random.default_rng(123)
-    counts = Counter(draw_tuple(pool, rng).segments[0][0] for _ in range(10_000))
-    for token in ("t0", "t1", "t2", "t3"):
-        assert abs(counts[token] / 10_000 - 0.25) < 0.03
+    table = EmbeddingTable.random(ONE_MENTION.token_vocab, 4, 0)
+    result = segmix_generate(ONE_MENTION, pool, table, MixConfig(rate=10_000, seed=123))
+    counts = Counter(e.provenance.pool_index for e in result.examples)
+    assert len(result.examples) == 10_000
+    for index in range(4):
+        assert abs(counts[index] / 10_000 - 0.25) < 0.03
 
 
 def test_dump_jsonl(hand_corpus):
@@ -172,18 +177,18 @@ def test_load_synonym_lexicon_errors():
 
 def test_draw_synonym():
     lex = load_synonym_lexicon("big\tlarge,huge\n")
-    rng = np.random.default_rng(5)
-    draws = {draw_synonym(lex, "big", rng) for _ in range(50)}
-    assert draws == {"large", "huge"}
-    assert draw_synonym(lex, "absent", rng) is None
+    assert lex.synonyms("big") == ("large", "huge")
+    assert lex.synonyms("absent") == ()
+    table = EmbeddingTable.random(ONE_MENTION.token_vocab, 4, 0)
+    result = segmix_generate(ONE_MENTION, lex, table, MixConfig(variant="synonym", rate=50, seed=5))
+    assert {e.provenance.replacements for e in result.examples} == {("large",), ("huge",)}
 
 
 def test_identity_lexicon():
     lex = identity_lexicon(["a", "b", "a"])
     assert len(lex) == 2
     assert lex.synonyms("a") == ("a",)
-    rng = np.random.default_rng(0)
-    assert draw_synonym(lex, "b", rng) == "b"
+    assert lex.synonyms("b") == ("b",)
 
 
 def test_empty_synonym_list_rejected():
