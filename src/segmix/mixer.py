@@ -294,16 +294,11 @@ class Provenance:
 
     @classmethod
     def from_json(cls, data: dict) -> "Provenance":
-        return cls(
-            example_index=data["example_index"],
-            variant=data["variant"],
-            lam=data["lam"],
-            spans=tuple(tuple(s) for s in data["spans"]),
-            mixed_spans=tuple(tuple(s) for s in data["mixed_spans"]),
-            pool_index=data.get("pool_index"),
-            replacements=(
-                tuple(data["replacements"]) if data.get("replacements") else None
-            ),
+        replacements = data.get("replacements")
+        return cls(  # positional, in field order: cheaper per loaded record
+            data["example_index"], data["variant"], data["lam"],
+            tuple(map(tuple, data["spans"])), tuple(map(tuple, data["mixed_spans"])),
+            data.get("pool_index"), tuple(replacements) if replacements else None,
         )
 
 

@@ -3,7 +3,14 @@
 Augmented data is JSON-lines: a header record, then one record per
 example. Matrices travel as base64-encoded little-endian float32 with an
 explicit shape, so files are platform-independent and byte-identical
-across repeated runs with the same seed.
+across repeated runs with the same seed. Every line is compact JSON
+(``separators=(",", ":")``) with sorted keys. The header and each
+provenance go through ``json``; a record is formatted from a template
+(``_NER_RECORD``, ``_RE_RECORD``) with its keys already in that order, so
+the base64 payloads skip the JSON encoder's escape scan. A new record
+field must go into its template at its sorted place:
+``test_save_writes_the_bytes_of_the_json_oracle`` holds the templates to a
+writer that passes every record through ``json``.
 
 A checkpoint is binary: the magic ``SGMX``, a ``<II`` version and header
 length, a sorted-key JSON header, then the weights and the embedding-table
@@ -18,7 +25,7 @@ example-shape rule, ``mixer._shape_problem``, which training applies too.
 
 from __future__ import annotations
 
-import base64
+import binascii
 import csv
 import json
 import math
@@ -56,26 +63,45 @@ def _from_f4(raw: bytes, shape, what: str) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64)
 
 
+def _b64(f4: np.ndarray) -> str:
+    """The base64 text of an array :func:`_f4` returned."""
+    return binascii.b2a_base64(f4, newline=False).decode("ascii")
+
+
 def encode_array(array: np.ndarray) -> dict:
     """Base64 little-endian float32 payload with explicit shape."""
     data = _f4(array)
-    return {
-        "shape": list(data.shape),
-        "data": base64.b64encode(data.tobytes()).decode("ascii"),
-    }
+    return {"shape": list(data.shape), "data": _b64(data)}
 
 
 def decode_array(blob: dict) -> np.ndarray:
-    return _from_f4(base64.b64decode(blob["data"]), blob["shape"], "payload")
+    return _from_f4(binascii.a2b_base64(blob["data"]), blob["shape"], "payload")
 
 
 def _count(value) -> bool:
     return type(value) is int and value >= 0
 
 
-# What a header field must be, as said in an error, and the test for it.
+def _spans(value) -> bool:
+    if type(value) is not list:
+        return False
+    for pair in value:
+        if type(pair) is not list or len(pair) != 2:
+            return False
+        start, end = pair
+        if type(start) is not int or type(end) is not int or not 0 <= start < end:
+            return False
+    return True
+
+
+# What a header or provenance field must be, as said in an error, and the test for it.
 _KINDS = {
     "a nonnegative integer": _count,
+    "a nonnegative integer or null": lambda v: v is None or _count(v),
+    "a string": lambda v: type(v) is str,
+    "a number in [0, 1]": lambda v: type(v) in (int, float) and 0 <= v <= 1,
+    "a list of [start, end] pairs with 0 <= start < end": _spans,
+    "a [start, end] pair with 0 <= start < end": lambda v: _spans([v]),
     "a list of strings": lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
     "a list of nonnegative integers": lambda v: isinstance(v, list) and all(map(_count, v)),
     "a JSON object": lambda v: isinstance(v, dict),
@@ -114,19 +140,46 @@ _TABLE_FIELDS = {
     "seed": "a nonnegative integer",
     "n_buckets": "a nonnegative integer",
 }
+_PROVENANCE_FIELDS = {  # "replacements", when present, is "a list of strings"
+    "example_index": "a nonnegative integer",
+    "variant": "a string",
+    "lam": "a number in [0, 1]",
+    "spans": "a list of [start, end] pairs with 0 <= start < end",
+    "mixed_spans": "a list of [start, end] pairs with 0 <= start < end",
+    "pool_index": "a nonnegative integer or null",
+}
+_RE_SPAN_FIELDS = {
+    "e1": "a [start, end] pair with 0 <= start < end",
+    "e2": "a [start, end] pair with 0 <= start < end",
+}
+
+# One encoder for every header and provenance: ``json.dumps`` would build one per call.
+_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-def _dump(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+def _read_provenance(data, rows: int) -> Provenance:
+    """The :class:`Provenance` of a record with ``rows`` rows, once its fields check out."""
+    _check_fields(data, _PROVENANCE_FIELDS, "provenance")
+    if "replacements" in data:
+        _check_fields(data, {"replacements": "a list of strings"}, "provenance")
+    for start, end in data["mixed_spans"]:
+        if end > rows:
+            raise ValueError(f"provenance mixed span [{start}, {end}) lies outside "
+                             f"the {rows}-row example")
+    return Provenance.from_json(data)
 
 
 def _read_record(record: dict, task: str, dim: int, n_labels: int):
-    provenance = Provenance.from_json(record["provenance"])
     labels = record["soft_labels" if task == "ner" else "soft_relation"]
-    spans = None if task == "ner" else {"e1": Span(*record["e1"]), "e2": Span(*record["e2"])}
-    problem = _shape_problem(record["embeddings"]["shape"], labels["shape"], spans, dim, n_labels)
+    spans = None
+    if task == "re":
+        _check_fields(record, _RE_SPAN_FIELDS, "record")
+        spans = {"e1": Span(*record["e1"]), "e2": Span(*record["e2"])}
+    emb_shape = record["embeddings"]["shape"]
+    problem = _shape_problem(emb_shape, labels["shape"], spans, dim, n_labels)
     if problem:
         raise ValueError(problem)
+    provenance = _read_provenance(record["provenance"], emb_shape[0])
     embeddings, labels = decode_array(record["embeddings"]), decode_array(labels)
     if spans is None:
         return MixedExample(embeddings, labels, provenance)
@@ -152,6 +205,31 @@ class AugmentedFile:
         return _check_fields(self.meta["table"], _TABLE_FIELDS, "augmented table record")
 
 
+# The bytes ``_dump`` would write for a record (see the module docstring).
+_NER_RECORD = ('{"embeddings":{"data":"%s","shape":[%d,%d]},"provenance":%s,'
+               '"soft_labels":{"data":"%s","shape":[%d,%d]}}\n')
+_RE_RECORD = ('{"e1":[%d,%d],"e2":[%d,%d],"embeddings":{"data":"%s","shape":[%d,%d]},'
+              '"provenance":%s,"soft_relation":{"data":"%s","shape":[%d]}}\n')
+_BLOCK = 512  # examples cast to float32 at a time by the finiteness check
+
+
+def _nonfinite_problem(examples: Sequence, labels: str) -> str | None:
+    """The first example holding a NaN or an infinity once cast to float32,
+    as "example i: why", or None. Casts a block of examples at a time."""
+    names = ("embeddings", labels)
+    with np.errstate(over="ignore"):  # an overflow to inf is what is looked for
+        for lo in range(0, len(examples), _BLOCK):
+            block = examples[lo:lo + _BLOCK]
+            if all(np.isfinite(np.concatenate([getattr(e, n) for e in block], dtype="<f4")).all()
+                   for n in names):
+                continue
+            for i, e in enumerate(block, start=lo):
+                for name in names:
+                    if not np.isfinite(_f4(getattr(e, name))).all():
+                        return f"example {i}: {name} hold a non-finite value after the float32 cast"
+    return None
+
+
 def save_augmented(
     stream: TextIO,
     examples: Sequence[Union[MixedExample, MixedRESample]],
@@ -163,7 +241,8 @@ def save_augmented(
     if task not in ("ner", "re"):
         raise ValueError(f"task must be 'ner' or 're', got {task!r}")
     dim = int(examples[0].embeddings.shape[1]) if examples else 0
-    problem = _examples_problem(examples, task == "re", dim, len(label_vocab))
+    problem = (_examples_problem(examples, task == "re", dim, len(label_vocab))
+               or _nonfinite_problem(examples, "soft_labels" if task == "ner" else "soft_relation"))
     if problem:  # all checked before a byte is written
         raise ValueError(problem)
     header = {
@@ -176,18 +255,15 @@ def save_augmented(
         "meta": meta or {},
     }
     stream.write(_dump(header) + "\n")
-    for example in examples:
-        record = {
-            "embeddings": encode_array(example.embeddings),
-            "provenance": example.provenance.to_json(),
-        }
+    for e in examples:  # one write per record keeps the peak memory at one record
+        emb, prov = _f4(e.embeddings), _dump(e.provenance.to_json())
         if task == "ner":
-            record["soft_labels"] = encode_array(example.soft_labels)
+            labels = _f4(e.soft_labels)
+            stream.write(_NER_RECORD % (_b64(emb), *emb.shape, prov, _b64(labels), *labels.shape))
         else:
-            record["soft_relation"] = encode_array(example.soft_relation)
-            record["e1"] = [example.e1.start, example.e1.end]
-            record["e2"] = [example.e2.start, example.e2.end]
-        stream.write(_dump(record) + "\n")
+            labels = _f4(e.soft_relation)
+            stream.write(_RE_RECORD % (e.e1.start, e.e1.end, e.e2.start, e.e2.end, _b64(emb),
+                                       *emb.shape, prov, _b64(labels), *labels.shape))
 
 
 def load_augmented(stream: TextIO) -> AugmentedFile:
@@ -204,7 +280,7 @@ def load_augmented(stream: TextIO) -> AugmentedFile:
     task, dim, vocab = header["task"], header["dim"], header["label_vocab"]
     examples = []
     for lineno, line in enumerate(stream, start=2):
-        if not line.strip():
+        if line.isspace():  # stops at the first non-blank, where strip would copy the line
             continue
         try:
             examples.append(_read_record(json.loads(line), task, dim, len(vocab)))

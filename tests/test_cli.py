@@ -530,3 +530,16 @@ def test_recover_from_a_table_record_with_no_tokens_is_one_error_line(tmp_path, 
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "no vocabulary rows" in err
+
+
+def test_recover_refuses_a_bad_provenance_record_with_its_line(tmp_path, ner_file, capsys):
+    aug = tmp_path / "aug.jsonl"
+    assert run("augment", "--input", ner_file, "--output", aug) == 0
+    lines = aug.read_text().splitlines(keepends=True)
+    record = json.loads(lines[1])
+    record["provenance"]["lam"] = 7
+    aug.write_text(lines[0] + json.dumps(record) + "\n" + "".join(lines[2:]))
+    capsys.readouterr()
+    assert run("recover", "--augmented", aug) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: provenance 'lam'") and err.count("\n") == 1

@@ -1,8 +1,10 @@
 """Augmented-file and checkpoint round trips and the float32 array encoding."""
 
 import base64
+import dataclasses
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -208,6 +210,8 @@ def test_load_rejects_soft_labels_other_than_label_vocab():
     {"soft_relation": encode_array(np.ones(3))},
     {"e2": [2, 5]},
     {"e1": [-1, 1]},
+    {"e1": [0, 0.5]},
+    {"e2": [True, 3]},
 ])
 def test_load_rejects_bad_relation_record(fields):
     lines = _saved_lines(_re_examples(), ("R(e1,e2)", "Other"), "re")
@@ -332,3 +336,154 @@ def test_checkpoint_load_refuses_a_payload_one_byte_off(case, cut):
         path.write_bytes(raw[:-1] if cut else raw + b"\x00")
         with pytest.raises(ValueError, match="bytes"):
             load_checkpoint(path)
+
+
+# ---------------------------------------------------------------- provenance records
+
+@pytest.mark.parametrize("fields,why", [
+    ({"lam": 7}, "'lam' must be a number in [0, 1], got 7"),
+    ({"lam": float("nan")}, "'lam' must be a number in [0, 1], got nan"),
+    ({"lam": "x"}, "'lam' must be a number in [0, 1], got 'x'"),
+    ({"mixed_spans": [[0, 999]]}, "mixed span [0, 999) lies outside the 2-row example"),
+    ({"mixed_spans": [[1]]}, "'mixed_spans' must be a list of [start, end] pairs"),
+    ({"spans": [["a", "b"]]}, "'spans' must be a list of [start, end] pairs"),
+    ({"spans": [[2, 2]]}, "'spans' must be a list of [start, end] pairs"),
+    ({"example_index": "zz"}, "'example_index' must be a nonnegative integer, got 'zz'"),
+    ({"variant": 5}, "'variant' must be a string, got 5"),
+    ({"pool_index": -1}, "'pool_index' must be a nonnegative integer or null, got -1"),
+    ({"replacements": "ab"}, "'replacements' must be a list of strings, got 'ab'"),
+], ids=["lam-7", "lam-nan", "lam-str", "mixed-span-past-rows", "mixed-span-not-a-pair",
+        "span-of-strs", "span-empty", "index-str", "variant-int", "pool-index-negative",
+        "replacements-str"])
+def test_load_refuses_a_bad_provenance_record(fields, why):
+    lines = _saved_lines(_ner_examples(), ("B-X", "O"), "ner")
+    record = json.loads(lines[1])
+    record["provenance"].update(fields)
+    lines[1] = json.dumps(record) + "\n"
+    with pytest.raises(ValueError, match="^" + re.escape(f"line 2: provenance {why}")):
+        load_augmented(io.StringIO("".join(lines)))
+
+
+def test_load_names_the_provenance_field_it_refuses():
+    lines = _saved_lines(_re_examples(), ("R(e1,e2)", "Other"), "re")
+    record = json.loads(lines[2])
+    del record["provenance"]["variant"]
+    lines[2] = json.dumps(record) + "\n"
+    with pytest.raises(ValueError, match=r"^line 3: provenance has no 'variant' field$"):
+        load_augmented(io.StringIO("".join(lines)))
+    record["provenance"].update(variant="relation", mixed_spans=[[0, 1], [3, 5]])
+    lines[2] = json.dumps(record) + "\n"
+    with pytest.raises(ValueError, match=r"^line 3: provenance mixed span \[3, 5\) lies outside"):
+        load_augmented(io.StringIO("".join(lines)))
+
+
+# ---------------------------------------------------------------- non-finite rows
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 1e39])
+@pytest.mark.parametrize("task,field", [
+    ("ner", "embeddings"), ("ner", "soft_labels"), ("re", "embeddings"), ("re", "soft_relation"),
+])
+def test_save_refuses_a_row_that_is_not_finite_in_float32(value, task, field):
+    # 600 examples put the bad one in the second block of the check
+    examples = (_ner_examples() if task == "ner" else _re_examples()) * 300
+    vocab = ("B-X", "O") if task == "ner" else ("R(e1,e2)", "Other")
+    bad = examples[520]
+    array = getattr(bad, field).copy()
+    array.flat[-1] = value
+    examples[520] = dataclasses.replace(bad, **{field: array})
+    stream = io.StringIO()
+    with pytest.raises(ValueError, match=(f"^example 520: {field} hold a non-finite value "
+                                          "after the float32 cast$")):
+        save_augmented(stream, examples, vocab, task=task)
+    assert stream.getvalue() == ""
+
+
+def test_save_keeps_the_largest_float32_values():
+    prov = Provenance(0, "mention", 0.5, ((0, 1),), ((0, 1),))
+    big = float(np.finfo(np.float32).max)
+    example = MixedExample(np.array([[big, -big]]), np.array([[1.0, 0.0]]), prov)
+    loaded = load_augmented(io.StringIO(_saved([example], ("B-X", "O"), "ner")))
+    assert np.array_equal(loaded.examples[0].embeddings, [[big, -big]])
+
+
+# ---------------------------------------------------------------- the writer's json oracle
+
+def _oracle_array(array) -> dict:
+    data = np.ascontiguousarray(array, dtype="<f4")
+    return {"shape": list(data.shape), "data": base64.b64encode(data.tobytes()).decode("ascii")}
+
+
+def _oracle_save(stream, examples, label_vocab, task, meta=None):
+    """The record-dict writer: every record through ``json.dumps``."""
+    dump = lambda obj: json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    dim = int(examples[0].embeddings.shape[1]) if examples else 0
+    stream.write(dump({"format": "segmix-augmented", "version": 1, "task": task,
+                       "label_vocab": list(label_vocab), "dim": dim, "count": len(examples),
+                       "meta": meta or {}}) + "\n")
+    for example in examples:
+        record = {"embeddings": _oracle_array(example.embeddings),
+                  "provenance": example.provenance.to_json()}
+        if task == "ner":
+            record["soft_labels"] = _oracle_array(example.soft_labels)
+        else:
+            record["soft_relation"] = _oracle_array(example.soft_relation)
+            record["e1"] = [example.e1.start, example.e1.end]
+            record["e2"] = [example.e2.start, example.e2.end]
+        stream.write(dump(record) + "\n")
+
+
+_AWKWARD_TEXT = st.text(st.sampled_from('"\\\x00\x07\n\x1f\x7f é€😀ab'), max_size=6) | st.text(max_size=6)
+
+
+@st.composite
+def _laid_out(draw, array):
+    """``array`` as float32, non-contiguous, Fortran-ordered or as it is."""
+    layout = draw(st.sampled_from(["c", "f4", "fortran", "strided", "reversed"]))
+    if layout == "f4":
+        return array.astype(np.float32)
+    if layout == "fortran":
+        return np.asfortranarray(array)
+    if layout == "strided":
+        wide = np.repeat(array, 2, axis=-1)
+        wide[..., 1::2] = np.nan
+        return wide[..., ::2]
+    if layout == "reversed":
+        return array[::-1].copy()[::-1]
+    return array
+
+
+@st.composite
+def _writer_cases(draw):
+    """(task, label vocab, examples, meta) with awkward text, layouts and lambdas."""
+    task = draw(st.sampled_from(["ner", "re"]))
+    dim, n_labels = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    lams = st.floats(0, 1) | st.sampled_from([0.0, 1.0, 1e-05, 2.5e-08, 5e-324, 1e-300])
+    examples = []
+    for n in draw(st.lists(st.integers(1, 7), max_size=5)):
+        e1, e2 = draw(_spans(n)), draw(_spans(n))
+        replacements = draw(st.none() | st.lists(_AWKWARD_TEXT, min_size=1, max_size=3))
+        prov = Provenance(draw(st.integers(0, 10**6)), draw(_AWKWARD_TEXT), draw(lams),
+                          ((e1.start, e1.end),), ((e2.start, e2.end), (e1.start, e1.end)),
+                          pool_index=draw(st.none() | st.integers(0, 10**6)),
+                          replacements=None if replacements is None else tuple(replacements))
+        embeddings = draw(_laid_out(rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-40, 30)))
+        if task == "ner":
+            labels = draw(_laid_out(rng.random((n, n_labels))))
+            examples.append(MixedExample(embeddings, labels, prov))
+        else:
+            labels = draw(_laid_out(rng.random(n_labels)))
+            examples.append(MixedRESample(embeddings, labels, e1, e2, prov))
+    vocab = tuple(draw(st.lists(_AWKWARD_TEXT, min_size=n_labels, max_size=n_labels)))
+    meta = draw(st.none() | st.dictionaries(_AWKWARD_TEXT, _AWKWARD_TEXT, max_size=3))
+    return task, vocab, examples, meta
+
+
+@settings(max_examples=80, deadline=None)
+@given(_writer_cases())
+def test_save_writes_the_bytes_of_the_json_oracle(case):
+    task, vocab, examples, meta = case
+    want, got = io.StringIO(), io.StringIO()
+    _oracle_save(want, examples, vocab, task, meta)
+    save_augmented(got, examples, vocab, task, meta)
+    assert got.getvalue() == want.getvalue()
