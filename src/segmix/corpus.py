@@ -44,22 +44,37 @@ def split_bio(label: str) -> tuple[str, str | None]:
 _O, _B, _I = range(3)  # label kinds, numbered by their place in "OBI"
 
 
-def _bio_arrays(labels: Iterable[str]) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-    """Kind (``_O``/``_B``/``_I``) and entity-type id of every label in a flat stream.
+def _bio_kinds(ids: np.ndarray, vocab: Sequence[str]) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """Kind (``_O``/``_B``/``_I``) and entity-type id of every label in a flat
+    stream of ids into ``vocab``, read from per-vocabulary tables.
 
-    Type ids index the returned type names, numbered in first-occurrence
-    order; an O label has type -1. Each distinct label is split once.
+    Type ids index the returned type names, numbered in vocabulary order;
+    an O label has type -1. Each vocabulary label is split once. Refuses
+    the first label of the stream that is not BIO, as :func:`split_bio` does.
     """
-    index: dict[str, int] = {}
-    ids = np.fromiter((index.setdefault(l, len(index)) for l in labels), np.int64)
     types: dict[str, int] = {}
-    kind_of = np.empty(len(index), np.int64)
-    type_of = np.empty(len(index), np.int64)
-    for i, label in enumerate(index):
-        kind, etype = split_bio(label)
+    kind_of = np.full(len(vocab), -1, np.int64)  # -1: not a BIO label
+    type_of = np.full(len(vocab), -1, np.int64)
+    for i, label in enumerate(vocab):
+        try:
+            kind, etype = split_bio(label)
+        except CorpusFormatError:
+            continue
         kind_of[i] = "OBI".index(kind)
         type_of[i] = -1 if etype is None else types.setdefault(etype, len(types))
-    return kind_of[ids], type_of[ids], tuple(types)
+    kind = kind_of[ids]
+    bad = np.flatnonzero(kind < 0)
+    if len(bad):
+        split_bio(vocab[ids[bad[0]]])
+    return kind, type_of[ids], tuple(types)
+
+
+def _bio_arrays(labels: Iterable[str]) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """:func:`_bio_kinds` of a stream of label strings, whose vocabulary is
+    numbered in first-occurrence order (so are the type names)."""
+    index: dict[str, int] = {}
+    ids = np.fromiter((index.setdefault(l, len(index)) for l in labels), np.int64)
+    return _bio_kinds(ids, tuple(index))
 
 
 def _mentions(kind: np.ndarray, etype: np.ndarray, offsets) -> tuple[np.ndarray, np.ndarray]:
@@ -268,7 +283,10 @@ def parse_conll(source: str | TextIO | Iterable[str], repair_bio: bool = False) 
                 f"line {lineno}: expected '<token> <label>', got {len(fields)} fields"
             )
         token, label = fields
-        split_bio(label)  # syntax check, raises CorpusFormatError
+        try:
+            split_bio(label)
+        except CorpusFormatError as err:
+            raise CorpusFormatError(f"line {lineno}: {err}") from None
         tokens.append(token)
         labels.append(label)
     flush(lineno + 1)

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import RECorpus, TaggedCorpus, _bio_arrays, _flatten, _mentions, bio_spans
+from .corpus import RECorpus, TaggedCorpus, _bio_kinds, _flatten, _mentions, bio_spans
 from .mixer import EmbeddingTable, _label_ids
 
 
@@ -42,15 +42,36 @@ class PRF:
 pred_spans = bio_spans
 
 
-def _aligned(gold, predicted) -> tuple[list[str], list[str], np.ndarray]:
-    """Both label streams flattened, and their sentence offsets; refuses a mismatch."""
+def _encode(rows, index: dict[str, int], names: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The labels of ``rows`` end to end as ids, and the row offsets (as
+    :func:`_flatten` gives them). A label's id is its place in ``names``,
+    reached through ``index``; a label not yet there joins both."""
+    flat, offsets = _flatten(rows)
+    for label in dict.fromkeys(flat):
+        if label not in index:
+            index[label] = len(names)
+            names.append(label)
+    return np.fromiter(map(index.__getitem__, flat), np.int64, len(flat)), offsets
+
+
+def _label_streams(gold, predicted, vocab: Sequence[str] = ()):
+    """Both label streams as ids into one vocabulary, their sentence offsets
+    and that vocabulary; refuses a mismatch.
+
+    The vocabulary is ``vocab``, then the other predicted labels, then the
+    other gold labels, each in first-seen order. Each stream is flattened
+    once and each of its labels looked up once.
+    """
     gold = [s.labels for s in gold.sentences] if isinstance(gold, TaggedCorpus) else gold
     if len(gold) != len(predicted):
         raise ValueError("gold and predicted sentence counts differ")
-    (gold, offsets), (predicted, pred_offsets) = _flatten(gold), _flatten(predicted)
+    names = list(vocab)
+    index = dict(zip(names, range(len(names))))
+    pred_ids, pred_offsets = _encode(predicted, index, names)
+    gold_ids, offsets = _encode(gold, index, names)
     if not np.array_equal(offsets, pred_offsets):
         raise ValueError("gold and predicted sentence lengths differ")
-    return gold, predicted, offsets
+    return gold_ids, pred_ids, offsets, tuple(names)
 
 
 def _prf(matched, predicted, gold) -> PRF:
@@ -58,59 +79,88 @@ def _prf(matched, predicted, gold) -> PRF:
     return PRF(int(matched), int(predicted - matched), int(gold - matched))
 
 
-def _span_counts(gold, predicted) -> tuple[PRF, PRF, dict[str, PRF]]:
-    """Exact-match counts overall and per entity type, and boundary-only counts.
+def _found(keys: np.ndarray, ascending: np.ndarray) -> np.ndarray:
+    """Whether each of the nonnegative ``keys`` is in the ascending array
+    ``ascending``, by binary search (the -1 after it catches keys past its end)."""
+    return np.append(ascending, -1)[np.searchsorted(ascending, keys)] == keys
 
-    The gold and predicted streams are laid end to end so their spans are
-    found in one pass; spans match as integer keys of (start, end) and of
-    (start, end, type).
+
+def _span_counts(gold: np.ndarray, predicted: np.ndarray, offsets: np.ndarray,
+                 vocab: Sequence[str]) -> tuple[PRF, PRF, dict[str, PRF]]:
+    """Exact-match counts overall and per entity type, and boundary-only
+    counts, of two aligned streams of label ids into ``vocab``.
+
+    The streams are laid end to end so their spans are found in one pass,
+    with kinds and types read from per-vocabulary tables; spans match as
+    integer keys of (start, end) and of (start, end, type), which ascend
+    with the span start.
     """
-    gold_flat, pred_flat, offsets = _aligned(gold, predicted)
-    n = len(gold_flat)
-    kind, etype, types = _bio_arrays(gold_flat + pred_flat)
+    n = len(gold)
+    kind, etype, types = _bio_kinds(np.concatenate([gold, predicted]), vocab)
     starts, ends = _mentions(kind, etype, np.concatenate([offsets, offsets[1:] + n]))
     is_gold = starts < n
     shift = np.where(is_gold, 0, n)
     where = (starts - shift) * (n + 1) + (ends - shift)
     gold_type, pred_type = etype[starts[is_gold]], etype[starts[~is_gold]]
     typed = where * len(types) + etype[starts]
-    tp = np.bincount(gold_type[np.isin(typed[is_gold], typed[~is_gold])], minlength=len(types))
+    tp = np.bincount(gold_type[_found(typed[is_gold], typed[~is_gold])], minlength=len(types))
     n_pred = np.bincount(pred_type, minlength=len(types))
     n_gold = np.bincount(gold_type, minlength=len(types))
-    per_type = dict(sorted((t, _prf(tp[i], n_pred[i], n_gold[i])) for i, t in enumerate(types)))
-    span_tp = np.isin(where[is_gold], where[~is_gold]).sum()
+    per_type = dict(sorted((t, _prf(tp[i], n_pred[i], n_gold[i]))
+                           for i, t in enumerate(types) if n_pred[i] or n_gold[i]))
+    span_tp = _found(where[is_gold], where[~is_gold]).sum()
     found, wanted = len(pred_type), len(gold_type)
     return _prf(tp.sum(), found, wanted), _prf(span_tp, found, wanted), per_type
 
 
+def _entity_scorer(gold: TaggedCorpus, labels: Sequence[str]):
+    """Entity PRF of a flat stream of predicted ids into ``labels`` against
+    ``gold``, whose labels are flattened and mapped to ids once, here."""
+    names = list(labels)
+    gold_ids, offsets = _encode((s.labels for s in gold.sentences),
+                                dict(zip(names, range(len(names)))), names)
+    vocab = tuple(names)
+
+    def score(predicted: np.ndarray) -> PRF:
+        if len(predicted) != len(gold_ids):
+            raise ValueError("gold and predicted label counts differ")
+        return _span_counts(gold_ids, predicted, offsets, vocab)[0]
+
+    return score
+
+
 def entity_f1(gold, predicted: Sequence[Sequence[str]]) -> PRF:
     """Micro-averaged exact-span-and-type F1."""
-    return _span_counts(gold, predicted)[0]
+    return _span_counts(*_label_streams(gold, predicted))[0]
 
 
 def span_only_f1(gold, predicted: Sequence[Sequence[str]]) -> PRF:
     """Boundary-only F1: spans match on (start, end), types erased."""
-    return _span_counts(gold, predicted)[1]
+    return _span_counts(*_label_streams(gold, predicted))[1]
 
 
 def per_type_f1(gold, predicted: Sequence[Sequence[str]]) -> dict[str, PRF]:
     """Exact-match F1 split by entity type."""
-    return _span_counts(gold, predicted)[2]
+    return _span_counts(*_label_streams(gold, predicted))[2]
 
 
-def _confusion(gold: Sequence[str], predicted: Sequence[str], vocab: Sequence[str]) -> np.ndarray:
-    """counts[gold_index, predicted_index] over paired labels."""
-    size = len(vocab)
-    cells = _label_ids(gold, vocab) * size + _label_ids(predicted, vocab)
-    return np.bincount(cells, minlength=size * size).reshape(size, size)
+def _confusion(gold: np.ndarray, predicted: np.ndarray, names: Sequence[str],
+               size: int) -> np.ndarray:
+    """counts[gold_id, predicted_id] over paired label ids; an id past ``size``
+    is a label outside the vocabulary and raises ValueError naming it."""
+    for ids in (gold, predicted):
+        outside = np.flatnonzero(ids >= size)
+        if len(outside):
+            raise ValueError(f"label {names[ids[outside[0]]]!r} not in vocabulary")
+    return np.bincount(gold * size + predicted, minlength=size * size).reshape(size, size)
 
 
 def token_confusion(
     gold, predicted: Sequence[Sequence[str]], vocab: Sequence[str]
 ) -> np.ndarray:
     """counts[gold_index, predicted_index] over token-level labels."""
-    gold_flat, pred_flat, _ = _aligned(gold, predicted)
-    return _confusion(gold_flat, pred_flat, vocab)
+    gold_ids, pred_ids, _, names = _label_streams(gold, predicted, vocab)
+    return _confusion(gold_ids, pred_ids, names, len(vocab))
 
 
 def split_relation(label: str) -> tuple[str, str | None]:
@@ -170,7 +220,8 @@ def re_scores(gold, predicted: Sequence[str]) -> REScores:
 
 
 def re_confusion(gold, predicted: Sequence[str], vocab: Sequence[str]) -> np.ndarray:
-    return _confusion(_relations(gold, predicted), predicted, vocab)
+    gold = _relations(gold, predicted)
+    return _confusion(_label_ids(gold, vocab), _label_ids(predicted, vocab), vocab, len(vocab))
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +308,11 @@ class EvalReport:
 
 
 def tagging_report(gold: TaggedCorpus, predicted: Sequence[Sequence[str]]) -> EvalReport:
-    overall, spans, per_type = _span_counts(gold, predicted)
     # a model may predict labels the test corpus never uses; they join in first-seen order
-    vocab = tuple(dict.fromkeys([*gold.label_vocab, *(p for row in predicted for p in row)]))
+    gold_ids, pred_ids, offsets, names = _label_streams(gold, predicted, gold.label_vocab)
+    overall, spans, per_type = _span_counts(gold_ids, pred_ids, offsets, names)
+    # the report's labels end with the last predicted one; a gold label past them raises
+    size = max(len(gold.label_vocab), int(pred_ids.max(initial=-1)) + 1)
     return EvalReport(
         task="ner",
         summary={
@@ -275,8 +328,8 @@ def tagging_report(gold: TaggedCorpus, predicted: Sequence[Sequence[str]]) -> Ev
             t: {"precision": prf.precision, "recall": prf.recall, "f1": prf.f1, **asdict(prf)}
             for t, prf in per_type.items()
         },
-        confusion=token_confusion(gold, predicted, vocab),
-        confusion_vocab=vocab,
+        confusion=_confusion(gold_ids, pred_ids, names, size),
+        confusion_vocab=names[:size],
     )
 
 

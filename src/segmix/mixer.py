@@ -66,6 +66,17 @@ def _stable_bucket(surface: str, n_buckets: int) -> int:
     return int.from_bytes(digest[:8], "little") % n_buckets
 
 
+def _check_table_size(dim: int, n_buckets: int) -> None:
+    if dim < 1 or n_buckets < 1:
+        raise ValueError(f"an embedding table needs dim >= 1 and n_buckets >= 1, "
+                         f"got dim {dim} and n_buckets {n_buckets}")
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """The norm of every row as ``sqrt(r.dot(r))``, which is what ``np.linalg.norm(r)`` is."""
+    return np.sqrt([r.dot(r) for r in a])
+
+
 class EmbeddingTable:
     """Dense vectors for a fixed vocabulary with hash-bucket fallback.
 
@@ -79,6 +90,7 @@ class EmbeddingTable:
             raise ValueError(
                 f"need {len(tokens)} + {n_buckets} rows, got {vectors.shape}"
             )
+        _check_table_size(vectors.shape[1], n_buckets)
         self.tokens = tuple(tokens)
         self.vectors = np.asarray(vectors, dtype=np.float64)
         self.n_buckets = n_buckets
@@ -113,27 +125,49 @@ class EmbeddingTable:
         token-specific noise direction and rescaled to the sqrt(dim) row
         norm the random table has in expectation. Stands in for
         pretrained embeddings when only surface form carries similarity.
+
+        Built in whole-array steps with the numbers of a per-token loop:
+        each distinct trigram gets an id and a vector from its own
+        ``(seed, "gram", trigram)`` stream; a token of k characters has k
+        trigrams, so the tokens are grouped by length and each group's
+        gram rows are summed as one (tokens, k, dim) stack along axis 1,
+        which adds them in the order a sum over the token's list of gram
+        vectors does; the ``"tok-noise"`` stream is drawn as one
+        (tokens, dim) block; and every row norm is ``sqrt(r.dot(r))``, the
+        dot ``np.linalg.norm`` takes of a vector.
         """
-        cache: dict[str, np.ndarray] = {}
-
-        def gram_vec(gram: str) -> np.ndarray:
-            if gram not in cache:
-                cache[gram] = derive_rng(seed, "gram", gram).standard_normal(dim)
-            return cache[gram]
-
-        scale = np.sqrt(dim)
-        rows = np.zeros((len(tokens), dim))
-        tok_rng = derive_rng(seed, "tok-noise")
+        _check_table_size(dim, n_buckets)
+        if not (noise >= 0 and math.isfinite(noise)):
+            raise ValueError(f"noise must be nonnegative and finite, got {noise}")
+        gram_ids: dict[str, int] = {}
+        grams = [[gram_ids.setdefault(f"<{tok}>"[j : j + 3], len(gram_ids))
+                  for j in range(len(tok))] for tok in tokens]
+        vectors = np.empty((len(gram_ids), dim))
+        for row, gram in zip(vectors, gram_ids):
+            derive_rng(seed, "gram", gram).standard_normal(out=row)
+        n = len(tokens)
+        table = np.zeros((n + n_buckets, dim))
+        rows = table[:n]  # every step below writes in place, with the loop's operand order
+        by_length: dict[int, list[int]] = {}
         for i, tok in enumerate(tokens):
-            padded = f"<{tok}>"
-            grams = [padded[j : j + 3] for j in range(len(padded) - 2)]
-            v = np.sum([gram_vec(g) for g in grams], axis=0)
-            v = v / max(np.linalg.norm(v), 1e-9)
-            direction = tok_rng.standard_normal(dim)
-            v = v + noise * direction / np.linalg.norm(direction)
-            rows[i] = scale * v / np.linalg.norm(v)
-        buckets = derive_rng(seed, "buckets").standard_normal((n_buckets, dim))
-        return cls(tokens, np.vstack([rows, buckets]), n_buckets)
+            by_length.setdefault(len(tok), []).append(i)
+        for k, members in by_length.items():
+            if k:
+                rows[members] = vectors[[grams[i] for i in members]].sum(axis=1)
+        rows /= np.maximum(_row_norms(rows), 1e-9)[:, None]
+        direction = derive_rng(seed, "tok-noise").standard_normal((n, dim))
+        length = _row_norms(direction)[:, None]
+        direction *= noise
+        direction /= length
+        rows += direction
+        norms = _row_norms(rows)
+        if not norms.all():  # the noise cancelled the trigram direction exactly
+            raise ValueError(f"noise {noise} leaves token {tokens[int(norms.argmin())]!r} "
+                             f"a zero row")
+        rows *= np.sqrt(dim)
+        rows /= norms[:, None]
+        derive_rng(seed, "buckets").standard_normal(out=table[n:])
+        return cls(tokens, table, n_buckets)
 
     @property
     def dim(self) -> int:

@@ -206,20 +206,25 @@ def _re_loss_grad(model: REModel, example) -> tuple[float, np.ndarray]:
 
 
 def _tagger_rows(model: TaggerModel, examples: Sequence) -> Callable:
-    """Join the examples once, ``window`` zero rows apart; return a gather
-    from example indices to window features, targets and row weights
-    ``1/len(example)``."""
+    """Lay the examples out once for the whole run: their window features
+    (built from the examples joined ``window`` zero rows apart, which are
+    then freed), targets and row weights ``1/len(example)``, one row per
+    token with no gap rows. Returns the gather from example indices to
+    those rows."""
     lengths = np.array([len(e.embeddings) for e in examples])
     starts, total = _joined(lengths, model.window)
-    flat, target = np.zeros((total, model.dim)), np.zeros((total, len(model.labels)))
-    weight = np.zeros(total)
+    flat = np.zeros((total, model.dim))
     for example, lo, n in zip(examples, starts.tolist(), lengths.tolist()):
-        flat[lo : lo + n], target[lo : lo + n], weight[lo : lo + n] = (
-            example.embeddings, example.soft_labels, 1.0 / n)
+        flat[lo : lo + n] = example.embeddings
+    feats = _windows(flat, _ranges(starts, lengths), model.window)
+    del flat
+    target = np.concatenate([e.soft_labels for e in examples], dtype=np.float64)
+    weight = np.repeat(1.0 / lengths, lengths)
+    first = np.cumsum(lengths) - lengths
 
     def gather(batch: np.ndarray):
-        rows = _ranges(starts[batch], lengths[batch])
-        return _windows(flat, rows, model.window), target[rows], weight[rows]
+        rows = _ranges(first[batch], lengths[batch])
+        return feats[rows], target[rows], weight[rows]
 
     return gather
 
@@ -242,8 +247,9 @@ def _train(
     """Mini-batch SGD with optional early stopping on a validation score.
 
     Before epoch 0 the examples are checked and ``layout(model, examples)``
-    lays them out and returns the batch gather; each batch is then one
-    gather, one forward and one gradient matmul.
+    lays out their features, targets and row weights once for the run and
+    returns the batch gather; each batch is then one row gather from those
+    arrays, one forward and one gradient matmul.
     """
     if not examples:
         raise ValueError("empty training set")
@@ -309,11 +315,12 @@ def train_tagger(
     if val_corpus is not None:
         if table is None:
             raise ValueError("validation needs the embedding table")
-        from .evaluation import entity_f1
+        from .evaluation import _entity_scorer
+
+        score = _entity_scorer(val_corpus, model.labels)
 
         def score_fn(m, _corpus=val_corpus, _table=table):
-            pred = predict_tagger(m, _table, _corpus)
-            return entity_f1(_corpus, pred).f1
+            return score(_predict_ids(m, _table, _corpus)).f1
 
     return _train(model, examples, config, _tagger_rows, score_fn)
 
@@ -348,27 +355,31 @@ def _blocks(items: Sequence):
     return (items[lo : lo + _PREDICT_BLOCK] for lo in range(0, len(items), _PREDICT_BLOCK))
 
 
-def predict_tagger(
-    model: TaggerModel, table: EmbeddingTable, corpus: TaggedCorpus
-) -> list[list[str]]:
-    """Predicted label strings per sentence (argmax, no repair).
+def _predict_ids(model: TaggerModel, table: EmbeddingTable, corpus: TaggedCorpus) -> np.ndarray:
+    """The argmax label id of every token of the corpus, end to end.
 
     Sentences go in blocks, joined as the trainer joins its examples: one
     table lookup and one matmul per block.
     """
     _require_dim(model, table.dim)
-    out = []
+    out = [np.zeros(0, np.int64)]
     for block in _blocks(corpus.sentences):
         lengths = np.array([len(s.tokens) for s in block])
         starts, total = _joined(lengths, model.window)
         rows = _ranges(starts, lengths)
         flat = np.zeros((total, model.dim))
         flat[rows] = table.vectors[table.rows([t for s in block for t in s.tokens])]
-        best = (_windows(flat, rows, model.window) @ model.weights).argmax(axis=1)
-        names = [model.labels[i] for i in best.tolist()]
-        ends = np.cumsum(lengths).tolist()
-        out.extend(names[end - n : end] for end, n in zip(ends, lengths.tolist()))
-    return out
+        out.append((_windows(flat, rows, model.window) @ model.weights).argmax(axis=1))
+    return np.concatenate(out)
+
+
+def predict_tagger(
+    model: TaggerModel, table: EmbeddingTable, corpus: TaggedCorpus
+) -> list[list[str]]:
+    """Predicted label strings per sentence (argmax, no repair)."""
+    names = list(map(model.labels.__getitem__, _predict_ids(model, table, corpus).tolist()))
+    ends = np.cumsum([len(s.tokens) for s in corpus.sentences], dtype=np.int64).tolist()
+    return [names[end - len(s.tokens) : end] for end, s in zip(ends, corpus.sentences)]
 
 
 def predict_re(model: REModel, table: EmbeddingTable, corpus: RECorpus) -> list[str]:

@@ -97,6 +97,7 @@ def _spans(value) -> bool:
 # What a header or provenance field must be, as said in an error, and the test for it.
 _KINDS = {
     "a nonnegative integer": _count,
+    "a positive integer": lambda v: _count(v) and v > 0,
     "a nonnegative integer or null": lambda v: v is None or _count(v),
     "a string": lambda v: type(v) is str,
     "a number in [0, 1]": lambda v: type(v) in (int, float) and 0 <= v <= 1,
@@ -136,9 +137,9 @@ _HEADER_FIELDS = {
 }
 _TABLE_FIELDS = {
     "tokens": "a list of strings",
-    "dim": "a nonnegative integer",
+    "dim": "a positive integer",
     "seed": "a nonnegative integer",
-    "n_buckets": "a nonnegative integer",
+    "n_buckets": "a positive integer",
 }
 _PROVENANCE_FIELDS = {  # "replacements", when present, is "a list of strings"
     "example_index": "a nonnegative integer",
@@ -305,10 +306,10 @@ _CKPT_VERSION = 1
 _CKPT_FIELDS = {
     "kind": "'tagger' or 're'",
     "labels": "a list of strings",
-    "dim": "a nonnegative integer",
+    "dim": "a positive integer",
     "weights_shape": "a list of nonnegative integers",
     "table_tokens": "a list of strings",
-    "table_buckets": "a nonnegative integer",
+    "table_buckets": "a positive integer",
     "table_shape": "a list of nonnegative integers",
     "meta": "a JSON object",
 }

@@ -543,3 +543,50 @@ def test_recover_refuses_a_bad_provenance_record_with_its_line(tmp_path, ner_fil
     assert run("recover", "--augmented", aug) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: line 2: provenance 'lam'") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["train", "augment"])
+@pytest.mark.parametrize("flag", ["--dim", "--n-buckets"])
+def test_a_table_size_below_one_is_one_error_line(tmp_path, ner_file, capsys, command, flag):
+    out = tmp_path / "out"
+    files = ("--train", ner_file, "--checkpoint", out) if command == "train" else (
+        "--input", ner_file, "--output", out)
+    assert run(command, *files, flag, "0") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: an embedding table needs dim >= 1 and n_buckets >= 1")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field_name", ["dim", "table_buckets"])
+def test_eval_refuses_a_checkpoint_table_of_size_zero(tmp_path, ner_file, capsys, field_name):
+    ckpt = tmp_path / "m.ckpt"
+    assert run("train", "--train", ner_file, "--checkpoint", ckpt, "--epochs", "1") == 0
+    _rewrite_checkpoint(ckpt, _set(**{field_name: 0}))
+    capsys.readouterr()
+    assert run("eval", "--checkpoint", ckpt, "--test", ner_file) == 1
+    err = capsys.readouterr().err
+    assert f"checkpoint header '{field_name}' must be a positive integer, got 0" in err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("field_name", ["dim", "n_buckets"])
+def test_recover_refuses_a_table_record_of_size_zero(tmp_path, ner_file, capsys, field_name):
+    aug = tmp_path / "aug.jsonl"
+    assert run("augment", "--input", ner_file, "--output", aug) == 0
+    lines = aug.read_text().splitlines(keepends=True)
+    header = json.loads(lines[0])
+    header["meta"]["table"][field_name] = 0
+    aug.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+    capsys.readouterr()
+    assert run("recover", "--augmented", aug) == 1
+    err = capsys.readouterr().err
+    assert f"augmented table record '{field_name}' must be a positive integer, got 0" in err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_a_malformed_label_is_reported_with_its_line(tmp_path, capsys):
+    path = tmp_path / "bad.conll"
+    path.write_text("Paris\tB-LOC\nis\tO\n\nRome\tX-FOO\n")
+    assert run("train", "--train", path, "--checkpoint", tmp_path / "m.ckpt") == 1
+    assert capsys.readouterr().err == "error: line 4: not a BIO label: 'X-FOO'\n"

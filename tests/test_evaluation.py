@@ -4,10 +4,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from segmix.corpus import Sentence, TaggedCorpus, bio_spans
+from segmix.corpus import Sentence, TaggedCorpus, _mentions, bio_spans, split_bio
 from segmix.evaluation import (
     PRF,
+    _entity_scorer,
     entity_f1,
     nearest_token,
     nearest_tokens,
@@ -272,3 +275,111 @@ def test_tagging_report_extends_vocab_with_unseen_predictions():
     assert report.summary["f1"] == 0.0
     assert report.confusion_vocab == ("B-PER", "O", "B-LOC")
     assert report.confusion.tolist() == [[0, 0, 1], [0, 1, 0], [0, 0, 0]]
+
+
+# ------------------------------------------------- id path vs string path
+
+def _string_span_counts(gold, predicted):
+    """Span counts read from the label strings, each stream flattened and
+    every label split where it stands: the oracle the id path must equal."""
+    gold = [s.labels for s in gold.sentences] if isinstance(gold, TaggedCorpus) else gold
+    gold_flat = [label for row in gold for label in row]
+    pred_flat = [label for row in predicted for label in row]
+    offsets = np.concatenate([[0], np.cumsum([len(row) for row in gold])]).astype(np.int64)
+    n = len(gold_flat)
+    index, types = {}, {}
+    kind, etype = [], []
+    for label in gold_flat + pred_flat:
+        k, t = split_bio(label)
+        index.setdefault(label, len(index))
+        kind.append("OBI".index(k))
+        etype.append(-1 if t is None else types.setdefault(t, len(types)))
+    kind, etype, types = np.array(kind, np.int64), np.array(etype, np.int64), tuple(types)
+    starts, ends = _mentions(kind, etype, np.concatenate([offsets, offsets[1:] + n]))
+    spans = [{(s - side * n, e - side * n, types[etype[s]]) for s, e in zip(starts, ends)
+              if (s >= n) == side} for side in (0, 1)]
+    gold_spans, pred_spans_ = spans
+    per_type = {}
+    for t in sorted({t for *_, t in gold_spans | pred_spans_}):
+        g = {x for x in gold_spans if x[2] == t}
+        p = {x for x in pred_spans_ if x[2] == t}
+        per_type[t] = PRF(len(g & p), len(p - g), len(g - p))
+    untyped = [{x[:2] for x in side} for side in spans]
+    tp = len(gold_spans & pred_spans_)
+    span_tp = len(untyped[0] & untyped[1])
+    return (PRF(tp, len(pred_spans_) - tp, len(gold_spans) - tp),
+            PRF(span_tp, len(pred_spans_) - span_tp, len(gold_spans) - span_tp), per_type)
+
+
+def _string_confusion(gold, predicted, vocab):
+    gold = [s.labels for s in gold.sentences] if isinstance(gold, TaggedCorpus) else gold
+    at = {label: i for i, label in enumerate(vocab)}
+    counts = np.zeros((len(vocab), len(vocab)), np.int64)
+    for g_row, p_row in zip(gold, predicted):
+        for g, p in zip(g_row, p_row):
+            counts[at[g], at[p]] += 1
+    return counts
+
+
+_GOLD_LABELS = ("O", "B-PER", "I-PER", "B-LOC", "I-LOC")
+_MODEL_LABELS = _GOLD_LABELS + ("B-ORG", "I-ORG", "I-X")  # three the gold never uses
+
+
+@st.composite
+def _scored_streams(draw):
+    lengths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=12))
+    gold = [draw(st.lists(st.sampled_from(_GOLD_LABELS), min_size=n, max_size=n))
+            for n in lengths]
+    labels = draw(st.permutations(_MODEL_LABELS))
+    ids = draw(st.lists(st.integers(0, len(labels) - 1), min_size=sum(lengths),
+                        max_size=sum(lengths)))
+    return TaggedCorpus.from_sentences(Sentence(("w",) * len(g), tuple(g)) for g in gold), \
+        tuple(labels), np.array(ids, np.int64), lengths
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scored_streams())
+def test_id_path_scores_equal_the_string_path(streams):
+    gold, labels, ids, lengths = streams
+    ends = np.cumsum(lengths)
+    pred = [[labels[i] for i in ids[end - n : end]] for end, n in zip(ends, lengths)]
+    overall, spans, per_type = _string_span_counts(gold, pred)
+
+    assert entity_f1(gold, pred) == overall
+    assert span_only_f1(gold, pred) == spans
+    assert per_type_f1(gold, pred) == per_type
+    assert _entity_scorer(gold, labels)(ids) == overall
+    assert entity_f1([list(s.labels) for s in gold.sentences], pred) == overall
+
+    vocab = tuple(dict.fromkeys([*gold.label_vocab, *(p for row in pred for p in row)]))
+    assert np.array_equal(token_confusion(gold, pred, vocab), _string_confusion(gold, pred, vocab))
+    report = tagging_report(gold, pred)
+    assert report.confusion_vocab == vocab
+    assert np.array_equal(report.confusion, _string_confusion(gold, pred, vocab))
+    assert report.summary["f1"] == overall.f1 and report.summary["span_f1"] == spans.f1
+    assert list(report.per_type) == list(per_type)
+
+
+def test_scoring_refuses_the_first_label_that_is_not_bio_and_only_labels_it_reads():
+    with pytest.raises(ValueError, match="not a BIO label: 'X-FOO'"):
+        entity_f1([["O", "B-A"]], [["X-FOO", "Y-BAR"]])
+    with pytest.raises(ValueError, match="label 'I-Q' not in vocabulary"):
+        token_confusion([["O", "I-Q"]], [["O", "O"]], ("O", "B-A"))
+    gold = TaggedCorpus.from_sentences([Sentence(("a", "b"), ("B-A", "O"))])
+    score = _entity_scorer(gold, ("O", "B-A", "junk"))  # a label never predicted is never read
+    assert score(np.array([1, 0])) == PRF(1, 0, 0)
+    with pytest.raises(ValueError, match="not a BIO label: 'junk'"):
+        score(np.array([2, 0]))
+
+
+def test_tagging_report_reads_the_corpus_vocabulary_as_given():
+    sentences = (Sentence(("Ann", "ran"), ("B-PER", "O")),)
+    listed = TaggedCorpus(sentences, label_vocab=("O", "B-PER", "B-ORG"))  # ORG never used
+    report = tagging_report(listed, [["B-PER", "O"]])
+    assert list(report.per_type) == ["PER"]
+    assert report.confusion_vocab == ("O", "B-PER", "B-ORG")
+    unlisted = TaggedCorpus(sentences, label_vocab=("O",))  # B-PER used but not listed
+    for predicted in (["O", "O"], ["B-LOC", "O"]):
+        with pytest.raises(ValueError, match="label 'B-PER' not in vocabulary"):
+            tagging_report(unlisted, [predicted])
+    assert tagging_report(unlisted, [["B-PER", "O"]]).confusion_vocab == ("O", "B-PER")

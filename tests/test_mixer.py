@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from segmix.corpus import (
@@ -45,6 +45,7 @@ from segmix.pools import (
     build_token_pool,
     identity_lexicon,
 )
+from segmix.rng import derive_rng
 
 
 def single_entry_pool(tokens, labels, source="mention"):
@@ -91,6 +92,85 @@ def test_subword_table_groups_similar_surfaces():
     assert np.linalg.norm(base - inflected) < np.linalg.norm(base - unrelated)
     norms = np.linalg.norm(table.vectors[: len(tokens)], axis=1)
     assert np.allclose(norms, np.sqrt(32))
+
+
+def _per_token_subword(tokens, dim, seed, noise=0.45, n_buckets=64):
+    """The subword table built one token at a time, with a gram-vector cache:
+    the oracle ``EmbeddingTable.subword`` must equal bit for bit."""
+    cache = {}
+
+    def gram_vec(gram):
+        if gram not in cache:
+            cache[gram] = derive_rng(seed, "gram", gram).standard_normal(dim)
+        return cache[gram]
+
+    scale = np.sqrt(dim)
+    rows = np.zeros((len(tokens), dim))
+    tok_rng = derive_rng(seed, "tok-noise")
+    for i, tok in enumerate(tokens):
+        padded = f"<{tok}>"
+        grams = [padded[j : j + 3] for j in range(len(padded) - 2)]
+        v = np.sum([gram_vec(g) for g in grams], axis=0)
+        v = v / max(np.linalg.norm(v), 1e-9)
+        direction = tok_rng.standard_normal(dim)
+        v = v + noise * direction / np.linalg.norm(direction)
+        rows[i] = scale * v / np.linalg.norm(v)
+    buckets = derive_rng(seed, "buckets").standard_normal((n_buckets, dim))
+    return np.vstack([rows, buckets])
+
+
+_SURFACES = st.one_of(
+    st.text("ab", min_size=1, max_size=3),  # short, so duplicates and 1-character tokens
+    st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=40),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(_SURFACES, max_size=40),
+    st.integers(1, 64),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.0, 0.05, 0.45, 1.0, 3.5]),
+    st.integers(1, 8),
+)
+@example([], 8, 3, 0.45, 64)
+@example(["x"], 8, 3, 0.45, 64)
+@example(["a" * 30], 8, 3, 0.45, 64)
+@example(["ab", "ab", "é漢"], 8, 3, 0.45, 64)
+def test_subword_table_is_the_per_token_table(tokens, dim, seed, noise, n_buckets):
+    with np.errstate(invalid="ignore"):
+        want = _per_token_subword(tokens, dim, seed, noise, n_buckets)
+    if np.isnan(want).any():  # at dim 1 a noise of 1 can cancel a row exactly
+        with pytest.raises(ValueError, match="a zero row"):
+            EmbeddingTable.subword(tokens, dim, seed, noise=noise, n_buckets=n_buckets)
+        return
+    got = EmbeddingTable.subword(tokens, dim, seed, noise=noise, n_buckets=n_buckets)
+    assert np.array_equal(got.vectors, want)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: EmbeddingTable.random(["a"], dim=0, seed=0),
+    lambda: EmbeddingTable.random(["a"], dim=4, seed=0, n_buckets=0),
+    lambda: EmbeddingTable.subword(["a"], dim=0, seed=0),
+    lambda: EmbeddingTable.subword(["a"], dim=4, seed=0, n_buckets=0),
+    lambda: EmbeddingTable(["a"], np.zeros((2, 0)), n_buckets=1),
+], ids=["random dim", "random buckets", "subword dim", "subword buckets", "zero-width rows"])
+def test_a_table_of_size_zero_is_refused(build):
+    with pytest.raises(ValueError, match="dim >= 1 and n_buckets >= 1"):
+        build()
+
+
+def test_subword_table_refuses_a_row_the_noise_cancels():
+    # at dim 1 the trigram and noise directions are each +1 or -1
+    with pytest.raises(ValueError, match="leaves token 'a' a zero row"):
+        for seed in range(64):
+            EmbeddingTable.subword(["a"], dim=1, seed=seed, noise=1.0)
+
+
+@pytest.mark.parametrize("noise", [float("nan"), float("inf"), -0.1])
+def test_subword_table_refuses_a_negative_or_non_finite_noise(noise):
+    with pytest.raises(ValueError, match="noise must be nonnegative and finite"):
+        EmbeddingTable.subword(["a", "b"], dim=4, seed=0, noise=noise)
 
 
 def test_one_hot():

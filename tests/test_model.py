@@ -1,5 +1,6 @@
 """Soft-target losses, SGD training, gradient checks, and checkpoints."""
 
+import hashlib
 import struct
 from dataclasses import replace
 
@@ -11,11 +12,13 @@ from hypothesis import strategies as st
 from segmix.corpus import RECorpus, RESample, Sentence, Span, TaggedCorpus
 from segmix.mixer import (
     EmbeddingTable,
+    MixConfig,
     MixedExample,
     MixedRESample,
     Provenance,
     encode_corpus,
     encode_re_corpus,
+    segmix_generate,
 )
 from segmix.model import (
     REModel,
@@ -36,6 +39,7 @@ from segmix.model import (
 )
 from segmix.rng import derive_rng
 from segmix.serialization import load_checkpoint, save_checkpoint, write_loss_trace
+from segmix.synth import synth_re_corpus, synth_tagged_corpus
 
 
 # ---------------------------------------------------------------- losses
@@ -421,6 +425,49 @@ def test_blocked_predict_re_matches_per_sample_forward(n_samples, seed):
         for s in samples
     ]
     assert predict_re(model, table, corpus) == want
+
+
+# ------------------------------------------------------- bit-exact pins
+
+# sha256 of the trained weights' bytes on fixed synthetic corpora, 60 epochs each.
+# They hold the run-level window layout, the whole-array subword table and the
+# id-path validation score to the numbers of the per-batch, per-token code they
+# replaced; a change here is a change in the trained models.
+_WEIGHT_PINS = {
+    "table": "f44a0fa1a41403e087ae04fd550987d50ddb3f8b341c07112e970f01b1fe2070",
+    "tagger": "19264ac3ef97370b114626f538cc031ee651cc82365fbf6ba02d88ec11091e68",
+    "tagger, validated": "8860d069e511aac5d9c3bf981b429e57140e7cc8187de8b0205c91662a55915d",
+    "re": "6b0afb5bc683f3b2f32ebf7684e96da10c68061964bda29043211d86cb6200dd",
+}
+
+
+def _sha256(array: np.ndarray) -> str:
+    return hashlib.sha256(array.tobytes()).hexdigest()
+
+
+def test_trained_weights_are_pinned_bit_for_bit():
+    train = synth_tagged_corpus(80, seed=5, skew=1.0, inflect=0.3)
+    val = synth_tagged_corpus(40, seed=6, inflect=0.3)
+    table = EmbeddingTable.subword(
+        list(dict.fromkeys([*train.token_vocab, *val.token_vocab])), 16, seed=3)
+    mixed = segmix_generate(train, None, table, MixConfig(rate=0.5, alpha=8.0, seed=1))
+    examples = encode_corpus(train, table) + mixed.examples
+    config = TrainConfig(epochs=60, learning_rate=0.3, batch_size=16, patience=61, seed=4)
+    tagger = train_tagger(TaggerModel.init(train.label_vocab, 16, seed=2), examples, config)
+    validated = train_tagger(TaggerModel.init(train.label_vocab, 16, window=2, seed=2),
+                             examples, replace(config, patience=5), val, table)
+    assert (validated.best_epoch, len(validated.loss_trace)) == (5, 11)
+
+    re_train = synth_re_corpus(80, seed=5)
+    re_table = EmbeddingTable.subword(re_train.token_vocab, 16, seed=3)
+    mixed = segmix_generate(re_train, None, re_table,
+                            MixConfig(variant="relation", rate=0.5, alpha=8.0, seed=1))
+    re_examples = encode_re_corpus(re_train, re_table) + mixed.examples
+    re_model = train_re(REModel.init(re_train.relation_vocab, 16, seed=2), re_examples, config)
+
+    got = {"table": table.vectors, "tagger": tagger.model.weights,
+           "tagger, validated": validated.model.weights, "re": re_model.model.weights}
+    assert {name: _sha256(a) for name, a in got.items()} == _WEIGHT_PINS
 
 
 # ---------------------------------------------------------------- gradients
