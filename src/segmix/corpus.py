@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence, TextIO, Union
+from typing import Iterable, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -44,16 +44,15 @@ def split_bio(label: str) -> tuple[str, str | None]:
 _O, _B, _I = range(3)  # label kinds, numbered by their place in "OBI"
 
 
-def _bio_kinds(ids: np.ndarray, vocab: Sequence[str]) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-    """Kind (``_O``/``_B``/``_I``) and entity-type id of every label in a flat
-    stream of ids into ``vocab``, read from per-vocabulary tables.
+def _bio_tables(vocab: Sequence[str]) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """Kind (``_O``/``_B``/``_I``, or -1 for a label that is not BIO) and
+    entity-type id of every label of ``vocab``, each label split once.
 
     Type ids index the returned type names, numbered in vocabulary order;
-    an O label has type -1. Each vocabulary label is split once. Refuses
-    the first label of the stream that is not BIO, as :func:`split_bio` does.
+    an O label, and a label that is not BIO, has type -1.
     """
     types: dict[str, int] = {}
-    kind_of = np.full(len(vocab), -1, np.int64)  # -1: not a BIO label
+    kind_of = np.full(len(vocab), -1, np.int64)
     type_of = np.full(len(vocab), -1, np.int64)
     for i, label in enumerate(vocab):
         try:
@@ -62,11 +61,21 @@ def _bio_kinds(ids: np.ndarray, vocab: Sequence[str]) -> tuple[np.ndarray, np.nd
             continue
         kind_of[i] = "OBI".index(kind)
         type_of[i] = -1 if etype is None else types.setdefault(etype, len(types))
+    return kind_of, type_of, tuple(types)
+
+
+def _bio_kinds(ids: np.ndarray, vocab: Sequence[str]) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """:func:`_bio_tables` read for a flat stream of ids into ``vocab``.
+
+    Refuses the first label of the stream that is not BIO, as
+    :func:`split_bio` does.
+    """
+    kind_of, type_of, types = _bio_tables(vocab)
     kind = kind_of[ids]
     bad = np.flatnonzero(kind < 0)
     if len(bad):
         split_bio(vocab[ids[bad[0]]])
-    return kind, type_of[ids], tuple(types)
+    return kind, type_of[ids], types
 
 
 def _bio_arrays(labels: Iterable[str]) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
@@ -239,11 +248,8 @@ class RECorpus:
 Corpus = Union[TaggedCorpus, RECorpus]
 
 
-def _iter_lines(source: str | TextIO | Iterable[str]) -> Iterator[str]:
-    if isinstance(source, str):
-        yield from io.StringIO(source)
-    else:
-        yield from source
+def _iter_lines(source: str | TextIO | Iterable[str]) -> Iterable[str]:
+    return io.StringIO(source) if isinstance(source, str) else source
 
 
 def parse_conll(source: str | TextIO | Iterable[str], repair_bio: bool = False) -> TaggedCorpus:
@@ -251,46 +257,70 @@ def parse_conll(source: str | TextIO | Iterable[str], repair_bio: bool = False) 
 
     ``repair_bio=True`` promotes stray I-X labels to B-X instead of
     rejecting the sentence (public corpora contain such noise).
+
+    One pass reads the tokens, labels and blank and ``-DOCSTART-`` line
+    numbers, up to a line of any other field count; the labels are then
+    checked as whole arrays. Of several faults the one on the earliest line
+    is raised, a stray I-X on the line that closes its sentence (the blank
+    line, or one past the last line).
     """
-    sentences: list[Sentence] = []
     tokens: list[str] = []
     labels: list[str] = []
-
-    def flush(lineno: int):
-        if not tokens:
-            return
-        try:
-            fixed = validate_bio(labels, repair=repair_bio)
-        except BioValidationError as err:
-            raise BioValidationError(
-                f"sentence {len(sentences)} (ending line {lineno}): {err}"
-            ) from None
-        sentences.append(Sentence(tuple(tokens), fixed))
-        tokens.clear()
-        labels.clear()
-
-    lineno = 0
-    for lineno, raw in enumerate(_iter_lines(source), start=1):
-        line = raw.rstrip("\n").rstrip("\r")
-        if not line.strip():
-            flush(lineno)
-            continue
+    gaps: list[int] = []  # blank and -DOCSTART- lines
+    blanks: list[int] = []
+    add_token, add_label = tokens.append, labels.append
+    lineno = bad_fields = 0
+    for lineno, line in enumerate(_iter_lines(source), start=1):
         fields = line.split()
-        if fields[0] == "-DOCSTART-":
-            continue
-        if len(fields) != 2:
-            raise CorpusFormatError(
-                f"line {lineno}: expected '<token> <label>', got {len(fields)} fields"
-            )
-        token, label = fields
-        try:
-            split_bio(label)
-        except CorpusFormatError as err:
-            raise CorpusFormatError(f"line {lineno}: {err}") from None
-        tokens.append(token)
-        labels.append(label)
-    flush(lineno + 1)
-    return TaggedCorpus.from_sentences(sentences)
+        if len(fields) == 2 and fields[0] != "-DOCSTART-":
+            add_token(fields[0])
+            add_label(fields[1])
+        elif not fields:
+            gaps.append(lineno)
+            blanks.append(lineno)
+        elif fields[0] == "-DOCSTART-":
+            gaps.append(lineno)
+        else:
+            bad_fields = len(fields)
+            break
+    n = len(tokens)
+    gap_tokens = np.array(gaps, np.int64) - np.arange(1, len(gaps) + 1)  # tokens before each gap
+    blank_tokens = gap_tokens[np.searchsorted(gaps, blanks)]
+    closing = np.flatnonzero(np.diff(blank_tokens, prepend=0) > 0)  # the first blank after a token
+    bounds = [0, *blank_tokens[closing].tolist()]  # sentence i is tokens bounds[i]:bounds[i + 1]
+    end_lines = np.array(blanks, np.int64)[closing].tolist()
+    if n > bounds[-1]:
+        bounds.append(n)
+        end_lines.append(lineno + 1)  # after a bad line, which is raised first
+
+    vocab = tuple(dict.fromkeys(labels))
+    ids = np.fromiter(map({l: i for i, l in enumerate(vocab)}.__getitem__, labels), np.int64, n)
+    kind_of, type_of, _ = _bio_tables(vocab)
+    kind = kind_of[ids]
+    mention_starts, _ = _mentions(kind, type_of[ids], bounds)
+    stray = mention_starts[kind[mention_starts] == _I].tolist()
+    faults: list[tuple[int, CorpusFormatError]] = []
+    if bad_fields:
+        faults.append((lineno, CorpusFormatError(
+            f"line {lineno}: expected '<token> <label>', got {bad_fields} fields")))
+    not_bio = np.flatnonzero(kind < 0)
+    if len(not_bio):
+        t = int(not_bio[0])
+        line = t + 1 + int(np.searchsorted(gap_tokens, t, side="right"))
+        faults.append((line, CorpusFormatError(f"line {line}: not a BIO label: {labels[t]!r}")))
+    if stray and not repair_bio:
+        p = stray[0]
+        k = int(np.searchsorted(bounds, p, side="right")) - 1
+        etype = labels[p][2:]
+        faults.append((end_lines[k], BioValidationError(
+            f"sentence {k} (ending line {end_lines[k]}): I-{etype} at position {p - bounds[k]} "
+            f"has no preceding B-{etype}/I-{etype}")))
+    if faults:
+        raise min(faults, key=lambda fault: fault[0])[1]
+    for p in stray:  # only left when repairing
+        labels[p] = "B-" + labels[p][2:]
+    return TaggedCorpus.from_sentences(
+        Sentence(tuple(tokens[a:b]), tuple(labels[a:b])) for a, b in zip(bounds, bounds[1:]))
 
 
 def parse_re(source: str | TextIO | Iterable[str]) -> RECorpus:
@@ -304,6 +334,9 @@ def parse_re(source: str | TextIO | Iterable[str]) -> RECorpus:
         if len(fields) != 6:
             raise CorpusFormatError(f"line {lineno}: expected 6 fields, got {len(fields)}")
         text, *offsets, relation = fields
+        if not relation or relation != relation.strip():
+            raise CorpusFormatError(f"line {lineno}: relation {relation!r} is empty or "
+                                    f"padded with whitespace")
         tokens = tuple(text.split())
         try:
             s1, e1, s2, e2 = (int(x) for x in offsets)

@@ -50,7 +50,7 @@ from .pools import (
     build_sequence_pool,
     build_token_pool,
 )
-from .rng import derive_rng
+from .rng import derive_rng, derive_rngs
 
 log = logging.getLogger(__name__)
 
@@ -73,8 +73,9 @@ def _check_table_size(dim: int, n_buckets: int) -> None:
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
-    """The norm of every row as ``sqrt(r.dot(r))``, which is what ``np.linalg.norm(r)`` is."""
-    return np.sqrt([r.dot(r) for r in a])
+    """The norm of every row as ``sqrt(r.dot(r))``, which is what ``np.linalg.norm(r)`` is,
+    taken as one stack of (1, dim) @ (dim, 1) products."""
+    return np.sqrt(np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0])
 
 
 class EmbeddingTable:
@@ -128,13 +129,15 @@ class EmbeddingTable:
 
         Built in whole-array steps with the numbers of a per-token loop:
         each distinct trigram gets an id and a vector from its own
-        ``(seed, "gram", trigram)`` stream; a token of k characters has k
+        ``(seed, "gram", trigram)`` stream, all streams seeded at once by
+        :func:`~segmix.rng.derive_rngs`; a token of k characters has k
         trigrams, so the tokens are grouped by length and each group's
         gram rows are summed as one (tokens, k, dim) stack along axis 1,
         which adds them in the order a sum over the token's list of gram
         vectors does; the ``"tok-noise"`` stream is drawn as one
         (tokens, dim) block; and every row norm is ``sqrt(r.dot(r))``, the
-        dot ``np.linalg.norm`` takes of a vector.
+        dot ``np.linalg.norm`` takes of a vector, for all rows in one
+        stacked matmul.
         """
         _check_table_size(dim, n_buckets)
         if not (noise >= 0 and math.isfinite(noise)):
@@ -143,8 +146,8 @@ class EmbeddingTable:
         grams = [[gram_ids.setdefault(f"<{tok}>"[j : j + 3], len(gram_ids))
                   for j in range(len(tok))] for tok in tokens]
         vectors = np.empty((len(gram_ids), dim))
-        for row, gram in zip(vectors, gram_ids):
-            derive_rng(seed, "gram", gram).standard_normal(out=row)
+        for row, rng in zip(vectors, derive_rngs(seed, "gram", gram_ids)):
+            rng.standard_normal(out=row)
         n = len(tokens)
         table = np.zeros((n + n_buckets, dim))
         rows = table[:n]  # every step below writes in place, with the loop's operand order

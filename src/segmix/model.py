@@ -205,12 +205,17 @@ def _re_loss_grad(model: REModel, example) -> tuple[float, np.ndarray]:
     return float(loss), np.outer(feats, dlogits)
 
 
-def _tagger_rows(model: TaggerModel, examples: Sequence) -> Callable:
+# features, targets and row weights of a run, and the rows of an epoch's order
+_Layout = tuple[np.ndarray, np.ndarray, np.ndarray, Callable]
+
+
+def _tagger_rows(model: TaggerModel, examples: Sequence) -> _Layout:
     """Lay the examples out once for the whole run: their window features
     (built from the examples joined ``window`` zero rows apart, which are
     then freed), targets and row weights ``1/len(example)``, one row per
-    token with no gap rows. Returns the gather from example indices to
-    those rows."""
+    token with no gap rows. Also returns the rows of an epoch: for an
+    order of the examples, their rows in that order and the bounds
+    between examples (``bounds[i]`` rows come before example ``order[i]``)."""
     lengths = np.array([len(e.embeddings) for e in examples])
     starts, total = _joined(lengths, model.window)
     flat = np.zeros((total, model.dim))
@@ -222,19 +227,18 @@ def _tagger_rows(model: TaggerModel, examples: Sequence) -> Callable:
     weight = np.repeat(1.0 / lengths, lengths)
     first = np.cumsum(lengths) - lengths
 
-    def gather(batch: np.ndarray):
-        rows = _ranges(first[batch], lengths[batch])
-        return feats[rows], target[rows], weight[rows]
+    def epoch_rows(order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return _ranges(first[order], lengths[order]), np.append(0, np.cumsum(lengths[order]))
 
-    return gather
+    return feats, target, weight, epoch_rows
 
 
-def _re_rows(model: REModel, examples: Sequence) -> Callable:
+def _re_rows(model: REModel, examples: Sequence) -> _Layout:
     """Pool every example's spans once; one row per example, weight 1."""
     feats = _pooled(model.dim, [(e.embeddings, e.e1, e.e2) for e in examples])
     target = np.array([e.soft_relation for e in examples])
     weight = np.ones(len(examples))
-    return lambda batch: (feats[batch], target[batch], weight[batch])
+    return feats, target, weight, lambda order: (order, np.arange(len(order) + 1))
 
 
 def _train(
@@ -247,16 +251,16 @@ def _train(
     """Mini-batch SGD with optional early stopping on a validation score.
 
     Before epoch 0 the examples are checked and ``layout(model, examples)``
-    lays out their features, targets and row weights once for the run and
-    returns the batch gather; each batch is then one row gather from those
-    arrays, one forward and one gradient matmul.
+    lays out their features, targets and row weights once for the run.
+    Each epoch takes the rows of its order once; each batch is then one
+    gather of a slice of those rows, one forward and one gradient matmul.
     """
     if not examples:
         raise ValueError("empty training set")
     problem = _examples_problem(examples, isinstance(model, REModel), model.dim, len(model.labels))
     if problem:
         raise ValueError(f"training {problem}")
-    gather = layout(model, examples)
+    feats_all, target_all, weight_all, epoch_rows = layout(model, examples)
     rng = derive_rng(config.seed, "train-shuffle")
     trace: list[float] = []
     scores: list[float] = []
@@ -266,17 +270,20 @@ def _train(
     stale = 0
     for epoch in range(config.epochs):
         order = rng.permutation(len(examples))
+        rows, bounds = epoch_rows(order)
+        edges = [*range(0, len(order), config.batch_size), len(order)]
+        cuts = bounds[edges].tolist()
         total = 0.0
-        for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
-            feats, target, weight = gather(batch)
+        for count, lo, hi in zip(np.diff(edges).tolist(), cuts, cuts[1:]):
+            r = rows[lo:hi]
+            feats, target, weight = feats_all.take(r, 0), target_all.take(r, 0), weight_all.take(r)
             logits = feats @ model.weights
             if not np.isfinite(logits).all():
                 raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
             loss, dlogits = _soft_loss(logits, target)
             total += float(loss @ weight)
             grad = feats.T @ (dlogits * weight[:, None])
-            model.weights -= config.learning_rate * grad / len(batch)
+            model.weights -= config.learning_rate * grad / count
         mean_loss = total / len(examples)
         if not np.isfinite(mean_loss):
             raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")

@@ -320,6 +320,14 @@ def test_from_manifest_rejects_changed_input(tmp_path, ner_file, capsys):
 
 # ---------------------------------------------------------------- bad values
 
+def test_augment_empty_relation_exits_1(tmp_path, capsys):
+    corpus = tmp_path / "train.tsv"
+    corpus.write_text("the storm caused damage\t1\t2\t3\t4\t\n")
+    assert run("augment", "--task", "re", "--input", corpus, "--output", tmp_path / "o") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1: relation '' is empty") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("flag,value", [("--alpha", "inf"), ("--alpha", "nan"), ("--rate", "nan")])
 def test_augment_non_finite_value_exits_1(tmp_path, ner_file, capsys, flag, value):
     out = tmp_path / "aug.jsonl"

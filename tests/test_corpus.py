@@ -245,6 +245,101 @@ def test_parse_conll_empty_input():
     assert len(parse_conll("\n\n\n")) == 0
 
 
+def _per_line_parse_conll(source, repair_bio=False):
+    """The line-at-a-time parse ``parse_conll`` replaced: the oracle for its
+    sentences, vocabularies, and which error it raises with what message."""
+    sentences, tokens, labels = [], [], []
+
+    def flush(lineno):
+        if not tokens:
+            return
+        try:
+            fixed = validate_bio(labels, repair=repair_bio)
+        except BioValidationError as err:
+            raise BioValidationError(
+                f"sentence {len(sentences)} (ending line {lineno}): {err}"
+            ) from None
+        sentences.append(Sentence(tuple(tokens), fixed))
+        tokens.clear()
+        labels.clear()
+
+    lineno = 0
+    lines = io.StringIO(source) if isinstance(source, str) else source
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n").rstrip("\r")
+        if not line.strip():
+            flush(lineno)
+            continue
+        fields = line.split()
+        if fields[0] == "-DOCSTART-":
+            continue
+        if len(fields) != 2:
+            raise CorpusFormatError(
+                f"line {lineno}: expected '<token> <label>', got {len(fields)} fields"
+            )
+        token, label = fields
+        try:
+            split_bio(label)
+        except CorpusFormatError as err:
+            raise CorpusFormatError(f"line {lineno}: {err}") from None
+        tokens.append(token)
+        labels.append(label)
+    flush(lineno + 1)
+    return TaggedCorpus.from_sentences(sentences)
+
+
+_GAP_LINES = ("", " ", "\t ", "\r", "-DOCSTART-", "-DOCSTART- O", "-DOCSTART-\tO\tx")
+
+
+@st.composite
+def _conll_lines(draw):
+    """Lines of a CoNLL text with "\\n" or "\\r\\n" endings (the last maybe
+    none); a noisy text also has lines of 1 or 3 fields and labels that are
+    not BIO."""
+    noisy = draw(st.booleans())
+    labels = ("O", "B-A", "I-A", "B-B", "I-B") + (("Q-A", "I-", "o") if noisy else ())
+    specials = _GAP_LINES + (("a", "a b c", "x\tO\tO") if noisy else ())
+    pair = st.builds("{}{}{}".format, st.sampled_from(("a", "b", "é", "-DOCSTART-")),
+                     st.sampled_from(("\t", " ", " \r ")), st.sampled_from(labels))
+    lines = draw(st.lists(st.one_of(pair, pair, st.sampled_from(specials)), max_size=16))
+    ended = [line + draw(st.sampled_from(("\n", "\r\n"))) for line in lines]
+    if ended and draw(st.booleans()):
+        ended[-1] = lines[-1]
+    return ended
+
+
+def _parse_outcome(parse, source, repair):
+    try:
+        return parse(source, repair_bio=repair)
+    except CorpusFormatError as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_conll_lines(), st.sampled_from(("string", "lines", "stream")), st.booleans())
+def test_parse_conll_is_the_per_line_parse(lines, kind, repair):
+    source = {"string": "".join, "lines": list, "stream": lambda ls: io.StringIO("".join(ls))}[kind]
+    # corpora compare their sentences and both vocabularies; errors their type and message
+    got = _parse_outcome(parse_conll, source(lines), repair)
+    assert got == _parse_outcome(_per_line_parse_conll, source(lines), repair)
+
+
+def test_parse_conll_raises_the_fault_on_the_earliest_line():
+    # a stray I-X is raised on the line closing its sentence, so a later bad label wins
+    # inside that sentence, and an earlier sentence's stray wins over a later bad line
+    with pytest.raises(CorpusFormatError, match="line 2: not a BIO label"):
+        parse_conll("a\tI-X\nb\tQ\n\n")
+    with pytest.raises(BioValidationError, match=r"sentence 1 \(ending line 5\): I-X at position 0"):
+        parse_conll("a\tO\n\nb\tI-X\n-DOCSTART-\n\nc d e\n")
+    with pytest.raises(BioValidationError, match=r"sentence 0 \(ending line 3\)"):
+        parse_conll("a\tB-Y\nb\tI-X")
+    # a sentence a bad line cuts off is never closed, so its stray I-X is not raised
+    with pytest.raises(CorpusFormatError, match="line 2: expected"):
+        parse_conll("a\tI-X\nb\n")
+    with pytest.raises(CorpusFormatError, match="line 4: expected"):
+        parse_conll("a\tO\n\nb\tI-X\nc\n")
+
+
 # ---------------------------------------------------------------- parse_re
 
 RE_SAMPLE = "the storm caused damage\t1\t2\t3\t4\tCause-Effect(e1,e2)\n"
@@ -279,6 +374,12 @@ def test_parse_re_span_errors_carry_line_number():
     bad_range = "a b\t0\t1\t1\t5\tOther\n"
     with pytest.raises(CorpusFormatError, match="line 1: e2 span"):
         parse_re(bad_range)
+
+
+@pytest.mark.parametrize("relation", ["", "  ", " Other", "Other "])
+def test_parse_re_refuses_an_empty_or_padded_relation(relation):
+    with pytest.raises(CorpusFormatError, match="line 2: relation .* empty or padded"):
+        parse_re(RE_SAMPLE + f"a b\t0\t1\t1\t2\t{relation}\n")
 
 
 def test_parse_re_skips_blank_lines():

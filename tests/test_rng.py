@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from segmix.rng import derive_rng
+from segmix.rng import _seed_states, derive_rng, derive_rngs
 
 
 def test_equal_paths_give_identical_streams():
@@ -60,3 +62,34 @@ def test_out_of_range_integer_path_part_is_rejected(part):
 def test_range_edges_are_accepted():
     top = derive_rng(2**32 - 1, "x", 2**32 - 1).random(8)
     assert not np.array_equal(top, derive_rng(0, "x", 2**32 - 1).random(8))
+
+
+_seeds = st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1))
+_names = st.one_of(st.sampled_from(["", "é", "<日本>", "x" * 1000]), st.text(max_size=40))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_seeds, st.text(max_size=10), st.lists(_names, max_size=12))
+def test_bulk_streams_are_the_single_streams(seed, label, names):
+    bulk = list(derive_rngs(seed, label, names))
+    assert len(bulk) == len(names)
+    for rng, name in zip(bulk, names):
+        want = derive_rng(seed, label, name)
+        assert np.array_equal(rng.standard_normal(5), want.standard_normal(5))
+        assert rng.integers(0, 2**62, size=3).tolist() == want.integers(0, 2**62, size=3).tolist()
+
+
+@pytest.mark.parametrize("length", range(1, 10))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_array_mixing_is_seed_sequence_mixing(length, data):
+    # below 4 words the pool is padded; above 4 each extra word is mixed into it
+    word = st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1))
+    rows = data.draw(st.lists(st.lists(word, min_size=length, max_size=length), min_size=1, max_size=4))
+    want = [np.random.SeedSequence(row).generate_state(8) for row in rows]
+    assert np.array_equal(_seed_states(np.array(rows, np.uint32)), want)
+
+
+def test_bulk_streams_check_the_seed():
+    with pytest.raises(ValueError, match="seed"):
+        derive_rngs(2**32, "gram", ["ab"])
