@@ -26,7 +26,6 @@ import itertools
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -235,6 +234,10 @@ def _resolve(command: str, ns: argparse.Namespace) -> SimpleNamespace:
         value = merged.get(key)
         if value is not None and not 0 <= int(value) < 2**32:
             raise CliError(f"--{key.replace('_', '-')} must lie in [0, 2**32), got {value}")
+    if int(merged.get("window", 0)) < 0:
+        raise CliError(f"--window must be 0 or more, got {merged['window']}")
+    if int(merged.get("repeats", 1)) < 1:
+        raise UsageError(f"--repeats must be 1 or more, got {merged['repeats']}")
     return SimpleNamespace(**merged)
 
 
@@ -496,6 +499,8 @@ def cmd_sweep(ns: SimpleNamespace, manifest: RunManifest) -> None:
     shared = (ns, train, test, EmbeddingTable.random(tokens, int(ns.dim), seed=int(ns.embed_seed)))
     jobs = int(ns.jobs)
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # half the import time of this module
+
         with ProcessPoolExecutor(jobs, initializer=_share_sweep, initargs=shared) as executor:
             rows = list(executor.map(_worker_cell, grid))
     else:

@@ -317,6 +317,7 @@ class Provenance:
     replacements: tuple[str, ...] | None = None
 
     def to_json(self) -> dict:
+        """This provenance as the JSON object an augmented record holds."""
         out = {
             "example_index": self.example_index,
             "variant": self.variant,
@@ -328,15 +329,6 @@ class Provenance:
         if self.replacements is not None:
             out["replacements"] = list(self.replacements)
         return out
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Provenance":
-        replacements = data.get("replacements")
-        return cls(  # positional, in field order: cheaper per loaded record
-            data["example_index"], data["variant"], data["lam"],
-            tuple(map(tuple, data["spans"])), tuple(map(tuple, data["mixed_spans"])),
-            data.get("pool_index"), tuple(replacements) if replacements else None,
-        )
 
 
 @dataclass

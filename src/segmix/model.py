@@ -85,13 +85,38 @@ def _windows(flat: np.ndarray, rows: np.ndarray, window: int) -> np.ndarray:
     return feats
 
 
+# Samples pooled at a time: their span rows are copied out, so peak memory grows with it.
+_POOL_BLOCK = 128
+
+
 def _pooled(dim: int, samples) -> np.ndarray:
-    """One ``[mean(e1 rows); mean(e2 rows); 1]`` row per (embeddings, e1, e2)."""
-    feats = np.ones((len(samples), 2 * dim + 1))
-    for row, (embeddings, e1, e2) in zip(feats, samples):
-        embeddings[e1.start : e1.end].mean(axis=0, out=row[:dim])
-        embeddings[e2.start : e2.end].mean(axis=0, out=row[dim : 2 * dim])
+    """One ``[mean(e1 rows); mean(e2 rows); 1]`` row per (embeddings, e1, e2),
+    a block of samples at a time, copying out only their span rows."""
+    feats = np.empty((len(samples), 2 * dim + 1))
+    for lo in range(0, len(samples), _POOL_BLOCK):
+        block = samples[lo : lo + _POOL_BLOCK]
+        pieces = [emb[s.start : s.end] for emb, e1, e2 in block for s in (e1, e2)]
+        rows = np.concatenate(pieces, dtype=np.float64)
+        feats[lo : lo + len(block)] = _pool(rows, np.array([len(p) for p in pieces]))
     return feats
+
+
+def _pool(rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``[mean(e1 rows); mean(e2 rows); 1]`` per sample, from every sample's
+    e1 rows then e2 rows laid end to end, ``lengths`` rows per span.
+
+    The spans of one length n are gathered into one (spans, n, dim) array
+    and summed along its middle axis: the order in which
+    ``rows[s:e].mean(axis=0)`` sums C-contiguous rows (row by row, or
+    pairwise for a single column), so each mean is bit-identical to it.
+    """
+    means = np.empty((len(lengths), rows.shape[1]))
+    first = np.cumsum(lengths) - lengths
+    for n in np.unique(lengths).tolist():
+        which = np.flatnonzero(lengths == n)
+        means[which] = rows[first[which, None] + np.arange(n)].sum(axis=1) / n
+    pairs = means.reshape(len(lengths) // 2, -1)
+    return np.concatenate([pairs, np.ones((len(pairs), 1))], axis=1)
 
 
 def _require_dim(model, width: int) -> None:
@@ -390,13 +415,14 @@ def predict_tagger(
 
 
 def predict_re(model: REModel, table: EmbeddingTable, corpus: RECorpus) -> list[str]:
-    """Predicted relation per sample, in blocks of one lookup and one matmul."""
+    """Predicted relation per sample, in blocks of one lookup of the span
+    tokens and one matmul."""
     _require_dim(model, table.dim)
     out = []
     for block in _blocks(corpus.samples):
-        embeddings = table.vectors[table.rows([t for s in block for t in s.tokens])]
-        pieces = np.split(embeddings, np.cumsum([len(s.tokens) for s in block])[:-1])
-        feats = _pooled(model.dim, [(p, s.e1, s.e2) for p, s in zip(pieces, block)])
+        spans = [s.tokens[span.start : span.end] for s in block for span in (s.e1, s.e2)]
+        rows = table.vectors[table.rows([t for tokens in spans for t in tokens])]
+        feats = _pool(rows, np.array([len(tokens) for tokens in spans]))
         out.extend(model.labels[i] for i in (feats @ model.weights).argmax(axis=1).tolist())
     return out
 

@@ -4,23 +4,28 @@ Augmented data is JSON-lines: a header record, then one record per
 example. Matrices travel as base64-encoded little-endian float32 with an
 explicit shape, so files are platform-independent and byte-identical
 across repeated runs with the same seed. Every line is compact JSON
-(``separators=(",", ":")``) with sorted keys. The header and each
-provenance go through ``json``; a record is formatted from a template
-(``_NER_RECORD``, ``_RE_RECORD``) with its keys already in that order, so
-the base64 payloads skip the JSON encoder's escape scan. A new record
-field must go into its template at its sorted place:
-``test_save_writes_the_bytes_of_the_json_oracle`` holds the templates to a
-writer that passes every record through ``json``.
+(``separators=(",", ":")``) with sorted keys. The header goes through
+``json``; a record and its provenance are formatted from templates
+(``_NER_RECORD``, ``_RE_RECORD``, ``_PROVENANCE``) with their keys already
+in that order, so the base64 payloads skip the JSON encoder's escape scan.
+A new record or provenance field must go into its template at its sorted
+place: ``test_save_writes_the_bytes_of_the_json_oracle`` holds the
+templates to a writer that passes every record through ``json``. The
+templates write what ``json`` would only for fields of their plain types,
+so one check (:func:`_provenance_problem`) refuses any other provenance on
+save, before a byte is written, and on load.
 
 A checkpoint is binary: the magic ``SGMX``, a ``<II`` version and header
 length, a sorted-key JSON header, then the weights and the embedding-table
 rows as raw little-endian float32, with nothing after them.
 
-Both formats share three pieces: one float32 codec (:func:`_f4`,
+Both formats share four pieces: one float32 codec (:func:`_f4`,
 :func:`_from_f4`), which refuses a payload whose byte count its shape does
-not imply; one header-schema check (:func:`_check_fields`), which turns a
-missing or mistyped field into a one-line ``ValueError``; and one
-example-shape rule, ``mixer._shape_problem``, which training applies too.
+not imply; one finiteness rule (:func:`_nonfinite`), so that nothing NaN
+or infinite once cast to float32 is written; one header-schema check
+(:func:`_check_fields`), which turns a missing or mistyped field into a
+one-line ``ValueError``; and one example-shape rule,
+``mixer._shape_problem``, which training applies too.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import math
 import reprlib
 import struct
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Sequence, TextIO, Union
 
 import numpy as np
@@ -83,10 +89,10 @@ def _count(value) -> bool:
 
 
 def _spans(value) -> bool:
-    if type(value) is not list:
+    if type(value) not in (list, tuple):  # a tuple is what a Provenance holds
         return False
     for pair in value:
-        if type(pair) is not list or len(pair) != 2:
+        if type(pair) not in (list, tuple) or len(pair) != 2:
             return False
         start, end = pair
         if type(start) is not int or type(end) is not int or not 0 <= start < end:
@@ -94,14 +100,10 @@ def _spans(value) -> bool:
     return True
 
 
-# What a header or provenance field must be, as said in an error, and the test for it.
+# What a header field must be, as said in an error, and the test for it.
 _KINDS = {
     "a nonnegative integer": _count,
     "a positive integer": lambda v: _count(v) and v > 0,
-    "a nonnegative integer or null": lambda v: v is None or _count(v),
-    "a string": lambda v: type(v) is str,
-    "a number in [0, 1]": lambda v: type(v) in (int, float) and 0 <= v <= 1,
-    "a list of [start, end] pairs with 0 <= start < end": _spans,
     "a [start, end] pair with 0 <= start < end": lambda v: _spans([v]),
     "a list of strings": lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
     "a list of nonnegative integers": lambda v: isinstance(v, list) and all(map(_count, v)),
@@ -109,6 +111,10 @@ _KINDS = {
     "'ner' or 're'": lambda v: v in ("ner", "re"),
     "'tagger' or 're'": lambda v: v in ("tagger", "re"),
 }
+
+
+def _mistyped(what: str, key: str, kind: str, value) -> str:
+    return f"{what} '{key}' must be {kind}, got {reprlib.repr(value)}"
 
 
 def _check_fields(record, fields: dict, what: str) -> dict:
@@ -121,7 +127,7 @@ def _check_fields(record, fields: dict, what: str) -> dict:
         if key not in record:
             raise ValueError(f"{what} has no '{key}' field")
         if not _KINDS[kind](record[key]):
-            raise ValueError(f"{what} '{key}' must be {kind}, got {reprlib.repr(record[key])}")
+            raise ValueError(_mistyped(what, key, kind, record[key]))
     return record
 
 
@@ -141,33 +147,89 @@ _TABLE_FIELDS = {
     "seed": "a nonnegative integer",
     "n_buckets": "a positive integer",
 }
-_PROVENANCE_FIELDS = {  # "replacements", when present, is "a list of strings"
-    "example_index": "a nonnegative integer",
-    "variant": "a string",
-    "lam": "a number in [0, 1]",
-    "spans": "a list of [start, end] pairs with 0 <= start < end",
-    "mixed_spans": "a list of [start, end] pairs with 0 <= start < end",
-    "pool_index": "a nonnegative integer or null",
-}
 _RE_SPAN_FIELDS = {
     "e1": "a [start, end] pair with 0 <= start < end",
     "e2": "a [start, end] pair with 0 <= start < end",
 }
 
-# One encoder for every header and provenance: ``json.dumps`` would build one per call.
+# One encoder for every header: ``json.dumps`` would build one per call.
 _dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_PAIRS = "a list of [start, end] pairs with 0 <= start < end"
+
+
+def _provenance_problem(example_index, variant, lam, spans, mixed_spans, pool_index,
+                        replacements, rows: int) -> str | None:
+    """Why a provenance with these fields cannot go with a ``rows``-row
+    record, or None; ``replacements`` is ``()`` when there are none.
+
+    The one provenance check: save runs it on every :class:`Provenance`
+    before a byte is written (the template writes what ``json`` would only
+    for plain ints, floats and strings), load on every record it reads.
+    """
+    if type(example_index) is not int or example_index < 0:
+        return _mistyped("provenance", "example_index", "a nonnegative integer", example_index)
+    if type(variant) is not str:
+        return _mistyped("provenance", "variant", "a string", variant)
+    if type(lam) not in (int, float) or not 0 <= lam <= 1:  # NaN fails the range too
+        return _mistyped("provenance", "lam", "a number in [0, 1]", lam)
+    if not _spans(spans):
+        return _mistyped("provenance", "spans", _PAIRS, spans)
+    if not _spans(mixed_spans):
+        return _mistyped("provenance", "mixed_spans", _PAIRS, mixed_spans)
+    if pool_index is not None and (type(pool_index) is not int or pool_index < 0):
+        return _mistyped("provenance", "pool_index", "a nonnegative integer or null", pool_index)
+    if type(replacements) not in (list, tuple) or (
+            replacements and any(type(t) is not str for t in replacements)):
+        return _mistyped("provenance", "replacements", "a list of strings", replacements)
+    for start, end in mixed_spans:
+        if end > rows:
+            return f"provenance mixed span [{start}, {end}) lies outside the {rows}-row example"
+    return None
 
 
 def _read_provenance(data, rows: int) -> Provenance:
     """The :class:`Provenance` of a record with ``rows`` rows, once its fields check out."""
-    _check_fields(data, _PROVENANCE_FIELDS, "provenance")
-    if "replacements" in data:
-        _check_fields(data, {"replacements": "a list of strings"}, "provenance")
-    for start, end in data["mixed_spans"]:
-        if end > rows:
-            raise ValueError(f"provenance mixed span [{start}, {end}) lies outside "
-                             f"the {rows}-row example")
-    return Provenance.from_json(data)
+    if not isinstance(data, dict):
+        raise ValueError("provenance is not a JSON object")
+    try:  # in field order, so the first missing field is the one named
+        fields = (data["example_index"], data["variant"], data["lam"], data["spans"],
+                  data["mixed_spans"], data["pool_index"])
+    except KeyError as exc:
+        raise ValueError(f"provenance has no {exc} field") from None
+    replacements = data.get("replacements", ())
+    problem = _provenance_problem(*fields, replacements, rows)
+    if problem:
+        raise ValueError(problem)
+    index, variant, lam, spans, mixed_spans, pool_index = fields
+    return Provenance(index, variant, lam, tuple(map(tuple, spans)), tuple(map(tuple, mixed_spans)),
+                      pool_index, tuple(replacements) if replacements else None)
+
+
+def _provenances_problem(examples: Sequence) -> str | None:
+    """The first example whose provenance :func:`_provenance_problem`
+    refuses, as "example i: why", or None."""
+    for i, e in enumerate(examples):
+        p = e.provenance
+        problem = _provenance_problem(
+            p.example_index, p.variant, p.lam, p.spans, p.mixed_spans, p.pool_index,
+            () if p.replacements is None else p.replacements, len(e.embeddings))
+        if problem:
+            return f"example {i}: {problem}"
+    return None
+
+
+# The bytes ``_dump`` would write for a provenance whose fields pass the check.
+_PROVENANCE = ('{"example_index":%d,"lam":%r,"mixed_spans":[%s],"pool_index":%s,%s'
+               '"spans":[%s],"variant":%s}')
+
+
+def _provenance_text(p: Provenance) -> str:
+    replacements = ("" if p.replacements is None else
+                    '"replacements":[%s],' % ",".join(map(encode_basestring_ascii, p.replacements)))
+    return _PROVENANCE % (
+        p.example_index, p.lam, ",".join([f"[{a},{b}]" for a, b in p.mixed_spans]),
+        "null" if p.pool_index is None else p.pool_index, replacements,
+        ",".join([f"[{a},{b}]" for a, b in p.spans]), encode_basestring_ascii(p.variant))
 
 
 def _read_record(record: dict, task: str, dim: int, n_labels: int):
@@ -214,20 +276,25 @@ _RE_RECORD = ('{"e1":[%d,%d],"e2":[%d,%d],"embeddings":{"data":"%s","shape":[%d,
 _BLOCK = 512  # examples cast to float32 at a time by the finiteness check
 
 
-def _nonfinite_problem(examples: Sequence, labels: str) -> str | None:
-    """The first example holding a NaN or an infinity once cast to float32,
-    as "example i: why", or None. Casts a block of examples at a time."""
-    names = ("embeddings", labels)
+def _nonfinite(arrays: Sequence) -> bool:
+    """Whether any of ``arrays`` holds a NaN or an infinity once cast to
+    float32: the rule every float32 payload is written under."""
     with np.errstate(over="ignore"):  # an overflow to inf is what is looked for
-        for lo in range(0, len(examples), _BLOCK):
-            block = examples[lo:lo + _BLOCK]
-            if all(np.isfinite(np.concatenate([getattr(e, n) for e in block], dtype="<f4")).all()
-                   for n in names):
-                continue
-            for i, e in enumerate(block, start=lo):
-                for name in names:
-                    if not np.isfinite(_f4(getattr(e, name))).all():
-                        return f"example {i}: {name} hold a non-finite value after the float32 cast"
+        return not np.isfinite(np.concatenate(arrays, axis=None, dtype="<f4")).all()
+
+
+def _nonfinite_problem(examples: Sequence, labels: str) -> str | None:
+    """The first example :func:`_nonfinite` refuses, as "example i: why",
+    or None. Casts a block of examples at a time."""
+    names = ("embeddings", labels)
+    for lo in range(0, len(examples), _BLOCK):
+        block = examples[lo:lo + _BLOCK]
+        if not any(_nonfinite([getattr(e, n) for e in block]) for n in names):
+            continue
+        for i, e in enumerate(block, start=lo):
+            for name in names:
+                if _nonfinite([getattr(e, name)]):
+                    return f"example {i}: {name} hold a non-finite value after the float32 cast"
     return None
 
 
@@ -243,7 +310,8 @@ def save_augmented(
         raise ValueError(f"task must be 'ner' or 're', got {task!r}")
     dim = int(examples[0].embeddings.shape[1]) if examples else 0
     problem = (_examples_problem(examples, task == "re", dim, len(label_vocab))
-               or _nonfinite_problem(examples, "soft_labels" if task == "ner" else "soft_relation"))
+               or _nonfinite_problem(examples, "soft_labels" if task == "ner" else "soft_relation")
+               or _provenances_problem(examples))
     if problem:  # all checked before a byte is written
         raise ValueError(problem)
     header = {
@@ -257,7 +325,7 @@ def save_augmented(
     }
     stream.write(_dump(header) + "\n")
     for e in examples:  # one write per record keeps the peak memory at one record
-        emb, prov = _f4(e.embeddings), _dump(e.provenance.to_json())
+        emb, prov = _f4(e.embeddings), _provenance_text(e.provenance)
         if task == "ner":
             labels = _f4(e.soft_labels)
             stream.write(_NER_RECORD % (_b64(emb), *emb.shape, prov, _b64(labels), *labels.shape))
@@ -272,9 +340,12 @@ def load_augmented(stream: TextIO) -> AugmentedFile:
     header_line = stream.readline()
     if not header_line.strip():
         raise ValueError("empty augmented file")
-    header = json.loads(header_line)
+    try:
+        header = json.loads(header_line)
+    except ValueError:  # a corpus, say, where the header should be
+        header = None
     if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
-        raise ValueError(f"not a {FORMAT_NAME} file")
+        raise ValueError(f"not a {FORMAT_NAME} file: line 1 is not a {FORMAT_NAME} header")
     if header.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported version {header.get('version')}")
     _check_fields(header, _HEADER_FIELDS, "header")
@@ -316,7 +387,12 @@ _CKPT_FIELDS = {
 
 
 def save_checkpoint(path, model, table: EmbeddingTable, meta: dict | None = None) -> None:
-    """Self-contained binary checkpoint: model weights + embedding table."""
+    """Self-contained binary checkpoint: model weights + embedding table.
+    Refuses, before the file is opened, weights or table rows that
+    :func:`_nonfinite` refuses."""
+    for what, array in (("weights", model.weights), ("table rows", table.vectors)):
+        if _nonfinite([array]):
+            raise ValueError(f"checkpoint {what} hold a non-finite value after the float32 cast")
     kind = "re" if isinstance(model, REModel) else "tagger"
     header = {
         "kind": kind,
@@ -375,6 +451,9 @@ def load_checkpoint(path) -> tuple[object, EmbeddingTable, dict]:
     split = 4 * math.prod(w_shape)
     weights = _from_f4(payload[:split], w_shape, "checkpoint weights payload")
     vectors = _from_f4(payload[split:], t_shape, "checkpoint table payload")
+    for what, array in (("weights", weights), ("table", vectors)):
+        if not np.isfinite(array).all():
+            raise ValueError(f"checkpoint {what} payload holds a non-finite value")
     table = EmbeddingTable(header["table_tokens"], vectors, header["table_buckets"])
     labels = tuple(header["labels"])
     if header["kind"] == "tagger":

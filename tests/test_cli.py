@@ -1,9 +1,12 @@
 """End-to-end command-line behavior: exit codes, configs, manifests."""
 
 import json
+import os
 import re
 import shlex
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -352,6 +355,62 @@ def test_train_non_finite_learning_rate_exits_1(tmp_path, ner_file, capsys):
     code = run("train", "--train", ner_file, "--checkpoint", tmp_path / "m.ckpt", "--lr", "inf")
     assert code == 1
     assert "learning_rate" in capsys.readouterr().err
+
+
+def test_train_refuses_weights_that_overflow_float32(tmp_path, ner_file, capsys):
+    ckpt = tmp_path / "m.ckpt"
+    assert run("train", "--train", ner_file, "--checkpoint", ckpt, "--lr", "1e300",
+               "--epochs", "2") == 1
+    err = capsys.readouterr().err
+    assert err == "error: checkpoint weights hold a non-finite value after the float32 cast\n"
+    assert not ckpt.exists()
+
+
+def test_eval_refuses_a_checkpoint_holding_a_nan(tmp_path, ner_file, capsys):
+    ckpt = tmp_path / "m.ckpt"
+    assert run("train", "--train", ner_file, "--checkpoint", ckpt, "--epochs", "1") == 0
+    _rewrite_checkpoint(ckpt, payload_edit=lambda raw: raw[:-4] + struct.pack("<f", float("nan")))
+    capsys.readouterr()
+    assert run("eval", "--checkpoint", ckpt, "--test", ner_file) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: cannot load checkpoint: "
+                   "checkpoint table payload holds a non-finite value\n")
+
+
+def test_train_negative_window_names_the_flag(tmp_path, ner_file, capsys):
+    ckpt = tmp_path / "m.ckpt"
+    assert run("train", "--train", ner_file, "--checkpoint", ckpt, "--window", "-1") == 1
+    assert capsys.readouterr().err == "error: --window must be 0 or more, got -1\n"
+    assert not ckpt.exists()
+
+
+def test_bench_zero_repeats_is_a_usage_error(tmp_path, ner_file, capsys):
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exc:
+        run("bench", "--input", ner_file, "--repeats", "0", "--output", out)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--repeats must be 1 or more, got 0" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_recover_names_line_1_of_a_corpus_given_as_augmented(tmp_path, ner_file, capsys):
+    assert run("recover", "--augmented", ner_file) == 1
+    assert capsys.readouterr().err == ("error: not a segmix-augmented file: "
+                                       "line 1 is not a segmix-augmented header\n")
+
+
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    # sweep --jobs > 1 imports it; any other command never pays for it
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, segmix.cli; print('concurrent.futures.process' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+            str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]))},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.stdout == "False\n", done.stderr
 
 
 # ---------------------------------------------------------------- docs

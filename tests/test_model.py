@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from segmix.corpus import RECorpus, RESample, Sentence, Span, TaggedCorpus
@@ -25,6 +25,8 @@ from segmix.model import (
     TaggerModel,
     TrainConfig,
     TrainingDivergedError,
+    _POOL_BLOCK,
+    _pooled,
     _re_loss_grad,
     _tagger_loss_grad,
     _tagger_rows,
@@ -425,6 +427,29 @@ def test_blocked_predict_re_matches_per_sample_forward(n_samples, seed):
         for s in samples
     ]
     assert predict_re(model, table, corpus) == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 9), st.integers(0, 2 * _POOL_BLOCK + 100), st.integers(1, 24),
+       st.integers(0, 2**32 - 1))
+@example(1, _POOL_BLOCK - 1, 24, 0)
+@example(2, _POOL_BLOCK, 17, 1)
+@example(1, _POOL_BLOCK + 1, 20, 2)
+def test_pooled_features_equal_per_sample_means_bit_for_bit(dim, n_samples, max_rows, seed):
+    # the per-span reference the training layout, predict_re and REModel.features pool by
+    rng = np.random.default_rng(seed)
+    samples = []
+    for _ in range(n_samples):
+        n = int(rng.integers(1, max_rows + 1))
+        embeddings = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-30, 30, size=(n, 1))
+        embeddings[rng.random(n) < 0.1] = -0.0
+        starts = rng.integers(0, n, size=2).tolist()
+        samples.append((embeddings, *(Span(a, int(rng.integers(a + 1, n + 1))) for a in starts)))
+    want = np.ones((n_samples, 2 * dim + 1))
+    for row, (embeddings, e1, e2) in zip(want, samples):
+        row[:dim] = embeddings[e1.start : e1.end].mean(axis=0)
+        row[dim : 2 * dim] = embeddings[e2.start : e2.end].mean(axis=0)
+    assert _pooled(dim, samples).tobytes() == want.tobytes()
 
 
 # ------------------------------------------------------- bit-exact pins

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import re
+import struct
 import tempfile
 from pathlib import Path
 
@@ -338,6 +339,32 @@ def test_checkpoint_load_refuses_a_payload_one_byte_off(case, cut):
             load_checkpoint(path)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 1e39])
+@pytest.mark.parametrize("what", ["weights", "table rows"])
+def test_save_checkpoint_refuses_values_not_finite_in_float32(tmp_path, what, value):
+    model = REModel.init(["R1", "R2"], 3, seed=0)
+    table = EmbeddingTable.random(["a", "b"], 3, seed=0)
+    (model.weights if what == "weights" else table.vectors)[0, -1] = value
+    path = tmp_path / "m.ckpt"
+    with pytest.raises(ValueError, match=f"^checkpoint {what} hold a non-finite value "
+                                         "after the float32 cast$"):
+        save_checkpoint(path, model, table)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("what", ["weights", "table"])
+def test_load_checkpoint_refuses_a_non_finite_payload(tmp_path, what):
+    table = EmbeddingTable.random(["a", "b"], 3, seed=0)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, REModel.init(["R1", "R2"], 3, seed=0), table)
+    raw = bytearray(path.read_bytes())
+    at = len(raw) - 4 * (table.vectors.size + 1 if what == "weights" else 1)  # its last float
+    raw[at : at + 4] = struct.pack("<f", float("nan"))
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=f"^checkpoint {what} payload holds a non-finite value$"):
+        load_checkpoint(path)
+
+
 # ---------------------------------------------------------------- provenance records
 
 @pytest.mark.parametrize("fields,why", [
@@ -396,6 +423,52 @@ def test_save_refuses_a_row_that_is_not_finite_in_float32(value, task, field):
                                           "after the float32 cast$")):
         save_augmented(stream, examples, vocab, task=task)
     assert stream.getvalue() == ""
+
+
+_NOT_PLAIN = [
+    ("example_index", True), ("example_index", np.int64(3)), ("example_index", -1),
+    ("variant", np.str_("mention")), ("variant", None),
+    ("lam", float("nan")), ("lam", float("inf")), ("lam", np.float64(0.5)), ("lam", True),
+    ("lam", 1.5),
+    ("spans", ((np.int64(0), 1),)), ("spans", ((0, 1.0),)), ("mixed_spans", ((0, True),)),
+    ("pool_index", False), ("pool_index", np.int64(2)), ("replacements", ("was", 1)),
+]
+
+
+@pytest.mark.parametrize("field,value", _NOT_PLAIN)
+def test_save_refuses_a_provenance_the_template_cannot_write(field, value):
+    examples = _ner_examples()
+    examples[1] = dataclasses.replace(
+        examples[1], provenance=dataclasses.replace(examples[1].provenance, **{field: value}))
+    stream = io.StringIO()
+    with pytest.raises(ValueError, match=f"^example 1: provenance '{field}' must be "):
+        save_augmented(stream, examples, ("B-X", "O"), task="ner")
+    assert stream.getvalue() == ""
+
+
+@pytest.mark.parametrize("field,value", [
+    ("example_index", True), ("example_index", -1), ("variant", None), ("lam", float("nan")),
+    ("lam", float("-inf")), ("lam", 1.5), ("lam", True), ("spans", [[0, 1.0]]),
+    ("pool_index", False), ("replacements", ["was", 1]), ("mixed_spans", ((0, 9),)),
+])  # lists where a tuple would print otherwise than the JSON list it is written as
+def test_a_provenance_save_refuses_is_one_load_refuses_with_the_same_words(field, value):
+    examples = _ner_examples()
+    examples[1] = dataclasses.replace(
+        examples[1], provenance=dataclasses.replace(examples[1].provenance, **{field: value}))
+    with pytest.raises(ValueError) as saved:
+        save_augmented(io.StringIO(), examples, ("B-X", "O"), task="ner")
+    stream = io.StringIO()
+    _oracle_save(stream, examples, ("B-X", "O"), "ner")
+    with pytest.raises(ValueError) as loaded:
+        load_augmented(io.StringIO(stream.getvalue()))
+    assert str(saved.value).startswith("example 1: provenance ")
+    assert str(loaded.value) == "line 3: " + str(saved.value).removeprefix("example 1: ")
+
+
+def test_load_names_line_1_of_a_file_that_is_not_augmented():
+    with pytest.raises(ValueError, match="^not a segmix-augmented file: line 1 is not a "
+                                         "segmix-augmented header$"):
+        load_augmented(io.StringIO("Paris\tB-LOC\nis\tO\n"))
 
 
 def test_save_keeps_the_largest_float32_values():
