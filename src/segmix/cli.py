@@ -694,9 +694,10 @@ def main(argv: list[str] | None = None) -> int:
         return _run(ns.command, _resolve(ns.command, ns))
     except UsageError as exc:
         parser.error(str(exc))
-    except (CliError, ValueError, TrainingDivergedError, OSError) as exc:
-        # bad data arrives as a ValueError, CorpusFormatError and EmptyPoolError among them
-        print(f"error: {exc}", file=sys.stderr)
+    except (CliError, ValueError, TrainingDivergedError, OSError, MemoryError) as exc:
+        # bad data arrives as a ValueError, CorpusFormatError and EmptyPoolError among them;
+        # numpy refuses an array it cannot allocate (a huge --dim, say) with a MemoryError
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

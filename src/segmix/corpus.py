@@ -15,6 +15,8 @@ first-occurrence order so one-hot indices stay stable when a corpus grows.
 
 from __future__ import annotations
 
+import functools
+import gc
 import io
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, TextIO, Union
@@ -22,6 +24,29 @@ from typing import Iterable, Sequence, TextIO, Union
 import numpy as np
 
 from .rng import derive_rng
+
+
+def _gc_quiet(build):
+    """``build`` with the cyclic garbage collector paused while it runs.
+
+    For bulk builders of records that outlive the call (parsers, pool
+    builders, the mixer, encoders, the augmented-file loader). CPython
+    counts every container allocation towards its next collection, even
+    for objects that never become garbage, so such a builder sets off
+    collections, full ones among them, that walk every live object and free
+    nothing. The pause is process-wide, so the state found is restored, also
+    on an exception: a nested builder, or a caller who paused the collector,
+    is left alone. It never collects."""
+    @functools.wraps(build)
+    def quiet(*args, **kwargs):
+        if not gc.isenabled():
+            return build(*args, **kwargs)
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            gc.enable()
+    return quiet
 
 
 class CorpusFormatError(ValueError):
@@ -252,6 +277,7 @@ def _iter_lines(source: str | TextIO | Iterable[str]) -> Iterable[str]:
     return io.StringIO(source) if isinstance(source, str) else source
 
 
+@_gc_quiet
 def parse_conll(source: str | TextIO | Iterable[str], repair_bio: bool = False) -> TaggedCorpus:
     """Parse NER data from a string, open file, or iterable of lines.
 
@@ -323,6 +349,7 @@ def parse_conll(source: str | TextIO | Iterable[str], repair_bio: bool = False) 
         Sentence(tuple(tokens[a:b]), tuple(labels[a:b])) for a, b in zip(bounds, bounds[1:]))
 
 
+@_gc_quiet
 def parse_re(source: str | TextIO | Iterable[str]) -> RECorpus:
     """Parse RE data (six-field TSV) from a string, file, or line iterable."""
     samples = []

@@ -39,7 +39,8 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .corpus import (
-    RECorpus, RESample, Sentence, Span, TaggedCorpus, _O, _bio_arrays, _flatten, _mentions,
+    RECorpus, RESample, Sentence, Span, TaggedCorpus, _O, _bio_arrays, _flatten, _gc_quiet,
+    _mentions,
 )
 from .pools import (
     EmptyPoolError,
@@ -316,20 +317,6 @@ class Provenance:
     pool_index: int | None = None
     replacements: tuple[str, ...] | None = None
 
-    def to_json(self) -> dict:
-        """This provenance as the JSON object an augmented record holds."""
-        out = {
-            "example_index": self.example_index,
-            "variant": self.variant,
-            "lam": self.lam,
-            "spans": [list(s) for s in self.spans],
-            "mixed_spans": [list(s) for s in self.mixed_spans],
-            "pool_index": self.pool_index,
-        }
-        if self.replacements is not None:
-            out["replacements"] = list(self.replacements)
-        return out
-
 
 @dataclass
 class MixedExample:
@@ -368,7 +355,7 @@ def _shape_problem(emb_shape, label_shape, spans, dim: int, n_labels: int) -> st
     if len(emb_shape) != 2 or emb_shape[1] != dim:
         return f"embeddings have shape {list(emb_shape)}, expected (n, {dim})"
     n = emb_shape[0]
-    if not n:
+    if n < 1:
         return "embeddings have no rows"
     if spans is None:
         name, expected = "soft_labels", (n, n_labels)
@@ -415,31 +402,8 @@ def _check_segment_args(example, variant: str, lexicon: SynonymLexicon | None) -
             raise TypeError("relation variant needs an RESample")
     elif not isinstance(example, Sentence):
         raise TypeError(f"{variant} variant needs a Sentence")
-    elif variant not in NER_VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
     elif variant == "synonym" and lexicon is None:
         raise ValueError("synonym variant needs a lexicon")
-
-
-def select_segment(
-    example: Union[Sentence, RESample],
-    variant: str,
-    rng: np.random.Generator,
-    lexicon: SynonymLexicon | None = None,
-) -> tuple[tuple[int, int], ...] | None:
-    """Pick the segment span(s) to mix, or None when nothing is eligible.
-
-    mention: uniform over the sentence's mention spans; token: uniform over
-    labeled (non-O) tokens; synonym: uniform over tokens with a lexicon
-    entry; whole_sequence: the full range; relation: the gold (e1, e2).
-    Only the uniform choices draw from ``rng``.
-    """
-    _check_segment_args(example, variant, lexicon)
-    segs = _segments(_compile([example]), variant, lexicon)
-    if not len(segs.start):
-        return None
-    j = 0 if variant in ("whole_sequence", "relation") else int(rng.integers(len(segs.start)))
-    return tuple(zip(segs.start[j].tolist(), segs.end[j].tolist()))
 
 
 @dataclass
@@ -961,6 +925,7 @@ def mix_re_sample(
     return _mix_one(sample, "relation", pool, table, relation_vocab, config, rng, example_index)
 
 
+@_gc_quiet
 def segmix_generate(
     corpus: Union[TaggedCorpus, RECorpus],
     pools: PoolSpec,
@@ -995,6 +960,7 @@ def _splice(seq: Sequence, spans, parts) -> tuple[tuple, list]:
     return tuple(out), placed
 
 
+@_gc_quiet
 def replacement_da(
     corpus: Union[TaggedCorpus, RECorpus],
     pools: PoolSpec,
@@ -1035,6 +1001,7 @@ def _encode(examples: Sequence, table: EmbeddingTable, vocab: Sequence[str]):
     return embeddings, one_hot(src.label_names, vocab)[src.label_ids], zip(bounds, bounds[1:])
 
 
+@_gc_quiet
 def encode_corpus(
     corpus: TaggedCorpus, table: EmbeddingTable, vocab: Sequence[str] | None = None
 ) -> list[MixedExample]:
@@ -1047,6 +1014,7 @@ def encode_corpus(
     ]
 
 
+@_gc_quiet
 def encode_re_corpus(
     corpus: RECorpus, table: EmbeddingTable, vocab: Sequence[str] | None = None
 ) -> list[MixedRESample]:

@@ -16,7 +16,8 @@ from typing import Iterable, TextIO
 import numpy as np
 
 from .corpus import (
-    CorpusFormatError, RECorpus, TaggedCorpus, _O, _bio_arrays, _flatten, _iter_lines, _mentions,
+    CorpusFormatError, RECorpus, TaggedCorpus, _O, _bio_arrays, _flatten, _gc_quiet, _iter_lines,
+    _mentions,
 )
 
 POOL_SOURCES = ("mention", "token", "synonym", "relation", "sequence")
@@ -70,6 +71,7 @@ class SegmentPool:
             )
 
 
+@_gc_quiet
 def build_mention_pool(corpus: TaggedCorpus) -> SegmentPool:
     """One entry per mention span (see :func:`bio_spans`), labels kept in BIO form."""
     tokens, offsets = _flatten(s.tokens for s in corpus.sentences)
@@ -83,6 +85,7 @@ def build_mention_pool(corpus: TaggedCorpus) -> SegmentPool:
     return SegmentPool(1, entries, "mention")
 
 
+@_gc_quiet
 def build_token_pool(corpus: TaggedCorpus, include_outside: bool = False) -> SegmentPool:
     """One entry per labeled token; ``include_outside`` admits O tokens too."""
     tokens, _ = _flatten(s.tokens for s in corpus.sentences)
@@ -95,6 +98,7 @@ def build_token_pool(corpus: TaggedCorpus, include_outside: bool = False) -> Seg
     return SegmentPool(1, entries, "token")
 
 
+@_gc_quiet
 def build_relation_pool(corpus: RECorpus) -> SegmentPool:
     """One entry per sample: (e1 tokens, e2 tokens) with the relation label."""
     entries = tuple(
@@ -104,6 +108,7 @@ def build_relation_pool(corpus: RECorpus) -> SegmentPool:
     return SegmentPool(2, entries, "relation")
 
 
+@_gc_quiet
 def build_sequence_pool(corpus: TaggedCorpus) -> SegmentPool:
     """Whole sentences as single segments (classic sentence-level mixup)."""
     entries = tuple(SegmentTuple((s.tokens,), (s.labels,)) for s in corpus.sentences)

@@ -21,8 +21,9 @@ rows as raw little-endian float32, with nothing after them.
 
 Both formats share four pieces: one float32 codec (:func:`_f4`,
 :func:`_from_f4`), which refuses a payload whose byte count its shape does
-not imply; one finiteness rule (:func:`_nonfinite`), so that nothing NaN
-or infinite once cast to float32 is written; one header-schema check
+not imply (:func:`_sized`); one finiteness rule (:func:`_nonfinite`), so
+that nothing NaN or infinite once cast to float32 is written, and nothing
+NaN or infinite is loaded; one header-schema check
 (:func:`_check_fields`), which turns a missing or mistyped field into a
 one-line ``ValueError``; and one example-shape rule,
 ``mixer._shape_problem``, which training applies too.
@@ -37,12 +38,13 @@ import math
 import reprlib
 import struct
 from dataclasses import dataclass
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 from typing import Sequence, TextIO, Union
 
 import numpy as np
 
-from .corpus import Span
+from .corpus import Span, _gc_quiet
 from .mixer import (
     EmbeddingTable, MixedExample, MixedRESample, Provenance, _examples_problem, _shape_problem,
 )
@@ -61,12 +63,17 @@ def _f4(array) -> np.ndarray:
     return np.ascontiguousarray(array, dtype="<f4")
 
 
-def _from_f4(raw: bytes, shape, what: str) -> np.ndarray:
-    """A float64 array of ``shape`` from raw little-endian float32 bytes."""
+def _sized(raw: bytes, shape, what: str) -> bytes:
+    """``raw``, once its byte count is the one float32 ``shape`` implies."""
     want = 4 * math.prod(shape)
     if len(raw) != want:
         raise ValueError(f"{what} holds {len(raw)} bytes where shape {list(shape)} needs {want}")
-    return np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64)
+    return raw
+
+
+def _from_f4(raw: bytes, shape, what: str) -> np.ndarray:
+    """A float64 array of ``shape`` from raw little-endian float32 bytes."""
+    return np.frombuffer(_sized(raw, shape, what), dtype="<f4").reshape(shape).astype(np.float64)
 
 
 def _b64(f4: np.ndarray) -> str:
@@ -232,21 +239,51 @@ def _provenance_text(p: Provenance) -> str:
         ",".join([f"[{a},{b}]" for a, b in p.spans]), encode_basestring_ascii(p.variant))
 
 
-def _read_record(record: dict, task: str, dim: int, n_labels: int):
+def _payload(blob: dict) -> bytes:
+    """The raw float32 bytes of an :func:`encode_array` blob, checked by :func:`_sized`."""
+    return _sized(binascii.a2b_base64(blob["data"]), blob["shape"], "payload")
+
+
+def _read_record(record: dict, task: str, dim: int, n_labels: int) -> tuple:
+    """A record's checked (rows, embedding bytes, label bytes, provenance,
+    spans); ``spans`` is None for a tagging record, else {"e1": Span, "e2": Span}."""
     labels = record["soft_labels" if task == "ner" else "soft_relation"]
     spans = None
     if task == "re":
         _check_fields(record, _RE_SPAN_FIELDS, "record")
         spans = {"e1": Span(*record["e1"]), "e2": Span(*record["e2"])}
     emb_shape = record["embeddings"]["shape"]
+    if not set(map(type, emb_shape + labels["shape"])) <= {int}:  # 2.0 == 2, but not as a shape
+        raise ValueError(f"payload shapes {emb_shape} and {labels['shape']} must hold only integers")
     problem = _shape_problem(emb_shape, labels["shape"], spans, dim, n_labels)
     if problem:
         raise ValueError(problem)
     provenance = _read_provenance(record["provenance"], emb_shape[0])
-    embeddings, labels = decode_array(record["embeddings"]), decode_array(labels)
-    if spans is None:
-        return MixedExample(embeddings, labels, provenance)
-    return MixedRESample(embeddings, labels, spans["e1"], spans["e2"], provenance)
+    return emb_shape[0], _payload(record["embeddings"]), _payload(labels), provenance, spans
+
+
+def _decode_block(block: list, task: str, dim: int, n_labels: int) -> list:
+    """The examples of ``block``, a list of (line, *:func:`_read_record`),
+    as views into one float64 array per payload. Refuses the earliest line
+    whose payload holds a NaN or an infinity."""
+    if not block:
+        return []
+    lines, rows, raw_emb, raw_labels, provenances, spans = zip(*block)
+    b = [0, *accumulate(rows)]
+    ner = task == "ner"
+    emb = _from_f4(b"".join(raw_emb), (b[-1], dim), "block")
+    labels = _from_f4(b"".join(raw_labels), (b[-1] if ner else len(rows), n_labels), "block")
+    if ner:
+        out = [MixedExample(emb[i:j], labels[i:j], p) for i, j, p in zip(b, b[1:], provenances)]
+    else:
+        out = [MixedRESample(emb[i:j], labels[k], s["e1"], s["e2"], p)
+               for k, (i, j, p, s) in enumerate(zip(b, b[1:], provenances, spans))]
+    if not (np.isfinite(emb).all() and np.isfinite(labels).all()):
+        names = ("embeddings", "soft_labels" if ner else "soft_relation")
+        line, name = next((line, name) for line, e in zip(lines, out) for name in names
+                          if not np.isfinite(getattr(e, name)).all())
+        raise ValueError(f"line {line}: {name} hold a non-finite value")
+    return out
 
 
 @dataclass
@@ -274,6 +311,9 @@ _NER_RECORD = ('{"embeddings":{"data":"%s","shape":[%d,%d]},"provenance":%s,'
 _RE_RECORD = ('{"e1":[%d,%d],"e2":[%d,%d],"embeddings":{"data":"%s","shape":[%d,%d]},'
               '"provenance":%s,"soft_relation":{"data":"%s","shape":[%d]}}\n')
 _BLOCK = 512  # examples cast to float32 at a time by the finiteness check
+# Records load_augmented decodes with one join, frombuffer and float64 cast
+# per payload. A block of 512 loaded slower than 16: its records crowd the cache.
+_LOAD_BLOCK = 16
 
 
 def _nonfinite(arrays: Sequence) -> bool:
@@ -335,8 +375,10 @@ def save_augmented(
                                        *emb.shape, prov, _b64(labels), *labels.shape))
 
 
+@_gc_quiet
 def load_augmented(stream: TextIO) -> AugmentedFile:
-    """Read a file written by :func:`save_augmented`."""
+    """Read a file written by :func:`save_augmented`. Each example's arrays
+    are views into those of its block of :data:`_LOAD_BLOCK` records."""
     header_line = stream.readline()
     if not header_line.strip():
         raise ValueError("empty augmented file")
@@ -350,16 +392,21 @@ def load_augmented(stream: TextIO) -> AugmentedFile:
         raise ValueError(f"unsupported version {header.get('version')}")
     _check_fields(header, _HEADER_FIELDS, "header")
     task, dim, vocab = header["task"], header["dim"], header["label_vocab"]
-    examples = []
+    n_labels = len(vocab)
+    examples, block = [], []
     for lineno, line in enumerate(stream, start=2):
         if line.isspace():  # stops at the first non-blank, where strip would copy the line
             continue
         try:
-            examples.append(_read_record(json.loads(line), task, dim, len(vocab)))
-        except KeyError as exc:
-            raise ValueError(f"line {lineno}: record has no {exc} field") from None
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
+            block.append((lineno, *_read_record(json.loads(line), task, dim, n_labels)))
+        except (KeyError, TypeError, ValueError) as exc:
+            _decode_block(block, task, dim, n_labels)  # an earlier line's fault is named first
+            why = f"record has no {exc} field" if isinstance(exc, KeyError) else exc
+            raise ValueError(f"line {lineno}: {why}") from None
+        if len(block) == _LOAD_BLOCK:
+            examples += _decode_block(block, task, dim, n_labels)
+            block = []
+    examples += _decode_block(block, task, dim, n_labels)
     if len(examples) != header["count"]:
         raise ValueError(
             f"header says {header['count']} examples, file has {len(examples)}"

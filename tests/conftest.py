@@ -19,6 +19,22 @@ RELATIONS = (
 )
 
 
+def provenance_json(p) -> dict:
+    """A provenance as the JSON object an augmented record holds, built
+    field by field for ``json``: the oracle for the writer's template."""
+    out = {
+        "example_index": p.example_index,
+        "variant": p.variant,
+        "lam": p.lam,
+        "spans": [list(s) for s in p.spans],
+        "mixed_spans": [list(s) for s in p.mixed_spans],
+        "pool_index": p.pool_index,
+    }
+    if p.replacements is not None:
+        out["replacements"] = list(p.replacements)
+    return out
+
+
 def random_sentence(rng, min_len=2, max_len=12, p_entity=0.35, types=ENTITY_TYPES):
     n = int(rng.integers(min_len, max_len + 1))
     tokens, labels = [], []

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: exit codes, configs, manifests."""
 
+import base64
 import json
 import os
 import re
@@ -478,6 +479,54 @@ def test_train_reports_the_line_of_a_malformed_augmented_record(tmp_path, ner_fi
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "line 3" in err
+
+
+def _nan_in_record(path, line, field):
+    """Rewrite the augmented file ``path`` with a NaN as the first value of
+    the ``field`` payload on (1-based) ``line``."""
+    lines = path.read_text().splitlines(keepends=True)
+    record = json.loads(lines[line - 1])
+    raw = base64.b64decode(record[field]["data"])
+    record[field]["data"] = base64.b64encode(struct.pack("<f", float("nan")) + raw[4:]).decode()
+    lines[line - 1] = json.dumps(record) + "\n"
+    path.write_text("".join(lines))
+
+
+def test_recover_refuses_a_nan_payload_with_its_line(tmp_path, ner_file, capsys):
+    aug = tmp_path / "aug.jsonl"
+    assert run("augment", "--input", ner_file, "--output", aug) == 0
+    _nan_in_record(aug, 3, "embeddings")
+    capsys.readouterr()
+    assert run("recover", "--augmented", aug) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: line 3: embeddings hold a non-finite value\n"
+    assert captured.out == ""
+
+
+def test_train_names_the_line_of_a_nan_augmented_payload(tmp_path, ner_file, capsys):
+    aug, ckpt = tmp_path / "aug.jsonl", tmp_path / "m.ckpt"
+    assert run("augment", "--input", ner_file, "--output", aug) == 0
+    _nan_in_record(aug, 4, "soft_labels")
+    capsys.readouterr()
+    assert run("train", "--train", ner_file, "--augmented", aug, "--checkpoint", ckpt,
+               "--epochs", "1") == 1
+    assert capsys.readouterr().err == "error: line 4: soft_labels hold a non-finite value\n"
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("augment", "--dim"), ("train", "--window"), ("train", "--n-buckets"),
+])
+def test_a_size_numpy_cannot_allocate_is_one_error_line(tmp_path, ner_file, capsys, command, flag):
+    out = tmp_path / "out"
+    files = ("--train", ner_file, "--checkpoint", out) if command == "train" else (
+        "--input", ner_file, "--output", out)
+    # arrays of tens of TiB, which numpy refuses before allocating anything
+    assert run(command, *files, flag, "100000000000") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def _checkpoint_without(path, key):

@@ -1,12 +1,16 @@
 """Parsing, validation, and round-trip behavior of the corpus containers."""
 
+import gc
 import io
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import segmix
+from segmix import mixer, pools, serialization
 from segmix.corpus import (
     BioValidationError,
     CorpusFormatError,
@@ -26,6 +30,7 @@ from segmix.corpus import (
     validate_bio,
     write_corpus,
 )
+from segmix.synth import synth_re_corpus, synth_tagged_corpus
 
 from conftest import random_corpus, random_re_corpus
 
@@ -448,3 +453,115 @@ def test_downsample_re(hand_re_corpus):
     assert isinstance(sub, RECorpus)
     assert len(sub) == 2
     assert all(s in hand_re_corpus.samples for s in sub.samples)
+
+
+# ---------------------------------------------------------------- GC-quiet bulk builders
+
+# Every GC-quiet builder, as a call on the inputs of ``builder_inputs``.
+_BUILDERS = {
+    "parse_conll": lambda x: parse_conll(x["ner_text"]),
+    "parse_re": lambda x: parse_re(x["re_text"]),
+    "build_mention_pool": lambda x: pools.build_mention_pool(x["ner"]),
+    "build_token_pool": lambda x: pools.build_token_pool(x["ner"]),
+    "build_relation_pool": lambda x: pools.build_relation_pool(x["re"]),
+    "build_sequence_pool": lambda x: pools.build_sequence_pool(x["ner"]),
+    # with no pools given, it builds one inside
+    "segmix_generate": lambda x: mixer.segmix_generate(x["ner"], None, x["table"], x["config"]),
+    "replacement_da": lambda x: mixer.replacement_da(x["ner"], None, x["config"]),
+    "encode_corpus": lambda x: mixer.encode_corpus(x["ner"], x["table"]),
+    "encode_re_corpus": lambda x: mixer.encode_re_corpus(x["re"], x["table"]),
+    "load_augmented": lambda x: serialization.load_augmented(io.StringIO(x["augmented"])),
+}
+
+
+@pytest.fixture
+def builder_inputs() -> dict:
+    ner, rel = synth_tagged_corpus(30, seed=0), synth_re_corpus(30, seed=0)
+    table = mixer.EmbeddingTable.random(ner.token_vocab, 4, seed=0)
+    config = mixer.MixConfig(variant="mention", rate=1.0)
+    saved = io.StringIO()
+    examples = mixer.segmix_generate(ner, None, table, config).examples
+    serialization.save_augmented(saved, examples, ner.label_vocab, "ner")
+    return {"ner": ner, "re": rel, "ner_text": corpus_to_text(ner), "re_text": corpus_to_text(rel),
+            "table": table, "config": config, "augmented": saved.getvalue()}
+
+
+@pytest.fixture
+def collector_state():
+    """Puts the cyclic collector back as it was after a test that switches it."""
+    was, threshold = gc.isenabled(), gc.get_threshold()
+    yield
+    gc.set_threshold(*threshold)
+    (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("name", list(_BUILDERS))
+def test_a_gc_quiet_builder_leaves_the_collector_as_it_found_it(
+        collector_state, builder_inputs, name, enabled):
+    codes = {getattr(segmix, name).__wrapped__.__code__}
+    (gc.enable if enabled else gc.disable)()
+    gc.set_threshold(1)  # a running collector would collect at almost every allocation
+    inside, _ = _collections(lambda: _BUILDERS[name](builder_inputs), codes)
+    assert inside == 0
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_a_gc_quiet_builder_that_raises_leaves_the_collector_as_it_found_it(
+        collector_state, enabled):
+    seen = []
+
+    def lines():
+        seen.append(gc.isenabled())
+        yield "paris\tB-LOC\n"
+        yield "x\tNOT-BIO\n"
+
+    (gc.enable if enabled else gc.disable)()
+    with pytest.raises(CorpusFormatError, match="^line 2: not a BIO label"):
+        parse_conll(lines())
+    assert seen == [False]  # paused while it ran
+    assert gc.isenabled() is enabled
+
+
+def _collections(run, codes) -> tuple[int, int]:
+    """(collections started while a frame of ``codes`` was on the stack, all
+    collections) during ``run()``."""
+    inside = []
+
+    def seen(phase, info):
+        if phase == "start":
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code not in codes:
+                frame = frame.f_back
+            inside.append(frame is not None)
+
+    gc.callbacks.append(seen)
+    try:
+        run()
+    finally:
+        gc.callbacks.remove(seen)
+    return sum(inside), len(inside)
+
+
+def test_an_augment_round_trip_collects_nothing_while_a_builder_runs(collector_state):
+    text = corpus_to_text(synth_tagged_corpus(300, seed=3))
+    quiet = (parse_conll, pools.build_mention_pool, mixer.segmix_generate,
+             serialization.load_augmented)
+    codes = {build.__wrapped__.__code__ for build in quiet}
+
+    def round_trip(parse, build_pool, generate, load):
+        corpus = parse(text)
+        table = mixer.EmbeddingTable.random(corpus.token_vocab, 8, seed=0)
+        config = mixer.MixConfig(variant="mention", rate=2.0)
+        examples = generate(corpus, build_pool(corpus), table, config).examples
+        saved = io.StringIO()
+        serialization.save_augmented(saved, examples, corpus.label_vocab, "ner")
+        assert len(load(io.StringIO(saved.getvalue())).examples) == len(examples)
+
+    gc.enable()
+    inside, total = _collections(lambda: round_trip(*quiet), codes)
+    assert (inside, total > 0) == (0, True)
+    # the control: the same builders with the collector left running collect inside them
+    inside, _ = _collections(lambda: round_trip(*(build.__wrapped__ for build in quiet)), codes)
+    assert inside > 0

@@ -31,7 +31,6 @@ from segmix.mixer import (
     encode_corpus,
     encode_re_corpus,
     segmix_generate,
-    select_segment,
     _mix_ratios,
     _splice,
 )
@@ -47,6 +46,8 @@ from segmix.pools import (
 )
 from segmix.rng import derive_rng
 from segmix.serialization import _read_provenance
+
+from conftest import provenance_json
 
 
 def single_entry_pool(tokens, labels, source="mention"):
@@ -336,25 +337,35 @@ def test_variant_weights_default_equal():
 
 
 # ---------------------------------------------------------------- selection
+# A mix's provenance spans are the segment(s) its plan selected.
+
+def _one_slot(example, variant, rng, pool=None, vocab=("B-LOC", "I-LOC", "O", "B-PER", "I-PER")):
+    """The span(s) a one-slot mix of ``example`` selects."""
+    pool = single_entry_pool(("x",), ("B-LOC",)) if pool is None else pool
+    table = EmbeddingTable.random(("x",), dim=2, seed=0)
+    mix_one = mix_re_sample if variant == "relation" else mix_example
+    return mix_one(example, pool, table, vocab, MixConfig(variant=variant), rng).provenance.spans
+
 
 def test_select_segment_mention_and_token(hand_corpus):
     rng = np.random.default_rng(0)
     sent = hand_corpus.sentences[0]  # one LOC mention at (0, 3)
-    assert select_segment(sent, "mention", rng) == ((0, 3),)
-    assert select_segment(sent, "whole_sequence", rng) == ((0, 5),)
-    token_spans = {select_segment(sent, "token", rng) for _ in range(60)}
+    assert _one_slot(sent, "mention", rng) == ((0, 3),)
+    assert _one_slot(sent, "whole_sequence", rng) == ((0, 5),)
+    token_spans = {_one_slot(sent, "token", rng) for _ in range(60)}
     assert token_spans == {((0, 1),), ((1, 2),), ((2, 3),)}
-    assert select_segment(hand_corpus.sentences[2], "mention", rng) is None
-    assert select_segment(hand_corpus.sentences[2], "token", rng) is None
+    for variant in ("mention", "token"):
+        with pytest.raises(ValueError, match="no eligible segment"):
+            _one_slot(hand_corpus.sentences[2], variant, rng)
 
 
 def test_select_segment_reads_ill_formed_bio_like_scoring():
     rng = np.random.default_rng(0)
     sent = Sentence(("paris", "hilton", "x"), ("B-LOC", "I-PER", "O"))
-    spans = {select_segment(sent, "mention", rng) for _ in range(60)}
+    spans = {_one_slot(sent, "mention", rng) for _ in range(60)}
     assert spans == {((0, 1),), ((1, 2),)}
     stray = Sentence(("x", "rome"), ("O", "I-LOC"))
-    assert select_segment(stray, "mention", rng) == ((1, 2),)
+    assert _one_slot(stray, "mention", rng) == ((1, 2),)
 
 
 def test_select_segment_mention_uniform():
@@ -362,10 +373,12 @@ def test_select_segment_mention_uniform():
         ("a", "b", "c", "d", "x"),
         ("B-P", "B-Q", "B-R", "B-S", "O"),
     )
-    rng = np.random.default_rng(42)
-    counts = Counter(
-        select_segment(sent, "mention", rng)[0][0] for _ in range(10_000)
-    )
+    corpus = TaggedCorpus.from_sentences([sent])
+    table = EmbeddingTable.random(corpus.token_vocab, dim=2, seed=0)
+    config = MixConfig(variant="mention", rate=10_000, seed=42)
+    gen = segmix_generate(corpus, build_mention_pool(corpus), table, config)
+    assert len(gen.examples) == 10_000
+    counts = Counter(e.provenance.spans[0][0] for e in gen.examples)
     for pos in range(4):
         assert abs(counts[pos] / 10_000 - 0.25) < 0.03
 
@@ -374,27 +387,29 @@ def test_select_segment_synonym(hand_corpus):
     rng = np.random.default_rng(0)
     sent = hand_corpus.sentences[0]
     lex = SynonymLexicon({"is": ("was",)})
-    assert select_segment(sent, "synonym", rng, lexicon=lex) == ((3, 4),)
+    assert _one_slot(sent, "synonym", rng, lex) == ((3, 4),)
     empty = SynonymLexicon({"absent": ("gone",)})
-    assert select_segment(sent, "synonym", rng, lexicon=empty) is None
+    with pytest.raises(ValueError, match="no eligible segment"):
+        _one_slot(sent, "synonym", rng, empty)
     with pytest.raises(ValueError, match="needs a lexicon"):
-        select_segment(sent, "synonym", rng)
+        _one_slot(sent, "synonym", rng)
 
 
 def test_select_segment_relation(hand_re_corpus):
     rng = np.random.default_rng(0)
     sample = hand_re_corpus.samples[0]
-    spans = select_segment(sample, "relation", rng)
+    pool, vocab = build_relation_pool(hand_re_corpus), hand_re_corpus.relation_vocab
+    spans = _one_slot(sample, "relation", rng, pool, vocab)
     assert spans == (
         (sample.e1.start, sample.e1.end),
         (sample.e2.start, sample.e2.end),
     )
     with pytest.raises(TypeError):
-        select_segment(hand_re_corpus.samples[0], "mention", rng)
+        _one_slot(hand_re_corpus.samples[0], "mention", rng)
     with pytest.raises(TypeError):
-        select_segment(Sentence(("a",), ("O",)), "relation", rng)
+        _one_slot(Sentence(("a",), ("O",)), "relation", rng, pool, vocab)
     with pytest.raises(ValueError, match="unknown variant"):
-        select_segment(Sentence(("a",), ("O",)), "bogus", rng)
+        _one_slot(Sentence(("a",), ("O",)), "bogus", rng)
 
 
 # ---------------------------------------------------------------- hand mixes
@@ -993,9 +1008,9 @@ def test_replacement_da_re(hand_re_corpus):
 
 def test_provenance_json_round_trip():
     prov = Provenance(3, "mention", 0.41, ((1, 3),), ((1, 4),), pool_index=7)
-    assert _read_provenance(prov.to_json(), 4) == prov
+    assert _read_provenance(provenance_json(prov), 4) == prov
     syn = Provenance(0, "synonym", 0.9, ((2, 3),), ((2, 3),), replacements=("was",))
-    assert _read_provenance(syn.to_json(), 4) == syn
+    assert _read_provenance(provenance_json(syn), 4) == syn
 
 
 def test_mixed_example_row_mismatch_rejected():

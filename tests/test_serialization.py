@@ -33,7 +33,7 @@ from segmix.serialization import (
     save_checkpoint,
 )
 
-from conftest import random_corpus, random_re_corpus
+from conftest import provenance_json, random_corpus, random_re_corpus
 
 
 def test_encode_array_known_bytes():
@@ -495,7 +495,7 @@ def _oracle_save(stream, examples, label_vocab, task, meta=None):
                        "meta": meta or {}}) + "\n")
     for example in examples:
         record = {"embeddings": _oracle_array(example.embeddings),
-                  "provenance": example.provenance.to_json()}
+                  "provenance": provenance_json(example.provenance)}
         if task == "ner":
             record["soft_labels"] = _oracle_array(example.soft_labels)
         else:
@@ -560,3 +560,133 @@ def test_save_writes_the_bytes_of_the_json_oracle(case):
     _oracle_save(want, examples, vocab, task, meta)
     save_augmented(got, examples, vocab, task, meta)
     assert got.getvalue() == want.getvalue()
+
+
+# ---------------------------------------------------------------- block-decoded load
+
+def _oracle_load(text: str) -> list:
+    """Every record of an augmented file decoded on its own, one array per
+    payload: the loader as it was before it decoded records in blocks."""
+    def decode(blob):
+        raw = base64.b64decode(blob["data"])
+        return np.frombuffer(raw, "<f4").reshape(blob["shape"]).astype(np.float64)
+
+    out = []
+    for record in (json.loads(line) for line in text.splitlines()[1:] if line.strip()):
+        p = record["provenance"]
+        prov = Provenance(p["example_index"], p["variant"], p["lam"],
+                          tuple(map(tuple, p["spans"])), tuple(map(tuple, p["mixed_spans"])),
+                          p["pool_index"], tuple(p["replacements"]) if "replacements" in p else None)
+        if "soft_labels" in record:
+            out.append(MixedExample(decode(record["embeddings"]), decode(record["soft_labels"]), prov))
+        else:
+            out.append(MixedRESample(decode(record["embeddings"]), decode(record["soft_relation"]),
+                                     Span(*record["e1"]), Span(*record["e2"]), prov))
+    return out
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def _block_cases(draw):
+    """(task, vocab, examples, blank-line runs) with record counts around the block size."""
+    task = draw(st.sampled_from(["ner", "re"]))
+    dim, n_labels = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    count = draw(st.sampled_from([0, 15, 16, 17, 33]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    examples = []
+    for i in range(count):
+        n = int(rng.integers(1, 7))
+        embeddings = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-30, 30)
+        embeddings[rng.random((n, dim)) < 0.1] = -0.0
+        e1, e2 = sorted(rng.integers(0, n, 2).tolist())
+        prov = Provenance(i, "mention", float(rng.random()), ((e1, e1 + 1),), ((e2, e2 + 1),),
+                          pool_index=None if i % 3 else i,
+                          replacements=("was",) if i % 5 == 1 else None)
+        if task == "ner":
+            examples.append(MixedExample(embeddings, rng.random((n, n_labels)), prov))
+        else:
+            examples.append(MixedRESample(embeddings, rng.random(n_labels), Span(e1, e1 + 1),
+                                          Span(e2, e2 + 1), prov))
+    blanks = draw(st.lists(st.sampled_from(["", "\n", "  \n", "\t\r\n\n"]),
+                           min_size=count + 1, max_size=count + 1))
+    return task, tuple(f"L{k}" for k in range(n_labels)), examples, blanks
+
+
+@settings(max_examples=60, deadline=None)
+@given(_block_cases())
+def test_block_decoded_load_equals_the_per_record_decode_bit_for_bit(case):
+    task, vocab, examples, blanks = case
+    header, *records = _saved(examples, vocab, task).splitlines(keepends=True)
+    text = header + "".join(blank + record for blank, record in zip(blanks, records)) + blanks[-1]
+    loaded = load_augmented(io.StringIO(text)).examples
+    want = _oracle_load(text)
+    assert len(loaded) == len(want) == len(examples)
+    labels = "soft_labels" if task == "ner" else "soft_relation"
+    for got, expected in zip(loaded, want):
+        assert type(got) is type(expected)
+        assert _same_bits(got.embeddings, expected.embeddings)
+        assert _same_bits(getattr(got, labels), getattr(expected, labels))
+        assert got.provenance == expected.provenance
+        if task == "re":
+            assert (got.e1, got.e2) == (expected.e1, expected.e2)
+
+
+def _with_value(lines, index, field, value, at=0):
+    """``lines`` with float ``at`` of record ``index``'s ``field`` payload set to ``value``."""
+    record = json.loads(lines[index])
+    raw = bytearray(base64.b64decode(record[field]["data"]))
+    raw[4 * at : 4 * at + 4] = struct.pack("<f", value)
+    record[field]["data"] = base64.b64encode(bytes(raw)).decode("ascii")
+    return lines[:index] + [json.dumps(record) + "\n"] + lines[index + 1:]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("task,field", [
+    ("ner", "embeddings"), ("ner", "soft_labels"), ("re", "embeddings"), ("re", "soft_relation"),
+])
+def test_load_refuses_a_payload_that_is_not_finite(value, task, field):
+    # 20 records put the bad one, record 17, in the second block
+    examples = (_ner_examples() if task == "ner" else _re_examples()) * 10
+    vocab = ("B-X", "O") if task == "ner" else ("R(e1,e2)", "Other")
+    lines = _with_value(_saved_lines(examples, vocab, task), 17, field, value, at=1)
+    with pytest.raises(ValueError, match=f"^line 18: {field} hold a non-finite value$"):
+        load_augmented(io.StringIO("".join(lines)))
+
+
+def test_load_names_the_earliest_of_several_faulty_lines():
+    lines = _saved_lines(_ner_examples() * 10, ("B-X", "O"), "ner")
+    lines = _with_value(lines, 9, "embeddings", float("nan"))
+    lines = _with_value(lines, 5, "soft_labels", float("inf"))
+    with pytest.raises(ValueError, match="^line 6: soft_labels hold a non-finite value$"):
+        load_augmented(io.StringIO("".join(lines)))
+    # a malformed record later in the same block comes second as well
+    lines[12] = lines[12].replace('"provenance"', '"provenanse"')
+    with pytest.raises(ValueError, match="^line 6: soft_labels hold"):
+        load_augmented(io.StringIO("".join(lines)))
+    lines = _with_value(lines, 5, "soft_labels", 0.5)
+    with pytest.raises(ValueError, match="^line 10: embeddings hold"):
+        load_augmented(io.StringIO("".join(lines)))
+    lines = _with_value(lines, 9, "embeddings", 0.5)
+    with pytest.raises(ValueError, match="^line 13: record has no 'provenance' field$"):
+        load_augmented(io.StringIO("".join(lines)))
+
+
+@pytest.mark.parametrize("field,at,value,why", [
+    ("embeddings", 0, 2.0, "payload shapes [2.0, 4] and [2, 2] must hold only integers"),
+    ("embeddings", 0, True, "payload shapes [True, 4] and [2, 2] must hold only integers"),
+    ("embeddings", 0, "2", "payload shapes ['2', 4] and [2, 2] must hold only integers"),
+    ("embeddings", 1, 4.0, "payload shapes [2, 4.0] and [2, 2] must hold only integers"),
+    ("soft_labels", 1, 2.0, "payload shapes [2, 4] and [2, 2.0] must hold only integers"),
+    ("embeddings", 0, -1, "embeddings have no rows"),
+    ("embeddings", slice(None), [], "embeddings have shape [], expected (n, 4)"),
+])
+def test_load_refuses_a_shape_that_is_not_positive_integers(field, at, value, why):
+    lines = _saved_lines(_ner_examples(), ("B-X", "O"), "ner")
+    record = json.loads(lines[2])
+    record[field]["shape"][at] = value
+    lines[2] = json.dumps(record) + "\n"
+    with pytest.raises(ValueError, match="^" + re.escape(f"line 3: {why}") + "$"):
+        load_augmented(io.StringIO("".join(lines)))
