@@ -140,6 +140,27 @@ class Option:
         flag = "--" + self.dest.replace("_", "-")
         parser.add_argument(flag, dest=self.dest, help=self.help, **how)
 
+    def problem(self, value, default) -> str | None:
+        """Why ``value``, read from a config file or a manifest, cannot stand
+        for this flag, or None. Null means "not set", which only an option
+        whose default is null may be."""
+        if value is None:
+            return None if default is None else "may not be null"
+        if isinstance(self.kind, tuple):
+            ok = value in self.kind
+            want = f"one of {', '.join(self.kind)}"
+        elif self.kind is list:
+            ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+            want = "a list of strings"
+        else:  # a JSON bool is a Python int, and a JSON int stands for a float
+            ok = (isinstance(value, (int, float) if self.kind is float else self.kind)
+                  and isinstance(value, bool) == (self.kind is bool))
+            want = _KIND_NAMES[self.kind]
+        return None if ok else f"must be {want}, got {json.dumps(value)}"
+
+
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
+
 
 def _opt(dest: str, kind, help: str | None = None, **defaults) -> Option:
     return Option(dest, kind, help, defaults)
@@ -204,6 +225,7 @@ _OPTIONS = (
 _DEFAULTS: dict[str, dict] = {
     name: {o.dest: o.defaults[name] for o in _OPTIONS if name in o.defaults} for name in _ALL
 }
+_BY_DEST = {o.dest: o for o in _OPTIONS}
 
 
 def _load_config(path) -> dict:
@@ -219,24 +241,31 @@ def _load_config(path) -> dict:
     return config
 
 
-def _resolve(command: str, ns: argparse.Namespace) -> SimpleNamespace:
-    """defaults < config file < explicit CLI flags."""
+def _resolve(command: str, values: dict, source: str, flags: dict | None = None
+             ) -> SimpleNamespace:
+    """defaults < ``values`` (a config file's or a manifest's, named by
+    ``source``) < explicit ``flags``.
+
+    Each of ``values`` must be a key of ``command`` holding a value of its
+    option's kind; the merged values then pass the range checks. A config
+    file and a replayed manifest are checked alike, one line naming the key.
+    """
     defaults = _DEFAULTS[command]
-    config = _load_config(ns.config) if ns.config else {}
-    unknown = set(config) - set(defaults)
+    unknown = ", ".join(sorted(set(values) - set(defaults)))
     if unknown:
-        raise UsageError(f"config keys not understood by '{command}': {', '.join(sorted(unknown))}")
-    merged = {}
-    for key, default in defaults.items():
-        value = getattr(ns, key)
-        merged[key] = value if value is not None else config.get(key, default)
+        raise UsageError(f"{source} keys not understood by '{command}': {unknown}")
+    for key, value in values.items():
+        problem = _BY_DEST[key].problem(value, defaults[key])
+        if problem:
+            raise UsageError(f"{source} key '{key}' {problem}")
+    merged = {**defaults, **values, **(flags or {})}
     for key in ("seed", "embed_seed"):
         value = merged.get(key)
-        if value is not None and not 0 <= int(value) < 2**32:
+        if value is not None and not 0 <= value < 2**32:
             raise CliError(f"--{key.replace('_', '-')} must lie in [0, 2**32), got {value}")
-    if int(merged.get("window", 0)) < 0:
+    if merged.get("window", 0) < 0:
         raise CliError(f"--window must be 0 or more, got {merged['window']}")
-    if int(merged.get("repeats", 1)) < 1:
+    if merged.get("repeats", 1) < 1:
         raise UsageError(f"--repeats must be 1 or more, got {merged['repeats']}")
     return SimpleNamespace(**merged)
 
@@ -674,13 +703,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _replay_manifest(path: str) -> int:
     with open(_require_file(path, "manifest")) as fh:
         data = json.load(fh)
+    if not (isinstance(data, dict) and isinstance(data.get("inputs", {}), dict)
+            and isinstance(data.get("args", {}), dict)):
+        raise CliError(f"manifest {path} must hold a JSON object with object inputs and args")
     command = data.get("command")
-    if command not in _COMMANDS:
+    if not isinstance(command, str) or command not in _COMMANDS:
         raise CliError(f"manifest names unknown command {command!r}")
     for input_path, recorded in data.get("inputs", {}).items():
         if _sha256_file(_require_file(input_path, "recorded input")) != recorded:
             raise CliError(f"input {input_path} changed since the manifest was written")
-    return _run(command, SimpleNamespace(**{**_DEFAULTS[command], **data.get("args", {})}))
+    return _run(command, _resolve(command, data.get("args", {}), "manifest"))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -691,7 +723,9 @@ def main(argv: list[str] | None = None) -> int:
             return _replay_manifest(ns.from_manifest)
         if not ns.command:
             parser.error("a subcommand is required (or --from-manifest)")
-        return _run(ns.command, _resolve(ns.command, ns))
+        config = _load_config(ns.config) if ns.config else {}
+        flags = {k: v for k, v in vars(ns).items() if k in _DEFAULTS[ns.command] and v is not None}
+        return _run(ns.command, _resolve(ns.command, config, "config", flags))
     except UsageError as exc:
         parser.error(str(exc))
     except (CliError, ValueError, TrainingDivergedError, OSError, MemoryError) as exc:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import gc
 import io
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, TextIO, Union
 
@@ -131,7 +132,44 @@ def _flatten(rows: Iterable[Sequence]) -> tuple[list, np.ndarray]:
     """The items of ``rows`` end to end, and offsets: row i is ``flat[offsets[i]:offsets[i + 1]]``."""
     rows = list(rows)
     lengths = np.fromiter(map(len, rows), np.int64, len(rows))
-    return [x for row in rows for x in row], np.concatenate([[0], np.cumsum(lengths)])
+    return list(itertools.chain.from_iterable(rows)), np.concatenate([[0], np.cumsum(lengths)])
+
+
+def _label_ids(labels: Sequence[str], vocab: Sequence[str]) -> np.ndarray:
+    """Index of every label in ``vocab``; unknown labels raise ValueError."""
+    index = {l: i for i, l in enumerate(vocab)}
+    try:
+        return np.fromiter(map(index.__getitem__, labels), np.int64, len(labels))
+    except KeyError as exc:
+        raise ValueError(f"label {exc.args[0]!r} not in vocabulary") from None
+
+
+@dataclass
+class _Source:
+    """A corpus compiled to flat arrays: example i owns flat rows offsets[i]:offsets[i + 1].
+
+    ``labels`` holds the label strings end to end, per token for tagging
+    corpora and per sample (the relation) for RE corpora; ``label_ids``
+    index them into ``label_names``, numbered in first-occurrence order.
+    """
+
+    examples: tuple
+    offsets: np.ndarray
+    tokens: list
+    labels: list
+    label_names: tuple
+    label_ids: np.ndarray
+
+
+def _compile(examples: Sequence) -> _Source:
+    examples = tuple(examples)
+    tokens, offsets = _flatten([x.tokens for x in examples])
+    if examples and isinstance(examples[0], RESample):
+        labels = [x.relation for x in examples]
+    else:
+        labels = list(itertools.chain.from_iterable([x.labels for x in examples]))
+    names = tuple(dict.fromkeys(labels))
+    return _Source(examples, offsets, tokens, labels, names, _label_ids(labels, names))
 
 
 def bio_spans(labels: Iterable[str]) -> list[tuple[int, int, str]]:

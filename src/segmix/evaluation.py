@@ -15,8 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import RECorpus, TaggedCorpus, _bio_kinds, _flatten, _mentions, bio_spans
-from .mixer import EmbeddingTable, _label_ids
+from .corpus import (
+    RECorpus, TaggedCorpus, _bio_kinds, _flatten, _label_ids, _mentions, bio_spans,
+)
+from .mixer import EmbeddingTable
 
 
 @dataclass(frozen=True)

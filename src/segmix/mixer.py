@@ -39,14 +39,14 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .corpus import (
-    RECorpus, RESample, Sentence, Span, TaggedCorpus, _O, _bio_arrays, _flatten, _gc_quiet,
-    _mentions,
+    RECorpus, RESample, Sentence, Span, TaggedCorpus, _O, _Source, _bio_arrays, _compile,
+    _gc_quiet, _label_ids, _mentions,
 )
 from .pools import (
     EmptyPoolError,
     SegmentPool,
     SynonymLexicon,
-    build_mention_pool,
+    _mention_pool,
     build_relation_pool,
     build_sequence_pool,
     build_token_pool,
@@ -199,15 +199,6 @@ class EmbeddingTable:
         return self.vectors[self.rows(tokens)]
 
 
-def _label_ids(labels: Sequence[str], vocab: Sequence[str]) -> np.ndarray:
-    """Index of every label in ``vocab``; unknown labels raise ValueError."""
-    index = {l: i for i, l in enumerate(vocab)}
-    try:
-        return np.fromiter(map(index.__getitem__, labels), np.int64, len(labels))
-    except KeyError as exc:
-        raise ValueError(f"label {exc.args[0]!r} not in vocabulary") from None
-
-
 def one_hot(labels: Sequence[str], vocab: Sequence[str]) -> np.ndarray:
     """One-hot rows over ``vocab``; unknown labels raise ValueError."""
     return np.eye(len(vocab))[_label_ids(labels, vocab)]
@@ -305,7 +296,7 @@ class MixConfig:
         return [1.0 / len(parts)] * len(parts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Provenance:
     """Where a mixed example came from: source sentence, spans, partner, lam."""
 
@@ -316,6 +307,15 @@ class Provenance:
     mixed_spans: tuple[tuple[int, int], ...]
     pool_index: int | None = None
     replacements: tuple[str, ...] | None = None
+
+    def __init__(self, example_index, variant, lam, spans, mixed_spans, pool_index=None,
+                 replacements=None):
+        # fills __dict__ directly: the generated frozen __init__ sets each field
+        # through object.__setattr__, about three times slower, once per record
+        d = self.__dict__
+        d["example_index"], d["variant"], d["lam"] = example_index, variant, lam
+        d["spans"], d["mixed_spans"] = spans, mixed_spans
+        d["pool_index"], d["replacements"] = pool_index, replacements
 
 
 @dataclass
@@ -407,32 +407,6 @@ def _check_segment_args(example, variant: str, lexicon: SynonymLexicon | None) -
 
 
 @dataclass
-class _Source:
-    """A corpus compiled to flat arrays: example i owns flat rows offsets[i]:offsets[i + 1].
-
-    ``label_ids`` index ``label_names``, per token for tagging corpora and
-    per sample (the relation) for RE corpora.
-    """
-
-    examples: tuple
-    offsets: np.ndarray
-    tokens: list
-    label_names: tuple
-    label_ids: np.ndarray
-
-
-def _compile(examples: Sequence) -> _Source:
-    examples = tuple(examples)
-    tokens, offsets = _flatten(x.tokens for x in examples)
-    if examples and isinstance(examples[0], RESample):
-        labels = [x.relation for x in examples]
-    else:
-        labels = [l for x in examples for l in x.labels]
-    names = tuple(dict.fromkeys(labels))
-    return _Source(examples, offsets, tokens, names, _label_ids(labels, names))
-
-
-@dataclass
 class _Plan:
     """Resolved randomness of a run's emitted slots, one row per slot in slot order.
 
@@ -458,6 +432,8 @@ class _Plan:
 
     @classmethod
     def concat(cls, plans: Sequence["_Plan"]) -> "_Plan":
+        if len(plans) == 1:
+            return plans[0]
         return cls(
             np.concatenate([p.example for p in plans]),
             np.concatenate([p.lam for p in plans]),
@@ -473,7 +449,6 @@ PoolSpec = Union[SegmentPool, SynonymLexicon, Mapping[str, Union[SegmentPool, Sy
 
 
 _DEFAULT_POOLS = {
-    "mention": build_mention_pool,
     "token": build_token_pool,
     "whole_sequence": build_sequence_pool,
     "relation": build_relation_pool,
@@ -481,9 +456,11 @@ _DEFAULT_POOLS = {
 
 
 def _normalize_pools(
-    corpus: Union[TaggedCorpus, RECorpus], pools: PoolSpec, config: MixConfig
+    corpus: Union[TaggedCorpus, RECorpus, None], src: _Source | None, pools: PoolSpec,
+    config: MixConfig,
 ) -> dict[str, Union[SegmentPool, SynonymLexicon]]:
-    """Accept a bare pool/lexicon or a variant->pool mapping; build defaults."""
+    """Accept a bare pool/lexicon or a variant->pool mapping; build defaults
+    from the corpus (the mention pool from its compiled ``src``)."""
     parts = config.variant_list()
     table = dict(pools) if isinstance(pools, Mapping) else {}
     if isinstance(pools, (SegmentPool, SynonymLexicon)):
@@ -491,7 +468,9 @@ def _normalize_pools(
             raise ValueError("combination variants need a mapping of pools")
         table[parts[0]] = pools
     for part, weight in zip(parts, config.variant_weights()):
-        if part not in table:
+        if part == "mention" and part not in table:
+            table[part] = _mention_pool(src)
+        elif part not in table:
             if part == "synonym":
                 raise ValueError("synonym variant needs an explicit lexicon")
             table[part] = _DEFAULT_POOLS[part](corpus)
@@ -674,14 +653,14 @@ def _plan_run(
         return None, None, 0, 0
     if n == 0:
         raise ValueError("cannot augment an empty corpus")
-    pool_map = _normalize_pools(corpus, pools, config)
+    src = _compile(examples)
+    pool_map = _normalize_pools(corpus, src, pools, config)
 
     cand_rng = derive_rng(config.seed, "candidates")
     candidates = cand_rng.choice(n, size=requested, replace=requested > n)
     lam = _mix_ratios(config, requested)
     u = derive_rng(config.seed, "choice").random((requested, 2))
 
-    src = _compile(examples)
     plans = []
     first = 0
     for part, count in zip(parts, _split_budget(requested, config.variant_weights())):
@@ -734,9 +713,10 @@ def _layout(src: _Source, plan: _Plan, partner_lens: np.ndarray):
     n_slots, k = partner_lens.shape
     partner_at = (np.cumsum(partner_lens) - partner_lens.ravel()).reshape(n_slots, k)
     order = np.argsort(plan.spans[:, :, 0], axis=1)
-    start = np.take_along_axis(plan.spans[:, :, 0], order, 1)
-    end = np.take_along_axis(plan.spans[:, :, 1], order, 1)
-    p_len = np.take_along_axis(partner_lens, order, 1)
+    rows = np.arange(n_slots)[:, None]  # a[rows, order] is take_along_axis(a, order, 1)
+    start = plan.spans[:, :, 0][rows, order]
+    end = plan.spans[:, :, 1][rows, order]
+    p_len = partner_lens[rows, order]
     keep = (plan.lam == 1.0)[:, None]
     mixed_len = np.where(keep, end - start, np.maximum(end - start, p_len))
     src_at = src.offsets[plan.example][:, None]
@@ -756,7 +736,7 @@ def _layout(src: _Source, plan: _Plan, partner_lens: np.ndarray):
     piece_len[:, 1::2] = mixed_len
     a_at[:, 1::2] = src_at + start
     a_len[:, 1::2] = end - start
-    b_at[:, 1::2] = np.take_along_axis(partner_at, order, 1)
+    b_at[:, 1::2] = partner_at[rows, order]
     b_len[:, 1::2] = np.where(keep, 0, p_len)
 
     lens = piece_len.ravel()
@@ -769,8 +749,8 @@ def _layout(src: _Source, plan: _Plan, partner_lens: np.ndarray):
 
     piece_at = np.cumsum(piece_len, axis=1) - piece_len
     inverse = np.argsort(order, axis=1)
-    mixed_at = np.take_along_axis(piece_at[:, 1::2], inverse, 1)
-    mixed_end = mixed_at + np.take_along_axis(mixed_len, inverse, 1)
+    mixed_at = piece_at[:, 1::2][rows, inverse]
+    mixed_end = mixed_at + mixed_len[rows, inverse]
     mixed_spans = np.stack([mixed_at, mixed_end], axis=-1)
     return a, b, slot, blend, piece_len.sum(axis=1), mixed_spans
 
@@ -839,6 +819,12 @@ def _flat_labels(plan: _Plan) -> list:
     return out
 
 
+def _span_tuples(spans: np.ndarray) -> list:
+    """An (n, k, 2) span array as n k-tuples of (start, end) tuples."""
+    pairs = map(tuple, spans.reshape(-1, 2).tolist())
+    return list(zip(*[pairs] * spans.shape[1]))
+
+
 def _examples(
     plan: _Plan,
     embeddings: np.ndarray,
@@ -851,34 +837,20 @@ def _examples(
     """Slice a block's rows into MixedExample / MixedRESample objects."""
     bounds = np.concatenate([[0], np.cumsum(sizes)]).tolist()
     indices = plan.example.tolist() if example_index is None else [example_index] * len(sizes)
-    out = []
-    for i, (spans, final, lam, variant) in enumerate(
-        zip(plan.spans.tolist(), mixed_spans.tolist(), plan.lam.tolist(), plan.variant)
-    ):
-        final = tuple(map(tuple, final))
-        provenance = Provenance(
-            example_index=indices[i],
-            variant=variant,
-            lam=lam,
-            spans=tuple(map(tuple, spans)),
-            mixed_spans=final,
-            pool_index=plan.pool_index[i],
-            replacements=(
-                tuple(t for seg in plan.segments[i] for t in seg)
-                if variant == "synonym"
-                else None
-            ),
-        )
-        rows = slice(bounds[i], bounds[i + 1])
-        if ner:
-            out.append(MixedExample(embeddings[rows], soft[rows], provenance))
-        else:
-            out.append(
-                MixedRESample(
-                    embeddings[rows], soft[i], Span(*final[0]), Span(*final[1]), provenance
-                )
-            )
-    return out
+    finals = _span_tuples(mixed_spans)
+    replacements = [
+        tuple(t for seg in segs for t in seg) if variant == "synonym" else None
+        for variant, segs in zip(plan.variant, plan.segments)
+    ]
+    provenances = map(Provenance, indices, plan.variant, plan.lam.tolist(),
+                      _span_tuples(plan.spans), finals, plan.pool_index, replacements)
+    if ner:
+        return [MixedExample(embeddings[a:b], soft[a:b], p)
+                for a, b, p in zip(bounds, bounds[1:], provenances)]
+    return [
+        MixedRESample(embeddings[a:b], soft[i], Span(*final[0]), Span(*final[1]), p)
+        for i, (a, b, final, p) in enumerate(zip(bounds, bounds[1:], finals, provenances))
+    ]
 
 
 def _mix_one(example, variant: str, pool, table: EmbeddingTable, vocab: Sequence[str],
@@ -887,7 +859,7 @@ def _mix_one(example, variant: str, pool, table: EmbeddingTable, vocab: Sequence
     _check_segment_args(example, variant, pool if isinstance(pool, SynonymLexicon) else None)
     # a single example has no other example to retry with
     config = replace(config, variant=variant, weights=None, retry_limit=0)
-    pool = _normalize_pools(None, pool, config)[variant]
+    pool = _normalize_pools(None, None, pool, config)[variant]
     lam = config.fixed_lambda
     lam = np.array([sample_mix_ratio(config.alpha, rng) if lam is None else float(lam)])
     src, zero = _compile([example]), np.zeros(1, np.int64)

@@ -4,10 +4,14 @@ The tagger is a linear map over a sliding context window of embedding
 rows (zero rows past sentence boundaries); the relation classifier is a
 linear map over the concatenated mean-pooled nominal span embeddings.
 Both train with mini-batch SGD on soft cross-entropy, so interpolated
-label vectors are first-class targets. Everything is float64 numpy and
-deterministic under a seed. Training refuses malformed examples by the
-rule augmented files are saved and loaded under (``mixer._shape_problem``);
-checkpoints and loss traces live in :mod:`segmix.serialization`.
+label vectors are first-class targets. Each batch is one fused step
+(:func:`_step`): targets are weighted per row once per run, and a batch
+takes one ``exp`` of its max-shifted logits for both the loss and the
+gradient; :func:`gradient_check` checks that same step. Everything is
+float64 numpy and deterministic under a seed. Training refuses malformed
+examples by the rule augmented files are saved and loaded under
+(``mixer._shape_problem``); checkpoints and loss traces live in
+:mod:`segmix.serialization`.
 """
 
 from __future__ import annotations
@@ -33,17 +37,6 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def _soft_loss(logits: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row soft cross-entropy and its gradient with respect to the logits.
-
-    The gradient is softmax * sum(target) - target, so targets need not sum
-    to one.
-    """
-    log_probs = log_softmax(logits)
-    dlogits = np.exp(log_probs) * target.sum(axis=-1, keepdims=True) - target
-    return -(target * log_probs).sum(axis=-1), dlogits
-
-
 def soft_cross_entropy(logits: np.ndarray, target: np.ndarray) -> float:
     """-sum_c target_c * log softmax(logits)_c for one prediction.
 
@@ -57,7 +50,7 @@ def soft_cross_entropy(logits: np.ndarray, target: np.ndarray) -> float:
         raise ValueError(f"shape mismatch: {logits.shape} vs {target.shape}")
     if not np.isfinite(logits).all():
         raise ValueError("non-finite logits")
-    return float(_soft_loss(logits, target)[0].mean())
+    return float(-(target * log_softmax(logits)).sum(axis=-1).mean())
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -195,10 +188,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0 or self.learning_rate <= 0 or self.batch_size <= 0 or self.patience <= 0:
-            raise ValueError("train config values must be positive (epochs may be 0)")
         if not math.isfinite(self.learning_rate):
             raise ValueError(f"learning_rate must be finite, got {self.learning_rate}")
+        if self.epochs < 0:
+            raise ValueError(f"train config epochs must be 0 or more, got {self.epochs}")
+        for name in ("learning_rate", "batch_size", "patience"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"train config {name} must be positive, got {getattr(self, name)}")
 
 
 @dataclass
@@ -209,35 +205,14 @@ class TrainResult:
     best_epoch: int = -1
 
 
-def _tagger_loss_grad(model: TaggerModel, example) -> tuple[float, np.ndarray]:
-    """Loss and weight gradient of one example; the per-example reference
-    for :func:`gradient_check` and for the batched trainer."""
-    feats = model.features(example.embeddings)
-    logits = feats @ model.weights
-    if not np.isfinite(logits).all():
-        raise FloatingPointError("non-finite logits")
-    target = example.soft_labels
-    loss, dlogits = _soft_loss(logits, target)
-    return float(loss.mean()), feats.T @ (dlogits / len(target))
-
-
-def _re_loss_grad(model: REModel, example) -> tuple[float, np.ndarray]:
-    feats = model.features(example.embeddings, example.e1, example.e2)
-    logits = feats @ model.weights
-    if not np.isfinite(logits).all():
-        raise FloatingPointError("non-finite logits")
-    loss, dlogits = _soft_loss(logits, example.soft_relation)
-    return float(loss), np.outer(feats, dlogits)
-
-
-# features, targets and row weights of a run, and the rows of an epoch's order
-_Layout = tuple[np.ndarray, np.ndarray, np.ndarray, Callable]
+# features and row-weighted targets of a run, and the rows of an epoch's order
+_Layout = tuple[np.ndarray, np.ndarray, Callable]
 
 
 def _tagger_rows(model: TaggerModel, examples: Sequence) -> _Layout:
     """Lay the examples out once for the whole run: their window features
     (built from the examples joined ``window`` zero rows apart, which are
-    then freed), targets and row weights ``1/len(example)``, one row per
+    then freed) and targets weighted by ``1/len(example)``, one row per
     token with no gap rows. Also returns the rows of an epoch: for an
     order of the examples, their rows in that order and the bounds
     between examples (``bounds[i]`` rows come before example ``order[i]``)."""
@@ -248,22 +223,45 @@ def _tagger_rows(model: TaggerModel, examples: Sequence) -> _Layout:
         flat[lo : lo + n] = example.embeddings
     feats = _windows(flat, _ranges(starts, lengths), model.window)
     del flat
-    target = np.concatenate([e.soft_labels for e in examples], dtype=np.float64)
-    weight = np.repeat(1.0 / lengths, lengths)
+    weighted = np.concatenate([e.soft_labels for e in examples], dtype=np.float64)
+    weighted *= np.repeat(1.0 / lengths, lengths)[:, None]
     first = np.cumsum(lengths) - lengths
 
     def epoch_rows(order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _ranges(first[order], lengths[order]), np.append(0, np.cumsum(lengths[order]))
 
-    return feats, target, weight, epoch_rows
+    return feats, weighted, epoch_rows
 
 
 def _re_rows(model: REModel, examples: Sequence) -> _Layout:
     """Pool every example's spans once; one row per example, weight 1."""
     feats = _pooled(model.dim, [(e.embeddings, e.e1, e.e2) for e in examples])
-    target = np.array([e.soft_relation for e in examples])
-    weight = np.ones(len(examples))
-    return feats, target, weight, lambda order: (order, np.arange(len(order) + 1))
+    weighted = np.array([e.soft_relation for e in examples], dtype=np.float64)
+    return feats, weighted, lambda order: (order, np.arange(len(order) + 1))
+
+
+def _step(weights: np.ndarray, feats: np.ndarray, tw: np.ndarray, sw: np.ndarray,
+          scale: float) -> float:
+    """One fused SGD step on soft cross-entropy, in place; returns the loss.
+
+    ``tw`` are row-weighted targets and ``sw`` their row sums. With ``s``
+    the logits less their row max and ``z`` the row sums of ``exp(s)``,
+    the loss is ``sw . log z - tw . s`` and its gradient with respect to
+    the logits is ``exp(s) * sw / z - tw`` (softmax times the target mass,
+    less the target), so targets need not sum to one. The weights move by
+    ``scale`` times the weight gradient: one ``exp`` and two matmuls.
+    """
+    logits = feats @ weights
+    if not np.isfinite(logits).all():
+        raise FloatingPointError("non-finite logits")
+    logits -= logits.max(axis=1, keepdims=True)
+    e = np.exp(logits)
+    z = e.sum(axis=1)
+    loss = sw @ np.log(z) - np.vdot(tw, logits)
+    e *= (sw / z)[:, None]
+    e -= tw
+    weights -= scale * (feats.T @ e)
+    return float(loss)
 
 
 def _train(
@@ -276,16 +274,19 @@ def _train(
     """Mini-batch SGD with optional early stopping on a validation score.
 
     Before epoch 0 the examples are checked and ``layout(model, examples)``
-    lays out their features, targets and row weights once for the run.
-    Each epoch takes the rows of its order once; each batch is then one
-    gather of a slice of those rows, one forward and one gradient matmul.
+    lays out their features and row-weighted targets once for the run;
+    the targets' row sums are taken once too. Each epoch takes the rows of
+    its order once; each batch is then one gather of a slice of those rows
+    and one :func:`_step` scaled by ``learning_rate`` over the number of
+    examples in the batch.
     """
     if not examples:
         raise ValueError("empty training set")
     problem = _examples_problem(examples, isinstance(model, REModel), model.dim, len(model.labels))
     if problem:
         raise ValueError(f"training {problem}")
-    feats_all, target_all, weight_all, epoch_rows = layout(model, examples)
+    feats_all, tw_all, epoch_rows = layout(model, examples)
+    sw_all = tw_all.sum(axis=1)
     rng = derive_rng(config.seed, "train-shuffle")
     trace: list[float] = []
     scores: list[float] = []
@@ -299,16 +300,13 @@ def _train(
         edges = [*range(0, len(order), config.batch_size), len(order)]
         cuts = bounds[edges].tolist()
         total = 0.0
-        for count, lo, hi in zip(np.diff(edges).tolist(), cuts, cuts[1:]):
-            r = rows[lo:hi]
-            feats, target, weight = feats_all.take(r, 0), target_all.take(r, 0), weight_all.take(r)
-            logits = feats @ model.weights
-            if not np.isfinite(logits).all():
-                raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
-            loss, dlogits = _soft_loss(logits, target)
-            total += float(loss @ weight)
-            grad = feats.T @ (dlogits * weight[:, None])
-            model.weights -= config.learning_rate * grad / count
+        try:
+            for count, lo, hi in zip(np.diff(edges).tolist(), cuts, cuts[1:]):
+                r = rows[lo:hi]
+                total += _step(model.weights, feats_all.take(r, 0), tw_all.take(r, 0),
+                               sw_all.take(r), config.learning_rate / count)
+        except FloatingPointError:
+            raise TrainingDivergedError(f"non-finite loss at epoch {epoch}") from None
         mean_loss = total / len(examples)
         if not np.isfinite(mean_loss):
             raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
@@ -435,25 +433,33 @@ def gradient_check(
     seed: int = 0,
     floor: float = 1e-3,
 ) -> float:
-    """Max relative error between analytic and central-difference gradients.
+    """Max relative error between the trainer's step and central differences.
 
-    The denominator is floored so near-zero gradients are compared on an
-    absolute scale.
+    The example is laid out as a one-example run, as :func:`_train` lays
+    out its examples. The analytic gradient is what one :func:`_step` at
+    learning rate 1 subtracts from (a copy of) the weights; the central
+    differences are of the loss that the same step returns. The model is
+    left unchanged. The denominator is floored so near-zero gradients are
+    compared on an absolute scale.
     """
-    loss_grad = _re_loss_grad if isinstance(model, REModel) else _tagger_loss_grad
-    _, analytic = loss_grad(model, example)
+    _require_dim(model, example.embeddings.shape[1])
+    feats, tw, _ = (_re_rows if isinstance(model, REModel) else _tagger_rows)(model, [example])
+    sw = tw.sum(axis=1)
+
+    moved = model.weights.copy()
+    _step(moved, feats, tw, sw, 1.0)
+    analytic = model.weights - moved
+
+    def loss_at(flat: int, delta: float) -> float:
+        weights = model.weights.copy()
+        weights.flat[flat] += delta
+        return _step(weights, feats, tw, sw, 0.0)
+
     rng = derive_rng(seed, "gradcheck")
     flat_idx = rng.choice(model.weights.size, size=min(n_checks, model.weights.size), replace=False)
     worst = 0.0
-    for flat in flat_idx:
-        idx = np.unravel_index(flat, model.weights.shape)
-        keep = model.weights[idx]
-        model.weights[idx] = keep + step
-        up, _ = loss_grad(model, example)
-        model.weights[idx] = keep - step
-        down, _ = loss_grad(model, example)
-        model.weights[idx] = keep
-        fd = (up - down) / (2 * step)
-        err = abs(fd - analytic[idx]) / max(abs(fd), abs(analytic[idx]), floor)
+    for flat in flat_idx.tolist():
+        fd = (loss_at(flat, step) - loss_at(flat, -step)) / (2 * step)
+        err = abs(fd - analytic.flat[flat]) / max(abs(fd), abs(analytic.flat[flat]), floor)
         worst = max(worst, err)
     return worst

@@ -16,8 +16,8 @@ from typing import Iterable, TextIO
 import numpy as np
 
 from .corpus import (
-    CorpusFormatError, RECorpus, TaggedCorpus, _O, _bio_arrays, _flatten, _gc_quiet, _iter_lines,
-    _mentions,
+    CorpusFormatError, RECorpus, TaggedCorpus, _O, _Source, _bio_arrays, _bio_kinds, _compile,
+    _flatten, _gc_quiet, _iter_lines, _mentions,
 )
 
 POOL_SOURCES = ("mention", "token", "synonym", "relation", "sequence")
@@ -27,12 +27,17 @@ class EmptyPoolError(ValueError):
     """Raised when mixing against a pool or lexicon with no entries."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SegmentTuple:
     """k segments with their labels (BIO sequences, or one relation string)."""
 
     segments: tuple[tuple[str, ...], ...]
     labels: tuple[tuple[str, ...], ...] | str
+
+    def __init__(self, segments, labels):
+        # fills __dict__ directly: the generated frozen __init__ sets each field
+        # through object.__setattr__, and a pool builds one entry per mention
+        self.__dict__["segments"], self.__dict__["labels"] = segments, labels
 
     @property
     def arity(self) -> int:
@@ -50,11 +55,9 @@ class SegmentPool:
     def __post_init__(self):
         if self.source not in POOL_SOURCES:
             raise ValueError(f"unknown pool source {self.source!r}")
-        for entry in self.entries:
-            if entry.arity != self.arity:
-                raise ValueError(
-                    f"pool arity {self.arity} but entry has {entry.arity} segments"
-                )
+        arities = {len(entry.segments) for entry in self.entries} - {self.arity}
+        if arities:
+            raise ValueError(f"pool arity {self.arity} but entry has {min(arities)} segments")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -74,15 +77,19 @@ class SegmentPool:
 @_gc_quiet
 def build_mention_pool(corpus: TaggedCorpus) -> SegmentPool:
     """One entry per mention span (see :func:`bio_spans`), labels kept in BIO form."""
-    tokens, offsets = _flatten(s.tokens for s in corpus.sentences)
-    labels, _ = _flatten(s.labels for s in corpus.sentences)
-    kind, etype, _ = _bio_arrays(labels)
-    starts, ends = _mentions(kind, etype, offsets)
-    entries = tuple(
-        SegmentTuple((tuple(tokens[s:e]),), (tuple(labels[s:e]),))
-        for s, e in zip(starts.tolist(), ends.tolist())
-    )
-    return SegmentPool(1, entries, "mention")
+    return _mention_pool(_compile(corpus.sentences))
+
+
+def _mention_pool(src: _Source) -> SegmentPool:
+    """:func:`build_mention_pool` of a compiled tagging corpus (the planner
+    builds a default pool from the source it compiles anyway)."""
+    kind, etype, _ = _bio_kinds(src.label_ids, src.label_names)
+    starts, ends = _mentions(kind, etype, src.offsets)
+    # slices of tuples are the entries' tuples; zip() wraps each in a 1-tuple
+    cuts = list(map(slice, starts.tolist(), ends.tolist()))
+    segments = zip(map(tuple(src.tokens).__getitem__, cuts))
+    labels = zip(map(tuple(src.labels).__getitem__, cuts))
+    return SegmentPool(1, tuple(map(SegmentTuple, segments, labels)), "mention")
 
 
 @_gc_quiet

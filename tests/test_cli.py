@@ -117,6 +117,36 @@ def test_unknown_config_key_is_a_usage_error(tmp_path, ner_file, capsys):
     assert "rte" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,message", [
+    ('{"epochs": 1e400}', "config key 'epochs' must be an integer, got Infinity"),
+    ('{"batch_size": null}', "config key 'batch_size' may not be null"),
+    ('{"batch_size": 2.5}', "config key 'batch_size' must be an integer, got 2.5"),
+    ('{"epochs": true}', "config key 'epochs' must be an integer, got true"),
+    ('{"lr": "0.1"}', "config key 'lr' must be a number, got \"0.1\""),
+    ('{"no_originals": 1}', "config key 'no_originals' must be true or false, got 1"),
+    ('{"task": "pos"}', "config key 'task' must be one of ner, re, got \"pos\""),
+    ('{"vocab_from": "extra.conll"}',
+     "config key 'vocab_from' must be a list of strings, got \"extra.conll\""),
+])
+def test_config_value_of_the_wrong_kind_is_a_usage_error(tmp_path, ner_file, capsys, text,
+                                                          message):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    ckpt = tmp_path / "m.ckpt"
+    with pytest.raises(SystemExit) as exc:
+        run("train", "--config", config, "--train", ner_file, "--checkpoint", ckpt)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"segmix: error: {message}"
+    assert not ckpt.exists()
+
+
+def test_config_null_keeps_an_option_that_may_be_unset(tmp_path, ner_file):
+    config = tmp_path / "config.json"
+    config.write_text('{"fixed_lambda": null, "rate": 1}')  # and an integer stands for a float
+    assert run("augment", "--config", config, "--input", ner_file,
+               "--output", tmp_path / "aug.jsonl") == 0
+
+
 def test_config_must_be_json_object(tmp_path, ner_file, capsys):
     config = tmp_path / "config.json"
     config.write_text("[1, 2]")
@@ -322,7 +352,63 @@ def test_from_manifest_rejects_changed_input(tmp_path, ner_file, capsys):
     assert "changed since" in capsys.readouterr().err
 
 
+def _edited_manifest(tmp_path, ner_file, **args):
+    """A train run's manifest with ``args`` written over its recorded ones."""
+    ckpt = tmp_path / "m.ckpt"
+    assert run("train", "--train", ner_file, "--checkpoint", ckpt, "--epochs", "1") == 0
+    path = tmp_path / "m.ckpt.manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["args"].update(args)
+    path.write_text(json.dumps(manifest))
+    ckpt.unlink()
+    return path, ckpt
+
+
+def test_from_manifest_checks_ranges_like_the_flags(tmp_path, ner_file, capsys):
+    path, ckpt = _edited_manifest(tmp_path, ner_file, window=-1)
+    capsys.readouterr()
+    assert run("--from-manifest", path) == 1
+    assert capsys.readouterr().err == "error: --window must be 0 or more, got -1\n"
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("args,message", [
+    ({"windw": 1}, "manifest keys not understood by 'train': windw"),
+    ({"epochs": 2.5}, "manifest key 'epochs' must be an integer, got 2.5"),
+    ({"batch_size": None}, "manifest key 'batch_size' may not be null"),
+])
+def test_from_manifest_checks_kinds_like_a_config(tmp_path, ner_file, capsys, args, message):
+    path, ckpt = _edited_manifest(tmp_path, ner_file, **args)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run("--from-manifest", path)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"segmix: error: {message}"
+    assert not ckpt.exists()
+
+
+def test_from_manifest_that_is_no_object_exits_1(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text("[1, 2]")
+    assert run("--from-manifest", path) == 1
+    assert capsys.readouterr().err == (f"error: manifest {path} must hold a JSON object "
+                                       "with object inputs and args\n")
+
+
 # ---------------------------------------------------------------- bad values
+
+@pytest.mark.parametrize("flag,value,field", [
+    ("--patience", "0", "patience must be positive, got 0"),
+    ("--batch-size", "0", "batch_size must be positive, got 0"),
+    ("--lr", "-1", "learning_rate must be positive, got -1.0"),
+    ("--epochs", "-1", "epochs must be 0 or more, got -1"),
+])
+def test_train_config_error_names_the_field(tmp_path, ner_file, capsys, flag, value, field):
+    ckpt = tmp_path / "m.ckpt"
+    assert run("train", "--train", ner_file, "--checkpoint", ckpt, flag, value) == 1
+    assert capsys.readouterr().err == f"error: train config {field}\n"
+    assert not ckpt.exists()
+
 
 def test_augment_empty_relation_exits_1(tmp_path, capsys):
     corpus = tmp_path / "train.tsv"

@@ -102,7 +102,7 @@ _MANIFEST_PINS = {
     "augment_ner": "eb13ce83c5f6a42c259b754ce4ebfcd06272dd82a8dfdd447ffbacf9b720b8b0",
     "augment_re": "f9a45adeb0334afaa0d69fdd39368c16496648d36af9106bd001d9bc53a88a14",
     "augment_replace": "bcb8f6a6f5edca9ed363091da2e9fdc857687d3a7780b08ce0d27dfdf7d04bf0",
-    "train_ner": "01dba24f9e0018f0e6e14bce89f01c4ec5c1a264035a69976a28698d39b3d12a",
+    "train_ner": "4c97e63d6b29d60fd59f83740abfbbe99283ae5b9ca7b153e91dc681921eaa49",
     "train_re": "b0eb27ac7bd42306a9222f037356ef9a23694a99aab63fe7cfaaa319a9dba274",
     "eval_ner": "0405c87b8f30fb3bdd4e5b47eb6ecb7561da2974a4c1590eb98037b3c4550f80",
     "eval_re": "1c5b3f4a060499caf434c472c2051a2bd13554cc4c03d671a83324097a3acdfa",

@@ -27,8 +27,6 @@ from segmix.model import (
     TrainingDivergedError,
     _POOL_BLOCK,
     _pooled,
-    _re_loss_grad,
-    _tagger_loss_grad,
     _tagger_rows,
     _train,
     gradient_check,
@@ -128,14 +126,15 @@ def test_re_model_features_pool_spans():
 
 def test_train_config_validation():
     TrainConfig(epochs=0)
-    for bad in (
-        dict(epochs=-1),
-        dict(learning_rate=0.0),
-        dict(batch_size=0),
-        dict(patience=0),
+    for bad, message in (
+        (dict(epochs=-1), "epochs must be 0 or more, got -1"),
+        (dict(learning_rate=0.0), "learning_rate must be positive, got 0.0"),
+        (dict(batch_size=0), "batch_size must be positive, got 0"),
+        (dict(patience=0), "patience must be positive, got 0"),
     ):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             TrainConfig(**bad)
+        assert str(exc.value) == f"train config {message}"
 
 
 @pytest.mark.parametrize("rate", [float("inf"), float("nan")])
@@ -307,6 +306,28 @@ def test_training_refuses_a_malformed_example_before_epoch_0(name):
 
 # ------------------------------------------------- batched vs per-example
 
+def _soft_loss(logits, target):
+    """Per-row soft cross-entropy and its gradient with respect to the
+    logits, softmax * sum(target) - target, from the log-softmax."""
+    log_probs = log_softmax(logits)
+    dlogits = np.exp(log_probs) * target.sum(axis=-1, keepdims=True) - target
+    return -(target * log_probs).sum(axis=-1), dlogits
+
+
+def _tagger_loss_grad(model, example):
+    """Loss and weight gradient of one example, from its own features: the
+    per-example reference for the batched trainer."""
+    feats = model.features(example.embeddings)
+    loss, dlogits = _soft_loss(feats @ model.weights, example.soft_labels)
+    return float(loss.mean()), feats.T @ (dlogits / len(example.soft_labels))
+
+
+def _re_loss_grad(model, example):
+    feats = model.features(example.embeddings, example.e1, example.e2)
+    loss, dlogits = _soft_loss(feats @ model.weights, example.soft_relation)
+    return float(loss), np.outer(feats, dlogits)
+
+
 def _reference_train(model, examples, config, loss_grad):
     """Mini-batch SGD one example at a time on the per-example oracle."""
     rng = derive_rng(config.seed, "train-shuffle")
@@ -460,9 +481,9 @@ def test_pooled_features_equal_per_sample_means_bit_for_bit(dim, n_samples, max_
 # replaced; a change here is a change in the trained models.
 _WEIGHT_PINS = {
     "table": "f44a0fa1a41403e087ae04fd550987d50ddb3f8b341c07112e970f01b1fe2070",
-    "tagger": "19264ac3ef97370b114626f538cc031ee651cc82365fbf6ba02d88ec11091e68",
-    "tagger, validated": "8860d069e511aac5d9c3bf981b429e57140e7cc8187de8b0205c91662a55915d",
-    "re": "6b0afb5bc683f3b2f32ebf7684e96da10c68061964bda29043211d86cb6200dd",
+    "tagger": "186818df5a4ede257dbe1af2535e4691f9c7428e9c9a6e361224f1ad052a6e76",
+    "tagger, validated": "02d39873c4b55969a4d8ea1003070fc3e168dce2028d72049b71f8bbf854a75e",
+    "re": "cd66dcc60a41fccffe75bfe2d82dc2b88c6c38de6633af39a4afe06b298df841",
 }
 
 
@@ -520,6 +541,45 @@ def test_gradient_check_re_with_soft_targets():
         Provenance(0, "relation", 0.6, (), ()),
     )
     assert gradient_check(model, example) < 1e-4
+
+
+def _gradient_cases():
+    rng = np.random.default_rng(3)
+    tagger = TaggerModel.init(["A", "B", "C"], dim=4, window=1, seed=1, scale=0.5)
+    yield tagger, MixedExample(rng.standard_normal((4, 4)), rng.random((4, 3)),
+                               Provenance(0, "mention", 0.5, (), ()))
+    relation = REModel.init(["R1", "R2"], dim=3, seed=1, scale=0.5)
+    yield relation, MixedRESample(rng.standard_normal((5, 3)), np.array([0.7, 0.2]),
+                                  Span(0, 2), Span(3, 5), Provenance(0, "relation", 0.7, (), ()))
+
+
+@pytest.mark.parametrize("model,example", list(_gradient_cases()))
+def test_gradient_check_checks_the_step_that_trains(monkeypatch, model, example):
+    """The analytic gradient is read off the trainer's own step, so a step
+    that moves the weights uphill fails the check, and the model is left
+    as it was."""
+    import segmix.model as model_module
+
+    step = model_module._step
+    scales = []
+
+    def spy(weights, feats, tw, sw, scale):
+        scales.append(scale)
+        return step(weights, feats, tw, sw, scale)
+
+    def uphill(weights, feats, tw, sw, scale):
+        return step(weights, feats, tw, sw, -scale)
+
+    before = model.weights.copy()
+    monkeypatch.setattr(model_module, "_step", spy)
+    assert gradient_check(model, example) < 1e-4
+    assert scales[0] == 1.0 and set(scales[1:]) == {0.0}
+    fit = train_re if isinstance(model, REModel) else train_tagger
+    fit(model.copy(), [example], TrainConfig(epochs=1, learning_rate=0.25))
+    assert scales[-1] == 0.25
+    monkeypatch.setattr(model_module, "_step", uphill)
+    assert gradient_check(model, example) > 1.0
+    assert np.array_equal(model.weights, before)
 
 
 # ---------------------------------------------------------------- checkpoints
