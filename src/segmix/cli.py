@@ -241,14 +241,14 @@ def _load_config(path) -> dict:
     return config
 
 
-def _resolve(command: str, values: dict, source: str, flags: dict | None = None
-             ) -> SimpleNamespace:
+def _resolve(command: str, values: dict, source: str, flags: dict) -> SimpleNamespace:
     """defaults < ``values`` (a config file's or a manifest's, named by
     ``source``) < explicit ``flags``.
 
     Each of ``values`` must be a key of ``command`` holding a value of its
     option's kind; the merged values then pass the range checks. A config
-    file and a replayed manifest are checked alike, one line naming the key.
+    file and a replayed manifest are checked alike, one line naming the key,
+    or the flag when one was typed.
     """
     defaults = _DEFAULTS[command]
     unknown = ", ".join(sorted(set(values) - set(defaults)))
@@ -258,15 +258,20 @@ def _resolve(command: str, values: dict, source: str, flags: dict | None = None
         problem = _BY_DEST[key].problem(value, defaults[key])
         if problem:
             raise UsageError(f"{source} key '{key}' {problem}")
-    merged = {**defaults, **values, **(flags or {})}
+    merged = {**defaults, **values, **flags}
+
+    def named(key: str) -> str:  # a value no flag overrides is named by its key
+        return (f"{source} key '{key}'" if key in values and key not in flags
+                else f"--{key.replace('_', '-')}")
+
     for key in ("seed", "embed_seed"):
         value = merged.get(key)
         if value is not None and not 0 <= value < 2**32:
-            raise CliError(f"--{key.replace('_', '-')} must lie in [0, 2**32), got {value}")
+            raise CliError(f"{named(key)} must lie in [0, 2**32), got {value}")
     if merged.get("window", 0) < 0:
-        raise CliError(f"--window must be 0 or more, got {merged['window']}")
+        raise CliError(f"{named('window')} must be 0 or more, got {merged['window']}")
     if merged.get("repeats", 1) < 1:
-        raise UsageError(f"--repeats must be 1 or more, got {merged['repeats']}")
+        raise UsageError(f"{named('repeats')} must be 1 or more, got {merged['repeats']}")
     return SimpleNamespace(**merged)
 
 
@@ -712,7 +717,7 @@ def _replay_manifest(path: str) -> int:
     for input_path, recorded in data.get("inputs", {}).items():
         if _sha256_file(_require_file(input_path, "recorded input")) != recorded:
             raise CliError(f"input {input_path} changed since the manifest was written")
-    return _run(command, _resolve(command, data.get("args", {}), "manifest"))
+    return _run(command, _resolve(command, data.get("args", {}), "manifest", {}))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import binascii
 import csv
+import io
 import json
 import math
 import reprlib
@@ -40,7 +41,7 @@ import struct
 from dataclasses import dataclass
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
-from typing import Sequence, TextIO, Union
+from typing import Iterator, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -79,16 +80,6 @@ def _from_f4(raw: bytes, shape, what: str) -> np.ndarray:
 def _b64(f4: np.ndarray) -> str:
     """The base64 text of an array :func:`_f4` returned."""
     return binascii.b2a_base64(f4, newline=False).decode("ascii")
-
-
-def encode_array(array: np.ndarray) -> dict:
-    """Base64 little-endian float32 payload with explicit shape."""
-    data = _f4(array)
-    return {"shape": list(data.shape), "data": _b64(data)}
-
-
-def decode_array(blob: dict) -> np.ndarray:
-    return _from_f4(binascii.a2b_base64(blob["data"]), blob["shape"], "payload")
 
 
 def _count(value) -> bool:
@@ -240,7 +231,8 @@ def _provenance_text(p: Provenance) -> str:
 
 
 def _payload(blob: dict) -> bytes:
-    """The raw float32 bytes of an :func:`encode_array` blob, checked by :func:`_sized`."""
+    """The raw float32 bytes of a record's ``{"data", "shape"}`` payload,
+    checked by :func:`_sized`."""
     return _sized(binascii.a2b_base64(blob["data"]), blob["shape"], "payload")
 
 
@@ -375,11 +367,33 @@ def save_augmented(
                                        *emb.shape, prov, _b64(labels), *labels.shape))
 
 
+def _lines(stream: TextIO) -> Iterator[str]:
+    """The lines of ``stream`` from where it stands, each with its "\\n" if it has one.
+
+    An ``io.StringIO`` gives its text to one ``read()``, cut here at each
+    "\\n": a ``readline`` or a line iteration on one that was written to
+    first copies the whole text into a buffer of 4 bytes a character, which
+    the stream keeps. Any other stream is iterated as it is: reading a whole
+    file at once raised the peak of a load and saved no time. Only the
+    stream's type picks the path.
+    """
+    if not isinstance(stream, io.StringIO):
+        yield from stream
+        return
+    text = stream.read()
+    start, end = 0, len(text)
+    while start < end:
+        stop = text.find("\n", start) + 1 or end
+        yield text[start:stop]
+        start = stop
+
+
 @_gc_quiet
 def load_augmented(stream: TextIO) -> AugmentedFile:
     """Read a file written by :func:`save_augmented`. Each example's arrays
     are views into those of its block of :data:`_LOAD_BLOCK` records."""
-    header_line = stream.readline()
+    lines = _lines(stream)
+    header_line = next(lines, "")  # not readline(), which would copy a StringIO's text
     if not header_line.strip():
         raise ValueError("empty augmented file")
     try:
@@ -394,7 +408,7 @@ def load_augmented(stream: TextIO) -> AugmentedFile:
     task, dim, vocab = header["task"], header["dim"], header["label_vocab"]
     n_labels = len(vocab)
     examples, block = [], []
-    for lineno, line in enumerate(stream, start=2):
+    for lineno, line in enumerate(lines, start=2):
         if line.isspace():  # stops at the first non-blank, where strip would copy the line
             continue
         try:

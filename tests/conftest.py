@@ -5,6 +5,8 @@ small vocabularies, explicit BIO assembly, no reuse of library helpers
 whose behavior the tests are meant to check.
 """
 
+import base64
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,19 @@ def provenance_json(p) -> dict:
     if p.replacements is not None:
         out["replacements"] = list(p.replacements)
     return out
+
+
+def encode_array(array) -> dict:
+    """An array as the payload object an augmented record holds: its shape
+    and the base64 of its little-endian float32 bytes."""
+    data = np.ascontiguousarray(array, dtype="<f4")
+    return {"shape": list(data.shape), "data": base64.b64encode(data.tobytes()).decode("ascii")}
+
+
+def decode_array(blob: dict) -> np.ndarray:
+    """The float64 array of an :func:`encode_array` payload."""
+    raw = base64.b64decode(blob["data"])
+    return np.frombuffer(raw, "<f4").reshape(blob["shape"]).astype(np.float64)
 
 
 def random_sentence(rng, min_len=2, max_len=12, p_entity=0.35, types=ENTITY_TYPES):

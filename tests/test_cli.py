@@ -368,8 +368,42 @@ def test_from_manifest_checks_ranges_like_the_flags(tmp_path, ner_file, capsys):
     path, ckpt = _edited_manifest(tmp_path, ner_file, window=-1)
     capsys.readouterr()
     assert run("--from-manifest", path) == 1
-    assert capsys.readouterr().err == "error: --window must be 0 or more, got -1\n"
+    assert capsys.readouterr().err == "error: manifest key 'window' must be 0 or more, got -1\n"
     assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("command,config,code,message", [
+    ("train", {"window": -1}, 1, "config key 'window' must be 0 or more, got -1"),
+    ("train", {"seed": 2**32}, 1, "config key 'seed' must lie in [0, 2**32), got 4294967296"),
+    ("augment", {"embed_seed": -1}, 1,
+     "config key 'embed_seed' must lie in [0, 2**32), got -1"),
+    ("bench", {"repeats": 0}, 2, "config key 'repeats' must be 1 or more, got 0"),
+])
+def test_config_out_of_range_names_the_key(tmp_path, ner_file, capsys, command, config, code,
+                                           message):
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    path.write_text(json.dumps(config))
+    io_flags = (("--train", ner_file, "--checkpoint", out) if command == "train"
+                else ("--input", ner_file, "--output", out))
+    if code == 2:
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--config", path, *io_flags)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"segmix: error: {message}"
+    else:
+        assert run(command, "--config", path, *io_flags) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_a_typed_flag_is_named_over_a_config_key(tmp_path, ner_file, capsys):
+    path, ckpt = tmp_path / "config.json", tmp_path / "m.ckpt"
+    path.write_text('{"window": -1}')
+    assert run("train", "--config", path, "--train", ner_file, "--checkpoint", ckpt,
+               "--window", "-2") == 1
+    assert capsys.readouterr().err == "error: --window must be 0 or more, got -2\n"
+    assert run("train", "--config", path, "--train", ner_file, "--checkpoint", ckpt,
+               "--window", "1", "--epochs", "1") == 0
 
 
 @pytest.mark.parametrize("args,message", [

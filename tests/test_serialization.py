@@ -7,6 +7,7 @@ import json
 import re
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,34 +26,38 @@ from segmix.mixer import (
 )
 from segmix.model import REModel, TaggerModel
 from segmix.serialization import (
-    decode_array,
-    encode_array,
     load_augmented,
     load_checkpoint,
     save_augmented,
     save_checkpoint,
 )
 
-from conftest import provenance_json, random_corpus, random_re_corpus
+from conftest import (
+    decode_array, encode_array, provenance_json, random_corpus, random_re_corpus,
+)
 
 
 def test_encode_array_known_bytes():
-    blob = encode_array(np.array([[1.0, 2.0]]))
+    # the writer's payload of [[1, 2]] is the oracle's, down to the bytes
+    prov = Provenance(0, "mention", 0.5, ((0, 1),), ((0, 1),))
+    example = MixedExample(np.array([[1.0, 2.0]]), np.array([[1.0, 0.0]]), prov)
+    blob = json.loads(_saved_lines([example], ("B-X", "O"), "ner")[1])["embeddings"]
+    assert blob == encode_array(np.array([[1.0, 2.0]]))
     assert blob["shape"] == [1, 2]
-    raw = base64.b64decode(blob["data"])
-    assert raw == np.array([1.0, 2.0], dtype="<f4").tobytes()
-    assert raw == b"\x00\x00\x80?\x00\x00\x00@"
+    assert base64.b64decode(blob["data"]) == b"\x00\x00\x80?\x00\x00\x00@"
 
 
 def test_array_round_trip_is_float32_exact():
     rng = np.random.default_rng(0)
     array = rng.standard_normal((7, 5))
-    back = decode_array(encode_array(array))
-    assert back.dtype == np.float64
-    assert np.array_equal(back, array.astype(np.float32).astype(np.float64))
-    # values already on the float32 grid survive exactly
     grid = array.astype(np.float32).astype(np.float64)
-    assert np.array_equal(decode_array(encode_array(grid)), grid)
+    prov = Provenance(0, "mention", 0.5, ((0, 1),), ((0, 1),))
+    for rows in (array, grid):  # values already on the float32 grid survive exactly
+        text = _saved([MixedExample(rows, np.ones((7, 2)), prov)], ("B-X", "O"), "ner")
+        back = load_augmented(io.StringIO(text)).examples[0].embeddings
+        assert back.dtype == np.float64
+        assert np.array_equal(back, grid)
+    assert np.array_equal(decode_array(encode_array(array)), grid)
 
 
 def test_ner_file_round_trip():
@@ -481,11 +486,6 @@ def test_save_keeps_the_largest_float32_values():
 
 # ---------------------------------------------------------------- the writer's json oracle
 
-def _oracle_array(array) -> dict:
-    data = np.ascontiguousarray(array, dtype="<f4")
-    return {"shape": list(data.shape), "data": base64.b64encode(data.tobytes()).decode("ascii")}
-
-
 def _oracle_save(stream, examples, label_vocab, task, meta=None):
     """The record-dict writer: every record through ``json.dumps``."""
     dump = lambda obj: json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -494,12 +494,12 @@ def _oracle_save(stream, examples, label_vocab, task, meta=None):
                        "label_vocab": list(label_vocab), "dim": dim, "count": len(examples),
                        "meta": meta or {}}) + "\n")
     for example in examples:
-        record = {"embeddings": _oracle_array(example.embeddings),
+        record = {"embeddings": encode_array(example.embeddings),
                   "provenance": provenance_json(example.provenance)}
         if task == "ner":
-            record["soft_labels"] = _oracle_array(example.soft_labels)
+            record["soft_labels"] = encode_array(example.soft_labels)
         else:
-            record["soft_relation"] = _oracle_array(example.soft_relation)
+            record["soft_relation"] = encode_array(example.soft_relation)
             record["e1"] = [example.e1.start, example.e1.end]
             record["e2"] = [example.e2.start, example.e2.end]
         stream.write(dump(record) + "\n")
@@ -567,20 +567,17 @@ def test_save_writes_the_bytes_of_the_json_oracle(case):
 def _oracle_load(text: str) -> list:
     """Every record of an augmented file decoded on its own, one array per
     payload: the loader as it was before it decoded records in blocks."""
-    def decode(blob):
-        raw = base64.b64decode(blob["data"])
-        return np.frombuffer(raw, "<f4").reshape(blob["shape"]).astype(np.float64)
-
     out = []
     for record in (json.loads(line) for line in text.splitlines()[1:] if line.strip()):
         p = record["provenance"]
         prov = Provenance(p["example_index"], p["variant"], p["lam"],
                           tuple(map(tuple, p["spans"])), tuple(map(tuple, p["mixed_spans"])),
                           p["pool_index"], tuple(p["replacements"]) if "replacements" in p else None)
+        embeddings = decode_array(record["embeddings"])
         if "soft_labels" in record:
-            out.append(MixedExample(decode(record["embeddings"]), decode(record["soft_labels"]), prov))
+            out.append(MixedExample(embeddings, decode_array(record["soft_labels"]), prov))
         else:
-            out.append(MixedRESample(decode(record["embeddings"]), decode(record["soft_relation"]),
+            out.append(MixedRESample(embeddings, decode_array(record["soft_relation"]),
                                      Span(*record["e1"]), Span(*record["e2"]), prov))
     return out
 
@@ -690,3 +687,96 @@ def test_load_refuses_a_shape_that_is_not_positive_integers(field, at, value, wh
     lines[2] = json.dumps(record) + "\n"
     with pytest.raises(ValueError, match="^" + re.escape(f"line 3: {why}") + "$"):
         load_augmented(io.StringIO("".join(lines)))
+
+
+# ---------------------------------------------------------------- stream sources
+
+def _written(text: str) -> io.StringIO:
+    """A ``StringIO`` that ``text`` was written to, back at its start."""
+    stream = io.StringIO()
+    stream.write(text)
+    stream.seek(0)
+    return stream
+
+
+def _stream(source: str, text: str, tmp_path):
+    """``text`` as a stream of kind ``source``, standing where ``text`` starts."""
+    if source == "written":
+        return _written(text)
+    if source == "initial value":
+        return io.StringIO(text)
+    if source == "after a prefix":
+        stream = _written("prefix line\n" + text)
+        stream.seek(len("prefix line\n"))
+        return stream
+    path = tmp_path / "aug.jsonl"
+    path.write_text(text)
+    return path.open()
+
+
+_SOURCES = ["written", "initial value", "after a prefix", "file"]
+
+
+def _spaced(text: str) -> str:
+    """``text`` with an empty and a blank line between its lines and no
+    newline at its end."""
+    return "\n\n \t\n".join(text.split("\n")).rstrip("\n \t")
+
+
+@pytest.mark.parametrize("source", _SOURCES)
+@pytest.mark.parametrize("task", ["ner", "re"])
+def test_a_load_reads_the_same_from_every_kind_of_stream(tmp_path, source, task):
+    examples = (_ner_examples() if task == "ner" else _re_examples()) * 9
+    vocab = ("B-X", "O") if task == "ner" else ("R(e1,e2)", "Other")
+    text = _spaced(_saved(examples, vocab, task))
+    with _stream(source, text, tmp_path) as stream:
+        loaded = load_augmented(stream)
+    want = _oracle_load(text)
+    assert (loaded.task, loaded.meta, len(loaded.examples)) == (task, {"n": 18}, len(want))
+    labels = "soft_labels" if task == "ner" else "soft_relation"
+    for got, expected in zip(loaded.examples, want):
+        assert _same_bits(got.embeddings, expected.embeddings)
+        assert _same_bits(getattr(got, labels), getattr(expected, labels))
+        assert got.provenance == expected.provenance
+
+
+def _faulty_texts() -> list:
+    """(augmented text, the error its load raises), with blank lines and no final newline."""
+    lines = _saved_lines(_ner_examples() * 9, ("B-X", "O"), "ner")
+    nan = _with_value(lines, 18, "embeddings", float("nan"))
+    missing = lines[:18] + [lines[18].replace('"provenance"', '"provenanse"')]
+    return [
+        pytest.param(_spaced("".join(nan)), "line 55: embeddings hold a non-finite value",
+                     id="nan"),
+        pytest.param(_spaced("".join(missing)), "line 55: record has no 'provenance' field",
+                     id="no field"),
+        pytest.param(_spaced("".join(lines[:-1])), "header says 18 examples, file has 17",
+                     id="short"),
+        pytest.param("\n  \n", "empty augmented file", id="blank"),
+    ]
+
+
+@pytest.mark.parametrize("source", _SOURCES)
+@pytest.mark.parametrize("text,why", _faulty_texts())
+def test_a_load_names_the_same_fault_from_every_kind_of_stream(tmp_path, source, text, why):
+    with _stream(source, text, tmp_path) as stream:
+        with pytest.raises(ValueError, match="^" + re.escape(why) + "$"):
+            load_augmented(stream)
+
+
+def test_loading_a_written_stream_costs_under_4_bytes_a_character():
+    rng = np.random.default_rng(0)
+    prov = Provenance(0, "mention", 0.5, ((0, 1),), ((0, 1),))
+    examples = [MixedExample(rng.standard_normal((6, 24)), rng.random((6, 3)), prov)
+                for _ in range(300)]
+    text = _saved(examples, ("B-X", "I-X", "O"), "ner")
+    stream = _written(text)
+    tracemalloc.start()
+    try:
+        load_augmented(stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a readline or a line iteration first copies the text at 4 bytes a
+    # character, which took the peak to 6.0 bytes a character; one read() to 2.0
+    assert peak < 4 * len(text), f"peak {peak / len(text):.2f} bytes a character"
