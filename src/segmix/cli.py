@@ -24,6 +24,7 @@ import argparse
 import hashlib
 import itertools
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -41,8 +42,12 @@ from .corpus import (
     parse_re,
     write_corpus,
 )
-from .evaluation import entity_f1, nearest_tokens, re_report, re_scores, tagging_report
+from .evaluation import (
+    _entity_scorer, _gold_side, nearest_tokens, re_report, re_scores, tagging_report,
+)
 from .mixer import (
+    NER_VARIANTS,
+    RE_VARIANTS,
     EmbeddingTable,
     MixConfig,
     encode_corpus,
@@ -55,6 +60,8 @@ from .model import (
     TaggerModel,
     TrainConfig,
     TrainingDivergedError,
+    _predict_ids,
+    _window_rows,
     predict_re,
     predict_tagger,
     train_re,
@@ -268,6 +275,9 @@ def _resolve(command: str, values: dict, source: str, flags: dict) -> SimpleName
         value = merged.get(key)
         if value is not None and not 0 <= value < 2**32:
             raise CliError(f"{named(key)} must lie in [0, 2**32), got {value}")
+    alpha = merged.get("alpha", 1.0)
+    if not (alpha > 0 and math.isfinite(alpha)):  # a sweep's baseline cells would train first
+        raise CliError(f"{named('alpha')} must be positive and finite, got {alpha}")
     if merged.get("window", 0) < 0:
         raise CliError(f"{named('window')} must be 0 or more, got {merged['window']}")
     if merged.get("repeats", 1) < 1:
@@ -303,10 +313,6 @@ def _fit(task: str, labels, examples, config: TrainConfig, dim: int, window: int
         return train_tagger(model, examples, config, val_corpus, table)
     model = REModel.init(labels, dim, seed=config.seed)
     return train_re(model, examples, config, val_corpus, table)
-
-
-def _predict(task: str, model, table: EmbeddingTable, corpus):
-    return (predict_tagger if task == "ner" else predict_re)(model, table, corpus)
 
 
 def _mix_config(ns) -> MixConfig:
@@ -455,7 +461,7 @@ def cmd_eval(ns: SimpleNamespace, manifest: RunManifest) -> None:
     manifest.record_inputs(ns.checkpoint)
     corpus = _read_corpus(ns, ns.test, manifest)
 
-    predicted = _predict(ns.task, model, table, corpus)
+    predicted = (predict_tagger if ns.task == "ner" else predict_re)(model, table, corpus)
     report = (tagging_report if ns.task == "ner" else re_report)(corpus, predicted)
     if ns.report:
         report.write_json(ns.report)
@@ -473,7 +479,10 @@ def _cell_seed(root_seed: int, size: int, rate: float, variant: str, seed: int) 
 
 
 def _sweep_cell(cell: tuple, ns: SimpleNamespace, train, test, table: EmbeddingTable) -> str:
-    """Train and score one (size, rate, variant, seed) grid cell; returns its CSV row."""
+    """Train and score one (size, rate, variant, seed) grid cell; returns its CSV row.
+
+    ``test`` is an RE corpus, or an NER test side as :func:`cmd_sweep` lays
+    it out: its window rows and its gold side."""
     size, rate, variant, seed = cell
     cell_seed = _cell_seed(int(ns.seed), size, rate, variant, seed)
     n = min(size, len(train))
@@ -486,15 +495,15 @@ def _sweep_cell(cell: tuple, ns: SimpleNamespace, train, test, table: EmbeddingT
     train_config = _train_config(ns, int(ns.epochs) + 1, cell_seed)
     model = _fit(ns.task, _labels(ns.task, sub), examples, train_config, int(ns.dim),
                  int(ns.window)).model
-    predicted = _predict(ns.task, model, table, test)
     if ns.task == "ner":
-        score = entity_f1(test, predicted).f1
+        rows, gold = test
+        score = _entity_scorer(gold, model.labels)(_predict_ids(model, table, rows)).f1
     else:
-        score = re_scores(test, predicted).accuracy
+        score = re_scores(test, predict_re(model, table, test)).accuracy
     return f"{size},{rate:g},{variant},{seed},{cell_seed},{len(sub)},{len(generated)},{score:.4f}\n"
 
 
-# A pool worker's (ns, train corpus, test corpus, table), set once by the pool's initializer:
+# A pool worker's (ns, train corpus, test side, table), set once by the pool's initializer:
 # a forked worker inherits it, a spawned one unpickles it once instead of once per cell.
 _WORKER_SWEEP: tuple = ()
 
@@ -508,29 +517,45 @@ def _worker_cell(cell: tuple) -> str:
     return _sweep_cell(cell, *_WORKER_SWEEP)
 
 
-def _grid_values(raw: str, cast, flag: str) -> list:
+def _grid_values(raw: str, cast, flag: str, ok=None, want: str = "") -> list:
+    """The comma list ``raw`` of a grid flag, each value cast; a value that
+    will not cast is a usage error, one that fails ``ok`` a one-line error."""
     try:
         values = [cast(v.strip()) for v in str(raw).split(",") if v.strip()]
     except ValueError:
         raise UsageError(f"cannot parse {flag} value {raw!r}") from None
     if not values:
         raise UsageError(f"{flag} needs at least one value")
+    bad = next((v for v in values if ok and not ok(v)), None)
+    if bad is not None:
+        raise CliError(f"{flag} value {bad!r} {want}")
     return values
 
 
 def cmd_sweep(ns: SimpleNamespace, manifest: RunManifest) -> None:
     _require_file(ns.train, "training corpus")
     _require_file(ns.test, "test corpus")
+    # each grid value is checked before any corpus is read; a sweep has no lexicon flag, so
+    # the synonym variant cannot run in one
+    kinds = [v for v in (NER_VARIANTS if ns.task == "ner" else RE_VARIANTS) if v != "synonym"]
     grid = list(itertools.product(
-        _grid_values(ns.sizes, int, "--sizes"),
-        _grid_values(ns.rates, float, "--rates"),
-        _grid_values(ns.variants, str, "--variants"),
+        _grid_values(ns.sizes, int, "--sizes", lambda v: v >= 1, "must be 1 or more"),
+        _grid_values(ns.rates, float, "--rates", lambda v: v >= 0 and math.isfinite(v),
+                     "must be 0 or more and finite"),
+        _grid_values(ns.variants, str, "--variants",
+                     lambda v: v == "none" or set(v.split("+")) <= set(kinds),
+                     f"is not 'none' or a '+'-joined list of {', '.join(kinds)} "
+                     f"for --task {ns.task}"),
         _grid_values(ns.seeds, int, "--seeds"),
     ))
+    _train_config(ns, 1, 0)  # refuses a bad --epochs, --lr or --batch-size here, not per cell
     train = _read_corpus(ns, ns.train, manifest)
     test = _read_corpus(ns, ns.test, manifest)
     tokens = list(dict.fromkeys([*train.token_vocab, *test.token_vocab]))
-    shared = (ns, train, test, EmbeddingTable.random(tokens, int(ns.dim), seed=int(ns.embed_seed)))
+    table = EmbeddingTable.random(tokens, int(ns.dim), seed=int(ns.embed_seed))
+    if ns.task == "ner":  # every cell reads the same window rows and gold side
+        test = (_window_rows(table, test, int(ns.window)), _gold_side(test))
+    shared = (ns, train, test, table)
     jobs = int(ns.jobs)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # half the import time of this module

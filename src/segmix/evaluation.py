@@ -115,12 +115,23 @@ def _span_counts(gold: np.ndarray, predicted: np.ndarray, offsets: np.ndarray,
     return _prf(tp.sum(), found, wanted), _prf(span_tp, found, wanted), per_type
 
 
-def _entity_scorer(gold: TaggedCorpus, labels: Sequence[str]):
+def _gold_side(gold: TaggedCorpus) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """The gold labels end to end as ids into their first-seen vocabulary,
+    the sentence offsets, and that vocabulary."""
+    names: list[str] = []
+    ids, offsets = _encode((s.labels for s in gold.sentences), {}, names)
+    return ids, offsets, tuple(names)
+
+
+def _entity_scorer(gold, labels: Sequence[str]):
     """Entity PRF of a flat stream of predicted ids into ``labels`` against
-    ``gold``, whose labels are flattened and mapped to ids once, here."""
-    names = list(labels)
-    gold_ids, offsets = _encode((s.labels for s in gold.sentences),
-                                dict(zip(names, range(len(names)))), names)
+    ``gold``, a corpus or its :func:`_gold_side`. The gold ids are mapped
+    once, here, into ``labels`` followed by the gold labels not among them."""
+    gold_ids, offsets, gold_vocab = _gold_side(gold) if isinstance(gold, TaggedCorpus) else gold
+    known = set(labels)
+    names = [*labels, *(label for label in gold_vocab if label not in known)]
+    index = dict(zip(names, range(len(names))))
+    gold_ids = np.array([index[label] for label in gold_vocab], np.int64)[gold_ids]
     vocab = tuple(names)
 
     def score(predicted: np.ndarray) -> PRF:

@@ -7,7 +7,12 @@ Both train with mini-batch SGD on soft cross-entropy, so interpolated
 label vectors are first-class targets. Each batch is one fused step
 (:func:`_step`): targets are weighted per row once per run, and a batch
 takes one ``exp`` of its max-shifted logits for both the loss and the
-gradient; :func:`gradient_check` checks that same step. Everything is
+gradient; :func:`gradient_check` checks that same step. The tagger
+predicts through a projected table: a corpus is laid out once as the
+table row at each window offset of every token (:func:`_window_rows`),
+each offset's block of weights is applied to the table once, and a
+token's logits are the bias plus one projected row per offset, summed a
+block of tokens at a time (:func:`_predict_ids`). Everything is
 float64 numpy and deterministic under a seed. Training refuses malformed
 examples by the rule augmented files are saved and loaded under
 (``mixer._shape_problem``); checkpoints and loss traces live in
@@ -348,9 +353,10 @@ def train_tagger(
         from .evaluation import _entity_scorer
 
         score = _entity_scorer(val_corpus, model.labels)
+        rows = _window_rows(table, val_corpus, model.window)
 
-        def score_fn(m, _corpus=val_corpus, _table=table):
-            return score(_predict_ids(m, _table, _corpus)).f1
+        def score_fn(m):
+            return score(_predict_ids(m, table, rows)).f1
 
     return _train(model, examples, config, _tagger_rows, score_fn)
 
@@ -376,38 +382,64 @@ def train_re(
     return _train(model, examples, config, _re_rows, score_fn)
 
 
-# Sentences per prediction block: enough to amortise the per-block calls;
-# a block's window features are held whole, so peak memory grows with it.
+# Samples per relation prediction block: enough to amortise the per-block calls.
 _PREDICT_BLOCK = 64
+# Tokens per tagger prediction block: a block's logits are held whole, so peak memory grows
+# with it.
+_TOKEN_BLOCK = 1024
 
 
-def _blocks(items: Sequence):
-    return (items[lo : lo + _PREDICT_BLOCK] for lo in range(0, len(items), _PREDICT_BLOCK))
+def _window_rows(table: EmbeddingTable, corpus: TaggedCorpus, window: int) -> np.ndarray:
+    """The corpus laid out for prediction: row k holds, for every token end
+    to end, the table row of the token at offset ``k - window`` from it, or
+    -1 where that offset falls outside its sentence. One table lookup."""
+    lengths = np.fromiter(map(len, corpus.sentences), np.int64, len(corpus.sentences))
+    rows = table.rows([t for s in corpus.sentences for t in s.tokens])
+    n, first = len(rows), np.cumsum(lengths) - lengths
+    out = np.full((2 * window + 1, n), -1, np.int64)
+    for k, offset in enumerate(range(-window, window + 1)):
+        if abs(offset) < n:
+            out[k, max(-offset, 0) : n - max(offset, 0)] = rows[max(offset, 0) : n + min(offset, 0)]
+        edge = np.minimum(abs(offset), lengths)  # a sentence's tokens whose offset leaves it
+        out[k, _ranges(first if offset < 0 else first + lengths - edge, edge)] = -1
+    return out
 
 
-def _predict_ids(model: TaggerModel, table: EmbeddingTable, corpus: TaggedCorpus) -> np.ndarray:
-    """The argmax label id of every token of the corpus, end to end.
+def _predict_ids(model: TaggerModel, table: EmbeddingTable, rows: np.ndarray) -> np.ndarray:
+    """The argmax label id of every token laid out by :func:`_window_rows`.
 
-    Sentences go in blocks, joined as the trainer joins its examples: one
-    table lookup and one matmul per block.
+    A linear window tagger's logits are its bias plus, per offset, that
+    offset's block of weights applied to the row there. So each block is
+    applied to the whole table once (with a zero row last, which -1 reads),
+    and a token's logits are the bias plus one projected row per offset,
+    summed a fixed number of tokens at a time.
     """
     _require_dim(model, table.dim)
-    out = [np.zeros(0, np.int64)]
-    for block in _blocks(corpus.sentences):
-        lengths = np.array([len(s.tokens) for s in block])
-        starts, total = _joined(lengths, model.window)
-        rows = _ranges(starts, lengths)
-        flat = np.zeros((total, model.dim))
-        flat[rows] = table.vectors[table.rows([t for s in block for t in s.tokens])]
-        out.append((_windows(flat, rows, model.window) @ model.weights).argmax(axis=1))
-    return np.concatenate(out)
+    if len(rows) != 2 * model.window + 1:
+        raise ValueError(f"rows laid out for window {(len(rows) - 1) // 2}, "
+                         f"not the model's {model.window}")
+    dim = model.dim
+    projected = np.zeros((len(rows), len(table.vectors) + 1, len(model.labels)))
+    for k, block in enumerate(projected):
+        np.matmul(table.vectors, model.weights[k * dim : (k + 1) * dim], out=block[:-1])
+    bias = model.weights[-1]
+    ids = np.empty(rows.shape[1], np.int64)
+    for lo in range(0, len(ids), _TOKEN_BLOCK):
+        at = rows[:, lo : lo + _TOKEN_BLOCK]
+        logits = projected[0].take(at[0], axis=0)
+        logits += bias
+        for block, where in zip(projected[1:], at[1:]):
+            logits += block.take(where, axis=0)
+        ids[lo : lo + _TOKEN_BLOCK] = logits.argmax(axis=1)
+    return ids
 
 
 def predict_tagger(
     model: TaggerModel, table: EmbeddingTable, corpus: TaggedCorpus
 ) -> list[list[str]]:
     """Predicted label strings per sentence (argmax, no repair)."""
-    names = list(map(model.labels.__getitem__, _predict_ids(model, table, corpus).tolist()))
+    ids = _predict_ids(model, table, _window_rows(table, corpus, model.window))
+    names = list(map(model.labels.__getitem__, ids.tolist()))
     ends = np.cumsum([len(s.tokens) for s in corpus.sentences], dtype=np.int64).tolist()
     return [names[end - len(s.tokens) : end] for end, s in zip(ends, corpus.sentences)]
 
@@ -417,7 +449,8 @@ def predict_re(model: REModel, table: EmbeddingTable, corpus: RECorpus) -> list[
     tokens and one matmul."""
     _require_dim(model, table.dim)
     out = []
-    for block in _blocks(corpus.samples):
+    for lo in range(0, len(corpus), _PREDICT_BLOCK):
+        block = corpus.samples[lo : lo + _PREDICT_BLOCK]
         spans = [s.tokens[span.start : span.end] for s in block for span in (s.e1, s.e2)]
         rows = table.vectors[table.rows([t for tokens in spans for t in tokens])]
         feats = _pool(rows, np.array([len(tokens) for tokens in spans]))

@@ -12,8 +12,11 @@ from pathlib import Path
 
 import pytest
 
+from segmix import cli
 from segmix.cli import build_parser, main
-from segmix.corpus import corpus_to_text, parse_conll
+from segmix.corpus import Sentence, TaggedCorpus, corpus_to_text, parse_conll
+from segmix.evaluation import entity_f1
+from segmix.model import predict_tagger
 from segmix.serialization import load_augmented
 from segmix.synth import synth_tagged_corpus
 
@@ -257,6 +260,100 @@ def test_sweep_bad_grid_value_is_usage_error(tmp_path, ner_file, test_file):
         run("sweep", "--train", ner_file, "--test", test_file,
             "--sizes", "ten", "--output", tmp_path / "o.csv")
     assert exc.value.code == 2
+
+
+_NER_KINDS = "is not 'none' or a '+'-joined list of mention, token, whole_sequence for --task ner"
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--sizes", "0", "--sizes value 0 must be 1 or more"),
+    ("--sizes", "100,-5", "--sizes value -5 must be 1 or more"),
+    ("--rates", "0.2,-1", "--rates value -1.0 must be 0 or more and finite"),
+    ("--rates", "nan", "--rates value nan must be 0 or more and finite"),
+    ("--variants", "bogus", f"--variants value 'bogus' {_NER_KINDS}"),
+    ("--variants", "relation", f"--variants value 'relation' {_NER_KINDS}"),
+    ("--variants", "mention+synonym", f"--variants value 'mention+synonym' {_NER_KINDS}"),
+    ("--alpha", "0", "--alpha must be positive and finite, got 0.0"),
+    ("--epochs", "-1", "train config epochs must be 0 or more, got -1"),
+], ids=["size 0", "size -5", "rate -1", "rate nan", "unknown", "relation", "synonym", "alpha",
+        "epochs"])
+def test_sweep_refuses_a_bad_value_before_reading_a_corpus(
+        tmp_path, ner_file, test_file, monkeypatch, capsys, flag, value, message):
+    monkeypatch.setattr(cli, "_read_corpus", lambda *args: pytest.fail("read a corpus"))
+    assert run("sweep", "--train", ner_file, "--test", test_file, flag, value,
+               "--output", tmp_path / "o.csv") == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--variants", "none,bogus", f"--variants value 'bogus' {_NER_KINDS}"),
+    ("--alpha", "nan", "--alpha must be positive and finite, got nan"),
+], ids=["variant", "alpha"])
+def test_sweep_runs_no_cell_when_a_later_cell_cannot_run(tmp_path, ner_file, test_file,
+                                                         monkeypatch, capsys, flag, value,
+                                                         message):
+    cells = []
+    sweep_cell = cli._sweep_cell
+
+    def recording_cell(cell, *shared):
+        cells.append(cell)
+        return sweep_cell(cell, *shared)
+
+    monkeypatch.setattr(cli, "_sweep_cell", recording_cell)
+    out = tmp_path / "o.csv"
+    # the grid is the default none,mention, or none,bogus: a baseline cell comes first
+    assert run("sweep", "--train", ner_file, "--test", test_file, "--sizes", "20",
+               "--seeds", "0", "--epochs", "1", "--dim", "8", flag, value, "--output", out) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert cells == []
+    assert not out.exists()
+
+
+def test_sweep_refuses_a_variant_of_the_other_task(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_read_corpus", lambda *args: pytest.fail("read a corpus"))
+    files = [tmp_path / name for name in ("train.tsv", "test.tsv")]
+    for path in files:
+        path.write_text("")
+    assert run("sweep", "--task", "re", "--train", files[0], "--test", files[1],
+               "--variants", "mention", "--output", tmp_path / "o.csv") == 1
+    assert capsys.readouterr().err == ("error: --variants value 'mention' is not 'none' or a "
+                                       "'+'-joined list of relation for --task re\n")
+
+
+def test_sweep_scores_every_cell_as_entity_f1_of_its_predictions(tmp_path, monkeypatch):
+    rare = (Sentence(("Zed", "Vox", "spoke"), ("B-ZZZ", "I-ZZZ", "O")),
+            Sentence(("Zed",), ("B-ZZZ",)))
+    train_path, test_path = tmp_path / "train.conll", tmp_path / "test.conll"
+    out = tmp_path / "o.csv"
+    train_path.write_text(corpus_to_text(TaggedCorpus.from_sentences(
+        [*synth_tagged_corpus(40, seed=11).sentences, rare[0]])))
+    test_path.write_text(corpus_to_text(TaggedCorpus.from_sentences(
+        [*synth_tagged_corpus(25, seed=12).sentences, *rare])))
+    models, tables = [], []
+    fit, sweep_cell = cli._fit, cli._sweep_cell
+
+    def recording_fit(*args):
+        result = fit(*args)
+        models.append(result.model)
+        return result
+
+    def recording_cell(cell, ns, train, test, table):
+        tables.append(table)
+        return sweep_cell(cell, ns, train, test, table)
+
+    monkeypatch.setattr(cli, "_fit", recording_fit)
+    monkeypatch.setattr(cli, "_sweep_cell", recording_cell)
+    assert run("sweep", "--train", train_path, "--test", test_path, "--sizes", "3,100",
+               "--rates", "0.5", "--variants", "none,mention", "--seeds", "0,1",
+               "--epochs", "10", "--dim", "16", "--jobs", "1", "--output", out) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == len(models) == len(tables) == 8
+    # the small subsets lack the ZZZ type, so its gold ids join their label vocabulary
+    assert {"B-ZZZ" in m.labels for m in models} == {False, True}
+    test = parse_conll(test_path.read_text())
+    for row, model, table in zip(rows, models, tables):
+        score = entity_f1(test, predict_tagger(model, table, test)).f1
+        assert row.rsplit(",", 1)[1] == f"{score:.4f}"
 
 
 # ---------------------------------------------------------------- bench

@@ -2,7 +2,9 @@
 
 import hashlib
 import struct
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,9 +28,12 @@ from segmix.model import (
     TrainConfig,
     TrainingDivergedError,
     _POOL_BLOCK,
+    _TOKEN_BLOCK,
     _pooled,
+    _predict_ids,
     _tagger_rows,
     _train,
+    _window_rows,
     gradient_check,
     log_softmax,
     predict_re,
@@ -427,6 +432,55 @@ def test_blocked_predict_tagger_matches_per_sentence_predict(n_sentences, window
     model = TaggerModel.init(["O", "B-X", "I-X"], 3, window=window, seed=seed, scale=1.0)
     want = [[model.labels[i] for i in model.predict(table.embed(s.tokens))] for s in sentences]
     assert predict_tagger(model, table, corpus) == want
+
+
+def _tagger_case(lengths, window, seed):
+    """A corpus of sentences of ``lengths`` over words two of which fall to
+    hash buckets, its table, and a tagger over it with large weights."""
+    rng = np.random.default_rng(seed)
+    words = _VOCAB + ("unseen", "other")
+    sentences = [Sentence(tuple(words[i] for i in rng.integers(len(words), size=n)), ("O",) * n)
+                 for n in lengths]
+    table = EmbeddingTable.random(_VOCAB, 3, seed=seed, n_buckets=4)
+    model = TaggerModel.init(["O", "B-X", "I-X", "B-Y"], 3, window=window, seed=seed, scale=1.0)
+    return TaggedCorpus.from_sentences(sentences), table, model
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 7), max_size=60), st.integers(0, 2), st.integers(1, 40),
+       st.integers(0, 2**16))
+@example([], 1, 4, 0)  # an empty corpus
+@example([1] * 9, 2, 4, 1)  # one-token sentences, each window past both ends
+@example([5] * 2000, 1, _TOKEN_BLOCK, 2)  # blocks of the real size, the last one short
+def test_projected_ids_equal_the_argmax_of_predict_per_sentence(lengths, window, block, seed):
+    corpus, table, model = _tagger_case(lengths, window, seed)
+    want = [model.predict(table.embed(s.tokens)) for s in corpus.sentences]
+    with mock.patch("segmix.model._TOKEN_BLOCK", block):
+        got = _predict_ids(model, table, _window_rows(table, corpus, window))
+    assert got.tolist() == np.concatenate([np.zeros(0, np.int64), *want]).tolist()
+
+
+def test_projected_ids_refuse_rows_laid_out_for_another_window():
+    corpus, table, model = _tagger_case([3, 2], 1, 0)
+    with pytest.raises(ValueError, match="rows laid out for window 2, not the model's 1"):
+        _predict_ids(model, table, _window_rows(table, corpus, 2))
+
+
+def test_projected_ids_peak_memory_is_the_id_and_layout_arrays():
+    corpus, table, _ = _tagger_case([20] * 10_000, 1, 3)
+    labels = ["O", *(f"{k}-T{i}" for i in range(6) for k in "BI")]
+    model = TaggerModel.init(labels, 3, window=1, seed=3, scale=1.0)
+    tracemalloc.start()
+    try:
+        ids = _predict_ids(model, table, _window_rows(table, corpus, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a token's three window rows and its id, 8 bytes each; a few 8-byte arrays a sentence
+    # while the rows are laid out; a block's logits and one gathered block beside them.
+    # The whole corpus's logits would add 8 bytes a token and label, 104 here.
+    tokens, sentences = len(ids), len(corpus.sentences)
+    assert peak <= 32 * tokens + 64 * sentences + 2 * 8 * _TOKEN_BLOCK * (len(labels) + 1), peak
 
 
 @settings(max_examples=25, deadline=None)
