@@ -50,6 +50,7 @@ from .mixer import (
     RE_VARIANTS,
     EmbeddingTable,
     MixConfig,
+    _slot_count,
     encode_corpus,
     encode_re_corpus,
     replacement_da,
@@ -280,6 +281,8 @@ def _resolve(command: str, values: dict, source: str, flags: dict) -> SimpleName
         raise CliError(f"{named('alpha')} must be positive and finite, got {alpha}")
     if merged.get("window", 0) < 0:
         raise CliError(f"{named('window')} must be 0 or more, got {merged['window']}")
+    if merged.get("limit", 1) < 1:
+        raise CliError(f"{named('limit')} must be 1 or more, got {merged['limit']}")
     if merged.get("repeats", 1) < 1:
         raise UsageError(f"{named('repeats')} must be 1 or more, got {merged['repeats']}")
     return SimpleNamespace(**merged)
@@ -538,10 +541,15 @@ def cmd_sweep(ns: SimpleNamespace, manifest: RunManifest) -> None:
     # each grid value is checked before any corpus is read; a sweep has no lexicon flag, so
     # the synonym variant cannot run in one
     kinds = [v for v in (NER_VARIANTS if ns.task == "ner" else RE_VARIANTS) if v != "synonym"]
+    sizes = _grid_values(ns.sizes, int, "--sizes", lambda v: v >= 1, "must be 1 or more")
+    rates = _grid_values(ns.rates, float, "--rates", lambda v: v >= 0 and math.isfinite(v),
+                         "must be 0 or more and finite")
+    try:  # a cell over n <= size examples asks for round(rate * n) slots
+        _slot_count(max(rates), max(sizes))
+    except ValueError as exc:
+        raise CliError(f"--rates at --sizes value {max(sizes)}: {exc}") from None
     grid = list(itertools.product(
-        _grid_values(ns.sizes, int, "--sizes", lambda v: v >= 1, "must be 1 or more"),
-        _grid_values(ns.rates, float, "--rates", lambda v: v >= 0 and math.isfinite(v),
-                     "must be 0 or more and finite"),
+        sizes, rates,
         _grid_values(ns.variants, str, "--variants",
                      lambda v: v == "none" or set(v.split("+")) <= set(kinds),
                      f"is not 'none' or a '+'-joined list of {', '.join(kinds)} "

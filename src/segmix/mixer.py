@@ -281,7 +281,7 @@ class MixConfig:
         if self.weights is not None:
             if len(self.weights) != len(parts):
                 raise ValueError("weights must match the variant list")
-            if abs(sum(self.weights) - 1.0) > 1e-9 or any(w < 0 for w in self.weights):
+            if not (abs(sum(self.weights) - 1.0) <= 1e-9 and min(self.weights) >= 0):  # NaN fails
                 raise ValueError("weights must be nonnegative and sum to 1")
         if self.fixed_lambda is not None and not 0.0 <= self.fixed_lambda <= 1.0:
             raise ValueError("fixed_lambda must lie in [0, 1]")
@@ -633,6 +633,14 @@ def _mix_ratios(config: MixConfig, requested: int) -> np.ndarray:
     )
 
 
+def _slot_count(rate: float, n: int) -> int:
+    """``round(rate * n)`` mix slots, refused where numpy could not index them."""
+    slots = rate * min(n, 2**63) + 0.5  # no corpus holds 2**63 examples
+    if not slots < 2**63:  # an overflow to inf too
+        raise ValueError(f"rate {rate:g} asks for {slots:.3g} mix slots, more than numpy can index")
+    return int(slots)
+
+
 def _plan_run(
     corpus: Union[TaggedCorpus, RECorpus], pools: PoolSpec, config: MixConfig
 ) -> tuple[_Source | None, _Plan | None, int, int]:
@@ -641,7 +649,7 @@ def _plan_run(
         corpus.sentences if isinstance(corpus, TaggedCorpus) else corpus.samples
     )
     n = len(examples)
-    requested = int(config.rate * n + 0.5)
+    requested = _slot_count(config.rate, n)
     parts = config.variant_list()
     for part in parts:
         ok = RE_VARIANTS if isinstance(corpus, RECorpus) else NER_VARIANTS

@@ -3,7 +3,8 @@
 Augmented data is JSON-lines: a header record, then one record per
 example. Matrices travel as base64-encoded little-endian float32 with an
 explicit shape, so files are platform-independent and byte-identical
-across repeated runs with the same seed. Every line is compact JSON
+across repeated runs with the same seed. They load as float32, cast
+exactly to float64 where arithmetic happens. Every line is compact JSON
 (``separators=(",", ":")``) with sorted keys. The header goes through
 ``json``; a record and its provenance are formatted from templates
 (``_NER_RECORD``, ``_RE_RECORD``, ``_PROVENANCE``) with their keys already
@@ -17,7 +18,8 @@ save, before a byte is written, and on load.
 
 A checkpoint is binary: the magic ``SGMX``, a ``<II`` version and header
 length, a sorted-key JSON header, then the weights and the embedding-table
-rows as raw little-endian float32, with nothing after them.
+rows as raw little-endian float32, with nothing after them, loaded as the
+float64 that prediction computes in.
 
 Both formats share four pieces: one float32 codec (:func:`_f4`,
 :func:`_from_f4`), which refuses a payload whose byte count its shape does
@@ -72,9 +74,9 @@ def _sized(raw: bytes, shape, what: str) -> bytes:
     return raw
 
 
-def _from_f4(raw: bytes, shape, what: str) -> np.ndarray:
-    """A float64 array of ``shape`` from raw little-endian float32 bytes."""
-    return np.frombuffer(_sized(raw, shape, what), dtype="<f4").reshape(shape).astype(np.float64)
+def _from_f4(raw: bytes | bytearray, shape, what: str) -> np.ndarray:
+    """A float32 view of ``shape`` on raw little-endian float32 bytes; writable on a bytearray."""
+    return np.frombuffer(_sized(raw, shape, what), dtype="<f4").reshape(shape)
 
 
 def _b64(f4: np.ndarray) -> str:
@@ -256,15 +258,15 @@ def _read_record(record: dict, task: str, dim: int, n_labels: int) -> tuple:
 
 def _decode_block(block: list, task: str, dim: int, n_labels: int) -> list:
     """The examples of ``block``, a list of (line, *:func:`_read_record`),
-    as views into one float64 array per payload. Refuses the earliest line
-    whose payload holds a NaN or an infinity."""
+    as views into one writable float32 array per payload kind. Refuses the
+    earliest line whose payload holds a NaN or an infinity."""
     if not block:
         return []
     lines, rows, raw_emb, raw_labels, provenances, spans = zip(*block)
     b = [0, *accumulate(rows)]
     ner = task == "ner"
-    emb = _from_f4(b"".join(raw_emb), (b[-1], dim), "block")
-    labels = _from_f4(b"".join(raw_labels), (b[-1] if ner else len(rows), n_labels), "block")
+    emb = _from_f4(bytearray().join(raw_emb), (b[-1], dim), "block")
+    labels = _from_f4(bytearray().join(raw_labels), (b[-1] if ner else len(rows), n_labels), "block")
     if ner:
         out = [MixedExample(emb[i:j], labels[i:j], p) for i, j, p in zip(b, b[1:], provenances)]
     else:
@@ -280,7 +282,7 @@ def _decode_block(block: list, task: str, dim: int, n_labels: int) -> list:
 
 @dataclass
 class AugmentedFile:
-    """Parsed contents of an augmented JSONL file."""
+    """Parsed contents of an augmented JSONL file; example arrays are float32, as stored."""
 
     task: str
     label_vocab: tuple[str, ...]
@@ -303,8 +305,8 @@ _NER_RECORD = ('{"embeddings":{"data":"%s","shape":[%d,%d]},"provenance":%s,'
 _RE_RECORD = ('{"e1":[%d,%d],"e2":[%d,%d],"embeddings":{"data":"%s","shape":[%d,%d]},'
               '"provenance":%s,"soft_relation":{"data":"%s","shape":[%d]}}\n')
 _BLOCK = 512  # examples cast to float32 at a time by the finiteness check
-# Records load_augmented decodes with one join, frombuffer and float64 cast
-# per payload. A block of 512 loaded slower than 16: its records crowd the cache.
+# Records load_augmented decodes with one join and one frombuffer per payload
+# kind. A block of 512 loaded slower than 16: its records crowd the cache.
 _LOAD_BLOCK = 16
 
 
@@ -510,8 +512,8 @@ def load_checkpoint(path) -> tuple[object, EmbeddingTable, dict]:
         payload = fh.read()
     w_shape, t_shape = header["weights_shape"], header["table_shape"]
     split = 4 * math.prod(w_shape)
-    weights = _from_f4(payload[:split], w_shape, "checkpoint weights payload")
-    vectors = _from_f4(payload[split:], t_shape, "checkpoint table payload")
+    weights = _from_f4(payload[:split], w_shape, "checkpoint weights payload").astype(np.float64)
+    vectors = _from_f4(payload[split:], t_shape, "checkpoint table payload").astype(np.float64)
     for what, array in (("weights", weights), ("table", vectors)):
         if not np.isfinite(array).all():
             raise ValueError(f"checkpoint {what} payload holds a non-finite value")

@@ -133,10 +133,6 @@ _RELATION_CONNECTORS: dict[str, tuple[tuple[str, ...], ...]] = {
 _NOMINAL_SYLLABLES = ("gri", "pol", "van", "tur", "hes", "nim", "osk", "dra")
 
 
-def relation_types() -> tuple[str, ...]:
-    return tuple(_RELATION_CONNECTORS)
-
-
 def build_nominal_lexicon(n_nominals: int = 60, lexicon_seed: int = 0) -> list[tuple[str, ...]]:
     rng = derive_rng(lexicon_seed, "synth-nominals")
     seen: set[tuple[str, ...]] = set()

@@ -45,9 +45,9 @@ def encode_array(array) -> dict:
 
 
 def decode_array(blob: dict) -> np.ndarray:
-    """The float64 array of an :func:`encode_array` payload."""
+    """The float32 array of an :func:`encode_array` payload."""
     raw = base64.b64decode(blob["data"])
-    return np.frombuffer(raw, "<f4").reshape(blob["shape"]).astype(np.float64)
+    return np.frombuffer(raw, "<f4").reshape(blob["shape"])
 
 
 def random_sentence(rng, min_len=2, max_len=12, p_entity=0.35, types=ENTITY_TYPES):

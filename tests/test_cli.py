@@ -309,6 +309,18 @@ def test_sweep_runs_no_cell_when_a_later_cell_cannot_run(tmp_path, ner_file, tes
     assert not out.exists()
 
 
+def test_sweep_refuses_a_rate_whose_slots_numpy_cannot_index_before_reading_a_corpus(
+        tmp_path, ner_file, test_file, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_read_corpus", lambda *args: pytest.fail("read a corpus"))
+    out = tmp_path / "o.csv"
+    assert run("sweep", "--train", ner_file, "--test", test_file, "--sizes", "20,100",
+               "--rates", "0.2,1e300", "--output", out) == 1
+    assert capsys.readouterr().err == (
+        "error: --rates at --sizes value 100: "
+        "rate 1e+300 asks for 1e+302 mix slots, more than numpy can index\n")
+    assert not out.exists()
+
+
 def test_sweep_refuses_a_variant_of_the_other_task(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_read_corpus", lambda *args: pytest.fail("read a corpus"))
     files = [tmp_path / name for name in ("train.tsv", "test.tsv")]
@@ -423,6 +435,21 @@ def test_recover_to_file(tmp_path, ner_file):
     text_out = tmp_path / "recovered.txt"
     assert run("recover", "--augmented", aug, "--output", text_out) == 0
     assert "=== example" in text_out.read_text()
+
+
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_recover_refuses_a_limit_below_one(tmp_path, ner_file, capsys, limit):
+    aug, out = tmp_path / "aug.jsonl", tmp_path / "recovered.txt"
+    run("augment", "--input", ner_file, "--output", aug, "--rate", "0.2")
+    capsys.readouterr()
+    assert run("recover", "--augmented", aug, "--limit", limit, "--output", out) == 1
+    assert capsys.readouterr().err == f"error: --limit must be 1 or more, got {limit}\n"
+    assert not out.exists()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"limit": int(limit)}))
+    assert run("recover", "--config", config, "--augmented", aug, "--output", out) == 1
+    assert capsys.readouterr().err == f"error: config key 'limit' must be 1 or more, got {limit}\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- manifests
@@ -547,6 +574,22 @@ def test_augment_empty_relation_exits_1(tmp_path, capsys):
     assert run("augment", "--task", "re", "--input", corpus, "--output", tmp_path / "o") == 1
     err = capsys.readouterr().err
     assert err.startswith("error: line 1: relation '' is empty") and err.count("\n") == 1
+
+
+def test_augment_refuses_nan_budget_weights(tmp_path, ner_file, capsys):
+    out = tmp_path / "aug.jsonl"
+    assert run("augment", "--input", ner_file, "--output", out, "--variant", "mention+token",
+               "--weights", "1,nan") == 1
+    assert capsys.readouterr().err == "error: weights must be nonnegative and sum to 1\n"
+    assert not out.exists()
+
+
+def test_augment_refuses_a_rate_whose_slots_numpy_cannot_index(tmp_path, ner_file, capsys):
+    out = tmp_path / "aug.jsonl"
+    assert run("augment", "--input", ner_file, "--output", out, "--rate", "1e300") == 1
+    assert capsys.readouterr().err == ("error: rate 1e+300 asks for 4e+301 mix slots, "
+                                       "more than numpy can index\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag,value", [("--alpha", "inf"), ("--alpha", "nan"), ("--rate", "nan")])

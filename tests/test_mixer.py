@@ -46,6 +46,7 @@ from segmix.pools import (
 )
 from segmix.rng import derive_rng
 from segmix.serialization import _read_provenance
+from segmix.synth import synth_tagged_corpus
 
 from conftest import provenance_json
 
@@ -314,6 +315,20 @@ def test_mix_config_validation():
         MixConfig(variant="mention+token", weights=(0.7, 0.7))
     with pytest.raises(ValueError, match="fixed_lambda"):
         MixConfig(fixed_lambda=1.5)
+
+
+@pytest.mark.parametrize("weights", [(1.0, float("nan")), (float("nan"), float("nan"))])
+def test_mix_config_refuses_nan_weights(weights):
+    with pytest.raises(ValueError, match="^weights must be nonnegative and sum to 1$"):
+        MixConfig(variant="mention+token", weights=weights)
+
+
+def test_a_rate_whose_slots_numpy_cannot_index_is_refused_before_any_allocation():
+    corpus = synth_tagged_corpus(5, seed=0)
+    table = EmbeddingTable.random(corpus.token_vocab, 4, seed=0)
+    with pytest.raises(ValueError, match="^rate 1e\\+300 asks for 5e\\+300 mix slots, "
+                                         "more than numpy can index$"):
+        segmix_generate(corpus, None, table, MixConfig(rate=1e300))
 
 
 @pytest.mark.parametrize(

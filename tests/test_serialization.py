@@ -24,13 +24,17 @@ from segmix.mixer import (
     Provenance,
     segmix_generate,
 )
-from segmix.model import REModel, TaggerModel
+from segmix.evaluation import nearest_tokens
+from segmix.model import (
+    REModel, TaggerModel, TrainConfig, gradient_check, train_re, train_tagger,
+)
 from segmix.serialization import (
     load_augmented,
     load_checkpoint,
     save_augmented,
     save_checkpoint,
 )
+from segmix.synth import synth_re_corpus, synth_tagged_corpus
 
 from conftest import (
     decode_array, encode_array, provenance_json, random_corpus, random_re_corpus,
@@ -55,7 +59,7 @@ def test_array_round_trip_is_float32_exact():
     for rows in (array, grid):  # values already on the float32 grid survive exactly
         text = _saved([MixedExample(rows, np.ones((7, 2)), prov)], ("B-X", "O"), "ner")
         back = load_augmented(io.StringIO(text)).examples[0].embeddings
-        assert back.dtype == np.float64
+        assert back.dtype == np.float32
         assert np.array_equal(back, grid)
     assert np.array_equal(decode_array(encode_array(array)), grid)
 
@@ -780,3 +784,105 @@ def test_loading_a_written_stream_costs_under_4_bytes_a_character():
     # a readline or a line iteration first copies the text at 4 bytes a
     # character, which took the peak to 6.0 bytes a character; one read() to 2.0
     assert peak < 4 * len(text), f"peak {peak / len(text):.2f} bytes a character"
+
+
+# ---------------------------------------------------------------- float32 at rest
+
+def _loaded_run(task: str):
+    """(loaded file, its text, its table): a generated run saved and loaded."""
+    if task == "ner":
+        corpus = synth_tagged_corpus(60, seed=4)
+        tokens, vocab, variant = corpus.token_vocab, corpus.label_vocab, "mention+token"
+    else:
+        corpus = synth_re_corpus(60, seed=4)
+        tokens = tuple(dict.fromkeys(t for s in corpus.samples for t in s.tokens))
+        vocab, variant = corpus.relation_vocab, "relation"
+    table = EmbeddingTable.random(tokens, 12, seed=2)
+    examples = segmix_generate(corpus, None, table,
+                               MixConfig(variant=variant, rate=1.0, seed=6)).examples
+    buf = io.StringIO()
+    save_augmented(buf, examples, vocab, task, meta={"note": "x"})
+    return load_augmented(io.StringIO(buf.getvalue())), buf.getvalue(), table
+
+
+def _as_float64(example):
+    """``example`` with float64 copies of its loaded float32 arrays."""
+    labels = "soft_labels" if isinstance(example, MixedExample) else "soft_relation"
+    return dataclasses.replace(example, embeddings=example.embeddings.astype(np.float64),
+                               **{labels: getattr(example, labels).astype(np.float64)})
+
+
+@pytest.mark.parametrize("task", ["ner", "re"])
+def test_loaded_arrays_are_writable_float32(task):
+    loaded, _, _ = _loaded_run(task)
+    labels = "soft_labels" if task == "ner" else "soft_relation"
+    for example in loaded.examples:
+        for array in (example.embeddings, getattr(example, labels)):
+            assert array.dtype == np.float32 and array.flags.writeable
+    first = loaded.examples[0].embeddings
+    first[0, 0] = 0.5
+    assert first[0, 0] == 0.5
+
+
+@pytest.mark.parametrize("task", ["ner", "re"])
+def test_a_loaded_file_saved_again_reproduces_its_bytes(task):
+    loaded, text, _ = _loaded_run(task)
+    buf = io.StringIO()
+    save_augmented(buf, loaded.examples, loaded.label_vocab, loaded.task, meta=loaded.meta)
+    assert buf.getvalue() == text
+
+
+def test_the_tagger_learns_the_same_bits_from_loaded_and_float64_rows():
+    loaded, _, table = _loaded_run("ner")
+    examples = loaded.examples
+    wide = [_as_float64(e) for e in examples]
+    config = TrainConfig(epochs=3, seed=1)
+    trained = [train_tagger(TaggerModel.init(loaded.label_vocab, 12, window=1, seed=3), rows,
+                            config).model for rows in (examples, wide)]
+    assert trained[0].weights.tobytes() == trained[1].weights.tobytes()
+    model = trained[0]
+    for got, want in zip(examples[:20], wide):
+        assert model.forward(got.embeddings).tobytes() == model.forward(want.embeddings).tobytes()
+        assert gradient_check(model, got) == gradient_check(model, want)
+        assert nearest_tokens(table, got.embeddings) == nearest_tokens(table, want.embeddings)
+
+
+def test_the_relation_model_learns_the_same_bits_from_loaded_and_float64_rows():
+    loaded, _, _ = _loaded_run("re")
+    examples = loaded.examples
+    wide = [_as_float64(e) for e in examples]
+    config = TrainConfig(epochs=3, seed=1)
+    trained = [train_re(REModel.init(loaded.label_vocab, 12, seed=3), rows, config).model
+               for rows in (examples, wide)]
+    assert trained[0].weights.tobytes() == trained[1].weights.tobytes()
+    model = trained[0]
+    for got, want in zip(examples[:20], wide):
+        assert (model.features(got.embeddings, got.e1, got.e2).tobytes()
+                == model.features(want.embeddings, want.e1, want.e2).tobytes())
+        assert gradient_check(model, got) == gradient_check(model, want)
+
+
+@pytest.mark.parametrize("task", ["ner", "re"])
+def test_a_load_peaks_at_its_float32_rows_plus_a_fixed_allowance_per_record(tmp_path, task):
+    rng = np.random.default_rng(0)
+    prov = Provenance(0, "mention", 0.5, ((0, 1),), ((0, 1),))
+    if task == "ner":
+        examples = [MixedExample(rng.standard_normal((24, 32)), rng.random((24, 5)), prov)
+                    for _ in range(256)]
+    else:
+        examples = [MixedRESample(rng.standard_normal((24, 32)), rng.random(5), Span(0, 1),
+                                  Span(2, 3), prov) for _ in range(256)]
+    path = tmp_path / "aug.jsonl"
+    with path.open("w") as fh:
+        save_augmented(fh, examples, tuple("ABCDE"), task)
+    rows = sum(e.embeddings.size + (e.soft_labels.size if task == "ner" else 5)
+               for e in examples) * 4
+    with path.open() as fh:
+        tracemalloc.start()
+        try:
+            load_augmented(fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # rows held as float64 add another 3.1 to 3.5 KB a record
+    assert peak < rows + 2048 * len(examples), f"{(peak - rows) / len(examples):.0f} B a record"
