@@ -42,9 +42,7 @@ from .corpus import (
     parse_re,
     write_corpus,
 )
-from .evaluation import (
-    _entity_scorer, _gold_side, nearest_tokens, re_report, re_scores, tagging_report,
-)
+from .evaluation import nearest_tokens, re_report, tagging_report
 from .mixer import (
     NER_VARIANTS,
     RE_VARIANTS,
@@ -61,8 +59,8 @@ from .model import (
     TaggerModel,
     TrainConfig,
     TrainingDivergedError,
-    _predict_ids,
-    _window_rows,
+    _score,
+    _test_side,
     predict_re,
     predict_tagger,
     train_re,
@@ -394,7 +392,7 @@ def _load_matching_augmented(ns, label_vocab, manifest: RunManifest) -> list:
         raise CliError(f"augmented file is for task {aug.task!r}, not {ns.task!r}")
     if tuple(aug.label_vocab) != tuple(label_vocab):
         raise CliError("augmented file label vocabulary differs from the training corpus")
-    if aug.dim != int(ns.dim):
+    if aug.examples and aug.dim != int(ns.dim):  # a file with no examples records dim 0
         raise CliError(f"augmented dim {aug.dim} != --dim {ns.dim}")
     # rows embedded by another table live in another space; files without a record predate it
     spec = aug.table_record()
@@ -484,8 +482,7 @@ def _cell_seed(root_seed: int, size: int, rate: float, variant: str, seed: int) 
 def _sweep_cell(cell: tuple, ns: SimpleNamespace, train, test, table: EmbeddingTable) -> str:
     """Train and score one (size, rate, variant, seed) grid cell; returns its CSV row.
 
-    ``test`` is an RE corpus, or an NER test side as :func:`cmd_sweep` lays
-    it out: its window rows and its gold side."""
+    ``test`` is the test corpus laid out once per sweep (``model._test_side``)."""
     size, rate, variant, seed = cell
     cell_seed = _cell_seed(int(ns.seed), size, rate, variant, seed)
     n = min(size, len(train))
@@ -498,11 +495,7 @@ def _sweep_cell(cell: tuple, ns: SimpleNamespace, train, test, table: EmbeddingT
     train_config = _train_config(ns, int(ns.epochs) + 1, cell_seed)
     model = _fit(ns.task, _labels(ns.task, sub), examples, train_config, int(ns.dim),
                  int(ns.window)).model
-    if ns.task == "ner":
-        rows, gold = test
-        score = _entity_scorer(gold, model.labels)(_predict_ids(model, table, rows)).f1
-    else:
-        score = re_scores(test, predict_re(model, table, test)).accuracy
+    score = _score(model, table, test)
     return f"{size},{rate:g},{variant},{seed},{cell_seed},{len(sub)},{len(generated)},{score:.4f}\n"
 
 
@@ -561,9 +554,7 @@ def cmd_sweep(ns: SimpleNamespace, manifest: RunManifest) -> None:
     test = _read_corpus(ns, ns.test, manifest)
     tokens = list(dict.fromkeys([*train.token_vocab, *test.token_vocab]))
     table = EmbeddingTable.random(tokens, int(ns.dim), seed=int(ns.embed_seed))
-    if ns.task == "ner":  # every cell reads the same window rows and gold side
-        test = (_window_rows(table, test, int(ns.window)), _gold_side(test))
-    shared = (ns, train, test, table)
+    shared = (ns, train, _test_side(table, test, int(ns.window)), table)
     jobs = int(ns.jobs)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # half the import time of this module
@@ -631,8 +622,7 @@ def cmd_bench(ns: SimpleNamespace, manifest: RunManifest) -> None:
 
 def _render_example(example, table, index: int, lines: list[str]) -> None:
     prov = example.provenance
-    lam = "n/a" if prov.lam is None else f"{prov.lam:.4f}"
-    lines.append(f"=== example {index} (variant={prov.variant}, lambda={lam}) ===")
+    lines.append(f"=== example {index} (variant={prov.variant}, lambda={prov.lam:.4f}) ===")
     mixed = sorted(tuple(s) for s in prov.mixed_spans)
     recovered = nearest_tokens(table, example.embeddings)
     for pos, (token, dist) in enumerate(recovered):

@@ -107,9 +107,7 @@ def _bio_kinds(ids: np.ndarray, vocab: Sequence[str]) -> tuple[np.ndarray, np.nd
 def _bio_arrays(labels: Iterable[str]) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     """:func:`_bio_kinds` of a stream of label strings, whose vocabulary is
     numbered in first-occurrence order (so are the type names)."""
-    index: dict[str, int] = {}
-    ids = np.fromiter((index.setdefault(l, len(index)) for l in labels), np.int64)
-    return _bio_kinds(ids, tuple(index))
+    return _bio_kinds(*_vocab_ids(tuple(labels)))
 
 
 def _mentions(kind: np.ndarray, etype: np.ndarray, offsets) -> tuple[np.ndarray, np.ndarray]:
@@ -135,13 +133,22 @@ def _flatten(rows: Iterable[Sequence]) -> tuple[list, np.ndarray]:
     return list(itertools.chain.from_iterable(rows)), np.concatenate([[0], np.cumsum(lengths)])
 
 
+def _vocab_ids(labels: Sequence[str], vocab: Sequence[str] = ()) -> tuple[np.ndarray, tuple]:
+    """The id of every label, and the names the ids index: ``vocab``, where
+    a label keeps its place (its last one, if it repeats), then the labels
+    not in it in first-seen order. The one code that numbers label strings."""
+    index = dict(zip(vocab, range(len(vocab))))
+    new = [label for label in dict.fromkeys(labels) if label not in index]
+    index.update(zip(new, range(len(vocab), len(vocab) + len(new))))
+    return np.fromiter(map(index.__getitem__, labels), np.int64, len(labels)), (*vocab, *new)
+
+
 def _label_ids(labels: Sequence[str], vocab: Sequence[str]) -> np.ndarray:
-    """Index of every label in ``vocab``; unknown labels raise ValueError."""
-    index = {l: i for i, l in enumerate(vocab)}
-    try:
-        return np.fromiter(map(index.__getitem__, labels), np.int64, len(labels))
-    except KeyError as exc:
-        raise ValueError(f"label {exc.args[0]!r} not in vocabulary") from None
+    """Index of every label in ``vocab``; the first unknown one raises ValueError."""
+    ids, names = _vocab_ids(labels, vocab)
+    if len(names) > len(vocab):
+        raise ValueError(f"label {names[len(vocab)]!r} not in vocabulary")
+    return ids
 
 
 @dataclass
@@ -168,8 +175,8 @@ def _compile(examples: Sequence) -> _Source:
         labels = [x.relation for x in examples]
     else:
         labels = list(itertools.chain.from_iterable([x.labels for x in examples]))
-    names = tuple(dict.fromkeys(labels))
-    return _Source(examples, offsets, tokens, labels, names, _label_ids(labels, names))
+    ids, names = _vocab_ids(labels)
+    return _Source(examples, offsets, tokens, labels, names, ids)
 
 
 def bio_spans(labels: Iterable[str]) -> list[tuple[int, int, str]]:
@@ -357,8 +364,7 @@ def parse_conll(source: str | TextIO | Iterable[str], repair_bio: bool = False) 
         bounds.append(n)
         end_lines.append(lineno + 1)  # after a bad line, which is raised first
 
-    vocab = tuple(dict.fromkeys(labels))
-    ids = np.fromiter(map({l: i for i, l in enumerate(vocab)}.__getitem__, labels), np.int64, n)
+    ids, vocab = _vocab_ids(labels)
     kind_of, type_of, _ = _bio_tables(vocab)
     kind = kind_of[ids]
     mention_starts, _ = _mentions(kind, type_of[ids], bounds)

@@ -3,7 +3,8 @@
 Entity scores are exact-match (start, end, type) at the span level, in
 the conlleval tradition: a predicted I-X that cannot legally continue a
 span implicitly opens one, so raw argmax output needs no repair pass
-before scoring.
+before scoring. Label strings become ids only through ``corpus._vocab_ids``,
+and spans, per-type counts and confusion matrices are read from the ids.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import (
-    RECorpus, TaggedCorpus, _bio_kinds, _flatten, _label_ids, _mentions, bio_spans,
+    RECorpus, TaggedCorpus, _bio_kinds, _flatten, _label_ids, _mentions, _vocab_ids, bio_spans,
 )
 from .mixer import EmbeddingTable
 
@@ -44,36 +45,20 @@ class PRF:
 pred_spans = bio_spans
 
 
-def _encode(rows, index: dict[str, int], names: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The labels of ``rows`` end to end as ids, and the row offsets (as
-    :func:`_flatten` gives them). A label's id is its place in ``names``,
-    reached through ``index``; a label not yet there joins both."""
-    flat, offsets = _flatten(rows)
-    for label in dict.fromkeys(flat):
-        if label not in index:
-            index[label] = len(names)
-            names.append(label)
-    return np.fromiter(map(index.__getitem__, flat), np.int64, len(flat)), offsets
-
-
 def _label_streams(gold, predicted, vocab: Sequence[str] = ()):
     """Both label streams as ids into one vocabulary, their sentence offsets
-    and that vocabulary; refuses a mismatch.
-
-    The vocabulary is ``vocab``, then the other predicted labels, then the
-    other gold labels, each in first-seen order. Each stream is flattened
-    once and each of its labels looked up once.
-    """
+    and that vocabulary; refuses a mismatch. The vocabulary is ``vocab``,
+    then the other predicted labels, then the other gold labels, each in
+    first-seen order."""
     gold = [s.labels for s in gold.sentences] if isinstance(gold, TaggedCorpus) else gold
     if len(gold) != len(predicted):
         raise ValueError("gold and predicted sentence counts differ")
-    names = list(vocab)
-    index = dict(zip(names, range(len(names))))
-    pred_ids, pred_offsets = _encode(predicted, index, names)
-    gold_ids, offsets = _encode(gold, index, names)
+    pred, pred_offsets = _flatten(predicted)
+    flat, offsets = _flatten(gold)
     if not np.array_equal(offsets, pred_offsets):
         raise ValueError("gold and predicted sentence lengths differ")
-    return gold_ids, pred_ids, offsets, tuple(names)
+    ids, names = _vocab_ids(pred + flat, vocab)
+    return ids[len(pred) :], ids[: len(pred)], offsets, names
 
 
 def _prf(matched, predicted, gold) -> PRF:
@@ -118,9 +103,9 @@ def _span_counts(gold: np.ndarray, predicted: np.ndarray, offsets: np.ndarray,
 def _gold_side(gold: TaggedCorpus) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     """The gold labels end to end as ids into their first-seen vocabulary,
     the sentence offsets, and that vocabulary."""
-    names: list[str] = []
-    ids, offsets = _encode((s.labels for s in gold.sentences), {}, names)
-    return ids, offsets, tuple(names)
+    flat, offsets = _flatten([s.labels for s in gold.sentences])
+    ids, names = _vocab_ids(flat)
+    return ids, offsets, names
 
 
 def _entity_scorer(gold, labels: Sequence[str]):
@@ -128,11 +113,8 @@ def _entity_scorer(gold, labels: Sequence[str]):
     ``gold``, a corpus or its :func:`_gold_side`. The gold ids are mapped
     once, here, into ``labels`` followed by the gold labels not among them."""
     gold_ids, offsets, gold_vocab = _gold_side(gold) if isinstance(gold, TaggedCorpus) else gold
-    known = set(labels)
-    names = [*labels, *(label for label in gold_vocab if label not in known)]
-    index = dict(zip(names, range(len(names))))
-    gold_ids = np.array([index[label] for label in gold_vocab], np.int64)[gold_ids]
-    vocab = tuple(names)
+    remap, vocab = _vocab_ids(gold_vocab, labels)
+    gold_ids = remap[gold_ids]
 
     def score(predicted: np.ndarray) -> PRF:
         if len(predicted) != len(gold_ids):

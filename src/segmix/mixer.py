@@ -842,7 +842,7 @@ def _examples(
     ner: bool,
     example_index: int | None,
 ) -> list:
-    """Slice a block's rows into MixedExample / MixedRESample objects."""
+    """A block's rows as records (:func:`_records`), with their provenance and final spans."""
     bounds = np.concatenate([[0], np.cumsum(sizes)]).tolist()
     indices = plan.example.tolist() if example_index is None else [example_index] * len(sizes)
     finals = _span_tuples(mixed_spans)
@@ -852,13 +852,21 @@ def _examples(
     ]
     provenances = map(Provenance, indices, plan.variant, plan.lam.tolist(),
                       _span_tuples(plan.spans), finals, plan.pool_index, replacements)
-    if ner:
-        return [MixedExample(embeddings[a:b], soft[a:b], p)
+    pairs = None if ner else [(Span(*e1), Span(*e2)) for e1, e2 in finals]
+    return _records(embeddings, soft, bounds, provenances, pairs)
+
+
+def _records(embeddings: np.ndarray, labels: np.ndarray, bounds: Sequence[int], provenances,
+             pairs: Sequence | None = None) -> list:
+    """Flat rows sliced into one record per example, example i owning rows
+    ``bounds[i]:bounds[i + 1]``: a MixedExample with its label rows, or,
+    given the ``(e1, e2)`` spans of each example, a MixedRESample with
+    label row i."""
+    if pairs is None:
+        return [MixedExample(embeddings[a:b], labels[a:b], p)
                 for a, b, p in zip(bounds, bounds[1:], provenances)]
-    return [
-        MixedRESample(embeddings[a:b], soft[i], Span(*final[0]), Span(*final[1]), p)
-        for i, (a, b, final, p) in enumerate(zip(bounds, bounds[1:], finals, provenances))
-    ]
+    return [MixedRESample(embeddings[a:b], labels[i], e1, e2, p)
+            for i, (a, b, (e1, e2), p) in enumerate(zip(bounds, bounds[1:], pairs, provenances))]
 
 
 def _mix_one(example, variant: str, pool, table: EmbeddingTable, vocab: Sequence[str],
@@ -973,12 +981,14 @@ def replacement_da(
     return ReplacementResult(out, skipped, requested)
 
 
-def _encode(examples: Sequence, table: EmbeddingTable, vocab: Sequence[str]):
-    """A corpus's embedding rows, one-hot label rows and each example's (start, end) row."""
+def _encode(examples: Sequence, table: EmbeddingTable, vocab: Sequence[str], pairs=None) -> list:
+    """A corpus's examples as degenerate mixed records (lam = 1): their
+    embedding rows and one-hot label rows, sliced by :func:`_records`."""
     src = _compile(examples)
     embeddings = table.vectors[table.rows(src.tokens)]
-    bounds = src.offsets.tolist()
-    return embeddings, one_hot(src.label_names, vocab)[src.label_ids], zip(bounds, bounds[1:])
+    originals = (Provenance(i, "original", 1.0, (), (), None) for i in range(len(examples)))
+    soft = one_hot(src.label_names, vocab)[src.label_ids]
+    return _records(embeddings, soft, src.offsets.tolist(), originals, pairs)
 
 
 @_gc_quiet
@@ -986,12 +996,7 @@ def encode_corpus(
     corpus: TaggedCorpus, table: EmbeddingTable, vocab: Sequence[str] | None = None
 ) -> list[MixedExample]:
     """Embed original sentences as degenerate mixed examples (lam = 1)."""
-    vocab = corpus.label_vocab if vocab is None else vocab
-    embeddings, soft, bounds = _encode(corpus.sentences, table, vocab)
-    return [
-        MixedExample(embeddings[a:b], soft[a:b], Provenance(i, "original", 1.0, (), (), None))
-        for i, (a, b) in enumerate(bounds)
-    ]
+    return _encode(corpus.sentences, table, corpus.label_vocab if vocab is None else vocab)
 
 
 @_gc_quiet
@@ -1000,10 +1005,4 @@ def encode_re_corpus(
 ) -> list[MixedRESample]:
     """Embed original RE samples as degenerate mixed samples (lam = 1)."""
     vocab = corpus.relation_vocab if vocab is None else vocab
-    embeddings, soft, bounds = _encode(corpus.samples, table, vocab)
-    return [
-        MixedRESample(
-            embeddings[a:b], soft[i], s.e1, s.e2, Provenance(i, "original", 1.0, (), (), None)
-        )
-        for i, (s, (a, b)) in enumerate(zip(corpus.samples, bounds))
-    ]
+    return _encode(corpus.samples, table, vocab, [(s.e1, s.e2) for s in corpus.samples])

@@ -12,7 +12,9 @@ predicts through a projected table: a corpus is laid out once as the
 table row at each window offset of every token (:func:`_window_rows`),
 each offset's block of weights is applied to the table once, and a
 token's logits are the bias plus one projected row per offset, summed a
-block of tokens at a time (:func:`_predict_ids`). Everything is
+block of tokens at a time (:func:`_predict_ids`). Validation and sweep
+cells score through :func:`_score`, on a corpus laid out once by
+:func:`_test_side`. Everything is
 float64 numpy and deterministic under a seed. Training refuses malformed
 examples by the rule augmented files are saved and loaded under
 (``mixer._shape_problem``); checkpoints and loss traces live in
@@ -28,6 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .corpus import RECorpus, TaggedCorpus
+from .evaluation import _entity_scorer, _gold_side, re_scores
 from .mixer import EmbeddingTable, MixedExample, MixedRESample, _examples_problem
 from .rng import derive_rng
 
@@ -333,6 +336,19 @@ def _train(
     return TrainResult(best, trace, scores, best_epoch)
 
 
+def _validation(model, val_corpus, table: EmbeddingTable | None) -> Callable | None:
+    """The per-epoch :func:`_score` of a model on ``val_corpus``, laid out
+    once for the run, or None without a validation corpus."""
+    if val_corpus is None:
+        return None
+    if table is None:
+        raise ValueError("validation needs the embedding table")
+    if not len(val_corpus):
+        raise ValueError("validation corpus is empty")
+    side = _test_side(table, val_corpus, getattr(model, "window", 0))
+    return lambda m: _score(m, table, side)
+
+
 def train_tagger(
     model: TaggerModel,
     examples: Sequence[MixedExample],
@@ -346,19 +362,7 @@ def train_tagger(
     entity-level F1 and the best checkpoint is returned; without one the
     final weights are.
     """
-    score_fn = None
-    if val_corpus is not None:
-        if table is None:
-            raise ValueError("validation needs the embedding table")
-        from .evaluation import _entity_scorer
-
-        score = _entity_scorer(val_corpus, model.labels)
-        rows = _window_rows(table, val_corpus, model.window)
-
-        def score_fn(m):
-            return score(_predict_ids(m, table, rows)).f1
-
-    return _train(model, examples, config, _tagger_rows, score_fn)
+    return _train(model, examples, config, _tagger_rows, _validation(model, val_corpus, table))
 
 
 def train_re(
@@ -369,17 +373,7 @@ def train_re(
     table: EmbeddingTable | None = None,
 ) -> TrainResult:
     """Train the relation classifier; early stopping tracks accuracy."""
-    score_fn = None
-    if val_corpus is not None:
-        if table is None:
-            raise ValueError("validation needs the embedding table")
-
-        def score_fn(m, _corpus=val_corpus, _table=table):
-            pred = predict_re(m, _table, _corpus)
-            hits = sum(p == s.relation for p, s in zip(pred, _corpus.samples))
-            return hits / len(_corpus)
-
-    return _train(model, examples, config, _re_rows, score_fn)
+    return _train(model, examples, config, _re_rows, _validation(model, val_corpus, table))
 
 
 # Samples per relation prediction block: enough to amortise the per-block calls.
@@ -442,6 +436,22 @@ def predict_tagger(
     names = list(map(model.labels.__getitem__, ids.tolist()))
     ends = np.cumsum([len(s.tokens) for s in corpus.sentences], dtype=np.int64).tolist()
     return [names[end - len(s.tokens) : end] for end, s in zip(ends, corpus.sentences)]
+
+
+def _test_side(table: EmbeddingTable, corpus, window: int):
+    """A test corpus laid out once for :func:`_score`: a relation corpus as
+    it is, a tagging corpus as its :func:`_window_rows` and gold side."""
+    if isinstance(corpus, RECorpus):
+        return corpus
+    return _window_rows(table, corpus, window), _gold_side(corpus)
+
+
+def _score(model, table: EmbeddingTable, side) -> float:
+    """A tagger's entity F1, or a relation model's accuracy, on a :func:`_test_side`."""
+    if isinstance(model, REModel):
+        return re_scores(side, predict_re(model, table, side)).accuracy
+    rows, gold = side
+    return _entity_scorer(gold, model.labels)(_predict_ids(model, table, rows)).f1
 
 
 def predict_re(model: REModel, table: EmbeddingTable, corpus: RECorpus) -> list[str]:

@@ -49,7 +49,8 @@ import numpy as np
 
 from .corpus import Span, _gc_quiet
 from .mixer import (
-    EmbeddingTable, MixedExample, MixedRESample, Provenance, _examples_problem, _shape_problem,
+    EmbeddingTable, MixedExample, MixedRESample, Provenance, _examples_problem, _records,
+    _shape_problem,
 )
 from .model import REModel, TaggerModel, TrainResult
 
@@ -267,11 +268,7 @@ def _decode_block(block: list, task: str, dim: int, n_labels: int) -> list:
     ner = task == "ner"
     emb = _from_f4(bytearray().join(raw_emb), (b[-1], dim), "block")
     labels = _from_f4(bytearray().join(raw_labels), (b[-1] if ner else len(rows), n_labels), "block")
-    if ner:
-        out = [MixedExample(emb[i:j], labels[i:j], p) for i, j, p in zip(b, b[1:], provenances)]
-    else:
-        out = [MixedRESample(emb[i:j], labels[k], s["e1"], s["e2"], p)
-               for k, (i, j, p, s) in enumerate(zip(b, b[1:], provenances, spans))]
+    out = _records(emb, labels, b, provenances, None if ner else [(s["e1"], s["e2"]) for s in spans])
     if not (np.isfinite(emb).all() and np.isfinite(labels).all()):
         names = ("embeddings", "soft_labels" if ner else "soft_relation")
         line, name = next((line, name) for line, e in zip(lines, out) for name in names

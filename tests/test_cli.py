@@ -18,7 +18,7 @@ from segmix.corpus import Sentence, TaggedCorpus, corpus_to_text, parse_conll
 from segmix.evaluation import entity_f1
 from segmix.model import predict_tagger
 from segmix.serialization import load_augmented
-from segmix.synth import synth_tagged_corpus
+from segmix.synth import synth_re_corpus, synth_tagged_corpus
 
 
 @pytest.fixture
@@ -201,6 +201,33 @@ def test_train_eval_cycle(tmp_path, ner_file, test_file, capsys):
     parsed = json.loads(report.read_text())
     assert set(parsed["summary"]) >= {"precision", "recall", "f1"}
     assert confusion.read_text().startswith("gold\\pred,")
+
+
+@pytest.mark.parametrize("task", ["ner", "re"])
+def test_train_refuses_an_empty_validation_corpus(tmp_path, task, capsys):
+    corpus = synth_tagged_corpus(20, seed=11) if task == "ner" else synth_re_corpus(20, seed=11)
+    train, empty, ckpt = tmp_path / "train.txt", tmp_path / "empty.txt", tmp_path / "m.ckpt"
+    train.write_text(corpus_to_text(corpus))
+    empty.write_text("")
+    code = run("train", "--task", task, "--train", train, "--val", empty, "--epochs", "3",
+               "--checkpoint", ckpt)
+    assert (code, capsys.readouterr().err) == (1, "error: validation corpus is empty\n")
+    assert not ckpt.exists()
+
+
+def test_train_takes_an_augmented_file_with_no_examples(tmp_path, ner_file, capsys):
+    aug, with_aug, without = tmp_path / "aug.jsonl", tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+    assert run("augment", "--input", ner_file, "--output", aug, "--rate", "0") == 0
+    with open(aug) as fh:
+        assert load_augmented(fh).dim == 0
+    assert run("train", "--train", ner_file, "--augmented", aug, "--epochs", "3",
+               "--checkpoint", with_aug) == 0
+    assert run("train", "--train", ner_file, "--epochs", "3", "--checkpoint", without) == 0
+    assert with_aug.read_bytes() == without.read_bytes()
+    # the table record is still checked
+    assert run("train", "--train", ner_file, "--augmented", aug, "--embed-seed", "1",
+               "--checkpoint", with_aug) == 1
+    assert "embedded with --embed-seed 0" in capsys.readouterr().err
 
 
 def test_train_rejects_label_vocab_mismatch(tmp_path, ner_file, capsys):

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import segmix
@@ -20,7 +20,9 @@ from segmix.corpus import (
     Span,
     TaggedCorpus,
     _bio_arrays,
+    _label_ids,
     _mentions,
+    _vocab_ids,
     bio_spans,
     corpus_to_text,
     downsample,
@@ -186,6 +188,29 @@ def test_re_vocab_first_occurrence():
     )
     assert corpus.relation_vocab == ("R1", "R2")
     assert corpus.token_vocab == ("a", "b", "c")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from("abcdef"), max_size=20), st.lists(st.sampled_from("abcd"), max_size=6))
+@example(labels=["e", "a", "c", "e", "f"], vocab=["a", "b", "a"])
+def test_label_ids_number_labels_as_a_plain_dict_does(labels, vocab):
+    oracle = {}
+    for i, label in enumerate(vocab):
+        oracle[label] = i  # a repeated label keeps its last place
+    names = list(vocab)
+    for label in labels:  # unseen labels follow in first-seen order
+        if label not in oracle:
+            oracle[label] = len(names)
+            names.append(label)
+    ids, got = _vocab_ids(labels, vocab)
+    assert got == tuple(names)
+    assert ids.dtype == np.int64 and ids.tolist() == [oracle[label] for label in labels]
+    unknown = [label for label in labels if label not in vocab]
+    if unknown:  # the strict form names the first unknown label of the stream
+        with pytest.raises(ValueError, match=f"^label '{unknown[0]}' not in vocabulary$"):
+            _label_ids(labels, vocab)
+    else:
+        assert _label_ids(labels, vocab).tolist() == ids.tolist()
 
 
 # ---------------------------------------------------------------- parse_conll

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from segmix.corpus import RECorpus, RESample, Sentence, Span, TaggedCorpus
+from segmix.evaluation import re_scores, tagging_report
 from segmix.mixer import (
     EmbeddingTable,
     MixConfig,
@@ -31,7 +32,9 @@ from segmix.model import (
     _TOKEN_BLOCK,
     _pooled,
     _predict_ids,
+    _score,
     _tagger_rows,
+    _test_side,
     _train,
     _window_rows,
     gradient_check,
@@ -280,6 +283,38 @@ def test_train_re_with_validation_tracks_accuracy():
     assert result.val_scores
     assert all(0.0 <= s <= 1.0 for s in result.val_scores)
     assert result.best_epoch >= 0
+
+
+@pytest.mark.parametrize("task", ["ner", "re"])
+def test_an_empty_validation_corpus_is_refused(task):
+    if task == "ner":
+        corpus, table = toy_tagging_setup(n=4)
+        model, train = TaggerModel.init(corpus.label_vocab, table.dim), train_tagger
+        examples, empty = encode_corpus(corpus, table), TaggedCorpus.from_sentences([])
+    else:
+        corpus, table = toy_re_setup(n=4)
+        model, train = REModel.init(corpus.relation_vocab, table.dim), train_re
+        examples, empty = encode_re_corpus(corpus, table), RECorpus.from_samples([])
+    with pytest.raises(ValueError, match="^validation corpus is empty$"):
+        train(model, examples, TrainConfig(epochs=3), val_corpus=empty, table=table)
+
+
+def test_score_is_the_report_f1_of_a_tagger_and_the_accuracy_of_a_relation_model():
+    corpus, test = synth_tagged_corpus(40, seed=4), synth_tagged_corpus(30, seed=5)
+    table = EmbeddingTable.random(corpus.token_vocab, 16, seed=2)  # test-only tokens hash
+    model = train_tagger(TaggerModel.init(corpus.label_vocab, 16, window=2, seed=1),
+                         encode_corpus(corpus, table), TrainConfig(epochs=8, learning_rate=0.5)).model
+    f1 = tagging_report(test, predict_tagger(model, table, test)).summary["f1"]
+    assert 0.0 < f1 < 1.0
+    assert _score(model, table, _test_side(table, test, model.window)) == f1
+
+    corpus, test = synth_re_corpus(40, seed=4), synth_re_corpus(30, seed=5)
+    table = EmbeddingTable.random(corpus.token_vocab, 16, seed=2)
+    model = train_re(REModel.init(corpus.relation_vocab, 16, seed=1),
+                     encode_re_corpus(corpus, table), TrainConfig(epochs=8, learning_rate=0.5)).model
+    accuracy = re_scores(test, predict_re(model, table, test)).accuracy
+    assert 0.0 < accuracy < 1.0
+    assert _score(model, table, _test_side(table, test, 0)) == accuracy
 
 
 _BREAKS = {
