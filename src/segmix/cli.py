@@ -461,6 +461,8 @@ def cmd_eval(ns: SimpleNamespace, manifest: RunManifest) -> None:
         raise CliError(f"checkpoint is for task {task!r}, not {ns.task!r}")
     manifest.record_inputs(ns.checkpoint)
     corpus = _read_corpus(ns, ns.test, manifest)
+    if not len(corpus):  # it would score 0.0
+        raise CliError("test corpus is empty")
 
     predicted = (predict_tagger if ns.task == "ner" else predict_re)(model, table, corpus)
     report = (tagging_report if ns.task == "ner" else re_report)(corpus, predicted)
@@ -552,6 +554,8 @@ def cmd_sweep(ns: SimpleNamespace, manifest: RunManifest) -> None:
     _train_config(ns, 1, 0)  # refuses a bad --epochs, --lr or --batch-size here, not per cell
     train = _read_corpus(ns, ns.train, manifest)
     test = _read_corpus(ns, ns.test, manifest)
+    if not len(test):  # every cell would score 0.0
+        raise CliError("test corpus is empty")
     tokens = list(dict.fromkeys([*train.token_vocab, *test.token_vocab]))
     table = EmbeddingTable.random(tokens, int(ns.dim), seed=int(ns.embed_seed))
     shared = (ns, train, _test_side(table, test, int(ns.window)), table)

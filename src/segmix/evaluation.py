@@ -50,15 +50,13 @@ def _label_streams(gold, predicted, vocab: Sequence[str] = ()):
     and that vocabulary; refuses a mismatch. The vocabulary is ``vocab``,
     then the other predicted labels, then the other gold labels, each in
     first-seen order."""
-    gold = [s.labels for s in gold.sentences] if isinstance(gold, TaggedCorpus) else gold
-    if len(gold) != len(predicted):
+    side = _gold_side(gold)
+    if len(side[1]) != len(predicted) + 1:
         raise ValueError("gold and predicted sentence counts differ")
     pred, pred_offsets = _flatten(predicted)
-    flat, offsets = _flatten(gold)
-    if not np.array_equal(offsets, pred_offsets):
+    if not np.array_equal(side[1], pred_offsets):
         raise ValueError("gold and predicted sentence lengths differ")
-    ids, names = _vocab_ids(pred + flat, vocab)
-    return ids[len(pred) :], ids[: len(pred)], offsets, names
+    return _streams(side, *_vocab_ids(pred, vocab))
 
 
 def _prf(matched, predicted, gold) -> PRF:
@@ -100,28 +98,24 @@ def _span_counts(gold: np.ndarray, predicted: np.ndarray, offsets: np.ndarray,
     return _prf(tp.sum(), found, wanted), _prf(span_tp, found, wanted), per_type
 
 
-def _gold_side(gold: TaggedCorpus) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-    """The gold labels end to end as ids into their first-seen vocabulary,
-    the sentence offsets, and that vocabulary."""
-    flat, offsets = _flatten([s.labels for s in gold.sentences])
+def _gold_side(gold) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """The gold labels of a corpus or of per-sentence label lists end to end
+    as ids into their first-seen vocabulary, the sentence offsets, and that
+    vocabulary."""
+    flat, offsets = _flatten([s.labels for s in gold.sentences] if isinstance(gold, TaggedCorpus) else gold)
     ids, names = _vocab_ids(flat)
     return ids, offsets, names
 
 
-def _entity_scorer(gold, labels: Sequence[str]):
-    """Entity PRF of a flat stream of predicted ids into ``labels`` against
-    ``gold``, a corpus or its :func:`_gold_side`. The gold ids are mapped
-    once, here, into ``labels`` followed by the gold labels not among them."""
-    gold_ids, offsets, gold_vocab = _gold_side(gold) if isinstance(gold, TaggedCorpus) else gold
-    remap, vocab = _vocab_ids(gold_vocab, labels)
-    gold_ids = remap[gold_ids]
-
-    def score(predicted: np.ndarray) -> PRF:
-        if len(predicted) != len(gold_ids):
-            raise ValueError("gold and predicted label counts differ")
-        return _span_counts(gold_ids, predicted, offsets, vocab)[0]
-
-    return score
+def _streams(gold_side, pred_ids: np.ndarray, names: Sequence[str]):
+    """The :func:`_span_counts` arguments for a flat stream of predicted ids
+    into ``names`` against a :func:`_gold_side`, whose ids are mapped, here,
+    into ``names`` followed by the gold labels not among them."""
+    gold_ids, offsets, gold_vocab = gold_side
+    if len(pred_ids) != len(gold_ids):
+        raise ValueError("gold and predicted label counts differ")
+    remap, vocab = _vocab_ids(gold_vocab, names)
+    return remap[gold_ids], pred_ids, offsets, vocab
 
 
 def entity_f1(gold, predicted: Sequence[Sequence[str]]) -> PRF:

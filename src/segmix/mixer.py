@@ -11,7 +11,9 @@ plain replacement, which is also available directly in token space via
 
 A generation run is three whole-run steps. The corpus is compiled once
 into flat token and label arrays with per-example offsets, and each
-variant's eligible segments become flat arrays too. Every slot is then
+variant's eligible segments become flat arrays too (``pools._segments``);
+a variant given no pool draws from all of those segments
+(``pools._segment_pool``). Every slot is then
 planned from run-level streams named off ``config.seed``: "candidates"
 picks the source examples, "lambda" holds a (requested, 2) Gamma block
 whose row k gives slot k's lam, and "choice" holds a (requested, 2)
@@ -39,18 +41,10 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .corpus import (
-    RECorpus, RESample, Sentence, Span, TaggedCorpus, _O, _Source, _bio_arrays, _compile,
-    _gc_quiet, _label_ids, _mentions,
+    RECorpus, RESample, Sentence, Span, TaggedCorpus, _Source, _bio_arrays, _compile, _gc_quiet,
+    _label_ids,
 )
-from .pools import (
-    EmptyPoolError,
-    SegmentPool,
-    SynonymLexicon,
-    _mention_pool,
-    build_relation_pool,
-    build_sequence_pool,
-    build_token_pool,
-)
+from .pools import EmptyPoolError, SegmentPool, SynonymLexicon, _segment_pool, _segments
 from .rng import derive_rng, derive_rngs
 
 log = logging.getLogger(__name__)
@@ -448,19 +442,11 @@ class _Plan:
 PoolSpec = Union[SegmentPool, SynonymLexicon, Mapping[str, Union[SegmentPool, SynonymLexicon]], None]
 
 
-_DEFAULT_POOLS = {
-    "token": build_token_pool,
-    "whole_sequence": build_sequence_pool,
-    "relation": build_relation_pool,
-}
-
-
 def _normalize_pools(
-    corpus: Union[TaggedCorpus, RECorpus, None], src: _Source | None, pools: PoolSpec,
-    config: MixConfig,
+    src: _Source | None, pools: PoolSpec, config: MixConfig
 ) -> dict[str, Union[SegmentPool, SynonymLexicon]]:
-    """Accept a bare pool/lexicon or a variant->pool mapping; build defaults
-    from the corpus (the mention pool from its compiled ``src``)."""
+    """Accept a bare pool/lexicon or a variant->pool mapping; a missing pool
+    is every segment of its variant in the compiled corpus ``src``."""
     parts = config.variant_list()
     table = dict(pools) if isinstance(pools, Mapping) else {}
     if isinstance(pools, (SegmentPool, SynonymLexicon)):
@@ -468,12 +454,10 @@ def _normalize_pools(
             raise ValueError("combination variants need a mapping of pools")
         table[parts[0]] = pools
     for part, weight in zip(parts, config.variant_weights()):
-        if part == "mention" and part not in table:
-            table[part] = _mention_pool(src)
-        elif part not in table:
-            if part == "synonym":
-                raise ValueError("synonym variant needs an explicit lexicon")
-            table[part] = _DEFAULT_POOLS[part](corpus)
+        if part == "synonym" and part not in table:
+            raise ValueError("synonym variant needs an explicit lexicon")
+        if part not in table:
+            table[part] = _segment_pool(src, part)
         kind = "synonym lexicon" if part == "synonym" else "segment pool"
         if (part == "synonym") != isinstance(table[part], SynonymLexicon):
             raise ValueError(f"variant {part!r} needs a {kind}")
@@ -493,56 +477,6 @@ def _split_budget(total: int, weights: Sequence[float]) -> list[int]:
     for i in remainders[:short]:
         counts[i] += 1
     return counts
-
-
-@dataclass
-class _Segments:
-    """Every eligible segment of a compiled corpus, grouped by example.
-
-    Example i's candidates are rows ``off[i]:off[i + 1]`` of ``start`` and
-    ``end`` (shape (F, k), source coordinates). ``types`` is each
-    candidate's entity-type id under ``type_ids`` (-1 where types do not
-    apply), which same-type draws match against the pool.
-    """
-
-    start: np.ndarray
-    end: np.ndarray
-    types: np.ndarray
-    off: np.ndarray
-    type_ids: dict
-
-
-def _segments(src: _Source, variant: str, lexicon: SynonymLexicon | None) -> _Segments:
-    n = len(src.examples)
-    lengths = np.diff(src.offsets)
-    one_each = np.arange(n + 1)
-    if variant == "whole_sequence":
-        return _Segments(np.zeros((n, 1), np.int64), lengths[:, None], np.full(n, -1), one_each, {})
-    if variant == "relation":
-        spans = np.array(
-            [[s.e1.start, s.e1.end, s.e2.start, s.e2.end] for s in src.examples], np.int64
-        ).reshape(n, 2, 2)
-        return _Segments(spans[:, :, 0], spans[:, :, 1], np.full(n, -1), one_each, {})
-    type_ids: dict[str, int] = {}
-    if variant == "synonym":
-        pos = np.flatnonzero(
-            np.fromiter((t in lexicon for t in src.tokens), bool, len(src.tokens))
-        )
-        ends = pos + 1
-        types = np.full(len(pos), -1)
-    else:
-        kind, etype, names = _bio_arrays(src.label_names)
-        kind, etype = kind[src.label_ids], etype[src.label_ids]
-        type_ids = {t: i for i, t in enumerate(names)}
-        if variant == "mention":
-            pos, ends = _mentions(kind, etype, src.offsets)
-        else:
-            pos = np.flatnonzero(kind != _O)
-            ends = pos + 1
-        types = etype[pos]
-    off = np.searchsorted(pos, src.offsets)
-    base = np.repeat(src.offsets[:-1], np.diff(off))
-    return _Segments((pos - base)[:, None], (ends - base)[:, None], types, off, type_ids)
 
 
 def _by_type(pool: SegmentPool, type_ids: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -662,7 +596,7 @@ def _plan_run(
     if n == 0:
         raise ValueError("cannot augment an empty corpus")
     src = _compile(examples)
-    pool_map = _normalize_pools(corpus, src, pools, config)
+    pool_map = _normalize_pools(src, pools, config)
 
     cand_rng = derive_rng(config.seed, "candidates")
     candidates = cand_rng.choice(n, size=requested, replace=requested > n)
@@ -875,7 +809,7 @@ def _mix_one(example, variant: str, pool, table: EmbeddingTable, vocab: Sequence
     _check_segment_args(example, variant, pool if isinstance(pool, SynonymLexicon) else None)
     # a single example has no other example to retry with
     config = replace(config, variant=variant, weights=None, retry_limit=0)
-    pool = _normalize_pools(None, None, pool, config)[variant]
+    pool = _normalize_pools(None, pool, config)[variant]
     lam = config.fixed_lambda
     lam = np.array([sample_mix_ratio(config.alpha, rng) if lam is None else float(lam)])
     src, zero = _compile([example]), np.zeros(1, np.int64)

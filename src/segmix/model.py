@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .corpus import RECorpus, TaggedCorpus
-from .evaluation import _entity_scorer, _gold_side, re_scores
+from .evaluation import _gold_side, _span_counts, _streams, re_scores
 from .mixer import EmbeddingTable, MixedExample, MixedRESample, _examples_problem
 from .rng import derive_rng
 
@@ -451,7 +451,7 @@ def _score(model, table: EmbeddingTable, side) -> float:
     if isinstance(model, REModel):
         return re_scores(side, predict_re(model, table, side)).accuracy
     rows, gold = side
-    return _entity_scorer(gold, model.labels)(_predict_ids(model, table, rows)).f1
+    return _span_counts(*_streams(gold, _predict_ids(model, table, rows), model.labels))[0].f1
 
 
 def predict_re(model: REModel, table: EmbeddingTable, corpus: RECorpus) -> list[str]:

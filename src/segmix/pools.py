@@ -1,5 +1,11 @@
 """Segment pools: the collections of mixing partners drawn during augmentation.
 
+Each variant mixes one kind of segment (a mention, a non-O token, a whole
+sentence, a relation's argument pair, a lexicon-covered token), and
+:func:`_segments` is the one enumerator of them: the planner replaces one
+of an example's segments, and a variant's pool is all of them in corpus
+order (:func:`_segment_pool`, behind each ``build_*_pool`` and default pool).
+
 A pool entry is a k-ary tuple of token segments with labels. For tagging
 pools (k=1) the labels are a BIO sequence aligned with the segment; for
 relation pools (k=2) the label is the single directed relation string.
@@ -16,8 +22,8 @@ from typing import Iterable, TextIO
 import numpy as np
 
 from .corpus import (
-    CorpusFormatError, RECorpus, TaggedCorpus, _O, _Source, _bio_arrays, _bio_kinds, _compile,
-    _flatten, _gc_quiet, _iter_lines, _mentions,
+    CorpusFormatError, RECorpus, TaggedCorpus, _O, _Source, _bio_arrays, _compile, _gc_quiet,
+    _iter_lines, _mentions,
 )
 
 POOL_SOURCES = ("mention", "token", "synonym", "relation", "sequence")
@@ -74,52 +80,95 @@ class SegmentPool:
             )
 
 
+@dataclass
+class _Segments:
+    """Every eligible segment of a compiled corpus, grouped by example.
+
+    Example i's candidates are rows ``off[i]:off[i + 1]`` of ``start`` and
+    ``end`` (shape (F, k), source coordinates). ``types`` is each
+    candidate's entity-type id under ``type_ids`` (-1 where types do not
+    apply), which same-type draws match against the pool.
+    """
+
+    start: np.ndarray
+    end: np.ndarray
+    types: np.ndarray
+    off: np.ndarray
+    type_ids: dict
+
+
+def _segments(src: _Source, variant: str, lexicon: SynonymLexicon | None) -> _Segments:
+    n = len(src.examples)
+    lengths = np.diff(src.offsets)
+    one_each = np.arange(n + 1)
+    if variant == "whole_sequence":
+        return _Segments(np.zeros((n, 1), np.int64), lengths[:, None], np.full(n, -1), one_each, {})
+    if variant == "relation":
+        spans = np.array(
+            [[s.e1.start, s.e1.end, s.e2.start, s.e2.end] for s in src.examples], np.int64
+        ).reshape(n, 2, 2)
+        return _Segments(spans[:, :, 0], spans[:, :, 1], np.full(n, -1), one_each, {})
+    type_ids: dict[str, int] = {}
+    if variant == "synonym":
+        pos = np.flatnonzero(
+            np.fromiter((t in lexicon for t in src.tokens), bool, len(src.tokens))
+        )
+        ends = pos + 1
+        types = np.full(len(pos), -1)
+    else:
+        kind, etype, names = _bio_arrays(src.label_names)
+        kind, etype = kind[src.label_ids], etype[src.label_ids]
+        type_ids = {t: i for i, t in enumerate(names)}
+        if variant == "mention":
+            pos, ends = _mentions(kind, etype, src.offsets)
+        else:
+            pos = np.flatnonzero(kind != _O)
+            ends = pos + 1
+        types = etype[pos]
+    off = np.searchsorted(pos, src.offsets)
+    base = np.repeat(src.offsets[:-1], np.diff(off))
+    return _Segments((pos - base)[:, None], (ends - base)[:, None], types, off, type_ids)
+
+
+def _segment_pool(src: _Source, variant: str) -> SegmentPool:
+    """Every ``variant`` segment of a compiled corpus as a pool entry, in
+    corpus order: its token slices with their label slices, or with the
+    sample's one relation."""
+    segs = _segments(src, variant, None)
+    base = np.repeat(src.offsets[:-1], np.diff(segs.off))[:, None]
+    # slices of tuples are the entries' tuples; zip() groups each row's k slices
+    cuts = [list(map(slice, a, b))
+            for a, b in zip((segs.start + base).T.tolist(), (segs.end + base).T.tolist())]
+    tokens, labels = tuple(src.tokens), tuple(src.labels)
+    segments = zip(*(map(tokens.__getitem__, c) for c in cuts))
+    if variant != "relation":
+        labels = zip(*(map(labels.__getitem__, c) for c in cuts))
+    source = "sequence" if variant == "whole_sequence" else variant
+    return SegmentPool(len(cuts), tuple(map(SegmentTuple, segments, labels)), source)
+
+
 @_gc_quiet
 def build_mention_pool(corpus: TaggedCorpus) -> SegmentPool:
     """One entry per mention span (see :func:`bio_spans`), labels kept in BIO form."""
-    return _mention_pool(_compile(corpus.sentences))
-
-
-def _mention_pool(src: _Source) -> SegmentPool:
-    """:func:`build_mention_pool` of a compiled tagging corpus (the planner
-    builds a default pool from the source it compiles anyway)."""
-    kind, etype, _ = _bio_kinds(src.label_ids, src.label_names)
-    starts, ends = _mentions(kind, etype, src.offsets)
-    # slices of tuples are the entries' tuples; zip() wraps each in a 1-tuple
-    cuts = list(map(slice, starts.tolist(), ends.tolist()))
-    segments = zip(map(tuple(src.tokens).__getitem__, cuts))
-    labels = zip(map(tuple(src.labels).__getitem__, cuts))
-    return SegmentPool(1, tuple(map(SegmentTuple, segments, labels)), "mention")
+    return _segment_pool(_compile(corpus.sentences), "mention")
 
 
 @_gc_quiet
-def build_token_pool(corpus: TaggedCorpus, include_outside: bool = False) -> SegmentPool:
-    """One entry per labeled token; ``include_outside`` admits O tokens too."""
-    tokens, _ = _flatten(s.tokens for s in corpus.sentences)
-    labels, _ = _flatten(s.labels for s in corpus.sentences)
-    kind, _, _ = _bio_arrays(labels)  # also rejects a label that is not BIO
-    entries = tuple(
-        SegmentTuple(((tokens[i],),), ((labels[i],),))
-        for i in np.flatnonzero(include_outside | (kind != _O)).tolist()
-    )
-    return SegmentPool(1, entries, "token")
+def build_token_pool(corpus: TaggedCorpus) -> SegmentPool:
+    """One entry per token not labeled O."""
+    return _segment_pool(_compile(corpus.sentences), "token")
 
 
 @_gc_quiet
 def build_relation_pool(corpus: RECorpus) -> SegmentPool:
     """One entry per sample: (e1 tokens, e2 tokens) with the relation label."""
-    entries = tuple(
-        SegmentTuple((s.tokens[s.e1.start : s.e1.end], s.tokens[s.e2.start : s.e2.end]), s.relation)
-        for s in corpus.samples
-    )
-    return SegmentPool(2, entries, "relation")
+    return _segment_pool(_compile(corpus.samples), "relation")
 
 
 @_gc_quiet
 def build_sequence_pool(corpus: TaggedCorpus) -> SegmentPool:
     """Whole sentences as single segments (classic sentence-level mixup)."""
-    entries = tuple(SegmentTuple((s.tokens,), (s.labels,)) for s in corpus.sentences)
-    return SegmentPool(1, entries, "sequence")
+    return _segment_pool(_compile(corpus.sentences), "whole_sequence")
 
 
 class SynonymLexicon:

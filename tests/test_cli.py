@@ -215,6 +215,33 @@ def test_train_refuses_an_empty_validation_corpus(tmp_path, task, capsys):
     assert not ckpt.exists()
 
 
+@pytest.mark.parametrize("task", ["ner", "re"])
+def test_eval_refuses_an_empty_test_corpus(tmp_path, task, capsys):
+    corpus = synth_tagged_corpus(20, seed=11) if task == "ner" else synth_re_corpus(20, seed=11)
+    train, empty, ckpt = tmp_path / "train.txt", tmp_path / "empty.txt", tmp_path / "m.ckpt"
+    train.write_text(corpus_to_text(corpus))
+    empty.write_text("")
+    assert run("train", "--task", task, "--train", train, "--epochs", "1", "--checkpoint", ckpt) == 0
+    capsys.readouterr()
+    code = run("eval", "--task", task, "--checkpoint", ckpt, "--test", empty)
+    assert (code, capsys.readouterr().err) == (1, "error: test corpus is empty\n")
+
+
+@pytest.mark.parametrize("task", ["ner", "re"])
+def test_sweep_refuses_an_empty_test_corpus_before_any_cell_trains(tmp_path, task, monkeypatch,
+                                                                  capsys):
+    monkeypatch.setattr(cli, "_test_side", lambda *args: pytest.fail("laid out the test side"))
+    monkeypatch.setattr(cli, "_sweep_cell", lambda *args: pytest.fail("trained a cell"))
+    corpus = synth_tagged_corpus(20, seed=11) if task == "ner" else synth_re_corpus(20, seed=11)
+    train, empty, out = tmp_path / "train.txt", tmp_path / "empty.txt", tmp_path / "o.csv"
+    train.write_text(corpus_to_text(corpus))
+    empty.write_text("")
+    code = run("sweep", "--task", task, "--train", train, "--test", empty, "--sizes", "10",
+               "--variants", "none", "--seeds", "0", "--epochs", "1", "--output", out)
+    assert (code, capsys.readouterr().err) == (1, "error: test corpus is empty\n")
+    assert not out.exists()
+
+
 def test_train_takes_an_augmented_file_with_no_examples(tmp_path, ner_file, capsys):
     aug, with_aug, without = tmp_path / "aug.jsonl", tmp_path / "a.ckpt", tmp_path / "b.ckpt"
     assert run("augment", "--input", ner_file, "--output", aug, "--rate", "0") == 0

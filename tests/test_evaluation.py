@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from segmix.corpus import Sentence, TaggedCorpus, _mentions, bio_spans, split_bio
 from segmix.evaluation import (
     PRF,
-    _entity_scorer,
+    _gold_side,
+    _span_counts,
+    _streams,
     entity_f1,
     nearest_token,
     nearest_tokens,
@@ -348,7 +350,7 @@ def test_id_path_scores_equal_the_string_path(streams):
     assert entity_f1(gold, pred) == overall
     assert span_only_f1(gold, pred) == spans
     assert per_type_f1(gold, pred) == per_type
-    assert _entity_scorer(gold, labels)(ids) == overall
+    assert _span_counts(*_streams(_gold_side(gold), ids, labels))[0] == overall
     assert entity_f1([list(s.labels) for s in gold.sentences], pred) == overall
 
     vocab = tuple(dict.fromkeys([*gold.label_vocab, *(p for row in pred for p in row)]))
@@ -366,7 +368,11 @@ def test_scoring_refuses_the_first_label_that_is_not_bio_and_only_labels_it_read
     with pytest.raises(ValueError, match="label 'I-Q' not in vocabulary"):
         token_confusion([["O", "I-Q"]], [["O", "O"]], ("O", "B-A"))
     gold = TaggedCorpus.from_sentences([Sentence(("a", "b"), ("B-A", "O"))])
-    score = _entity_scorer(gold, ("O", "B-A", "junk"))  # a label never predicted is never read
+    side, labels = _gold_side(gold), ("O", "B-A", "junk")  # a label never predicted is never read
+
+    def score(ids):
+        return _span_counts(*_streams(side, ids, labels))[0]
+
     assert score(np.array([1, 0])) == PRF(1, 0, 0)
     with pytest.raises(ValueError, match="not a BIO label: 'junk'"):
         score(np.array([2, 0]))

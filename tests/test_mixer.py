@@ -46,7 +46,7 @@ from segmix.pools import (
 )
 from segmix.rng import derive_rng
 from segmix.serialization import _read_provenance
-from segmix.synth import synth_tagged_corpus
+from segmix.synth import synth_re_corpus, synth_tagged_corpus
 
 from conftest import provenance_json
 
@@ -707,14 +707,23 @@ def test_generate_deterministic():
         assert x.provenance == y.provenance
 
 
-def test_generate_explicit_pool_matches_default():
-    corpus = mention_corpus(8)
+@pytest.mark.parametrize("variant", ["mention", "token", "whole_sequence", "relation"])
+def test_generate_explicit_pool_matches_default(variant):
+    """A built pool is the planner's default pool, entry for entry and in order."""
+    relation = variant == "relation"
+    corpus = synth_re_corpus(30, seed=3) if relation else synth_tagged_corpus(30, seed=3)
     table = EmbeddingTable.random(corpus.token_vocab, 8, 0)
-    cfg = MixConfig(variant="mention", rate=1.0, seed=9)
+    cfg = MixConfig(variant=variant, rate=2.0, seed=9)
     built_in = segmix_generate(corpus, None, table, cfg)
-    explicit = segmix_generate(corpus, build_mention_pool(corpus), table, cfg)
+    explicit = segmix_generate(corpus, _POOL_BUILDERS[variant](corpus), table, cfg)
+    assert len(built_in.examples) == len(explicit.examples) > 0
     for x, y in zip(built_in.examples, explicit.examples):
         assert np.array_equal(x.embeddings, y.embeddings)
+        if relation:
+            assert np.array_equal(x.soft_relation, y.soft_relation)
+            assert (x.e1, x.e2) == (y.e1, y.e2)
+        else:
+            assert np.array_equal(x.soft_labels, y.soft_labels)
         assert x.provenance == y.provenance
 
 

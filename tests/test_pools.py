@@ -77,14 +77,6 @@ def test_token_pool_contents(hand_corpus):
     assert got == want
 
 
-def test_token_pool_include_outside(hand_corpus):
-    pool = build_token_pool(hand_corpus, include_outside=True)
-    n_tokens = sum(len(s) for s in hand_corpus.sentences)
-    assert len(pool) == n_tokens
-    o_entries = [e for e in pool.entries if e.labels == (("O",),)]
-    assert len(o_entries) == n_tokens - 6
-
-
 def test_relation_pool_contents(hand_re_corpus):
     pool = build_relation_pool(hand_re_corpus)
     assert pool.arity == 2
