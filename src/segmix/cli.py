@@ -339,13 +339,14 @@ def cmd_augment(ns: SimpleNamespace, manifest: RunManifest) -> None:
     corpus = _read_corpus(ns, ns.input, manifest)
     config = _mix_config(ns)
     pools = {}
+    if ns.synonyms:
+        _require_file(ns.synonyms, "synonym lexicon")
+        manifest.record_inputs(ns.synonyms)
     if "synonym" in config.variant_list():
         if not ns.synonyms:
             raise CliError("the synonym variant needs --synonyms LEXICON")
-        with open(_require_file(ns.synonyms, "synonym lexicon")) as fh:
+        with open(ns.synonyms) as fh:
             pools["synonym"] = load_synonym_lexicon(fh)
-    if ns.synonyms:
-        manifest.record_inputs(ns.synonyms)
     manifest.outputs = [ns.output]
 
     if ns.mode == "replace":

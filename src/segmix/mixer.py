@@ -21,13 +21,16 @@ uniform block whose row k picks slot k's segment and partner as
 ``floor(u * n)``. Row k belongs to slot k, so a slot's draws depend only
 on (seed, k), never on the other slots. Only a slot whose example has no
 eligible segment opens a stream of its own, (seed, "retry", k), to
-re-draw its example. Finally the examples are materialized in blocks of
-slots: plain rows are gathered from the embedding table and an identity
-matrix, and every mixed row of a block is computed in one blend.
+re-draw its example. Each variant's slots form one plan, and the plans
+are materialized one after another in blocks of slots: plain rows are
+gathered from the embedding table and an identity matrix, and every mixed
+row of a block is computed in one blend. A synonym plan keeps its label
+rows as they are.
 
 A single-example call (:func:`mix_example`, :func:`mix_re_sample`) is a
-one-slot run of the same planner and builder. It draws lam and then one
-(1, 2) uniform row from the caller's rng.
+one-slot run of the same planner and builder over the compiled example,
+whose own segments are the pool when none is given. It draws lam and then
+one (1, 2) uniform row from the caller's rng.
 """
 
 from __future__ import annotations
@@ -402,7 +405,7 @@ def _check_segment_args(example, variant: str, lexicon: SynonymLexicon | None) -
 
 @dataclass
 class _Plan:
-    """Resolved randomness of a run's emitted slots, one row per slot in slot order.
+    """Resolved randomness of one variant's emitted slots, one row per slot in slot order.
 
     ``spans`` holds each slot's k segment spans (k = 1 for tagging, 2 for
     relations) in source coordinates; ``segments`` and ``labels`` hold the
@@ -413,37 +416,21 @@ class _Plan:
     example: np.ndarray
     lam: np.ndarray
     spans: np.ndarray
-    variant: list
+    variant: str
     pool_index: list
     segments: list
     labels: list
 
     def __getitem__(self, rows: slice) -> "_Plan":
-        return _Plan(
-            self.example[rows], self.lam[rows], self.spans[rows], self.variant[rows],
-            self.pool_index[rows], self.segments[rows], self.labels[rows],
-        )
-
-    @classmethod
-    def concat(cls, plans: Sequence["_Plan"]) -> "_Plan":
-        if len(plans) == 1:
-            return plans[0]
-        return cls(
-            np.concatenate([p.example for p in plans]),
-            np.concatenate([p.lam for p in plans]),
-            np.concatenate([p.spans for p in plans]),
-            [v for p in plans for v in p.variant],
-            [i for p in plans for i in p.pool_index],
-            [s for p in plans for s in p.segments],
-            [l for p in plans for l in p.labels],
-        )
+        return _Plan(self.example[rows], self.lam[rows], self.spans[rows], self.variant,
+                     self.pool_index[rows], self.segments[rows], self.labels[rows])
 
 
 PoolSpec = Union[SegmentPool, SynonymLexicon, Mapping[str, Union[SegmentPool, SynonymLexicon]], None]
 
 
 def _normalize_pools(
-    src: _Source | None, pools: PoolSpec, config: MixConfig
+    src: _Source, pools: PoolSpec, config: MixConfig
 ) -> dict[str, Union[SegmentPool, SynonymLexicon]]:
     """Accept a bare pool/lexicon or a variant->pool mapping; a missing pool
     is every segment of its variant in the compiled corpus ``src``."""
@@ -555,7 +542,7 @@ def _plan_part(
         entries = [pool.entries[i] for i in pool_index]
         segments = [e.segments for e in entries]
         labels = [e.labels for e in entries]
-    return _Plan(ex, lam[ok], spans, [variant] * len(ex), pool_index, segments, labels)
+    return _Plan(ex, lam[ok], spans, variant, pool_index, segments, labels)
 
 
 def _mix_ratios(config: MixConfig, requested: int) -> np.ndarray:
@@ -577,11 +564,10 @@ def _slot_count(rate: float, n: int) -> int:
 
 def _plan_run(
     corpus: Union[TaggedCorpus, RECorpus], pools: PoolSpec, config: MixConfig
-) -> tuple[_Source | None, _Plan | None, int, int]:
-    """Shared planner for mixing and replacement: (source, plan, skipped, requested)."""
-    examples = (
-        corpus.sentences if isinstance(corpus, TaggedCorpus) else corpus.samples
-    )
+) -> tuple[_Source | None, list[_Plan], int, int]:
+    """Shared planner for mixing and replacement: (source, one plan per variant
+    given slots, skipped, requested)."""
+    examples = corpus.sentences if isinstance(corpus, TaggedCorpus) else corpus.samples
     n = len(examples)
     requested = _slot_count(config.rate, n)
     parts = config.variant_list()
@@ -592,9 +578,7 @@ def _plan_run(
                 f"variant {part!r} does not apply to {type(corpus).__name__}"
             )
     if requested == 0:
-        return None, None, 0, 0
-    if n == 0:
-        raise ValueError("cannot augment an empty corpus")
+        return None, [], 0, 0
     src = _compile(examples)
     pool_map = _normalize_pools(src, pools, config)
 
@@ -612,11 +596,10 @@ def _plan_run(
                 _plan_part(src, part, pool_map[part], slots, candidates[slots], lam[slots], u[slots], config)
             )
             first += count
-    plan = _Plan.concat(plans)
-    skipped = requested - len(plan.example)
+    skipped = requested - sum(len(plan.example) for plan in plans)
     if skipped:
         log.warning("skipped %d of %d slots (no eligible segment)", skipped, requested)
-    return src, plan, skipped, requested
+    return src, plans, skipped, requested
 
 
 # Slots materialized together. Blocks keep every array to a few MB: one
@@ -699,27 +682,26 @@ def _layout(src: _Source, plan: _Plan, partner_lens: np.ndarray):
 
 def _materialize(
     src: _Source,
-    plan: _Plan,
+    plans: Sequence[_Plan],
     table: EmbeddingTable,
     vocab: Sequence[str],
     config: MixConfig,
     example_index: int | None = None,
 ) -> list:
-    """Build the planned examples with batched gathers and blends.
+    """Build the planned examples, plan after plan, with batched gathers and blends.
 
     Rows outside the mixed spans are gathered from ``table.vectors`` and an
     identity matrix; rows inside become ``lam * a + (1 - lam) * b`` against
-    the partner's rows, zero-padded on the shorter side. A synonym swap
+    the partner's rows, zero-padded on the shorter side. A synonym plan
     leaves the label rows as they are.
     """
-    ner = isinstance(src.examples[0], Sentence)
     # a trailing -1 keeps position -1 (zero pad) reading as -1 after a lookup
     source_rows = np.append(table.rows(src.tokens), -1)
     source_labels = np.append(_label_ids(src.label_names, vocab)[src.label_ids], -1)
     eye = np.eye(len(vocab))
     out = []
-    for lo in range(0, len(plan.example), _BLOCK):
-        block = plan[lo : lo + _BLOCK]
+    blocks = (p[lo : lo + _BLOCK] for p in plans for lo in range(0, len(p.example), _BLOCK))
+    for block in blocks:
         segments = [seg for segs in block.segments for seg in segs]
         partner_lens = np.array([len(seg) for seg in segments], np.int64).reshape(len(block.example), -1)
         a, b, slot, blend, sizes, mixed_spans = _layout(src, block, partner_lens)
@@ -727,37 +709,32 @@ def _materialize(
         partner_rows = np.append(table.rows(partner_tokens), -1)
         embeddings = _gather(table.vectors, source_rows[a])
         _blend(embeddings, blend, block.lam[slot[blend]], table.vectors, partner_rows[b[blend]])
-        if ner:
-            soft = _gather(eye, source_labels[a])
-            swapped = np.array([v == "synonym" for v in block.variant])
-            mixed = blend[~swapped[slot[blend]]]
-            # None stands for a synonym partner's labels, which are never read
-            partner_labels = np.append(_label_ids(_flat_labels(block), (*vocab, None)), -1)
-            _blend(soft, mixed, block.lam[slot[mixed]], eye, partner_labels[b[mixed]])
-            if config.normalize_tail_labels:
-                rows = soft[mixed]
-                sums = rows.sum(axis=1)
-                nonzero = sums > 0
-                rows[nonzero] = rows[nonzero] / sums[nonzero, None]
-                soft[mixed] = rows
-        else:
+        if block.variant == "relation":
             soft = _gather(eye, source_labels[block.example])
             _blend(soft, np.arange(len(soft)), block.lam, eye, _label_ids(block.labels, vocab))
-        out.extend(_examples(block, embeddings, soft, sizes, mixed_spans, ner, example_index))
+        else:
+            soft = _gather(eye, source_labels[a])
+            if block.variant != "synonym":
+                partner_labels = np.append(_label_ids(_flat_labels(block), vocab), -1)
+                _blend(soft, blend, block.lam[slot[blend]], eye, partner_labels[b[blend]])
+                if config.normalize_tail_labels:
+                    rows = soft[blend]
+                    sums = rows.sum(axis=1)
+                    nonzero = sums > 0
+                    rows[nonzero] = rows[nonzero] / sums[nonzero, None]
+                    soft[blend] = rows
+        out.extend(_examples(block, embeddings, soft, sizes, mixed_spans, example_index))
     return out
 
 
 def _flat_labels(plan: _Plan) -> list:
-    """Partner labels aligned with the partner tokens (None for a synonym)."""
+    """Partner labels aligned with the partner tokens."""
     out = []
     for segs, labels in zip(plan.segments, plan.labels):
         for j, seg in enumerate(segs):
-            if labels is None:
-                out.extend([None] * len(seg))
-            elif len(labels[j]) != len(seg):
+            if len(labels[j]) != len(seg):
                 raise ValueError("pool entry has unequal token and label counts")
-            else:
-                out.extend(labels[j])
+            out.extend(labels[j])
     return out
 
 
@@ -773,20 +750,17 @@ def _examples(
     soft: np.ndarray,
     sizes: np.ndarray,
     mixed_spans: np.ndarray,
-    ner: bool,
     example_index: int | None,
 ) -> list:
     """A block's rows as records (:func:`_records`), with their provenance and final spans."""
     bounds = np.concatenate([[0], np.cumsum(sizes)]).tolist()
     indices = plan.example.tolist() if example_index is None else [example_index] * len(sizes)
     finals = _span_tuples(mixed_spans)
-    replacements = [
-        tuple(t for seg in segs for t in seg) if variant == "synonym" else None
-        for variant, segs in zip(plan.variant, plan.segments)
-    ]
-    provenances = map(Provenance, indices, plan.variant, plan.lam.tolist(),
+    replacements = ([tuple(t for seg in segs for t in seg) for segs in plan.segments]
+                    if plan.variant == "synonym" else repeat(None))
+    provenances = map(Provenance, indices, repeat(plan.variant), plan.lam.tolist(),
                       _span_tuples(plan.spans), finals, plan.pool_index, replacements)
-    pairs = None if ner else [(Span(*e1), Span(*e2)) for e1, e2 in finals]
+    pairs = [(Span(*e1), Span(*e2)) for e1, e2 in finals] if plan.variant == "relation" else None
     return _records(embeddings, soft, bounds, provenances, pairs)
 
 
@@ -809,26 +783,27 @@ def _mix_one(example, variant: str, pool, table: EmbeddingTable, vocab: Sequence
     _check_segment_args(example, variant, pool if isinstance(pool, SynonymLexicon) else None)
     # a single example has no other example to retry with
     config = replace(config, variant=variant, weights=None, retry_limit=0)
-    pool = _normalize_pools(None, pool, config)[variant]
+    src, zero = _compile([example]), np.zeros(1, np.int64)
+    pool = _normalize_pools(src, pool, config)[variant]
     lam = config.fixed_lambda
     lam = np.array([sample_mix_ratio(config.alpha, rng) if lam is None else float(lam)])
-    src, zero = _compile([example]), np.zeros(1, np.int64)
     plan = _plan_part(src, variant, pool, zero, zero, lam, rng.random((1, 2)), config)
     if not len(plan.example):
         raise ValueError("no eligible segment in example")
-    return _materialize(src, plan, table, vocab, config, example_index)[0]
+    return _materialize(src, [plan], table, vocab, config, example_index)[0]
 
 
 def mix_example(
     sentence: Sentence,
-    pool: Union[SegmentPool, SynonymLexicon],
+    pool: Union[SegmentPool, SynonymLexicon, None],
     table: EmbeddingTable,
     vocab: Sequence[str],
     config: MixConfig,
     rng: np.random.Generator,
     example_index: int = 0,
 ) -> MixedExample:
-    """Mix one sentence against one pool draw (single-variant, NER)."""
+    """Mix one sentence against one pool draw (single-variant, NER); a
+    ``pool`` of None is the variant's segments of ``sentence`` itself."""
     if config.variant not in NER_VARIANTS:
         raise ValueError(f"mix_example handles NER variants, not {config.variant!r}")
     return _mix_one(sentence, config.variant, pool, table, vocab, config, rng, example_index)
@@ -836,14 +811,15 @@ def mix_example(
 
 def mix_re_sample(
     sample: RESample,
-    pool: SegmentPool,
+    pool: SegmentPool | None,
     table: EmbeddingTable,
     relation_vocab: Sequence[str],
     config: MixConfig,
     rng: np.random.Generator,
     example_index: int = 0,
 ) -> MixedRESample:
-    """Mix one RE sample's nominal pair against a pool pair, shared lam."""
+    """Mix one RE sample's nominal pair against a pool pair, shared lam; a
+    ``pool`` of None holds only the sample's own pair."""
     return _mix_one(sample, "relation", pool, table, relation_vocab, config, rng, example_index)
 
 
@@ -857,13 +833,13 @@ def segmix_generate(
     """Generate ``round(rate * N)`` mixed examples (minus reported skips).
 
     ``pools`` may be a single pool/lexicon, a variant->pool mapping, or
-    None to build pools from the corpus (synonym always needs a lexicon).
+    None; a variant given no pool draws from every one of its segments in
+    the corpus being mixed (synonym always needs a lexicon).
     """
-    src, plan, skipped, requested = _plan_run(corpus, pools, config)
-    if plan is None:
-        return GenerationResult([], skipped, requested)
+    src, plans, skipped, requested = _plan_run(corpus, pools, config)
     vocab = corpus.label_vocab if isinstance(corpus, TaggedCorpus) else corpus.relation_vocab
-    return GenerationResult(_materialize(src, plan, table, vocab, config), skipped, requested)
+    examples = _materialize(src, plans, table, vocab, config) if plans else []
+    return GenerationResult(examples, skipped, requested)
 
 
 def _splice(seq: Sequence, spans, parts) -> tuple[tuple, list]:
@@ -894,17 +870,17 @@ def replacement_da(
     config, so a fixed_lambda=0 mixing run and a replacement run with
     equal configs select identical (example, segment, pool entry) triples.
     """
-    src, plan, skipped, requested = _plan_run(corpus, pools, config)
+    src, plans, skipped, requested = _plan_run(corpus, pools, config)
     items = []
-    if plan is not None:
-        for ex, spans, variant, segments, labels in zip(
-            plan.example.tolist(), plan.spans.tolist(), plan.variant, plan.segments, plan.labels
+    for plan in plans:
+        for ex, spans, segments, labels in zip(
+            plan.example.tolist(), plan.spans.tolist(), plan.segments, plan.labels
         ):
             source = src.examples[ex]
             tokens, placed = _splice(source.tokens, spans, segments)
-            if isinstance(source, RESample):
+            if plan.variant == "relation":
                 items.append(RESample(tokens, Span(*placed[0]), Span(*placed[1]), str(labels)))
-            elif variant == "synonym":
+            elif plan.variant == "synonym":
                 items.append(Sentence(tokens, source.labels))  # a synonym shares the label
             else:
                 items.append(Sentence(tokens, _splice(source.labels, spans, labels)[0]))

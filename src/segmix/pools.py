@@ -45,10 +45,6 @@ class SegmentTuple:
         # through object.__setattr__, and a pool builds one entry per mention
         self.__dict__["segments"], self.__dict__["labels"] = segments, labels
 
-    @property
-    def arity(self) -> int:
-        return len(self.segments)
-
 
 @dataclass(frozen=True)
 class SegmentPool:

@@ -16,8 +16,9 @@ from segmix import cli
 from segmix.cli import build_parser, main
 from segmix.corpus import Sentence, TaggedCorpus, corpus_to_text, parse_conll
 from segmix.evaluation import entity_f1
+from segmix.mixer import EmbeddingTable, encode_corpus
 from segmix.model import predict_tagger
-from segmix.serialization import load_augmented
+from segmix.serialization import load_augmented, load_checkpoint, save_augmented
 from segmix.synth import synth_re_corpus, synth_tagged_corpus
 
 
@@ -60,6 +61,11 @@ def test_augment_happy_path(tmp_path, ner_file):
     assert manifest["extra"]["requested"] == 20
 
 
+def test_augment_without_an_output_names_both_needed_flags(tmp_path, ner_file, capsys):
+    assert run("augment", "--input", ner_file) == 1
+    assert capsys.readouterr().err == "error: augment needs --input and --output\n"
+
+
 def test_augment_missing_input_exits_1(tmp_path, capsys):
     code = run("augment", "--input", tmp_path / "nope.conll", "--output", tmp_path / "o")
     assert code == 1
@@ -73,6 +79,64 @@ def test_augment_synonym_without_lexicon_exits_1(tmp_path, ner_file, capsys):
     )
     assert code == 1
     assert "--synonyms" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [(), ("--mode", "replace"), ("--variant", "synonym")])
+def test_augment_names_a_missing_synonym_lexicon(tmp_path, ner_file, capsys, args):
+    missing, out = tmp_path / "missing.tsv", tmp_path / "o"
+    code = run("augment", "--input", ner_file, "--output", out, "--synonyms", missing, *args)
+    assert (code, capsys.readouterr().err) == (1, f"error: synonym lexicon not found: {missing}\n")
+    assert not out.exists()
+
+
+def _synonym_lexicon(tmp_path, corpus):
+    """A lexicon giving every third token two synonyms unlike itself."""
+    lexicon = {t: (t + "_a", t + "_b") for t in corpus.token_vocab[::3]}
+    path = tmp_path / "lex.tsv"
+    path.write_text("".join(f"{t}\t{','.join(s)}\n" for t, s in lexicon.items()))
+    return lexicon, path
+
+
+def test_augment_mixes_synonyms_and_keeps_the_labels(tmp_path, ner_file):
+    corpus = parse_conll(ner_file.read_text())
+    lexicon, lex = _synonym_lexicon(tmp_path, corpus)
+    out = tmp_path / "aug.jsonl"
+    assert run("augment", "--input", ner_file, "--output", out, "--variant", "synonym",
+               "--synonyms", lex, "--rate", "1.0") == 0
+    with open(out) as fh:
+        aug = load_augmented(fh)
+    assert aug.examples
+    vocab = list(aug.label_vocab)
+    for example in aug.examples:
+        prov = example.provenance
+        source = corpus.sentences[prov.example_index]
+        ((start, end),) = prov.spans
+        assert prov.variant == "synonym" and end == start + 1
+        assert prov.replacements[0] in lexicon[source.tokens[start]]
+        labels = [vocab.index(label) for label in source.labels]
+        assert example.soft_labels.argmax(axis=1).tolist() == labels
+        assert (example.soft_labels.max(axis=1) == 1.0).all()
+    manifest = json.loads((tmp_path / "aug.jsonl.manifest.json").read_text())
+    assert set(manifest["inputs"]) == {str(ner_file), str(lex)}
+
+
+def test_augment_replaces_synonyms_and_keeps_the_labels(tmp_path, ner_file, capsys):
+    corpus = parse_conll(ner_file.read_text())
+    lexicon, lex = _synonym_lexicon(tmp_path, corpus)
+    out = tmp_path / "replaced.conll"
+    assert run("augment", "--input", ner_file, "--output", out, "--variant", "synonym",
+               "--synonyms", lex, "--mode", "replace", "--rate", "1.0") == 0
+    replaced = parse_conll(out.read_text())
+    assert len(replaced) > 0
+    assert f"in {len(replaced)}/40 sampled sentences" in capsys.readouterr().out
+
+    def one_swap(new, old):
+        diff = [i for i, (a, b) in enumerate(zip(new.tokens, old.tokens)) if a != b]
+        return (new.labels == old.labels and len(diff) == 1
+                and new.tokens[diff[0]] in lexicon.get(old.tokens[diff[0]], ()))
+
+    for sentence in replaced.sentences:
+        assert any(one_swap(sentence, source) for source in corpus.sentences)
 
 
 def test_augment_replace_mode_writes_corpus(tmp_path, ner_file):
@@ -157,6 +221,21 @@ def test_config_must_be_json_object(tmp_path, ner_file, capsys):
                "--output", tmp_path / "o")
     assert code == 1
     assert "JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,message", [
+    (None, "error: config file not found: {}\n"),
+    ('{"rate": 1.0,', "error: config file {} is not valid JSON: "),
+])
+def test_a_config_file_that_cannot_be_read_is_one_error_line(tmp_path, ner_file, capsys, text,
+                                                             message):
+    config, out = tmp_path / "config.json", tmp_path / "o"
+    if text is not None:
+        config.write_text(text)
+    assert run("augment", "--config", config, "--input", ner_file, "--output", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message.format(config)) and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_no_subcommand_is_a_usage_error():
@@ -281,6 +360,46 @@ def test_train_rejects_corpus_content_change(tmp_path, ner_file, capsys):
                "--checkpoint", tmp_path / "m.ckpt", "--epochs", "1",
                "--allow-corpus-mismatch")
     assert code == 0
+
+
+def test_train_vocab_from_adds_a_corpus_to_the_embedding_table(tmp_path, ner_file, test_file):
+    ckpt = tmp_path / "m.ckpt"
+    assert run("train", "--train", ner_file, "--vocab-from", test_file, "--epochs", "1",
+               "--checkpoint", ckpt) == 0
+    _, table, _ = load_checkpoint(ckpt)
+    train, test = (parse_conll(p.read_text()) for p in (ner_file, test_file))
+    assert table.tokens == tuple(dict.fromkeys([*train.token_vocab, *test.token_vocab]))
+    manifest = json.loads((tmp_path / "m.ckpt.manifest.json").read_text())
+    assert set(manifest["inputs"]) == {str(ner_file), str(test_file)}
+
+
+def test_train_with_no_originals_and_no_augmented_file_has_nothing_to_train_on(
+        tmp_path, ner_file, capsys):
+    ckpt = tmp_path / "m.ckpt"
+    assert run("train", "--train", ner_file, "--no-originals", "--checkpoint", ckpt) == 1
+    assert capsys.readouterr().err == (
+        "error: nothing to train on (originals disabled and no augmented file)\n")
+    assert not ckpt.exists()
+
+
+def test_train_refuses_an_augmented_file_of_the_other_task(tmp_path, ner_file, capsys):
+    re_file, aug, ckpt = tmp_path / "re.txt", tmp_path / "re.jsonl", tmp_path / "m.ckpt"
+    re_file.write_text(corpus_to_text(synth_re_corpus(20, seed=11)))
+    assert run("augment", "--task", "re", "--variant", "relation", "--input", re_file,
+               "--output", aug) == 0
+    capsys.readouterr()
+    assert run("train", "--train", ner_file, "--augmented", aug, "--checkpoint", ckpt) == 1
+    assert capsys.readouterr().err == "error: augmented file is for task 're', not 'ner'\n"
+    assert not ckpt.exists()
+
+
+def test_train_refuses_an_augmented_file_of_another_dim(tmp_path, ner_file, capsys):
+    aug, ckpt = tmp_path / "aug.jsonl", tmp_path / "m.ckpt"
+    assert run("augment", "--input", ner_file, "--output", aug, "--dim", "8") == 0
+    capsys.readouterr()
+    assert run("train", "--train", ner_file, "--augmented", aug, "--checkpoint", ckpt) == 1
+    assert capsys.readouterr().err == "error: augmented dim 8 != --dim 32\n"
+    assert not ckpt.exists()
 
 
 def test_eval_task_mismatch_exits_1(tmp_path, ner_file, capsys):
@@ -483,6 +602,29 @@ def test_recover_refuses_a_mistyped_augmented_header(tmp_path, capsys, key, valu
     assert f"'{key}'" in err
 
 
+def test_recover_renders_the_entity_spans_of_a_relation_file(tmp_path, capsys):
+    re_file, aug = tmp_path / "re.txt", tmp_path / "re.jsonl"
+    re_file.write_text(corpus_to_text(synth_re_corpus(20, seed=11)))
+    assert run("augment", "--task", "re", "--variant", "relation", "--input", re_file,
+               "--output", aug, "--rate", "0.5") == 0
+    capsys.readouterr()
+    assert run("recover", "--augmented", aug, "--limit", "2") == 0
+    out = capsys.readouterr().out
+    assert out.count("(variant=relation,") == 2
+    assert len(re.findall(r"^      e1=\[\d+,\d+\)  e2=\[\d+,\d+\)$", out, re.M)) == 2
+
+
+def test_recover_refuses_a_file_with_no_table_record(tmp_path, ner_file, capsys):
+    corpus = parse_conll(ner_file.read_text())
+    table = EmbeddingTable.random(corpus.token_vocab, 4, 0)
+    aug = tmp_path / "aug.jsonl"
+    with open(aug, "w") as fh:
+        save_augmented(fh, encode_corpus(corpus, table), corpus.label_vocab, task="ner")
+    assert run("recover", "--augmented", aug) == 1
+    assert capsys.readouterr().err == (
+        "error: augmented file carries no embedding-table record; cannot recover tokens\n")
+
+
 def test_recover_to_file(tmp_path, ner_file):
     aug = tmp_path / "aug.jsonl"
     run("augment", "--input", ner_file, "--output", aug, "--rate", "0.2")
@@ -605,6 +747,13 @@ def test_from_manifest_that_is_no_object_exits_1(tmp_path, capsys):
     assert run("--from-manifest", path) == 1
     assert capsys.readouterr().err == (f"error: manifest {path} must hold a JSON object "
                                        "with object inputs and args\n")
+
+
+def test_from_manifest_naming_an_unknown_command_exits_1(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"command": "frobnicate", "inputs": {}, "args": {}}))
+    assert run("--from-manifest", path) == 1
+    assert capsys.readouterr().err == "error: manifest names unknown command 'frobnicate'\n"
 
 
 # ---------------------------------------------------------------- bad values

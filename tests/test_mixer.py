@@ -670,6 +670,54 @@ def test_pool_kind_must_match_the_variant(loc_sentence):
             mix_example(loc_sentence, wrong, table, VOCAB, cfg, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("variant", ["mention", "token", "whole_sequence", "relation"])
+def test_single_mix_without_a_pool_draws_from_the_examples_own_segments(variant):
+    """``pool=None`` is the pool built from the example alone, byte for byte."""
+    relation = variant == "relation"
+    corpus = synth_re_corpus(20, seed=5) if relation else synth_tagged_corpus(20, seed=5)
+    examples = corpus.samples if relation else corpus.sentences
+    vocab = corpus.relation_vocab if relation else corpus.label_vocab
+    alone = RECorpus.from_samples if relation else TaggedCorpus.from_sentences
+    mix_one = mix_re_sample if relation else mix_example
+    table = EmbeddingTable.random(corpus.token_vocab, 8, 0)
+    cfg = MixConfig(variant=variant, alpha=0.5)
+    for i, example in enumerate(examples):
+        own = _POOL_BUILDERS[variant](alone([example]))
+        got = mix_one(example, None, table, vocab, cfg, np.random.default_rng(i), i)
+        want = mix_one(example, own, table, vocab, cfg, np.random.default_rng(i), i)
+        assert got.embeddings.tobytes() == want.embeddings.tobytes()
+        if relation:
+            assert got.soft_relation.tobytes() == want.soft_relation.tobytes()
+            assert (got.e1, got.e2) == (want.e1, want.e2)
+        else:
+            assert got.soft_labels.tobytes() == want.soft_labels.tobytes()
+        assert got.provenance == want.provenance
+
+
+def test_single_mix_refuses_a_combination_variant(loc_sentence):
+    table = EmbeddingTable.random(VOCAB, 8, 0)
+    pool = single_entry_pool(("rome",), ("B-LOC",))
+    with pytest.raises(ValueError, match=r"handles NER variants, not 'mention\+token'"):
+        mix_example(loc_sentence, pool, table, VOCAB, MixConfig(variant="mention+token"),
+                    np.random.default_rng(0))
+
+
+def test_a_combination_run_refuses_a_bare_pool():
+    corpus = mention_corpus(4)
+    table = EmbeddingTable.random(corpus.token_vocab, 8, 0)
+    cfg = MixConfig(variant="mention+token", rate=1.0)
+    with pytest.raises(ValueError, match="combination variants need a mapping of pools"):
+        segmix_generate(corpus, build_mention_pool(corpus), table, cfg)
+
+
+def test_a_pool_entry_with_unequal_token_and_label_counts_is_refused():
+    corpus = mention_corpus(4)
+    table = EmbeddingTable.random(corpus.token_vocab, 8, 0)
+    bad = SegmentPool(1, (SegmentTuple((("a", "b"),), (("B-LOC",),)),), "mention")
+    with pytest.raises(ValueError, match="pool entry has unequal token and label counts"):
+        segmix_generate(corpus, bad, table, MixConfig(variant="mention", rate=1.0))
+
+
 # ---------------------------------------------------------------- generation
 
 def mention_corpus(n=10):
