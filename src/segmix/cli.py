@@ -277,10 +277,9 @@ def _resolve(command: str, values: dict, source: str, flags: dict) -> SimpleName
     alpha = merged.get("alpha", 1.0)
     if not (alpha > 0 and math.isfinite(alpha)):  # a sweep's baseline cells would train first
         raise CliError(f"{named('alpha')} must be positive and finite, got {alpha}")
-    if merged.get("window", 0) < 0:
-        raise CliError(f"{named('window')} must be 0 or more, got {merged['window']}")
-    if merged.get("limit", 1) < 1:
-        raise CliError(f"{named('limit')} must be 1 or more, got {merged['limit']}")
+    for key, low in (("window", 0), ("train_epochs", 0), ("limit", 1), ("jobs", 1), ("n_sentences", 1)):
+        if merged.get(key, low) < low:
+            raise CliError(f"{named(key)} must be {low} or more, got {merged[key]}")
     if merged.get("repeats", 1) < 1:
         raise UsageError(f"{named('repeats')} must be 1 or more, got {merged['repeats']}")
     return SimpleNamespace(**merged)

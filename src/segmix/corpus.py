@@ -269,10 +269,6 @@ class RESample:
             raise CorpusFormatError(f"overlapping nominal spans {self.e1} / {self.e2}")
 
 
-def _first_occurrence(items: Iterable[str]) -> tuple[str, ...]:
-    return tuple(dict.fromkeys(items))
-
-
 @dataclass(frozen=True)
 class TaggedCorpus:
     """BIO-labeled sentences plus deterministic label/token vocabularies."""
@@ -284,10 +280,10 @@ class TaggedCorpus:
     @classmethod
     def from_sentences(cls, sentences: Iterable[Sentence]) -> "TaggedCorpus":
         sentences = tuple(sentences)
-        labels = _first_occurrence(l for s in sentences for l in s.labels)
+        labels = tuple(dict.fromkeys(l for s in sentences for l in s.labels))
         if "O" not in labels:
             labels = labels + ("O",)
-        tokens = _first_occurrence(t for s in sentences for t in s.tokens)
+        tokens = tuple(dict.fromkeys(t for s in sentences for t in s.tokens))
         return cls(sentences, labels, tokens)
 
     def __len__(self) -> int:
@@ -307,8 +303,8 @@ class RECorpus:
         samples = tuple(samples)
         return cls(
             samples,
-            _first_occurrence(s.relation for s in samples),
-            _first_occurrence(t for s in samples for t in s.tokens),
+            tuple(dict.fromkeys(s.relation for s in samples)),
+            tuple(dict.fromkeys(t for s in samples for t in s.tokens)),
         )
 
     def __len__(self) -> int:

@@ -112,8 +112,6 @@ def _streams(gold_side, pred_ids: np.ndarray, names: Sequence[str]):
     into ``names`` against a :func:`_gold_side`, whose ids are mapped, here,
     into ``names`` followed by the gold labels not among them."""
     gold_ids, offsets, gold_vocab = gold_side
-    if len(pred_ids) != len(gold_ids):
-        raise ValueError("gold and predicted label counts differ")
     remap, vocab = _vocab_ids(gold_vocab, names)
     return remap[gold_ids], pred_ids, offsets, vocab
 
@@ -254,19 +252,18 @@ def nearest_token(table: EmbeddingTable, vector: np.ndarray) -> tuple[str, float
 class EvalReport:
     task: str
     summary: dict
+    confusion: np.ndarray
+    confusion_vocab: tuple[str, ...]
     per_type: dict = dc_field(default_factory=dict)
-    confusion: np.ndarray | None = None
-    confusion_vocab: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
         out = {"task": self.task, "summary": self.summary}
         if self.per_type:
             out["per_type"] = self.per_type
-        if self.confusion is not None:
-            out["confusion"] = {
-                "labels": list(self.confusion_vocab),
-                "counts": self.confusion.tolist(),
-            }
+        out["confusion"] = {
+            "labels": list(self.confusion_vocab),
+            "counts": self.confusion.tolist(),
+        }
         return out
 
     def write_json(self, path) -> None:
@@ -275,8 +272,6 @@ class EvalReport:
             fh.write("\n")
 
     def write_confusion_csv(self, path) -> None:
-        if self.confusion is None:
-            raise ValueError("no confusion matrix to write")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["gold\\pred", *self.confusion_vocab])

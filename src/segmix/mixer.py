@@ -38,7 +38,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -480,6 +480,13 @@ def _by_type(pool: SegmentPool, type_ids: dict) -> tuple[np.ndarray, np.ndarray]
     return order, np.concatenate([[0], np.cumsum(counts)])
 
 
+def _check_labels(segments: list, labels: list) -> None:
+    """Refuse tagging pool entries without one label tuple per segment and one label per token."""
+    if (list(map(len, labels)) != list(map(len, segments))
+            or list(map(len, chain.from_iterable(labels))) != list(map(len, chain.from_iterable(segments)))):
+        raise ValueError("pool entry has unequal token and label counts")
+
+
 def _plan_part(
     src: _Source,
     variant: str,
@@ -498,6 +505,8 @@ def _plan_part(
     counts = np.diff(segs.off)
     restrict = config.same_type_only and variant in ("mention", "token")
     if restrict:
+        # _by_type reads every entry's first label
+        _check_labels([e.segments for e in pool.entries], [e.labels for e in pool.entries])
         by_type, type_off = _by_type(pool, segs.type_ids)
         type_counts = np.diff(type_off)
 
@@ -542,6 +551,8 @@ def _plan_part(
         entries = [pool.entries[i] for i in pool_index]
         segments = [e.segments for e in entries]
         labels = [e.labels for e in entries]
+        if variant != "relation":
+            _check_labels(segments, labels)
     return _Plan(ex, lam[ok], spans, variant, pool_index, segments, labels)
 
 
@@ -715,7 +726,8 @@ def _materialize(
         else:
             soft = _gather(eye, source_labels[a])
             if block.variant != "synonym":
-                partner_labels = np.append(_label_ids(_flat_labels(block), vocab), -1)
+                flat = [l for labels in block.labels for seg in labels for l in seg]
+                partner_labels = np.append(_label_ids(flat, vocab), -1)
                 _blend(soft, blend, block.lam[slot[blend]], eye, partner_labels[b[blend]])
                 if config.normalize_tail_labels:
                     rows = soft[blend]
@@ -724,17 +736,6 @@ def _materialize(
                     rows[nonzero] = rows[nonzero] / sums[nonzero, None]
                     soft[blend] = rows
         out.extend(_examples(block, embeddings, soft, sizes, mixed_spans, example_index))
-    return out
-
-
-def _flat_labels(plan: _Plan) -> list:
-    """Partner labels aligned with the partner tokens."""
-    out = []
-    for segs, labels in zip(plan.segments, plan.labels):
-        for j, seg in enumerate(segs):
-            if len(labels[j]) != len(seg):
-                raise ValueError("pool entry has unequal token and label counts")
-            out.extend(labels[j])
     return out
 
 
@@ -902,17 +903,12 @@ def _encode(examples: Sequence, table: EmbeddingTable, vocab: Sequence[str], pai
 
 
 @_gc_quiet
-def encode_corpus(
-    corpus: TaggedCorpus, table: EmbeddingTable, vocab: Sequence[str] | None = None
-) -> list[MixedExample]:
+def encode_corpus(corpus: TaggedCorpus, table: EmbeddingTable) -> list[MixedExample]:
     """Embed original sentences as degenerate mixed examples (lam = 1)."""
-    return _encode(corpus.sentences, table, corpus.label_vocab if vocab is None else vocab)
+    return _encode(corpus.sentences, table, corpus.label_vocab)
 
 
 @_gc_quiet
-def encode_re_corpus(
-    corpus: RECorpus, table: EmbeddingTable, vocab: Sequence[str] | None = None
-) -> list[MixedRESample]:
+def encode_re_corpus(corpus: RECorpus, table: EmbeddingTable) -> list[MixedRESample]:
     """Embed original RE samples as degenerate mixed samples (lam = 1)."""
-    vocab = corpus.relation_vocab if vocab is None else vocab
-    return _encode(corpus.samples, table, vocab, [(s.e1, s.e2) for s in corpus.samples])
+    return _encode(corpus.samples, table, corpus.relation_vocab, [(s.e1, s.e2) for s in corpus.samples])

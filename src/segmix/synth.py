@@ -45,21 +45,18 @@ def build_lexicons(
     and test draw from one shared inventory.
     """
     rng = derive_rng(lexicon_seed, "synth-lexicon")
-    lexicons: dict[str, list[tuple[str, ...]]] = {}
-    for etype, syllables in _TYPE_SYLLABLES.items():
-        seen: set[tuple[str, ...]] = set()
-        surfaces: list[tuple[str, ...]] = []
-        while len(surfaces) < mentions_per_type:
-            n_tokens = 1 if rng.random() < 0.6 else 2
-            words = tuple(
-                "".join(rng.choice(syllables, size=2)) for _ in range(n_tokens)
-            )
-            if words in seen:
-                continue
-            seen.add(words)
-            surfaces.append(words)
-        lexicons[etype] = surfaces
-    return lexicons
+    return {etype: _distinct_surfaces(rng, syllables, mentions_per_type, 0.6)
+            for etype, syllables in _TYPE_SYLLABLES.items()}
+
+
+def _distinct_surfaces(rng, syllables, n: int, p_one: float) -> list[tuple[str, ...]]:
+    """n distinct surfaces in draw order, each of one token (probability
+    ``p_one``) or two, each token two syllables."""
+    seen: dict[tuple[str, ...], None] = {}
+    while len(seen) < n:
+        n_tokens = 1 if rng.random() < p_one else 2
+        seen[tuple("".join(rng.choice(syllables, size=2)) for _ in range(n_tokens))] = None
+    return list(seen)
 
 
 def _surface_weights(n: int, skew: float) -> np.ndarray | None:
@@ -67,6 +64,11 @@ def _surface_weights(n: int, skew: float) -> np.ndarray | None:
         return None
     weights = (np.arange(1, n + 1, dtype=np.float64)) ** (-skew)
     return weights / weights.sum()
+
+
+def _rank(rng, n: int, weights: np.ndarray | None) -> int:
+    """A lexicon rank below n: Zipf-weighted when ``weights`` are given, else uniform."""
+    return int(rng.choice(n, p=weights) if weights is not None else rng.integers(n))
 
 
 def _filler(rng, low=1, high=3) -> list[str]:
@@ -105,8 +107,7 @@ def synth_tagged_corpus(
             tokens += filler
             labels += ["O"] * len(filler)
             etype = types[rng.integers(len(types))]
-            pick = rng.choice(mentions_per_type, p=weights) if weights is not None else rng.integers(mentions_per_type)
-            surface = list(lexicons[etype][int(pick)])
+            surface = list(lexicons[etype][_rank(rng, mentions_per_type, weights)])
             if inflect > 0 and rng.random() < inflect:
                 surface[-1] = surface[-1] + _SUFFIXES[rng.integers(len(_SUFFIXES))]
             tokens += surface
@@ -134,17 +135,7 @@ _NOMINAL_SYLLABLES = ("gri", "pol", "van", "tur", "hes", "nim", "osk", "dra")
 
 
 def build_nominal_lexicon(n_nominals: int = 60, lexicon_seed: int = 0) -> list[tuple[str, ...]]:
-    rng = derive_rng(lexicon_seed, "synth-nominals")
-    seen: set[tuple[str, ...]] = set()
-    out: list[tuple[str, ...]] = []
-    while len(out) < n_nominals:
-        n_tokens = 1 if rng.random() < 0.7 else 2
-        words = tuple("".join(rng.choice(_NOMINAL_SYLLABLES, size=2)) for _ in range(n_tokens))
-        if words in seen:
-            continue
-        seen.add(words)
-        out.append(words)
-    return out
+    return _distinct_surfaces(derive_rng(lexicon_seed, "synth-nominals"), _NOMINAL_SYLLABLES, n_nominals, 0.7)
 
 
 def synth_re_corpus(
@@ -166,13 +157,8 @@ def synth_re_corpus(
         relation = relations[rng.integers(len(relations))]
         connectors = _RELATION_CONNECTORS[relation]
         connector = list(connectors[rng.integers(len(connectors))])
-
-        def pick() -> tuple[str, ...]:
-            i = rng.choice(n_nominals, p=weights) if weights is not None else rng.integers(n_nominals)
-            return nominals[int(i)]
-
         head = _filler(rng, 1, 2)
-        first, second = pick(), pick()
+        first, second = (nominals[_rank(rng, n_nominals, weights)] for _ in range(2))
         tokens = head + list(first)
         e1 = Span(len(head), len(tokens))
         tokens += connector

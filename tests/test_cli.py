@@ -428,11 +428,14 @@ def test_sweep_serial_and_parallel_csv_identical(tmp_path, ner_file, test_file):
     assert len(lines) == 1 + 2 * 1 * 2 * 2
 
 
-def test_sweep_bad_grid_value_is_usage_error(tmp_path, ner_file, test_file):
-    with pytest.raises(SystemExit) as exc:
-        run("sweep", "--train", ner_file, "--test", test_file,
-            "--sizes", "ten", "--output", tmp_path / "o.csv")
-    assert exc.value.code == 2
+def test_sweep_bad_grid_value_is_usage_error(tmp_path, ner_file, test_file, capsys):
+    for sizes, message in (("ten", "cannot parse --sizes value 'ten'"),
+                           (",", "--sizes needs at least one value")):
+        with pytest.raises(SystemExit) as exc:
+            run("sweep", "--train", ner_file, "--test", test_file,
+                "--sizes", sizes, "--output", tmp_path / "o.csv")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"segmix: error: {message}"
 
 
 _NER_KINDS = "is not 'none' or a '+'-joined list of mention, token, whole_sequence for --task ner"
@@ -448,8 +451,9 @@ _NER_KINDS = "is not 'none' or a '+'-joined list of mention, token, whole_sequen
     ("--variants", "mention+synonym", f"--variants value 'mention+synonym' {_NER_KINDS}"),
     ("--alpha", "0", "--alpha must be positive and finite, got 0.0"),
     ("--epochs", "-1", "train config epochs must be 0 or more, got -1"),
+    ("--jobs", "0", "--jobs must be 1 or more, got 0"),
 ], ids=["size 0", "size -5", "rate -1", "rate nan", "unknown", "relation", "synonym", "alpha",
-        "epochs"])
+        "epochs", "jobs"])
 def test_sweep_refuses_a_bad_value_before_reading_a_corpus(
         tmp_path, ner_file, test_file, monkeypatch, capsys, flag, value, message):
     monkeypatch.setattr(cli, "_read_corpus", lambda *args: pytest.fail("read a corpus"))
@@ -698,6 +702,8 @@ def test_from_manifest_checks_ranges_like_the_flags(tmp_path, ner_file, capsys):
     ("augment", {"embed_seed": -1}, 1,
      "config key 'embed_seed' must lie in [0, 2**32), got -1"),
     ("bench", {"repeats": 0}, 2, "config key 'repeats' must be 1 or more, got 0"),
+    ("bench", {"train_epochs": -3}, 1, "config key 'train_epochs' must be 0 or more, got -3"),
+    ("bench", {"n_sentences": 0}, 1, "config key 'n_sentences' must be 1 or more, got 0"),
 ])
 def test_config_out_of_range_names_the_key(tmp_path, ner_file, capsys, command, config, code,
                                            message):
@@ -1047,6 +1053,9 @@ _CHECKPOINT_DEFECTS = {  # header edit, payload edit, what the error must name
     "weights_shape off labels": (
         lambda h: h.update(weights_shape=[h["weights_shape"][0], len(h["labels"]) - 1]),
         None, "'weights_shape'"),
+    "table_shape off tokens": (
+        lambda h: h.update(table_shape=[h["table_shape"][0] + 1, h["table_shape"][1]]),
+        None, "'table_shape'"),
     "unknown kind": (_set(kind="xx"), None, "'kind'"),
     "trailing bytes": (None, lambda payload: payload + b"\x00" * 4, "bytes"),
     "payload one float short": (None, lambda payload: payload[:-4], "bytes"),

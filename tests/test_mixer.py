@@ -716,6 +716,16 @@ def test_a_pool_entry_with_unequal_token_and_label_counts_is_refused():
     bad = SegmentPool(1, (SegmentTuple((("a", "b"),), (("B-LOC",),)),), "mention")
     with pytest.raises(ValueError, match="pool entry has unequal token and label counts"):
         segmix_generate(corpus, bad, table, MixConfig(variant="mention", rate=1.0))
+    # no label tuple at all, or one label short, refused alike by every path that draws it
+    small = TaggedCorpus.from_sentences([Sentence(("big", "rome"), ("O", "B-LOC"))])
+    table = EmbeddingTable.random(small.token_vocab, 8, 0)
+    for entry in (SegmentTuple((("a",),), ()), SegmentTuple((("a", "b"),), (("B-LOC",),))):
+        bad = SegmentPool(1, (entry,), "mention")
+        for run in (lambda: segmix_generate(small, bad, table, MixConfig(rate=1.0)),
+                    lambda: replacement_da(small, bad, MixConfig(rate=1.0)),
+                    lambda: segmix_generate(small, bad, table, MixConfig(rate=1.0, same_type_only=True))):
+            with pytest.raises(ValueError, match="^pool entry has unequal token and label counts$"):
+                run()
 
 
 # ---------------------------------------------------------------- generation

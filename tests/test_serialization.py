@@ -388,9 +388,10 @@ def test_load_checkpoint_refuses_a_non_finite_payload(tmp_path, what):
     ({"variant": 5}, "'variant' must be a string, got 5"),
     ({"pool_index": -1}, "'pool_index' must be a nonnegative integer or null, got -1"),
     ({"replacements": "ab"}, "'replacements' must be a list of strings, got 'ab'"),
+    ({"spans": "ab"}, "'spans' must be a list of [start, end] pairs"),
 ], ids=["lam-7", "lam-nan", "lam-str", "mixed-span-past-rows", "mixed-span-not-a-pair",
         "span-of-strs", "span-empty", "index-str", "variant-int", "pool-index-negative",
-        "replacements-str"])
+        "replacements-str", "span-str"])
 def test_load_refuses_a_bad_provenance_record(fields, why):
     lines = _saved_lines(_ner_examples(), ("B-X", "O"), "ner")
     record = json.loads(lines[1])
@@ -410,6 +411,10 @@ def test_load_names_the_provenance_field_it_refuses():
     record["provenance"].update(variant="relation", mixed_spans=[[0, 1], [3, 5]])
     lines[2] = json.dumps(record) + "\n"
     with pytest.raises(ValueError, match=r"^line 3: provenance mixed span \[3, 5\) lies outside"):
+        load_augmented(io.StringIO("".join(lines)))
+    record["provenance"] = [record["provenance"]]
+    lines[2] = json.dumps(record) + "\n"
+    with pytest.raises(ValueError, match=r"^line 3: provenance is not a JSON object$"):
         load_augmented(io.StringIO("".join(lines)))
 
 
@@ -441,6 +446,7 @@ _NOT_PLAIN = [
     ("lam", 1.5),
     ("spans", ((np.int64(0), 1),)), ("spans", ((0, 1.0),)), ("mixed_spans", ((0, True),)),
     ("pool_index", False), ("pool_index", np.int64(2)), ("replacements", ("was", 1)),
+    ("spans", "ab"),
 ]
 
 
