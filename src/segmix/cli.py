@@ -8,11 +8,12 @@ table, so adding a flag means adding one row there and reading
 ``ns.<dest>`` in the command that uses it.
 
 Values resolve in three layers: hard defaults, then a JSON config file
-(--config), then explicit flags. ``_run`` wraps every command: it checks
-the flags the command cannot do without, times it, and writes a JSON
-manifest next to its primary output recording resolved arguments, input
-fingerprints and timings; --from-manifest replays a recorded run after
-checking the inputs still hash the same.
+(--config), then explicit flags. ``_run`` wraps every command: before any
+work it checks the flags the command cannot do without and that the
+directory of every file it would write exists; it times the command and
+writes a JSON manifest next to its primary output recording resolved
+arguments, input fingerprints and timings; --from-manifest replays a
+recorded run after checking the inputs still hash the same.
 
 Exit codes: 0 success, 1 operational failure (bad data, missing file,
 training divergence), 2 usage error.
@@ -277,11 +278,10 @@ def _resolve(command: str, values: dict, source: str, flags: dict) -> SimpleName
     alpha = merged.get("alpha", 1.0)
     if not (alpha > 0 and math.isfinite(alpha)):  # a sweep's baseline cells would train first
         raise CliError(f"{named('alpha')} must be positive and finite, got {alpha}")
-    for key, low in (("window", 0), ("train_epochs", 0), ("limit", 1), ("jobs", 1), ("n_sentences", 1)):
+    for key, low in (("window", 0), ("train_epochs", 0), ("limit", 1), ("jobs", 1), ("n_sentences", 1),
+                     ("repeats", 1)):
         if merged.get(key, low) < low:
             raise CliError(f"{named(key)} must be {low} or more, got {merged[key]}")
-    if merged.get("repeats", 1) < 1:
-        raise UsageError(f"{named('repeats')} must be 1 or more, got {merged['repeats']}")
     return SimpleNamespace(**merged)
 
 
@@ -346,7 +346,6 @@ def cmd_augment(ns: SimpleNamespace, manifest: RunManifest) -> None:
             raise CliError("the synonym variant needs --synonyms LEXICON")
         with open(ns.synonyms) as fh:
             pools["synonym"] = load_synonym_lexicon(fh)
-    manifest.outputs = [ns.output]
 
     if ns.mode == "replace":
         result = replacement_da(corpus, pools, config)
@@ -434,10 +433,8 @@ def cmd_train(ns: SimpleNamespace, manifest: RunManifest) -> None:
     fit_seconds = time.perf_counter() - fit_started
 
     save_checkpoint(ns.checkpoint, result.model, table, meta={"task": ns.task})
-    manifest.outputs = [ns.checkpoint]
     if ns.loss_trace:
         write_loss_trace(ns.loss_trace, result)
-        manifest.outputs.append(ns.loss_trace)
     manifest.extra = {
         "n_examples": len(examples),
         "epochs_run": len(result.loss_trace),
@@ -468,10 +465,8 @@ def cmd_eval(ns: SimpleNamespace, manifest: RunManifest) -> None:
     report = (tagging_report if ns.task == "ner" else re_report)(corpus, predicted)
     if ns.report:
         report.write_json(ns.report)
-        manifest.outputs.append(ns.report)
     if ns.confusion:
         report.write_confusion_csv(ns.confusion)
-        manifest.outputs.append(ns.confusion)
     manifest.extra = {"summary": report.summary}
     sys.stdout.write(report.format_text())
 
@@ -569,7 +564,6 @@ def cmd_sweep(ns: SimpleNamespace, manifest: RunManifest) -> None:
         rows = [_sweep_cell(cell, *shared) for cell in grid]
     with open(ns.output, "w", newline="") as fh:
         fh.write("size,rate,variant,seed,cell_seed,n_train,n_augmented,score\n" + "".join(rows))
-    manifest.outputs = [ns.output]
     manifest.extra = {"cells": len(rows)}
     print(f"swept {len(rows)} cells -> {ns.output}")
 
@@ -620,7 +614,6 @@ def cmd_bench(ns: SimpleNamespace, manifest: RunManifest) -> None:
         with open(ns.output, "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        manifest.outputs.append(ns.output)
     manifest.extra = report
 
 
@@ -660,7 +653,6 @@ def cmd_recover(ns: SimpleNamespace, manifest: RunManifest) -> None:
     if ns.output:
         with open(ns.output, "w") as fh:
             fh.write(text)
-        manifest.outputs.append(ns.output)
     else:
         sys.stdout.write(text)
     manifest.extra = {"examples_shown": shown}
@@ -675,22 +667,22 @@ class Command:
     run: Callable[[SimpleNamespace, RunManifest], None]
     help: str
     needs: tuple[str, ...]  # options the command cannot do without
-    output: str  # the option naming the file its manifest sits beside
+    outputs: tuple[str, ...]  # options naming the files it writes; its manifest sits beside the first
 
 
 _COMMANDS = {
     "augment": Command(cmd_augment, "generate mixed training examples as augmented JSONL "
-                       "(a corpus file with --mode replace)", ("input", "output"), "output"),
+                       "(a corpus file with --mode replace)", ("input", "output"), ("output",)),
     "train": Command(cmd_train, "train a tagger or relation classifier",
-                     ("train", "checkpoint"), "checkpoint"),
+                     ("train", "checkpoint"), ("checkpoint", "loss_trace")),
     "eval": Command(cmd_eval, "score a checkpoint on a test corpus", ("checkpoint", "test"),
-                    "report"),
+                    ("report", "confusion")),
     "sweep": Command(cmd_sweep, "grid over sizes, rates, variants and seeds into a CSV",
-                     ("train", "test", "output"), "output"),
+                     ("train", "test", "output"), ("output",)),
     "bench": Command(cmd_bench, "time the mixing pass (--output: JSON report)", ("input",),
-                     "output"),
+                     ("output",)),
     "recover": Command(cmd_recover, "render augmented examples as nearest tokens",
-                       ("augmented",), "output"),
+                       ("augmented",), ("output",)),
 }
 
 
@@ -701,13 +693,17 @@ def _run(command: str, ns: SimpleNamespace) -> int:
         flags = [f"--{dest.replace('_', '-')}" for dest in spec.needs]
         listed = flags[-1] if len(flags) == 1 else f"{', '.join(flags[:-1])} and {flags[-1]}"
         raise CliError(f"{command} needs {listed}")
+    for dest in (*spec.outputs, "manifest"):  # before any work, so a bad path writes nothing
+        path = Path(getattr(ns, dest) or ".")
+        if not path.parent.is_dir():
+            raise CliError(f"--{dest.replace('_', '-')} {path}: directory {path.parent} does not exist")
     started = time.perf_counter()
     created = datetime.now(timezone.utc).isoformat(timespec="seconds")
     manifest = RunManifest(command=command, args=dict(vars(ns)), created=created)
     spec.run(ns, manifest)
     manifest.duration_seconds = round(time.perf_counter() - started, 4)
-    manifest.outputs = [str(p) for p in manifest.outputs]
-    primary = getattr(ns, spec.output)
+    manifest.outputs = [str(getattr(ns, dest)) for dest in spec.outputs if getattr(ns, dest)]
+    primary = getattr(ns, spec.outputs[0])
     write_to = ns.manifest or (str(primary) + ".manifest.json" if primary else None)
     if write_to:
         manifest.write(write_to)

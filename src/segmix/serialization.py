@@ -6,15 +6,21 @@ explicit shape, so files are platform-independent and byte-identical
 across repeated runs with the same seed. They load as float32, cast
 exactly to float64 where arithmetic happens. Every line is compact JSON
 (``separators=(",", ":")``) with sorted keys. The header goes through
-``json``; a record and its provenance are formatted from templates
-(``_NER_RECORD``, ``_RE_RECORD``, ``_PROVENANCE``) with their keys already
-in that order, so the base64 payloads skip the JSON encoder's escape scan.
+``json``; a record and its provenance are f-string templates (in
+:func:`save_augmented` and :func:`_provenance_texts`) with their keys already
+in that order, so the base64 payloads skip the JSON encoder's escape scan;
+an f-string sizes each line once, where ``%`` regrows it piece by piece.
 A new record or provenance field must go into its template at its sorted
 place: ``test_save_writes_the_bytes_of_the_json_oracle`` holds the
 templates to a writer that passes every record through ``json``. The
 templates write what ``json`` would only for fields of their plain types,
 so one check (:func:`_provenance_problem`) refuses any other provenance on
 save, before a byte is written, and on load.
+
+Save checks every example's shapes and finiteness, then checks and formats
+every provenance in one walk (:func:`_provenance_texts`), before the header.
+Load parses each line with the C scanner of ``json``, or ``json.loads`` where
+the scanner cannot read it whole (:func:`_parse`), then reads it in one walk.
 
 A checkpoint is binary: the magic ``SGMX``, a ``<II`` version and header
 length, a sorted-key JSON header, then the weights and the embedding-table
@@ -42,7 +48,7 @@ import reprlib
 import struct
 from dataclasses import dataclass
 from itertools import accumulate
-from json.encoder import encode_basestring_ascii
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterator, Sequence, TextIO, Union
 
 import numpy as np
@@ -80,23 +86,18 @@ def _from_f4(raw: bytes | bytearray, shape, what: str) -> np.ndarray:
     return np.frombuffer(_sized(raw, shape, what), dtype="<f4").reshape(shape)
 
 
-def _b64(f4: np.ndarray) -> str:
-    """The base64 text of an array :func:`_f4` returned."""
-    return binascii.b2a_base64(f4, newline=False).decode("ascii")
-
-
 def _count(value) -> bool:
     return type(value) is int and value >= 0
 
 
 def _spans(value) -> bool:
-    if type(value) not in (list, tuple):  # a tuple is what a Provenance holds
+    if type(value) not in _SEQUENCE:
         return False
     for pair in value:
-        if type(pair) not in (list, tuple) or len(pair) != 2:
+        if type(pair) not in _SEQUENCE or len(pair) != 2:
             return False
         start, end = pair
-        if type(start) is not int or type(end) is not int or not 0 <= start < end:
+        if not (type(start) is type(end) is int and 0 <= start < end):
             return False
     return True
 
@@ -105,7 +106,6 @@ def _spans(value) -> bool:
 _KINDS = {
     "a nonnegative integer": _count,
     "a positive integer": lambda v: _count(v) and v > 0,
-    "a [start, end] pair with 0 <= start < end": lambda v: _spans([v]),
     "a list of strings": lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
     "a list of nonnegative integers": lambda v: isinstance(v, list) and all(map(_count, v)),
     "a JSON object": lambda v: isinstance(v, dict),
@@ -148,14 +148,16 @@ _TABLE_FIELDS = {
     "seed": "a nonnegative integer",
     "n_buckets": "a positive integer",
 }
-_RE_SPAN_FIELDS = {
-    "e1": "a [start, end] pair with 0 <= start < end",
-    "e2": "a [start, end] pair with 0 <= start < end",
-}
 
-# One encoder for every header: ``json.dumps`` would build one per call.
+# One encoder for every header: ``json.dumps`` would build one per call. One
+# scanner for every record line (see :func:`_parse`).
 _dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_scan = json.JSONDecoder().scan_once
+_PAIR = "a [start, end] pair with 0 <= start < end"
 _PAIRS = "a list of [start, end] pairs with 0 <= start < end"
+# Field types, tested by identity: a set answers ``in`` with no equality call per member.
+_SEQUENCE = frozenset((list, tuple))  # a tuple is what a Provenance holds, a list what JSON gives
+_NUMBER = frozenset((int, float))
 
 
 def _provenance_problem(example_index, variant, lam, spans, mixed_spans, pool_index,
@@ -171,7 +173,7 @@ def _provenance_problem(example_index, variant, lam, spans, mixed_spans, pool_in
         return _mistyped("provenance", "example_index", "a nonnegative integer", example_index)
     if type(variant) is not str:
         return _mistyped("provenance", "variant", "a string", variant)
-    if type(lam) not in (int, float) or not 0 <= lam <= 1:  # NaN fails the range too
+    if type(lam) not in _NUMBER or not 0 <= lam <= 1:  # NaN fails the range too
         return _mistyped("provenance", "lam", "a number in [0, 1]", lam)
     if not _spans(spans):
         return _mistyped("provenance", "spans", _PAIRS, spans)
@@ -179,7 +181,7 @@ def _provenance_problem(example_index, variant, lam, spans, mixed_spans, pool_in
         return _mistyped("provenance", "mixed_spans", _PAIRS, mixed_spans)
     if pool_index is not None and (type(pool_index) is not int or pool_index < 0):
         return _mistyped("provenance", "pool_index", "a nonnegative integer or null", pool_index)
-    if type(replacements) not in (list, tuple) or (
+    if type(replacements) not in _SEQUENCE or (
             replacements and any(type(t) is not str for t in replacements)):
         return _mistyped("provenance", "replacements", "a list of strings", replacements)
     for start, end in mixed_spans:
@@ -188,73 +190,62 @@ def _provenance_problem(example_index, variant, lam, spans, mixed_spans, pool_in
     return None
 
 
-def _read_provenance(data, rows: int) -> Provenance:
-    """The :class:`Provenance` of a record with ``rows`` rows, once its fields check out."""
-    if not isinstance(data, dict):
-        raise ValueError("provenance is not a JSON object")
-    try:  # in field order, so the first missing field is the one named
-        fields = (data["example_index"], data["variant"], data["lam"], data["spans"],
-                  data["mixed_spans"], data["pool_index"])
-    except KeyError as exc:
-        raise ValueError(f"provenance has no {exc} field") from None
-    replacements = data.get("replacements", ())
-    problem = _provenance_problem(*fields, replacements, rows)
-    if problem:
-        raise ValueError(problem)
-    index, variant, lam, spans, mixed_spans, pool_index = fields
-    return Provenance(index, variant, lam, tuple(map(tuple, spans)), tuple(map(tuple, mixed_spans)),
-                      pool_index, tuple(replacements) if replacements else None)
-
-
-def _provenances_problem(examples: Sequence) -> str | None:
-    """The first example whose provenance :func:`_provenance_problem`
-    refuses, as "example i: why", or None."""
+def _provenance_texts(examples: Sequence) -> list[str]:
+    """The text of each example's provenance, once :func:`_provenance_problem`
+    passes it: one walk that reads each field once. The first provenance it
+    refuses raises ``ValueError("example i: why")``."""
+    texts = []
     for i, e in enumerate(examples):
         p = e.provenance
-        problem = _provenance_problem(
-            p.example_index, p.variant, p.lam, p.spans, p.mixed_spans, p.pool_index,
-            () if p.replacements is None else p.replacements, len(e.embeddings))
+        index, lam, spans, mixed, pool, words = (p.example_index, p.lam, p.spans, p.mixed_spans,
+                                                 p.pool_index, p.replacements)
+        problem = _provenance_problem(index, p.variant, lam, spans, mixed, pool,
+                                      () if words is None else words, len(e.embeddings))
         if problem:
-            return f"example {i}: {problem}"
-    return None
-
-
-# The bytes ``_dump`` would write for a provenance whose fields pass the check.
-_PROVENANCE = ('{"example_index":%d,"lam":%r,"mixed_spans":[%s],"pool_index":%s,%s'
-               '"spans":[%s],"variant":%s}')
-
-
-def _provenance_text(p: Provenance) -> str:
-    replacements = ("" if p.replacements is None else
-                    '"replacements":[%s],' % ",".join(map(encode_basestring_ascii, p.replacements)))
-    return _PROVENANCE % (
-        p.example_index, p.lam, ",".join([f"[{a},{b}]" for a, b in p.mixed_spans]),
-        "null" if p.pool_index is None else p.pool_index, replacements,
-        ",".join([f"[{a},{b}]" for a, b in p.spans]), encode_basestring_ascii(p.variant))
-
-
-def _payload(blob: dict) -> bytes:
-    """The raw float32 bytes of a record's ``{"data", "shape"}`` payload,
-    checked by :func:`_sized`."""
-    return _sized(binascii.a2b_base64(blob["data"]), blob["shape"], "payload")
+            raise ValueError(f"example {i}: {problem}")
+        mixed_text = ",".join([f"[{a},{b}]" for a, b in mixed])
+        spans_text = ",".join([f"[{a},{b}]" for a, b in spans])
+        words_text = "" if words is None else f'"replacements":[{",".join(map(_quote, words))}],'
+        texts.append(f'{{"example_index":{index},"lam":{lam!r},"mixed_spans":[{mixed_text}],'
+                     f'"pool_index":{"null" if pool is None else pool},{words_text}'
+                     f'"spans":[{spans_text}],"variant":{_quote(p.variant)}}}')
+    return texts
 
 
 def _read_record(record: dict, task: str, dim: int, n_labels: int) -> tuple:
     """A record's checked (rows, embedding bytes, label bytes, provenance,
-    spans); ``spans`` is None for a tagging record, else {"e1": Span, "e2": Span}."""
+    spans), read in one walk; ``spans`` is None for a tagging record, else
+    its (e1, e2) :class:`Span` pair. A missing field raises its ``KeyError``."""
     labels = record["soft_labels" if task == "ner" else "soft_relation"]
     spans = None
     if task == "re":
-        _check_fields(record, _RE_SPAN_FIELDS, "record")
-        spans = {"e1": Span(*record["e1"]), "e2": Span(*record["e2"])}
-    emb_shape = record["embeddings"]["shape"]
-    if not set(map(type, emb_shape + labels["shape"])) <= {int}:  # 2.0 == 2, but not as a shape
-        raise ValueError(f"payload shapes {emb_shape} and {labels['shape']} must hold only integers")
-    problem = _shape_problem(emb_shape, labels["shape"], spans, dim, n_labels)
+        for key in ("e1", "e2"):
+            if not _spans((record[key],)):
+                raise ValueError(_mistyped("record", key, _PAIR, record[key]))
+        spans = Span(*record["e1"]), Span(*record["e2"])
+    emb = record["embeddings"]
+    emb_shape, label_shape = emb["shape"], labels["shape"]
+    if not set(map(type, emb_shape + label_shape)) <= {int}:  # 2.0 == 2, but not as a shape
+        raise ValueError(f"payload shapes {emb_shape} and {label_shape} must hold only integers")
+    problem = _shape_problem(emb_shape, label_shape, spans, dim, n_labels)
     if problem:
         raise ValueError(problem)
-    provenance = _read_provenance(record["provenance"], emb_shape[0])
-    return emb_shape[0], _payload(record["embeddings"]), _payload(labels), provenance, spans
+    rows, p = emb_shape[0], record["provenance"]
+    if not isinstance(p, dict):
+        raise ValueError("provenance is not a JSON object")
+    try:  # in field order, so the first missing field is the one named
+        index, variant, lam, p_spans, mixed, pool = (p["example_index"], p["variant"], p["lam"],
+                                                     p["spans"], p["mixed_spans"], p["pool_index"])
+    except KeyError as exc:
+        raise ValueError(f"provenance has no {exc} field") from None
+    words = p.get("replacements", ())
+    problem = _provenance_problem(index, variant, lam, p_spans, mixed, pool, words, rows)
+    if problem:
+        raise ValueError(problem)
+    provenance = Provenance(index, variant, lam, tuple(map(tuple, p_spans)),
+                            tuple(map(tuple, mixed)), pool, tuple(words) if words else None)
+    return (rows, _sized(binascii.a2b_base64(emb["data"]), emb_shape, "payload"),
+            _sized(binascii.a2b_base64(labels["data"]), label_shape, "payload"), provenance, spans)
 
 
 def _decode_block(block: list, task: str, dim: int, n_labels: int) -> list:
@@ -268,7 +259,7 @@ def _decode_block(block: list, task: str, dim: int, n_labels: int) -> list:
     ner = task == "ner"
     emb = _from_f4(bytearray().join(raw_emb), (b[-1], dim), "block")
     labels = _from_f4(bytearray().join(raw_labels), (b[-1] if ner else len(rows), n_labels), "block")
-    out = _records(emb, labels, b, provenances, None if ner else [(s["e1"], s["e2"]) for s in spans])
+    out = _records(emb, labels, b, provenances, None if ner else spans)
     if not (np.isfinite(emb).all() and np.isfinite(labels).all()):
         names = ("embeddings", "soft_labels" if ner else "soft_relation")
         line, name = next((line, name) for line, e in zip(lines, out) for name in names
@@ -296,11 +287,6 @@ class AugmentedFile:
         return _check_fields(self.meta["table"], _TABLE_FIELDS, "augmented table record")
 
 
-# The bytes ``_dump`` would write for a record (see the module docstring).
-_NER_RECORD = ('{"embeddings":{"data":"%s","shape":[%d,%d]},"provenance":%s,'
-               '"soft_labels":{"data":"%s","shape":[%d,%d]}}\n')
-_RE_RECORD = ('{"e1":[%d,%d],"e2":[%d,%d],"embeddings":{"data":"%s","shape":[%d,%d]},'
-              '"provenance":%s,"soft_relation":{"data":"%s","shape":[%d]}}\n')
 _BLOCK = 512  # examples cast to float32 at a time by the finiteness check
 # Records load_augmented decodes with one join and one frombuffer per payload
 # kind. A block of 512 loaded slower than 16: its records crowd the cache.
@@ -320,12 +306,10 @@ def _nonfinite_problem(examples: Sequence, labels: str) -> str | None:
     names = ("embeddings", labels)
     for lo in range(0, len(examples), _BLOCK):
         block = examples[lo:lo + _BLOCK]
-        if not any(_nonfinite([getattr(e, n) for e in block]) for n in names):
-            continue
-        for i, e in enumerate(block, start=lo):
-            for name in names:
-                if _nonfinite([getattr(e, name)]):
-                    return f"example {i}: {name} hold a non-finite value after the float32 cast"
+        if any(_nonfinite([getattr(e, n) for e in block]) for n in names):
+            i, name = next((i, n) for i, e in enumerate(block, start=lo) for n in names
+                           if _nonfinite([getattr(e, n)]))
+            return f"example {i}: {name} hold a non-finite value after the float32 cast"
     return None
 
 
@@ -340,11 +324,12 @@ def save_augmented(
     if task not in ("ner", "re"):
         raise ValueError(f"task must be 'ner' or 're', got {task!r}")
     dim = int(examples[0].embeddings.shape[1]) if examples else 0
+    labels = "soft_labels" if task == "ner" else "soft_relation"
     problem = (_examples_problem(examples, task == "re", dim, len(label_vocab))
-               or _nonfinite_problem(examples, "soft_labels" if task == "ner" else "soft_relation")
-               or _provenances_problem(examples))
-    if problem:  # all checked before a byte is written
+               or _nonfinite_problem(examples, labels))
+    if problem:
         raise ValueError(problem)
+    provenances = _provenance_texts(examples)  # all checked before a byte is written
     header = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -355,15 +340,20 @@ def save_augmented(
         "meta": meta or {},
     }
     stream.write(_dump(header) + "\n")
-    for e in examples:  # one write per record keeps the peak memory at one record
-        emb, prov = _f4(e.embeddings), _provenance_text(e.provenance)
+    b64 = binascii.b2a_base64
+    for e, prov in zip(examples, provenances):  # one write per record keeps the peak at one record
+        emb, soft = _f4(e.embeddings), _f4(getattr(e, labels))
+        data = b64(emb, newline=False).decode("ascii")
+        soft_data = b64(soft, newline=False).decode("ascii")
+        (rows, width), k = emb.shape, soft.shape[-1]
         if task == "ner":
-            labels = _f4(e.soft_labels)
-            stream.write(_NER_RECORD % (_b64(emb), *emb.shape, prov, _b64(labels), *labels.shape))
+            stream.write(f'{{"embeddings":{{"data":"{data}","shape":[{rows},{width}]}},'
+                         f'"provenance":{prov},"soft_labels":{{"data":"{soft_data}",'
+                         f'"shape":[{rows},{k}]}}}}\n')
         else:
-            labels = _f4(e.soft_relation)
-            stream.write(_RE_RECORD % (e.e1.start, e.e1.end, e.e2.start, e.e2.end, _b64(emb),
-                                       *emb.shape, prov, _b64(labels), *labels.shape))
+            stream.write(f'{{"e1":[{e.e1.start},{e.e1.end}],"e2":[{e.e2.start},{e.e2.end}],'
+                         f'"embeddings":{{"data":"{data}","shape":[{rows},{width}]}},"provenance":'
+                         f'{prov},"soft_relation":{{"data":"{soft_data}","shape":[{k}]}}}}\n')
 
 
 def _lines(stream: TextIO) -> Iterator[str]:
@@ -385,6 +375,19 @@ def _lines(stream: TextIO) -> Iterator[str]:
         stop = text.find("\n", start) + 1 or end
         yield text[start:stop]
         start = stop
+
+
+def _parse(line: str):
+    """``json.loads(line)``: the C scanner's value, taken only when nothing
+    but JSON whitespace follows it. Any other line goes to ``json.loads``,
+    which returns or raises what it always has."""
+    try:
+        value, end = _scan(line, 0)
+        if not line[end:].strip(" \t\n\r"):
+            return value
+    except (StopIteration, TypeError, ValueError):  # json.loads raises its own, below
+        pass
+    return json.loads(line)
 
 
 @_gc_quiet
@@ -411,7 +414,7 @@ def load_augmented(stream: TextIO) -> AugmentedFile:
         if line.isspace():  # stops at the first non-blank, where strip would copy the line
             continue
         try:
-            block.append((lineno, *_read_record(json.loads(line), task, dim, n_labels)))
+            block.append((lineno, *_read_record(_parse(line), task, dim, n_labels)))
         except (KeyError, TypeError, ValueError) as exc:
             _decode_block(block, task, dim, n_labels)  # an earlier line's fault is named first
             why = f"record has no {exc} field" if isinstance(exc, KeyError) else exc

@@ -701,7 +701,7 @@ def test_from_manifest_checks_ranges_like_the_flags(tmp_path, ner_file, capsys):
     ("train", {"seed": 2**32}, 1, "config key 'seed' must lie in [0, 2**32), got 4294967296"),
     ("augment", {"embed_seed": -1}, 1,
      "config key 'embed_seed' must lie in [0, 2**32), got -1"),
-    ("bench", {"repeats": 0}, 2, "config key 'repeats' must be 1 or more, got 0"),
+    ("bench", {"repeats": 0}, 1, "config key 'repeats' must be 1 or more, got 0"),
     ("bench", {"train_epochs": -3}, 1, "config key 'train_epochs' must be 0 or more, got -3"),
     ("bench", {"n_sentences": 0}, 1, "config key 'n_sentences' must be 1 or more, got 0"),
 ])
@@ -854,15 +854,47 @@ def test_train_negative_window_names_the_flag(tmp_path, ner_file, capsys):
     assert not ckpt.exists()
 
 
-def test_bench_zero_repeats_is_a_usage_error(tmp_path, ner_file, capsys):
+def test_bench_zero_repeats_is_a_range_error(tmp_path, ner_file, capsys):
     out = tmp_path / "bench.json"
-    with pytest.raises(SystemExit) as exc:
-        run("bench", "--input", ner_file, "--repeats", "0", "--output", out)
-    assert exc.value.code == 2
+    assert run("bench", "--input", ner_file, "--repeats", "0", "--output", out) == 1
     captured = capsys.readouterr()
-    assert "--repeats must be 1 or more, got 0" in captured.err
+    assert captured.err == "error: --repeats must be 1 or more, got 0\n"
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,missing", [
+    ("augment", "--output"), ("augment", "--manifest"), ("train", "--checkpoint"),
+    ("train", "--loss-trace"), ("train", "--manifest"), ("eval", "--report"),
+    ("eval", "--confusion"), ("sweep", "--output"), ("bench", "--output"), ("recover", "--output"),
+])
+def test_an_output_in_a_missing_directory_fails_before_any_work(
+        tmp_path, ner_file, test_file, monkeypatch, capsys, command, missing):
+    aug, ckpt = tmp_path / "aug.jsonl", tmp_path / "m.ckpt"
+    assert run("augment", "--input", ner_file, "--output", aug) == 0
+    assert run("train", "--train", ner_file, "--checkpoint", ckpt, "--epochs", "2") == 0
+    before = sorted(tmp_path.iterdir())
+    calls = []
+    for name in ("segmix_generate", "train_tagger"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, real=real, **k: calls.append(a) or real(*a, **k))
+    out = tmp_path / "out"
+    flags = {"augment": {"--input": ner_file, "--output": out},
+             "train": {"--train": ner_file, "--checkpoint": out, "--epochs": 2},
+             "eval": {"--checkpoint": ckpt, "--test": test_file},
+             "sweep": {"--train": ner_file, "--test": test_file, "--output": out, "--epochs": 2},
+             "bench": {"--input": ner_file, "--n-sentences": 5, "--repeats": 1, "--output": out},
+             "recover": {"--augmented": aug, "--output": out}}[command]
+    bad = tmp_path / "nodir" / "x"
+    flags[missing] = bad  # in place of the good path, if the command has one there
+    args = [part for flag in flags.items() for part in flag]
+    capsys.readouterr()
+    assert run(command, *args) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {missing} {bad}: directory {bad.parent} does not exist\n"
+    assert captured.out == ""
+    assert calls == []
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_recover_names_line_1_of_a_corpus_given_as_augmented(tmp_path, ner_file, capsys):

@@ -1,5 +1,7 @@
 """Embedding tables, interpolation primitives, and the generation pipeline."""
 
+import io
+import json
 from collections import Counter
 
 import numpy as np
@@ -45,10 +47,10 @@ from segmix.pools import (
     identity_lexicon,
 )
 from segmix.rng import derive_rng
-from segmix.serialization import _read_provenance
+from segmix.serialization import load_augmented
 from segmix.synth import synth_re_corpus, synth_tagged_corpus
 
-from conftest import provenance_json
+from conftest import encode_array, provenance_json
 
 
 def single_entry_pool(tokens, labels, source="mention"):
@@ -1088,11 +1090,21 @@ def test_replacement_da_re(hand_re_corpus):
 
 # ---------------------------------------------------------------- misc
 
+def _loaded_provenance(prov, rows):
+    """``prov`` as the JSON object of a ``rows``-row record, read back by the loader."""
+    header = {"format": "segmix-augmented", "version": 1, "task": "ner", "label_vocab": ["O"],
+              "dim": 2, "count": 1, "meta": {}}
+    record = {"embeddings": encode_array(np.zeros((rows, 2))), "provenance": provenance_json(prov),
+              "soft_labels": encode_array(np.ones((rows, 1)))}
+    text = json.dumps(header) + "\n" + json.dumps(record) + "\n"
+    return load_augmented(io.StringIO(text)).examples[0].provenance
+
+
 def test_provenance_json_round_trip():
     prov = Provenance(3, "mention", 0.41, ((1, 3),), ((1, 4),), pool_index=7)
-    assert _read_provenance(provenance_json(prov), 4) == prov
+    assert _loaded_provenance(prov, 4) == prov
     syn = Provenance(0, "synonym", 0.9, ((2, 3),), ((2, 3),), replacements=("was",))
-    assert _read_provenance(provenance_json(syn), 4) == syn
+    assert _loaded_provenance(syn, 4) == syn
 
 
 def test_mixed_example_row_mismatch_rejected():

@@ -2,6 +2,7 @@
 
 import base64
 import dataclasses
+import functools
 import io
 import json
 import re
@@ -29,6 +30,7 @@ from segmix.model import (
     REModel, TaggerModel, TrainConfig, gradient_check, train_re, train_tagger,
 )
 from segmix.serialization import (
+    _parse,
     load_augmented,
     load_checkpoint,
     save_augmented,
@@ -450,15 +452,24 @@ _NOT_PLAIN = [
 ]
 
 
-@pytest.mark.parametrize("field,value", _NOT_PLAIN)
-def test_save_refuses_a_provenance_the_template_cannot_write(field, value):
-    examples = _ner_examples()
+def _with_provenance(task, field, value):
+    """Two examples of ``task``, the second with its provenance ``field`` set
+    to ``value``, and their label vocabulary."""
+    examples, vocab = (_ner_examples(), ("B-X", "O")) if task == "ner" else (
+        _re_examples(), ("R(e1,e2)", "Other"))
     examples[1] = dataclasses.replace(
         examples[1], provenance=dataclasses.replace(examples[1].provenance, **{field: value}))
-    stream = io.StringIO()
-    with pytest.raises(ValueError, match=f"^example 1: provenance '{field}' must be "):
-        save_augmented(stream, examples, ("B-X", "O"), task="ner")
-    assert stream.getvalue() == ""
+    return examples, vocab
+
+
+@pytest.mark.parametrize("field,value", _NOT_PLAIN)
+def test_save_refuses_a_provenance_the_template_cannot_write(field, value):
+    for task in ("ner", "re"):
+        examples, vocab = _with_provenance(task, field, value)
+        stream = io.StringIO()
+        with pytest.raises(ValueError, match=f"^example 1: provenance '{field}' must be "):
+            save_augmented(stream, examples, vocab, task=task)
+        assert stream.getvalue() == ""
 
 
 @pytest.mark.parametrize("field,value", [
@@ -467,17 +478,18 @@ def test_save_refuses_a_provenance_the_template_cannot_write(field, value):
     ("pool_index", False), ("replacements", ["was", 1]), ("mixed_spans", ((0, 9),)),
 ])  # lists where a tuple would print otherwise than the JSON list it is written as
 def test_a_provenance_save_refuses_is_one_load_refuses_with_the_same_words(field, value):
-    examples = _ner_examples()
-    examples[1] = dataclasses.replace(
-        examples[1], provenance=dataclasses.replace(examples[1].provenance, **{field: value}))
-    with pytest.raises(ValueError) as saved:
-        save_augmented(io.StringIO(), examples, ("B-X", "O"), task="ner")
-    stream = io.StringIO()
-    _oracle_save(stream, examples, ("B-X", "O"), "ner")
-    with pytest.raises(ValueError) as loaded:
-        load_augmented(io.StringIO(stream.getvalue()))
-    assert str(saved.value).startswith("example 1: provenance ")
-    assert str(loaded.value) == "line 3: " + str(saved.value).removeprefix("example 1: ")
+    for task in ("ner", "re"):
+        examples, vocab = _with_provenance(task, field, value)
+        saving = io.StringIO()
+        with pytest.raises(ValueError) as saved:
+            save_augmented(saving, examples, vocab, task=task)
+        assert saving.getvalue() == ""
+        stream = io.StringIO()
+        _oracle_save(stream, examples, vocab, task)
+        with pytest.raises(ValueError) as loaded:
+            load_augmented(io.StringIO(stream.getvalue()))
+        assert str(saved.value).startswith("example 1: provenance ")
+        assert str(loaded.value) == "line 3: " + str(saved.value).removeprefix("example 1: ")
 
 
 def test_load_names_line_1_of_a_file_that_is_not_augmented():
@@ -790,6 +802,72 @@ def test_loading_a_written_stream_costs_under_4_bytes_a_character():
     # a readline or a line iteration first copies the text at 4 bytes a
     # character, which took the peak to 6.0 bytes a character; one read() to 2.0
     assert peak < 4 * len(text), f"peak {peak / len(text):.2f} bytes a character"
+
+
+# ---------------------------------------------------------------- the line parse
+
+@functools.cache
+def _saved_run_lines() -> tuple:
+    """Every line of a saved generated NER file and of a saved RE file."""
+    return tuple(line for task in ("ner", "re")
+                 for line in _loaded_run(task)[1].splitlines(keepends=True))
+
+
+def _outcome(parse, line) -> tuple:
+    """What ``parse(line)`` gives: ("value", its repr), so that a NaN equals
+    a NaN and 1 differs from 1.0, or (exception type, message)."""
+    try:
+        return "value", repr(parse(line))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_the_line_parse_reads_every_saved_line_as_json_loads_does():
+    lines = _saved_run_lines()
+    assert len(lines) > 100
+    for line in lines:
+        outcome = _outcome(_parse, line)
+        assert outcome[0] == "value" and outcome == _outcome(json.loads, line)
+
+
+_JSON_NUMBER = re.compile(r"(?<=[:\[,])-?\d[\d.eE+-]*")
+# JSON whitespace and characters that only str.isspace() counts as space
+_SPACE = st.text(st.sampled_from(" \t\r\n\x0b\x0c\x1c\x85\xa0\u2028\u3000"), min_size=1,
+                 max_size=3)
+
+
+@st.composite
+def _mutated_lines(draw):
+    """A saved line with one mutation a damaged or hand-edited file could hold."""
+    line = draw(st.sampled_from(_saved_run_lines()))
+    body = line.removesuffix("\n")
+    kind = draw(st.sampled_from(["lead", "trail", "crlf", "bom", "constant", "garbage", "twice",
+                                 "cut", "insert"]))
+    if kind == "lead":
+        return draw(_SPACE) + line
+    if kind == "trail":
+        return body + draw(_SPACE) + draw(st.sampled_from(["", "\n"]))
+    if kind == "crlf":
+        return body + "\r\n"
+    if kind == "bom":
+        return "\ufeff" + line
+    if kind == "constant":  # a number written as NaN or an infinity
+        start, end = draw(st.sampled_from([m.span() for m in _JSON_NUMBER.finditer(line)]))
+        return line[:start] + draw(st.sampled_from(["NaN", "Infinity", "-Infinity"])) + line[end:]
+    if kind == "garbage":
+        return body + draw(st.text(min_size=1, max_size=4)) + "\n"
+    if kind == "twice":
+        return body + line
+    at = draw(st.integers(0, len(body)))
+    if kind == "cut":
+        return line[:at]
+    return line[:at] + draw(st.text(min_size=1, max_size=2)) + line[at:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_lines())
+def test_the_line_parse_returns_or_raises_what_json_loads_does(line):
+    assert _outcome(_parse, line) == _outcome(json.loads, line)
 
 
 # ---------------------------------------------------------------- float32 at rest
