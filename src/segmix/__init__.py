@@ -17,13 +17,13 @@ from .corpus import (
     bio_spans, downsample, parse_conll, parse_re, validate_bio, write_corpus,
 )
 from .evaluation import (
-    EvalReport, entity_f1, nearest_token, nearest_tokens, per_type_f1, re_scores,
-    span_only_f1, tagging_report, re_report,
+    EvalReport, entity_f1, nearest_tokens, per_type_f1, re_scores, span_only_f1, tagging_report,
+    re_report,
 )
 from .mixer import (
     EmbeddingTable, EmptyPoolError, MixConfig, MixedExample, MixedRESample, Provenance,
-    encode_corpus, encode_re_corpus, mix, mix_example, mix_re_sample, one_hot, pad_to_longer,
-    replacement_da, sample_mix_ratio, segmix_generate,
+    encode_corpus, encode_re_corpus, mix_example, mix_re_sample, one_hot, replacement_da,
+    sample_mix_ratio, segmix_generate,
 )
 from .model import (
     REModel, TaggerModel, TrainConfig, TrainingDivergedError, TrainResult, gradient_check,

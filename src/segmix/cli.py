@@ -694,9 +694,11 @@ def _run(command: str, ns: SimpleNamespace) -> int:
         listed = flags[-1] if len(flags) == 1 else f"{', '.join(flags[:-1])} and {flags[-1]}"
         raise CliError(f"{command} needs {listed}")
     for dest in (*spec.outputs, "manifest"):  # before any work, so a bad path writes nothing
-        path = Path(getattr(ns, dest) or ".")
+        flag, path = f"--{dest.replace('_', '-')}", Path(getattr(ns, dest) or ".")
         if not path.parent.is_dir():
-            raise CliError(f"--{dest.replace('_', '-')} {path}: directory {path.parent} does not exist")
+            raise CliError(f"{flag} {path}: directory {path.parent} does not exist")
+        if getattr(ns, dest) and path.is_dir():  # an unset output's "." is a directory
+            raise CliError(f"{flag} {path} is a directory")
     started = time.perf_counter()
     created = datetime.now(timezone.utc).isoformat(timespec="seconds")
     manifest = RunManifest(command=command, args=dict(vars(ns)), created=created)
@@ -756,9 +758,10 @@ def main(argv: list[str] | None = None) -> int:
         return _run(ns.command, _resolve(ns.command, config, "config", flags))
     except UsageError as exc:
         parser.error(str(exc))
-    except (CliError, ValueError, TrainingDivergedError, OSError, MemoryError) as exc:
+    except (CliError, ValueError, TrainingDivergedError, OSError, MemoryError, RecursionError) as exc:
         # bad data arrives as a ValueError, CorpusFormatError and EmptyPoolError among them;
-        # numpy refuses an array it cannot allocate (a huge --dim, say) with a MemoryError
+        # numpy refuses an array it cannot allocate (a huge --dim, say) with a MemoryError, and
+        # json a deeply nested value with a RecursionError
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 

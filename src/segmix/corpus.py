@@ -126,6 +126,17 @@ def _mentions(kind: np.ndarray, etype: np.ndarray, offsets) -> tuple[np.ndarray,
     return starts, stops[np.searchsorted(stops, starts, side="right")]
 
 
+def _read_bio(labels: Sequence[str], bounds) -> tuple[np.ndarray, list[int]]:
+    """Kind of every label (-1 for one that is not BIO) and the positions of
+    the stray I-X, each an I-X that opens a mention (:func:`_mentions`);
+    sentence i is ``labels[bounds[i]:bounds[i + 1]]``."""
+    ids, vocab = _vocab_ids(labels)
+    kind_of, type_of, _ = _bio_tables(vocab)
+    kind = kind_of[ids]
+    starts, _ = _mentions(kind, type_of[ids], bounds)
+    return kind, starts[kind[starts] == _I].tolist()
+
+
 def _flatten(rows: Iterable[Sequence]) -> tuple[list, np.ndarray]:
     """The items of ``rows`` end to end, and offsets: row i is ``flat[offsets[i]:offsets[i + 1]]``."""
     rows = list(rows)
@@ -193,23 +204,22 @@ def bio_spans(labels: Iterable[str]) -> list[tuple[int, int, str]]:
 def validate_bio(labels: Iterable[str], repair: bool = False) -> tuple[str, ...]:
     """Check BIO validity; optionally promote stray I-X to B-X.
 
-    Returns the (possibly repaired) label tuple, or raises
-    BioValidationError naming the offending position.
+    Returns the (possibly repaired) label tuple. Raises BioValidationError
+    naming the position of a stray I-X, or CorpusFormatError for a label
+    that is not BIO, whichever comes first.
     """
-    out = []
-    prev_kind, prev_type = "O", None
-    for i, label in enumerate(labels):
-        kind, etype = split_bio(label)
-        if kind == "I" and not (prev_kind in ("B", "I") and prev_type == etype):
-            if repair:
-                kind, label = "B", f"B-{etype}"
-            else:
-                raise BioValidationError(
-                    f"I-{etype} at position {i} has no preceding B-{etype}/I-{etype}"
-                )
-        out.append(label)
-        prev_kind, prev_type = kind, etype
-    return tuple(out)
+    labels = list(labels)
+    kind, stray = _read_bio(labels, [0, len(labels)])
+    not_bio = np.flatnonzero(kind < 0).tolist()
+    if stray and not repair and not (not_bio and not_bio[0] < stray[0]):
+        etype = labels[stray[0]][2:]
+        raise BioValidationError(
+            f"I-{etype} at position {stray[0]} has no preceding B-{etype}/I-{etype}")
+    if not_bio:
+        split_bio(labels[not_bio[0]])
+    for p in stray:
+        labels[p] = "B-" + labels[p][2:]
+    return tuple(labels)
 
 
 @dataclass(frozen=True)
@@ -360,11 +370,7 @@ def parse_conll(source: str | TextIO | Iterable[str], repair_bio: bool = False) 
         bounds.append(n)
         end_lines.append(lineno + 1)  # after a bad line, which is raised first
 
-    ids, vocab = _vocab_ids(labels)
-    kind_of, type_of, _ = _bio_tables(vocab)
-    kind = kind_of[ids]
-    mention_starts, _ = _mentions(kind, type_of[ids], bounds)
-    stray = mention_starts[kind[mention_starts] == _I].tolist()
+    kind, stray = _read_bio(labels, bounds)
     faults: list[tuple[int, CorpusFormatError]] = []
     if bad_fields:
         faults.append((lineno, CorpusFormatError(

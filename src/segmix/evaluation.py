@@ -142,14 +142,6 @@ def _confusion(gold: np.ndarray, predicted: np.ndarray, names: Sequence[str],
     return np.bincount(gold * size + predicted, minlength=size * size).reshape(size, size)
 
 
-def token_confusion(
-    gold, predicted: Sequence[Sequence[str]], vocab: Sequence[str]
-) -> np.ndarray:
-    """counts[gold_index, predicted_index] over token-level labels."""
-    gold_ids, pred_ids, _, names = _label_streams(gold, predicted, vocab)
-    return _confusion(gold_ids, pred_ids, names, len(vocab))
-
-
 def split_relation(label: str) -> tuple[str, str | None]:
     """'Cause-Effect(e1,e2)' -> ('Cause-Effect', 'e1,e2'); no suffix -> None."""
     if label.endswith(")") and "(" in label:
@@ -238,10 +230,6 @@ def nearest_tokens(table: EmbeddingTable, embeddings: np.ndarray) -> list[tuple[
         (table.tokens[j], float(np.sqrt(sq[i, j])))
         for i, j in enumerate(best)
     ]
-
-
-def nearest_token(table: EmbeddingTable, vector: np.ndarray) -> tuple[str, float]:
-    return nearest_tokens(table, np.asarray(vector)[None, :])[0]
 
 
 # ---------------------------------------------------------------------------

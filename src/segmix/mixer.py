@@ -226,25 +226,6 @@ def sample_mix_ratio(alpha: float, rng: np.random.Generator) -> float:
     return float(_beta(alpha, 1, rng, rng)[0])
 
 
-def pad_to_longer(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Extend the shorter matrix with zero rows; the longer passes through."""
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(f"column mismatch: {a.shape} vs {b.shape}")
-    rows = max(len(a), len(b))
-    if len(a) < rows:
-        a = np.vstack([a, np.zeros((rows - len(a), a.shape[1]))])
-    elif len(b) < rows:
-        b = np.vstack([b, np.zeros((rows - len(b), b.shape[1]))])
-    return a, b
-
-
-def mix(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
-    """Elementwise ``lam * a + (1 - lam) * b`` on equal-shape matrices."""
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return lam * a + (1.0 - lam) * b
-
-
 @dataclass
 class MixConfig:
     """Knobs for a generation run.
@@ -392,15 +373,13 @@ class ReplacementResult:
     requested: int
 
 
-def _check_segment_args(example, variant: str, lexicon: SynonymLexicon | None) -> None:
-    """Refuse an example of the wrong kind for ``variant``, or a synonym without a lexicon."""
+def _check_segment_args(example, variant: str) -> None:
+    """Refuse an example of the wrong kind for ``variant``."""
     if variant == "relation":
         if not isinstance(example, RESample):
             raise TypeError("relation variant needs an RESample")
     elif not isinstance(example, Sentence):
         raise TypeError(f"{variant} variant needs a Sentence")
-    elif variant == "synonym" and lexicon is None:
-        raise ValueError("synonym variant needs a lexicon")
 
 
 @dataclass
@@ -781,7 +760,7 @@ def _records(embeddings: np.ndarray, labels: np.ndarray, bounds: Sequence[int], 
 def _mix_one(example, variant: str, pool, table: EmbeddingTable, vocab: Sequence[str],
              config: MixConfig, rng: np.random.Generator, example_index: int):
     """One example as a one-slot run: lam, then one (1, 2) uniform row, from ``rng``."""
-    _check_segment_args(example, variant, pool if isinstance(pool, SynonymLexicon) else None)
+    _check_segment_args(example, variant)
     # a single example has no other example to retry with
     config = replace(config, variant=variant, weights=None, retry_limit=0)
     src, zero = _compile([example]), np.zeros(1, np.int64)

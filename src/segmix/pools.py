@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -25,8 +25,6 @@ from .corpus import (
     CorpusFormatError, RECorpus, TaggedCorpus, _O, _Source, _bio_arrays, _compile, _gc_quiet,
     _iter_lines, _mentions,
 )
-
-POOL_SOURCES = ("mention", "token", "synonym", "relation", "sequence")
 
 
 class EmptyPoolError(ValueError):
@@ -52,11 +50,8 @@ class SegmentPool:
 
     arity: int
     entries: tuple[SegmentTuple, ...]
-    source: str
 
     def __post_init__(self):
-        if self.source not in POOL_SOURCES:
-            raise ValueError(f"unknown pool source {self.source!r}")
         arities = {len(entry.segments) for entry in self.entries} - {self.arity}
         if arities:
             raise ValueError(f"pool arity {self.arity} but entry has {min(arities)} segments")
@@ -139,8 +134,7 @@ def _segment_pool(src: _Source, variant: str) -> SegmentPool:
     segments = zip(*(map(tokens.__getitem__, c) for c in cuts))
     if variant != "relation":
         labels = zip(*(map(labels.__getitem__, c) for c in cuts))
-    source = "sequence" if variant == "whole_sequence" else variant
-    return SegmentPool(len(cuts), tuple(map(SegmentTuple, segments, labels)), source)
+    return SegmentPool(len(cuts), tuple(map(SegmentTuple, segments, labels)))
 
 
 @_gc_quiet
@@ -202,8 +196,3 @@ def load_synonym_lexicon(source) -> SynonymLexicon:
             raise CorpusFormatError(f"line {lineno}: empty or multiword synonym entry")
         table.setdefault(token, []).extend(syns)
     return SynonymLexicon({k: tuple(v) for k, v in table.items()})
-
-
-def identity_lexicon(tokens: Iterable[str]) -> SynonymLexicon:
-    """Each token is its own only synonym (useful for pipeline checks)."""
-    return SynonymLexicon({t: (t,) for t in dict.fromkeys(tokens)})

@@ -415,7 +415,7 @@ def load_augmented(stream: TextIO) -> AugmentedFile:
             continue
         try:
             block.append((lineno, *_read_record(_parse(line), task, dim, n_labels)))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             _decode_block(block, task, dim, n_labels)  # an earlier line's fault is named first
             why = f"record has no {exc} field" if isinstance(exc, KeyError) else exc
             raise ValueError(f"line {lineno}: {why}") from None

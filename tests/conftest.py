@@ -1,8 +1,10 @@
-"""Shared corpus builders for the test suite.
+"""Shared corpus builders and reference implementations for the test suite.
 
 The random generators here are intentionally plain: uniform draws over
 small vocabularies, explicit BIO assembly, no reuse of library helpers
-whose behavior the tests are meant to check.
+whose behavior the tests are meant to check. The references (the
+per-label BIO check, the padded blend, log-softmax) restate one rule of
+the library the direct way, for tests to compare its array code against.
 """
 
 import base64
@@ -10,7 +12,10 @@ import base64
 import numpy as np
 import pytest
 
-from segmix.corpus import RECorpus, RESample, Sentence, Span, TaggedCorpus
+from segmix.corpus import (
+    BioValidationError, RECorpus, RESample, Sentence, Span, TaggedCorpus, split_bio,
+)
+from segmix.pools import SynonymLexicon
 
 ENTITY_TYPES = ("PER", "LOC", "ORG", "MISC")
 RELATIONS = (
@@ -19,6 +24,57 @@ RELATIONS = (
     "Member-Group(e1,e2)",
     "Other",
 )
+
+
+def per_label_validate_bio(labels, repair=False) -> tuple:
+    """``validate_bio`` one label at a time: the oracle for the library's
+    array reading, and for ``parse_conll``'s through the per-line parse."""
+    out = []
+    prev_kind, prev_type = "O", None
+    for i, label in enumerate(labels):
+        kind, etype = split_bio(label)
+        if kind == "I" and not (prev_kind in ("B", "I") and prev_type == etype):
+            if repair:
+                kind, label = "B", f"B-{etype}"
+            else:
+                raise BioValidationError(
+                    f"I-{etype} at position {i} has no preceding B-{etype}/I-{etype}"
+                )
+        out.append(label)
+        prev_kind, prev_type = kind, etype
+    return tuple(out)
+
+
+def pad_to_longer(a, b):
+    """Extend the shorter matrix with zero rows; the longer passes through.
+    With :func:`mix`, the oracle for the mixer's blocked blend."""
+    if a.shape[1] != b.shape[1]:
+        raise ValueError(f"column mismatch: {a.shape} vs {b.shape}")
+    rows = max(len(a), len(b))
+    if len(a) < rows:
+        a = np.vstack([a, np.zeros((rows - len(a), a.shape[1]))])
+    elif len(b) < rows:
+        b = np.vstack([b, np.zeros((rows - len(b), b.shape[1]))])
+    return a, b
+
+
+def mix(a, b, lam):
+    """Elementwise ``lam * a + (1 - lam) * b`` on equal-shape matrices."""
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    return lam * a + (1.0 - lam) * b
+
+
+def log_softmax(logits):
+    """Numerically stable log-softmax along the last axis: the oracle for
+    the loss inside the trainer's fused step."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def identity_lexicon(tokens) -> SynonymLexicon:
+    """Each token is its own only synonym, for pipeline checks."""
+    return SynonymLexicon({t: (t,) for t in dict.fromkeys(tokens)})
 
 
 def provenance_json(p) -> dict:

@@ -873,6 +873,8 @@ def test_an_output_in_a_missing_directory_fails_before_any_work(
     aug, ckpt = tmp_path / "aug.jsonl", tmp_path / "m.ckpt"
     assert run("augment", "--input", ner_file, "--output", aug) == 0
     assert run("train", "--train", ner_file, "--checkpoint", ckpt, "--epochs", "2") == 0
+    adir = tmp_path / "adir"
+    adir.mkdir()
     before = sorted(tmp_path.iterdir())
     calls = []
     for name in ("segmix_generate", "train_tagger"):
@@ -885,16 +887,18 @@ def test_an_output_in_a_missing_directory_fails_before_any_work(
              "sweep": {"--train": ner_file, "--test": test_file, "--output": out, "--epochs": 2},
              "bench": {"--input": ner_file, "--n-sentences": 5, "--repeats": 1, "--output": out},
              "recover": {"--augmented": aug, "--output": out}}[command]
-    bad = tmp_path / "nodir" / "x"
-    flags[missing] = bad  # in place of the good path, if the command has one there
-    args = [part for flag in flags.items() for part in flag]
-    capsys.readouterr()
-    assert run(command, *args) == 1
-    captured = capsys.readouterr()
-    assert captured.err == f"error: {missing} {bad}: directory {bad.parent} does not exist\n"
-    assert captured.out == ""
+    nodir = tmp_path / "nodir" / "x"
+    for bad, why in ((nodir, f": directory {nodir.parent} does not exist"), (adir, " is a directory")):
+        flags[missing] = bad  # in place of the good path, if the command has one there
+        args = [part for flag in flags.items() for part in flag]
+        capsys.readouterr()
+        assert run(command, *args) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {missing} {bad}{why}\n"
+        assert captured.out == ""
     assert calls == []
     assert sorted(tmp_path.iterdir()) == before
+    assert not any(adir.iterdir())
 
 
 def test_recover_names_line_1_of_a_corpus_given_as_augmented(tmp_path, ner_file, capsys):
@@ -1054,6 +1058,34 @@ def test_eval_refuses_a_truncated_checkpoint_header(tmp_path, ner_file, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert ("truncated" if missing is None else f"'{missing}'") in err
+
+
+@pytest.mark.parametrize("entry", ["recover --augmented", "train --augmented", "--config",
+                                   "--from-manifest", "eval --checkpoint"])
+def test_deeply_nested_json_is_one_error_line(tmp_path, ner_file, capsys, entry):
+    deep, path = "[" * 100_000, tmp_path / "deep"
+    if entry.endswith("--augmented"):  # a good header, then a record json cannot nest that deep
+        assert run("augment", "--input", ner_file, "--output", tmp_path / "aug.jsonl") == 0
+        header = (tmp_path / "aug.jsonl").read_text().splitlines(keepends=True)[0]
+        path.write_text(header + deep + "\n")
+    elif entry == "eval --checkpoint":  # a good magic and version, then the header
+        assert run("train", "--train", ner_file, "--checkpoint", path, "--epochs", "1") == 0
+        path.write_bytes(path.read_bytes()[:8] + struct.pack("<I", len(deep)) + deep.encode())
+    else:
+        path.write_text(deep)
+    argv = {"recover --augmented": ["recover", "--augmented", path],
+            "train --augmented": ["train", "--train", ner_file, "--augmented", path,
+                                  "--checkpoint", tmp_path / "m.ckpt"],
+            "--config": ["augment", "--config", path, "--input", ner_file],
+            "--from-manifest": ["--from-manifest", path],
+            "eval --checkpoint": ["eval", "--checkpoint", path, "--test", ner_file]}[entry]
+    capsys.readouterr()
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and "maximum recursion depth exceeded" in err
+    if entry.endswith("--augmented"):
+        assert err.startswith("error: line 2: maximum recursion depth exceeded")
 
 
 def _rewrite_checkpoint(path, header_edit=None, payload_edit=None):

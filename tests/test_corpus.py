@@ -34,7 +34,7 @@ from segmix.corpus import (
 )
 from segmix.synth import synth_re_corpus, synth_tagged_corpus
 
-from conftest import random_corpus, random_re_corpus
+from conftest import per_label_validate_bio, random_corpus, random_re_corpus
 
 
 # ---------------------------------------------------------------- labels
@@ -128,6 +128,24 @@ def test_validate_bio_repair_promotes():
     # repair output is always valid under the strict check
     repaired = validate_bio(["I-A", "I-B", "I-B", "O", "I-A"], repair=True)
     assert validate_bio(repaired) == repaired
+
+
+def _validate_outcome(validate, labels, repair):
+    try:
+        return validate(labels, repair=repair)
+    except CorpusFormatError as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(["O", "B-A", "I-A", "B-B", "I-B", "X", "B-", "I"]), max_size=12),
+       st.booleans())
+@example([], False)
+@example([], True)
+def test_validate_bio_is_the_per_label_loop(labels, repair):
+    # the same labels, or the same exception type and message
+    got = _validate_outcome(validate_bio, labels, repair)
+    assert got == _validate_outcome(per_label_validate_bio, labels, repair)
 
 
 # ---------------------------------------------------------------- containers
@@ -284,7 +302,7 @@ def _per_line_parse_conll(source, repair_bio=False):
         if not tokens:
             return
         try:
-            fixed = validate_bio(labels, repair=repair_bio)
+            fixed = per_label_validate_bio(labels, repair=repair_bio)
         except BioValidationError as err:
             raise BioValidationError(
                 f"sentence {len(sentences)} (ending line {lineno}): {err}"

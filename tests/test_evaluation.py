@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from segmix.corpus import Sentence, TaggedCorpus, _mentions, bio_spans, split_bio
 from segmix.evaluation import (
     PRF,
+    _confusion,
     _gold_side,
     _span_counts,
     _streams,
     entity_f1,
-    nearest_token,
     nearest_tokens,
     per_type_f1,
     pred_spans,
@@ -24,7 +24,6 @@ from segmix.evaluation import (
     span_only_f1,
     split_relation,
     tagging_report,
-    token_confusion,
 )
 from segmix.mixer import EmbeddingTable
 
@@ -98,11 +97,11 @@ def test_per_type_f1_refuses_misaligned_predictions(hand_corpus):
 
 
 def test_confusions_refuse_misaligned_predictions():
-    vocab = ("B-X", "O")
+    gold = TaggedCorpus.from_sentences([Sentence(("a",), ("B-X",)), Sentence(("b",), ("O",))])
     with pytest.raises(ValueError, match="counts differ"):
-        token_confusion([["B-X"], ["O"]], [["B-X"]], vocab)
+        tagging_report(gold, [["B-X"]])
     with pytest.raises(ValueError, match="lengths differ"):
-        token_confusion([["B-X", "O"]], [["B-X"]], vocab)
+        tagging_report(gold, [["B-X", "O"], ["O"]])
     with pytest.raises(ValueError, match="counts differ"):
         re_confusion(["R1", "R2"], ["R1"], ("R1", "R2"))
 
@@ -135,14 +134,13 @@ def test_per_type_sums_match_overall():
 
 
 def test_token_confusion():
-    vocab = ("B-X", "O")
-    gold = [["B-X", "O", "O"]]
-    pred = [["B-X", "B-X", "O"]]
-    matrix = token_confusion(gold, pred, vocab)
-    assert np.array_equal(matrix, [[1, 0], [1, 1]])
-    assert matrix.dtype == np.int64
+    gold = TaggedCorpus.from_sentences([Sentence(("a", "b", "c"), ("B-X", "O", "O"))])
+    report = tagging_report(gold, [["B-X", "B-X", "O"]])
+    assert report.confusion_vocab == ("B-X", "O")
+    assert np.array_equal(report.confusion, [[1, 0], [1, 1]])
+    assert report.confusion.dtype == np.int64
     # perfect predictions are purely diagonal
-    diag = token_confusion(gold, gold, vocab)
+    diag = tagging_report(gold, [["B-X", "O", "O"]]).confusion
     assert np.array_equal(diag, [[1, 0], [0, 2]])
 
 
@@ -209,9 +207,9 @@ def test_nearest_tokens_exact_rows():
 def test_nearest_token_tracks_lambda_side():
     table = EmbeddingTable.random(["a", "b"], 8, seed=1)
     va, vb = table.vectors[0], table.vectors[1]
-    tok, _ = nearest_token(table, 0.9 * va + 0.1 * vb)
+    tok, _ = nearest_tokens(table, [0.9 * va + 0.1 * vb])[0]
     assert tok == "a"
-    tok, _ = nearest_token(table, 0.1 * va + 0.9 * vb)
+    tok, _ = nearest_tokens(table, [0.1 * va + 0.9 * vb])[0]
     assert tok == "b"
 
 
@@ -219,7 +217,7 @@ def test_nearest_tokens_exclude_buckets():
     # a bucket row itself must resolve to some real vocabulary token
     table = EmbeddingTable.random(["a", "b"], 4, seed=2, n_buckets=16)
     bucket_row = table.vectors[table.index("never-seen")]
-    tok, dist = nearest_token(table, bucket_row)
+    tok, dist = nearest_tokens(table, [bucket_row])[0]
     assert tok in ("a", "b")
     assert dist > 0
 
@@ -354,7 +352,6 @@ def test_id_path_scores_equal_the_string_path(streams):
     assert entity_f1([list(s.labels) for s in gold.sentences], pred) == overall
 
     vocab = tuple(dict.fromkeys([*gold.label_vocab, *(p for row in pred for p in row)]))
-    assert np.array_equal(token_confusion(gold, pred, vocab), _string_confusion(gold, pred, vocab))
     report = tagging_report(gold, pred)
     assert report.confusion_vocab == vocab
     assert np.array_equal(report.confusion, _string_confusion(gold, pred, vocab))
@@ -366,7 +363,7 @@ def test_scoring_refuses_the_first_label_that_is_not_bio_and_only_labels_it_read
     with pytest.raises(ValueError, match="not a BIO label: 'X-FOO'"):
         entity_f1([["O", "B-A"]], [["X-FOO", "Y-BAR"]])
     with pytest.raises(ValueError, match="label 'I-Q' not in vocabulary"):
-        token_confusion([["O", "I-Q"]], [["O", "O"]], ("O", "B-A"))
+        _confusion(np.array([0, 2]), np.array([0, 0]), ("O", "B-A", "I-Q"), 2)
     gold = TaggedCorpus.from_sentences([Sentence(("a", "b"), ("B-A", "O"))])
     side, labels = _gold_side(gold), ("O", "B-A", "junk")  # a label never predicted is never read
 

@@ -18,9 +18,7 @@ from segmix.corpus import split_bio
 from segmix.mixer import (
     EmbeddingTable,
     MixConfig,
-    mix,
     one_hot,
-    pad_to_longer,
     segmix_generate,
 )
 from segmix.pools import (
@@ -34,6 +32,8 @@ from segmix.pools import (
 )
 from segmix.serialization import save_augmented
 from segmix.synth import synth_re_corpus, synth_tagged_corpus
+
+from conftest import mix, pad_to_longer
 
 
 def _ner_pools(corpus):
@@ -142,7 +142,7 @@ def test_same_type_pool_index_names_the_drawn_duplicate():
     """Equal entries are distinct draws: pool_index must be the drawn one."""
     corpus = synth_tagged_corpus(40, seed=8)
     entry = SegmentTuple((("rome",),), (("B-LOC",),))
-    pool = SegmentPool(1, (entry,) * 6, "mention")
+    pool = SegmentPool(1, (entry,) * 6)
     table = EmbeddingTable.random(corpus.token_vocab, 8, seed=0)
     config = MixConfig(variant="mention", rate=2.0, seed=0, same_type_only=True)
     result = segmix_generate(corpus, pool, table, config)

@@ -23,11 +23,9 @@ from segmix.mixer import (
     MixedExample,
     Provenance,
     SegmentPool,
-    mix,
     mix_example,
     mix_re_sample,
     one_hot,
-    pad_to_longer,
     replacement_da,
     sample_mix_ratio,
     encode_corpus,
@@ -44,17 +42,16 @@ from segmix.pools import (
     build_relation_pool,
     build_sequence_pool,
     build_token_pool,
-    identity_lexicon,
 )
 from segmix.rng import derive_rng
 from segmix.serialization import load_augmented
 from segmix.synth import synth_re_corpus, synth_tagged_corpus
 
-from conftest import encode_array, provenance_json
+from conftest import encode_array, identity_lexicon, mix, pad_to_longer, provenance_json
 
 
-def single_entry_pool(tokens, labels, source="mention"):
-    return SegmentPool(1, (SegmentTuple((tuple(tokens),), (tuple(labels),)),), source)
+def single_entry_pool(tokens, labels):
+    return SegmentPool(1, (SegmentTuple((tuple(tokens),), (tuple(labels),)),))
 
 
 # ---------------------------------------------------------------- tables
@@ -408,7 +405,7 @@ def test_select_segment_synonym(hand_corpus):
     empty = SynonymLexicon({"absent": ("gone",)})
     with pytest.raises(ValueError, match="no eligible segment"):
         _one_slot(sent, "synonym", rng, empty)
-    with pytest.raises(ValueError, match="needs a lexicon"):
+    with pytest.raises(ValueError, match="needs a synonym lexicon"):
         _one_slot(sent, "synonym", rng)
 
 
@@ -548,7 +545,7 @@ def test_synonym_mix_leaves_labels_alone(loc_sentence):
 
 def test_whole_sequence_mixes_every_row(loc_sentence):
     table = EmbeddingTable.random(tuple(loc_sentence.tokens) + ("x", "y"), 8, 11)
-    pool = single_entry_pool(("x", "y"), ("O", "O"), source="sequence")
+    pool = single_entry_pool(("x", "y"), ("O", "O"))
     cfg = MixConfig(variant="whole_sequence", fixed_lambda=0.5)
     got = mix_example(loc_sentence, pool, table, VOCAB, cfg, np.random.default_rng(0))
     assert got.provenance.spans == ((0, 5),)
@@ -573,7 +570,6 @@ def test_re_mix_hand_values():
     pool = SegmentPool(
         2,
         (SegmentTuple((("flu",), ("fever",)), "Cause-Effect(e2,e1)"),),
-        "relation",
     )
     cfg = MixConfig(variant="relation", fixed_lambda=0.7)
     got = mix_re_sample(sample, pool, table, vocab, cfg, np.random.default_rng(0))
@@ -599,7 +595,6 @@ def test_re_mix_growth_shifts_second_span():
     pool = SegmentPool(
         2,
         (SegmentTuple((("big", "flu"), ("fever",)), "Cause-Effect(e1,e2)"),),
-        "relation",
     )
     cfg = MixConfig(variant="relation", fixed_lambda=0.7)
     got = mix_re_sample(sample, pool, table, vocab, cfg, np.random.default_rng(0))
@@ -615,7 +610,7 @@ def test_re_mix_same_relation_stays_one_hot():
     sample = RESample(("a", "b", "c"), Span(0, 1), Span(2, 3), "Other")
     vocab = ("Other",)
     table = EmbeddingTable.random(("a", "b", "c"), 4, 0)
-    pool = SegmentPool(2, (SegmentTuple((("a",), ("c",)), "Other"),), "relation")
+    pool = SegmentPool(2, (SegmentTuple((("a",), ("c",)), "Other"),))
     cfg = MixConfig(variant="relation", fixed_lambda=0.7)
     got = mix_re_sample(sample, pool, table, vocab, cfg, np.random.default_rng(0))
     assert np.allclose(got.soft_relation, [1.0])
@@ -648,13 +643,13 @@ def test_single_mix_refuses_an_empty_pool(loc_sentence):
     table = EmbeddingTable.random(VOCAB, 8, 0)
     rng = np.random.default_rng(0)
     with pytest.raises(EmptyPoolError):
-        mix_example(loc_sentence, SegmentPool(1, (), "mention"), table, VOCAB, MixConfig(), rng)
+        mix_example(loc_sentence, SegmentPool(1, ()), table, VOCAB, MixConfig(), rng)
     with pytest.raises(EmptyPoolError):
         mix_example(loc_sentence, SynonymLexicon({}), table, VOCAB,
                     MixConfig(variant="synonym"), rng)
     sample = RESample(("a", "b"), Span(0, 1), Span(1, 2), "Other")
     with pytest.raises(EmptyPoolError):
-        mix_re_sample(sample, SegmentPool(2, (), "relation"), table, ("Other",),
+        mix_re_sample(sample, SegmentPool(2, ()), table, ("Other",),
                       MixConfig(variant="relation"), rng)
 
 
@@ -715,14 +710,14 @@ def test_a_combination_run_refuses_a_bare_pool():
 def test_a_pool_entry_with_unequal_token_and_label_counts_is_refused():
     corpus = mention_corpus(4)
     table = EmbeddingTable.random(corpus.token_vocab, 8, 0)
-    bad = SegmentPool(1, (SegmentTuple((("a", "b"),), (("B-LOC",),)),), "mention")
+    bad = SegmentPool(1, (SegmentTuple((("a", "b"),), (("B-LOC",),)),))
     with pytest.raises(ValueError, match="pool entry has unequal token and label counts"):
         segmix_generate(corpus, bad, table, MixConfig(variant="mention", rate=1.0))
     # no label tuple at all, or one label short, refused alike by every path that draws it
     small = TaggedCorpus.from_sentences([Sentence(("big", "rome"), ("O", "B-LOC"))])
     table = EmbeddingTable.random(small.token_vocab, 8, 0)
     for entry in (SegmentTuple((("a",),), ()), SegmentTuple((("a", "b"),), (("B-LOC",),))):
-        bad = SegmentPool(1, (entry,), "mention")
+        bad = SegmentPool(1, (entry,))
         for run in (lambda: segmix_generate(small, bad, table, MixConfig(rate=1.0)),
                     lambda: replacement_da(small, bad, MixConfig(rate=1.0)),
                     lambda: segmix_generate(small, bad, table, MixConfig(rate=1.0, same_type_only=True))):
@@ -1067,8 +1062,6 @@ def test_replacement_da_output_stays_bio_valid():
 
 
 def test_replacement_da_identity_lexicon_reproduces_originals(hand_corpus):
-    from segmix.pools import identity_lexicon
-
     lex = identity_lexicon(hand_corpus.token_vocab)
     cfg = MixConfig(variant="synonym", rate=1.0, seed=0)
     result = replacement_da(hand_corpus, lex, cfg)

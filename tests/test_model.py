@@ -38,7 +38,6 @@ from segmix.model import (
     _train,
     _window_rows,
     gradient_check,
-    log_softmax,
     predict_re,
     predict_tagger,
     soft_cross_entropy,
@@ -48,6 +47,8 @@ from segmix.model import (
 from segmix.rng import derive_rng
 from segmix.serialization import load_checkpoint, save_checkpoint, write_loss_trace
 from segmix.synth import synth_re_corpus, synth_tagged_corpus
+
+from conftest import log_softmax
 
 
 # ---------------------------------------------------------------- losses

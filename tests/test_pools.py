@@ -15,7 +15,6 @@ from segmix.pools import (
     build_relation_pool,
     build_sequence_pool,
     build_token_pool,
-    identity_lexicon,
     load_synonym_lexicon,
 )
 
@@ -28,7 +27,6 @@ def entry_key(entry):
 def test_mention_pool_contents(hand_corpus):
     pool = build_mention_pool(hand_corpus)
     assert pool.arity == 1
-    assert pool.source == "mention"
     got = Counter(entry_key(e) for e in pool.entries)
     want = Counter(
         [
@@ -97,16 +95,14 @@ def test_sequence_pool_contents(hand_corpus):
 def test_pool_arity_mismatch_rejected():
     entry = SegmentTuple((("a",), ("b",)), "Other")
     with pytest.raises(ValueError, match="arity"):
-        SegmentPool(1, (entry,), "mention")
-    with pytest.raises(ValueError, match="unknown pool source"):
-        SegmentPool(1, (), "mentions")
+        SegmentPool(1, (entry,))
 
 
 ONE_MENTION = TaggedCorpus.from_sentences([Sentence(("big", "rome"), ("O", "B-LOC"))])
 
 
 def test_empty_pool_draw_raises():
-    pool = SegmentPool(1, (), "mention")
+    pool = SegmentPool(1, ())
     table = EmbeddingTable.random(ONE_MENTION.token_vocab, 4, 0)
     with pytest.raises(EmptyPoolError):
         segmix_generate(ONE_MENTION, pool, table, MixConfig(rate=1.0))
@@ -117,7 +113,7 @@ def test_draw_tuple_uniform():
     entries = tuple(
         SegmentTuple(((f"t{i}",),), (("B-LOC",),)) for i in range(4)
     )
-    pool = SegmentPool(1, entries, "mention")
+    pool = SegmentPool(1, entries)
     table = EmbeddingTable.random(ONE_MENTION.token_vocab, 4, 0)
     result = segmix_generate(ONE_MENTION, pool, table, MixConfig(rate=10_000, seed=123))
     counts = Counter(e.provenance.pool_index for e in result.examples)
@@ -174,13 +170,6 @@ def test_draw_synonym():
     table = EmbeddingTable.random(ONE_MENTION.token_vocab, 4, 0)
     result = segmix_generate(ONE_MENTION, lex, table, MixConfig(variant="synonym", rate=50, seed=5))
     assert {e.provenance.replacements for e in result.examples} == {("large",), ("huge",)}
-
-
-def test_identity_lexicon():
-    lex = identity_lexicon(["a", "b", "a"])
-    assert len(lex) == 2
-    assert lex.synonyms("a") == ("a",)
-    assert lex.synonyms("b") == ("b",)
 
 
 def test_empty_synonym_list_rejected():
