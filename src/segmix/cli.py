@@ -9,9 +9,10 @@ table, so adding a flag means adding one row there and reading
 
 Values resolve in three layers: hard defaults, then a JSON config file
 (--config), then explicit flags. ``_run`` wraps every command: before any
-work it checks the flags the command cannot do without and that the
-directory of every file it would write exists; it times the command and
-writes a JSON manifest next to its primary output recording resolved
+work it checks the flags the command cannot do without, that the
+directory of every file it would write exists and that every file it
+would read is there, and fingerprints those inputs; it times the command
+and writes a JSON manifest next to its primary output recording resolved
 arguments, input fingerprints and timings; --from-manifest replays a
 recorded run after checking the inputs still hash the same.
 
@@ -28,7 +29,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from types import SimpleNamespace
@@ -43,7 +44,7 @@ from .corpus import (
     parse_re,
     write_corpus,
 )
-from .evaluation import nearest_tokens, re_report, tagging_report
+from .evaluation import _write_json, nearest_tokens, re_report, tagging_report
 from .mixer import (
     NER_VARIANTS,
     RE_VARIANTS,
@@ -94,27 +95,6 @@ def _require_file(path, what: str) -> Path:
     if not p.is_file():
         raise CliError(f"{what} not found: {p}")
     return p
-
-
-@dataclass
-class RunManifest:
-    command: str
-    args: dict
-    version: str = __version__
-    inputs: dict = field(default_factory=dict)
-    outputs: list = field(default_factory=list)
-    duration_seconds: float = 0.0
-    created: str = ""
-    extra: dict = field(default_factory=dict)
-
-    def record_inputs(self, *paths) -> None:
-        for p in paths:
-            self.inputs[str(p)] = _sha256_file(p)
-
-    def write(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -235,14 +215,17 @@ _DEFAULTS: dict[str, dict] = {
 _BY_DEST = {o.dest: o for o in _OPTIONS}
 
 
+def _read_json(path, what: str):
+    """The JSON value in the file at ``path``, a ``what`` (config file or manifest)."""
+    with open(_require_file(path, what)) as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep to parse
+            raise CliError(f"{what} {path} is not valid JSON: {exc}") from None
+
+
 def _load_config(path) -> dict:
-    try:
-        with open(path) as fh:
-            config = json.load(fh)
-    except FileNotFoundError:
-        raise CliError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise CliError(f"config file {path} is not valid JSON: {exc}") from None
+    config = _read_json(path, "config file")
     if not isinstance(config, dict):
         raise CliError(f"config file {path} must hold a JSON object")
     return config
@@ -289,12 +272,10 @@ def _resolve(command: str, values: dict, source: str, flags: dict) -> SimpleName
 # What differs between tagging and relation classification.
 
 
-def _read_corpus(ns, path, manifest: RunManifest):
-    """The ``ns.task`` corpus at ``path``, fingerprinted in ``manifest``."""
-    with open(_require_file(path, "corpus file")) as fh:
-        corpus = parse_conll(fh, repair_bio=ns.repair_bio) if ns.task == "ner" else parse_re(fh)
-    manifest.record_inputs(path)
-    return corpus
+def _read_corpus(ns, path):
+    """The ``ns.task`` corpus at ``path``."""
+    with open(path) as fh:
+        return parse_conll(fh, repair_bio=ns.repair_bio) if ns.task == "ner" else parse_re(fh)
 
 
 def _labels(task: str, corpus) -> tuple[str, ...]:
@@ -316,31 +297,28 @@ def _fit(task: str, labels, examples, config: TrainConfig, dim: int, window: int
 
 
 def _mix_config(ns) -> MixConfig:
-    weights = tuple(float(w) for w in str(ns.weights).split(",")) if ns.weights else None
+    weights = tuple(_grid_values(ns.weights, float, "--weights")) if ns.weights else None
     return MixConfig(
         alpha=float(ns.alpha),
         rate=float(ns.rate),
         variant=ns.variant,
         weights=weights,
-        normalize_tail_labels=bool(ns.normalize_tail_labels),
-        seed=int(ns.seed),
+        normalize_tail_labels=ns.normalize_tail_labels,
+        seed=ns.seed,
         fixed_lambda=None if ns.fixed_lambda is None else float(ns.fixed_lambda),
-        same_type_only=bool(ns.same_type_only),
+        same_type_only=ns.same_type_only,
     )
 
 
 def _train_config(ns, patience: int, seed: int) -> TrainConfig:
-    return TrainConfig(epochs=int(ns.epochs), learning_rate=float(ns.lr),
-                       batch_size=int(ns.batch_size), patience=patience, seed=seed)
+    return TrainConfig(epochs=ns.epochs, learning_rate=float(ns.lr), batch_size=ns.batch_size,
+                       patience=patience, seed=seed)
 
 
-def cmd_augment(ns: SimpleNamespace, manifest: RunManifest) -> None:
-    corpus = _read_corpus(ns, ns.input, manifest)
+def cmd_augment(ns: SimpleNamespace, inputs: dict) -> dict:
     config = _mix_config(ns)
+    corpus = _read_corpus(ns, ns.input)
     pools = {}
-    if ns.synonyms:
-        _require_file(ns.synonyms, "synonym lexicon")
-        manifest.record_inputs(ns.synonyms)
     if "synonym" in config.variant_list():
         if not ns.synonyms:
             raise CliError("the synonym variant needs --synonyms LEXICON")
@@ -351,58 +329,52 @@ def cmd_augment(ns: SimpleNamespace, manifest: RunManifest) -> None:
         result = replacement_da(corpus, pools, config)
         with open(ns.output, "w") as fh:
             write_corpus(result.corpus, fh)
-        manifest.extra = {"requested": result.requested, "skipped": result.skipped}
         print(f"replaced segments in {result.requested - result.skipped}/{result.requested} "
               f"sampled sentences -> {ns.output}")
-        return
+        return {"requested": result.requested, "skipped": result.skipped}
 
     tokens = corpus.token_vocab
-    dim, embed_seed, n_buckets = int(ns.dim), int(ns.embed_seed), int(ns.n_buckets)
-    table = EmbeddingTable.random(tokens, dim, seed=embed_seed, n_buckets=n_buckets)
+    table = EmbeddingTable.random(tokens, ns.dim, seed=ns.embed_seed, n_buckets=ns.n_buckets)
     result = segmix_generate(corpus, pools, table, config)
     originals = _encode(ns.task, corpus, table) if ns.include_originals else []
     examples = originals + list(result.examples)
     meta = {
-        "corpus_sha256": manifest.inputs[str(ns.input)],
+        "corpus_sha256": inputs[ns.input],
         "config": {
             k: getattr(config, k) for k in ("alpha", "rate", "variant", "seed", "fixed_lambda")
         },
-        "table": {"tokens": list(tokens), "dim": dim, "seed": embed_seed, "n_buckets": n_buckets},
+        "table": {"tokens": list(tokens), "dim": ns.dim, "seed": ns.embed_seed,
+                  "n_buckets": ns.n_buckets},
         "skipped": result.skipped,
     }
     with open(ns.output, "w") as fh:
         save_augmented(fh, examples, _labels(ns.task, corpus), task=ns.task, meta=meta)
-    manifest.extra = {
-        "requested": result.requested,
-        "generated": len(result.examples),
-        "skipped": result.skipped,
-        "written": len(examples),
-    }
     print(f"wrote {len(examples)} examples ({len(result.examples)} mixed, "
           f"{result.skipped} skipped) -> {ns.output}")
+    return {"requested": result.requested, "generated": len(result.examples),
+            "skipped": result.skipped, "written": len(examples)}
 
 
-def _load_matching_augmented(ns, label_vocab, manifest: RunManifest) -> list:
+def _load_matching_augmented(ns, label_vocab, inputs: dict) -> list:
     """The examples of ``--augmented``, refused unless built for this training run."""
-    with open(_require_file(ns.augmented, "augmented file")) as fh:
+    with open(ns.augmented) as fh:
         aug = load_augmented(fh)
-    manifest.record_inputs(ns.augmented)
     if aug.task != ns.task:
         raise CliError(f"augmented file is for task {aug.task!r}, not {ns.task!r}")
     if tuple(aug.label_vocab) != tuple(label_vocab):
         raise CliError("augmented file label vocabulary differs from the training corpus")
-    if aug.examples and aug.dim != int(ns.dim):  # a file with no examples records dim 0
+    if aug.examples and aug.dim != ns.dim:  # a file with no examples records dim 0
         raise CliError(f"augmented dim {aug.dim} != --dim {ns.dim}")
     # rows embedded by another table live in another space; files without a record predate it
     spec = aug.table_record()
-    if spec and (spec["seed"], spec["n_buckets"]) != (int(ns.embed_seed), int(ns.n_buckets)):
+    if spec and (spec["seed"], spec["n_buckets"]) != (ns.embed_seed, ns.n_buckets):
         raise CliError(
             f"augmented file was embedded with --embed-seed {spec['seed']} "
             f"--n-buckets {spec['n_buckets']}, "
             f"not --embed-seed {ns.embed_seed} --n-buckets {ns.n_buckets}; rebuild it to match"
         )
     recorded = aug.meta.get("corpus_sha256")
-    if recorded and recorded != manifest.inputs[str(ns.train)] and not ns.allow_corpus_mismatch:
+    if recorded and recorded != inputs[ns.train] and not ns.allow_corpus_mismatch:
         raise CliError(
             "augmented file was built from a different corpus "
             "(pass --allow-corpus-mismatch to train anyway)"
@@ -410,45 +382,39 @@ def _load_matching_augmented(ns, label_vocab, manifest: RunManifest) -> list:
     return list(aug.examples)
 
 
-def cmd_train(ns: SimpleNamespace, manifest: RunManifest) -> None:
-    corpus = _read_corpus(ns, ns.train, manifest)
+def cmd_train(ns: SimpleNamespace, inputs: dict) -> dict:
+    corpus = _read_corpus(ns, ns.train)
     tokens = dict.fromkeys(corpus.token_vocab)
-    for extra in ns.vocab_from or []:
-        tokens.update(dict.fromkeys(_read_corpus(ns, extra, manifest).token_vocab))
-    table = EmbeddingTable.random(
-        list(tokens), int(ns.dim), seed=int(ns.embed_seed), n_buckets=int(ns.n_buckets)
-    )
+    for extra in ns.vocab_from:
+        tokens.update(dict.fromkeys(_read_corpus(ns, extra).token_vocab))
+    table = EmbeddingTable.random(list(tokens), ns.dim, seed=ns.embed_seed, n_buckets=ns.n_buckets)
     label_vocab = _labels(ns.task, corpus)
     examples = [] if ns.no_originals else _encode(ns.task, corpus, table)
     if ns.augmented:
-        examples = examples + _load_matching_augmented(ns, label_vocab, manifest)
+        examples = examples + _load_matching_augmented(ns, label_vocab, inputs)
     if not examples:
         raise CliError("nothing to train on (originals disabled and no augmented file)")
 
-    val_corpus = _read_corpus(ns, ns.val, manifest) if ns.val else None
-    train_config = _train_config(ns, int(ns.patience), int(ns.seed))
+    val_corpus = _read_corpus(ns, ns.val) if ns.val else None
+    train_config = _train_config(ns, ns.patience, ns.seed)
     fit_started = time.perf_counter()
-    result = _fit(ns.task, label_vocab, examples, train_config, int(ns.dim), int(ns.window),
-                  val_corpus, table)
+    result = _fit(ns.task, label_vocab, examples, train_config, ns.dim, ns.window, val_corpus,
+                  table)
     fit_seconds = time.perf_counter() - fit_started
 
     save_checkpoint(ns.checkpoint, result.model, table, meta={"task": ns.task})
     if ns.loss_trace:
         write_loss_trace(ns.loss_trace, result)
-    manifest.extra = {
-        "n_examples": len(examples),
-        "epochs_run": len(result.loss_trace),
-        "best_epoch": result.best_epoch,
-        "final_loss": result.loss_trace[-1] if result.loss_trace else None,
-        "fit_seconds": round(fit_seconds, 4),
-    }
     last = f"{result.loss_trace[-1]:.4f}" if result.loss_trace else "n/a"
     print(f"trained on {len(examples)} examples for {len(result.loss_trace)} epochs "
           f"(final loss {last}) -> {ns.checkpoint}")
+    return {"n_examples": len(examples), "epochs_run": len(result.loss_trace),
+            "best_epoch": result.best_epoch,
+            "final_loss": result.loss_trace[-1] if result.loss_trace else None,
+            "fit_seconds": round(fit_seconds, 4)}
 
 
-def cmd_eval(ns: SimpleNamespace, manifest: RunManifest) -> None:
-    _require_file(ns.checkpoint, "checkpoint")
+def cmd_eval(ns: SimpleNamespace, inputs: dict) -> dict:
     try:
         model, table, meta = load_checkpoint(ns.checkpoint)
     except (ValueError, OSError) as exc:
@@ -456,8 +422,7 @@ def cmd_eval(ns: SimpleNamespace, manifest: RunManifest) -> None:
     task = meta.get("task") or ("re" if isinstance(model, REModel) else "ner")
     if task != ns.task:
         raise CliError(f"checkpoint is for task {task!r}, not {ns.task!r}")
-    manifest.record_inputs(ns.checkpoint)
-    corpus = _read_corpus(ns, ns.test, manifest)
+    corpus = _read_corpus(ns, ns.test)
     if not len(corpus):  # it would score 0.0
         raise CliError("test corpus is empty")
 
@@ -467,8 +432,8 @@ def cmd_eval(ns: SimpleNamespace, manifest: RunManifest) -> None:
         report.write_json(ns.report)
     if ns.confusion:
         report.write_confusion_csv(ns.confusion)
-    manifest.extra = {"summary": report.summary}
     sys.stdout.write(report.format_text())
+    return {"summary": report.summary}
 
 
 def _cell_seed(root_seed: int, size: int, rate: float, variant: str, seed: int) -> int:
@@ -481,7 +446,7 @@ def _sweep_cell(cell: tuple, ns: SimpleNamespace, train, test, table: EmbeddingT
 
     ``test`` is the test corpus laid out once per sweep (``model._test_side``)."""
     size, rate, variant, seed = cell
-    cell_seed = _cell_seed(int(ns.seed), size, rate, variant, seed)
+    cell_seed = _cell_seed(ns.seed, size, rate, variant, seed)
     n = min(size, len(train))
     sub = downsample(train, n, seed=cell_seed) if n < len(train) else train
     generated = []
@@ -489,9 +454,8 @@ def _sweep_cell(cell: tuple, ns: SimpleNamespace, train, test, table: EmbeddingT
         config = MixConfig(alpha=float(ns.alpha), rate=rate, variant=variant, seed=cell_seed)
         generated = segmix_generate(sub, {}, table, config).examples
     examples = _encode(ns.task, sub, table) + list(generated)
-    train_config = _train_config(ns, int(ns.epochs) + 1, cell_seed)
-    model = _fit(ns.task, _labels(ns.task, sub), examples, train_config, int(ns.dim),
-                 int(ns.window)).model
+    train_config = _train_config(ns, ns.epochs + 1, cell_seed)
+    model = _fit(ns.task, _labels(ns.task, sub), examples, train_config, ns.dim, ns.window).model
     score = _score(model, table, test)
     return f"{size},{rate:g},{variant},{seed},{cell_seed},{len(sub)},{len(generated)},{score:.4f}\n"
 
@@ -514,7 +478,7 @@ def _grid_values(raw: str, cast, flag: str, ok=None, want: str = "") -> list:
     """The comma list ``raw`` of a grid flag, each value cast; a value that
     will not cast is a usage error, one that fails ``ok`` a one-line error."""
     try:
-        values = [cast(v.strip()) for v in str(raw).split(",") if v.strip()]
+        values = [cast(v.strip()) for v in raw.split(",") if v.strip()]
     except ValueError:
         raise UsageError(f"cannot parse {flag} value {raw!r}") from None
     if not values:
@@ -525,9 +489,7 @@ def _grid_values(raw: str, cast, flag: str, ok=None, want: str = "") -> list:
     return values
 
 
-def cmd_sweep(ns: SimpleNamespace, manifest: RunManifest) -> None:
-    _require_file(ns.train, "training corpus")
-    _require_file(ns.test, "test corpus")
+def cmd_sweep(ns: SimpleNamespace, inputs: dict) -> dict:
     # each grid value is checked before any corpus is read; a sweep has no lexicon flag, so
     # the synonym variant cannot run in one
     kinds = [v for v in (NER_VARIANTS if ns.task == "ner" else RE_VARIANTS) if v != "synonym"]
@@ -546,40 +508,41 @@ def cmd_sweep(ns: SimpleNamespace, manifest: RunManifest) -> None:
                      f"for --task {ns.task}"),
         _grid_values(ns.seeds, int, "--seeds"),
     ))
+    printed = [f"size {z}, rate {r:g}, variant {v}, seed {s}" for z, r, v, s in grid]
+    if len(set(printed)) < len(printed):  # two cells would write one row and share a cell seed
+        twice = next(cell for i, cell in enumerate(printed) if cell in printed[:i])
+        raise CliError(f"the grid names the cell {twice} twice")
     _train_config(ns, 1, 0)  # refuses a bad --epochs, --lr or --batch-size here, not per cell
-    train = _read_corpus(ns, ns.train, manifest)
-    test = _read_corpus(ns, ns.test, manifest)
+    train = _read_corpus(ns, ns.train)
+    test = _read_corpus(ns, ns.test)
     if not len(test):  # every cell would score 0.0
         raise CliError("test corpus is empty")
     tokens = list(dict.fromkeys([*train.token_vocab, *test.token_vocab]))
-    table = EmbeddingTable.random(tokens, int(ns.dim), seed=int(ns.embed_seed))
-    shared = (ns, train, _test_side(table, test, int(ns.window)), table)
-    jobs = int(ns.jobs)
-    if jobs > 1:
+    table = EmbeddingTable.random(tokens, ns.dim, seed=ns.embed_seed)
+    shared = (ns, train, _test_side(table, test, ns.window), table)
+    if ns.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # half the import time of this module
 
-        with ProcessPoolExecutor(jobs, initializer=_share_sweep, initargs=shared) as executor:
+        with ProcessPoolExecutor(ns.jobs, initializer=_share_sweep, initargs=shared) as executor:
             rows = list(executor.map(_worker_cell, grid))
     else:
         rows = [_sweep_cell(cell, *shared) for cell in grid]
     with open(ns.output, "w", newline="") as fh:
         fh.write("size,rate,variant,seed,cell_seed,n_train,n_augmented,score\n" + "".join(rows))
-    manifest.extra = {"cells": len(rows)}
     print(f"swept {len(rows)} cells -> {ns.output}")
+    return {"cells": len(rows)}
 
 
-def cmd_bench(ns: SimpleNamespace, manifest: RunManifest) -> None:
-    corpus = _read_corpus(ns, ns.input, manifest)
-    n = min(int(ns.n_sentences), len(corpus))
-    sub = downsample(corpus, n, seed=int(ns.seed)) if n < len(corpus) else corpus
-    table = EmbeddingTable.random(sub.token_vocab, int(ns.dim), seed=int(ns.embed_seed))
-    config = MixConfig(
-        alpha=float(ns.alpha), rate=float(ns.rate), variant=ns.variant, seed=int(ns.seed)
-    )
+def cmd_bench(ns: SimpleNamespace, inputs: dict) -> dict:
+    corpus = _read_corpus(ns, ns.input)
+    n = min(ns.n_sentences, len(corpus))
+    sub = downsample(corpus, n, seed=ns.seed) if n < len(corpus) else corpus
+    table = EmbeddingTable.random(sub.token_vocab, ns.dim, seed=ns.embed_seed)
+    config = MixConfig(alpha=float(ns.alpha), rate=float(ns.rate), variant=ns.variant, seed=ns.seed)
 
     timings = []
     generated = 0
-    for _ in range(int(ns.repeats)):
+    for _ in range(ns.repeats):
         t0 = time.perf_counter()
         result = segmix_generate(sub, {}, table, config)
         timings.append(time.perf_counter() - t0)
@@ -590,19 +553,19 @@ def cmd_bench(ns: SimpleNamespace, manifest: RunManifest) -> None:
         "task": ns.task,
         "n_sentences": len(sub),
         "generated_per_pass": generated,
-        "repeats": int(ns.repeats),
+        "repeats": ns.repeats,
         "mix_seconds_mean": mean,
         "mix_seconds_std": std,
     }
     print(f"mix: {mean:.4f}s +/- {std:.4f}s over {ns.repeats} passes "
           f"({len(sub)} sentences, {generated} mixed examples per pass)")
 
-    epochs = int(ns.train_epochs)
+    epochs = ns.train_epochs
     if epochs > 0:
         examples = _encode(ns.task, sub, table)
-        train_config = TrainConfig(epochs=epochs, seed=int(ns.seed), patience=epochs + 1)
+        train_config = TrainConfig(epochs=epochs, seed=ns.seed, patience=epochs + 1)
         t0 = time.perf_counter()
-        _fit(ns.task, _labels(ns.task, sub), examples, train_config, int(ns.dim), window=1)
+        _fit(ns.task, _labels(ns.task, sub), examples, train_config, ns.dim, window=1)
         train_seconds = time.perf_counter() - t0
         report["train_epochs"] = epochs
         report["train_seconds"] = train_seconds
@@ -611,10 +574,8 @@ def cmd_bench(ns: SimpleNamespace, manifest: RunManifest) -> None:
               f"(mixing is {100 * report['mix_over_train']:.2f}% of that)")
 
     if ns.output:
-        with open(ns.output, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    manifest.extra = report
+        _write_json(ns.output, report)
+    return report
 
 
 def _render_example(example, table, index: int, lines: list[str]) -> None:
@@ -630,8 +591,8 @@ def _render_example(example, table, index: int, lines: list[str]) -> None:
         lines.append(f"      e1=[{e1.start},{e1.end})  e2=[{e2.start},{e2.end})")
 
 
-def cmd_recover(ns: SimpleNamespace, manifest: RunManifest) -> None:
-    with open(_require_file(ns.augmented, "augmented file")) as fh:
+def cmd_recover(ns: SimpleNamespace, inputs: dict) -> dict:
+    with open(ns.augmented) as fh:
         aug = load_augmented(fh)
     spec = aug.table_record()
     if not spec:
@@ -639,7 +600,6 @@ def cmd_recover(ns: SimpleNamespace, manifest: RunManifest) -> None:
     table = EmbeddingTable.random(
         spec["tokens"], spec["dim"], seed=spec["seed"], n_buckets=spec["n_buckets"]
     )
-    manifest.record_inputs(ns.augmented)
     lines: list[str] = []
     shown = 0
     for i, example in enumerate(aug.examples):
@@ -647,7 +607,7 @@ def cmd_recover(ns: SimpleNamespace, manifest: RunManifest) -> None:
             continue
         _render_example(example, table, i, lines)
         shown += 1
-        if shown >= int(ns.limit):
+        if shown >= ns.limit:
             break
     text = "\n".join(lines) + ("\n" if lines else "")
     if ns.output:
@@ -655,7 +615,7 @@ def cmd_recover(ns: SimpleNamespace, manifest: RunManifest) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    manifest.extra = {"examples_shown": shown}
+    return {"examples_shown": shown}
 
 
 # ---------------------------------------------------------------------------
@@ -664,25 +624,31 @@ def cmd_recover(ns: SimpleNamespace, manifest: RunManifest) -> None:
 
 @dataclass(frozen=True)
 class Command:
-    run: Callable[[SimpleNamespace, RunManifest], None]
+    run: Callable[[SimpleNamespace, dict], dict]  # (values, input fingerprints) -> manifest extra
     help: str
     needs: tuple[str, ...]  # options the command cannot do without
     outputs: tuple[str, ...]  # options naming the files it writes; its manifest sits beside the first
+    inputs: tuple[tuple[str, str], ...]  # options naming the files it reads, each with its name
 
 
+_CORPUS, _AUGMENTED = "corpus file", "augmented file"
 _COMMANDS = {
     "augment": Command(cmd_augment, "generate mixed training examples as augmented JSONL "
-                       "(a corpus file with --mode replace)", ("input", "output"), ("output",)),
+                       "(a corpus file with --mode replace)", ("input", "output"), ("output",),
+                       (("input", _CORPUS), ("synonyms", "synonym lexicon"))),
     "train": Command(cmd_train, "train a tagger or relation classifier",
-                     ("train", "checkpoint"), ("checkpoint", "loss_trace")),
+                     ("train", "checkpoint"), ("checkpoint", "loss_trace"),
+                     (("train", _CORPUS), ("vocab_from", _CORPUS), ("augmented", _AUGMENTED),
+                      ("val", _CORPUS))),
     "eval": Command(cmd_eval, "score a checkpoint on a test corpus", ("checkpoint", "test"),
-                    ("report", "confusion")),
+                    ("report", "confusion"), (("checkpoint", "checkpoint"), ("test", _CORPUS))),
     "sweep": Command(cmd_sweep, "grid over sizes, rates, variants and seeds into a CSV",
-                     ("train", "test", "output"), ("output",)),
+                     ("train", "test", "output"), ("output",),
+                     (("train", "training corpus"), ("test", "test corpus"))),
     "bench": Command(cmd_bench, "time the mixing pass (--output: JSON report)", ("input",),
-                     ("output",)),
+                     ("output",), (("input", _CORPUS),)),
     "recover": Command(cmd_recover, "render augmented examples as nearest tokens",
-                       ("augmented",), ("output",)),
+                       ("augmented",), ("output",), (("augmented", _AUGMENTED),)),
 }
 
 
@@ -699,16 +665,24 @@ def _run(command: str, ns: SimpleNamespace) -> int:
             raise CliError(f"{flag} {path}: directory {path.parent} does not exist")
         if getattr(ns, dest) and path.is_dir():  # an unset output's "." is a directory
             raise CliError(f"{flag} {path} is a directory")
+    reads = []
+    for dest, what in spec.inputs:  # all there before any is fingerprinted
+        value = getattr(ns, dest) or []
+        for path in value if isinstance(value, list) else [value]:
+            _require_file(path, what)
+            reads.append(path)
     started = time.perf_counter()
     created = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    manifest = RunManifest(command=command, args=dict(vars(ns)), created=created)
-    spec.run(ns, manifest)
-    manifest.duration_seconds = round(time.perf_counter() - started, 4)
-    manifest.outputs = [str(getattr(ns, dest)) for dest in spec.outputs if getattr(ns, dest)]
+    inputs = {path: _sha256_file(path) for path in reads}
+    extra = spec.run(ns, inputs)
     primary = getattr(ns, spec.outputs[0])
-    write_to = ns.manifest or (str(primary) + ".manifest.json" if primary else None)
+    write_to = ns.manifest or (primary + ".manifest.json" if primary else None)
     if write_to:
-        manifest.write(write_to)
+        _write_json(write_to, {
+            "command": command, "args": vars(ns), "version": __version__, "inputs": inputs,
+            "outputs": [getattr(ns, dest) for dest in spec.outputs if getattr(ns, dest)],
+            "duration_seconds": round(time.perf_counter() - started, 4), "created": created,
+            "extra": extra})
     return 0
 
 
@@ -731,8 +705,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _replay_manifest(path: str) -> int:
-    with open(_require_file(path, "manifest")) as fh:
-        data = json.load(fh)
+    data = _read_json(path, "manifest")
     if not (isinstance(data, dict) and isinstance(data.get("inputs", {}), dict)
             and isinstance(data.get("args", {}), dict)):
         raise CliError(f"manifest {path} must hold a JSON object with object inputs and args")

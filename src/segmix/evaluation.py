@@ -236,6 +236,13 @@ def nearest_tokens(table: EmbeddingTable, embeddings: np.ndarray) -> list[tuple[
 # Report container shared by the command-line tools.
 
 
+def _write_json(path, value) -> None:
+    """``value`` at ``path`` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(value, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 @dataclass
 class EvalReport:
     task: str
@@ -255,9 +262,7 @@ class EvalReport:
         return out
 
     def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, self.to_json())
 
     def write_confusion_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

@@ -21,10 +21,10 @@ uniform block whose row k picks slot k's segment and partner as
 ``floor(u * n)``. Row k belongs to slot k, so a slot's draws depend only
 on (seed, k), never on the other slots. Only a slot whose example has no
 eligible segment opens a stream of its own, (seed, "retry", k), to
-re-draw its example. Each variant's slots form one plan, and the plans
-are materialized one after another in blocks of slots: plain rows are
-gathered from the embedding table and an identity matrix, and every mixed
-row of a block is computed in one blend. A synonym plan keeps its label
+re-draw its example, when the source has another to draw. Each variant's
+slots form one plan, and the plans are materialized one after another in
+blocks of slots: plain rows are gathered from the embedding table and an
+identity matrix, and every mixed row of a block is computed in one blend. A synonym plan keeps its label
 rows as they are.
 
 A single-example call (:func:`mix_example`, :func:`mix_re_sample`) is a
@@ -244,7 +244,6 @@ class MixConfig:
     normalize_tail_labels: bool = False
     seed: int = 0
     fixed_lambda: float | None = None
-    retry_limit: int = 16
     same_type_only: bool = False
 
     def __post_init__(self):
@@ -466,6 +465,10 @@ def _check_labels(segments: list, labels: list) -> None:
         raise ValueError("pool entry has unequal token and label counts")
 
 
+# Redraws of another example for a slot whose own example has no eligible segment.
+_RETRIES = 16
+
+
 def _plan_part(
     src: _Source,
     variant: str,
@@ -500,10 +503,10 @@ def _plan_part(
 
     ex = examples.copy()
     row, ok = pick(ex, u[:, 0])
-    for i in np.flatnonzero(~ok):
-        # only ineligible slots pay for a stream of their own
+    # only ineligible slots pay for a stream of their own; a lone example would redraw itself
+    for i in np.flatnonzero(~ok) if len(src.examples) > 1 else ():
         rng = derive_rng(config.seed, "retry", int(slots[i]))
-        for _attempt in range(config.retry_limit):
+        for _attempt in range(_RETRIES):
             retry = np.array([rng.integers(len(src.examples))])
             retry_row, retry_ok = pick(retry, u[i : i + 1, 0])
             if retry_ok[0]:
@@ -676,7 +679,6 @@ def _materialize(
     table: EmbeddingTable,
     vocab: Sequence[str],
     config: MixConfig,
-    example_index: int | None = None,
 ) -> list:
     """Build the planned examples, plan after plan, with batched gathers and blends.
 
@@ -714,7 +716,7 @@ def _materialize(
                     nonzero = sums > 0
                     rows[nonzero] = rows[nonzero] / sums[nonzero, None]
                     soft[blend] = rows
-        out.extend(_examples(block, embeddings, soft, sizes, mixed_spans, example_index))
+        out.extend(_examples(block, embeddings, soft, sizes, mixed_spans))
     return out
 
 
@@ -730,15 +732,13 @@ def _examples(
     soft: np.ndarray,
     sizes: np.ndarray,
     mixed_spans: np.ndarray,
-    example_index: int | None,
 ) -> list:
     """A block's rows as records (:func:`_records`), with their provenance and final spans."""
     bounds = np.concatenate([[0], np.cumsum(sizes)]).tolist()
-    indices = plan.example.tolist() if example_index is None else [example_index] * len(sizes)
     finals = _span_tuples(mixed_spans)
     replacements = ([tuple(t for seg in segs for t in seg) for segs in plan.segments]
                     if plan.variant == "synonym" else repeat(None))
-    provenances = map(Provenance, indices, repeat(plan.variant), plan.lam.tolist(),
+    provenances = map(Provenance, plan.example.tolist(), repeat(plan.variant), plan.lam.tolist(),
                       _span_tuples(plan.spans), finals, plan.pool_index, replacements)
     pairs = [(Span(*e1), Span(*e2)) for e1, e2 in finals] if plan.variant == "relation" else None
     return _records(embeddings, soft, bounds, provenances, pairs)
@@ -758,11 +758,10 @@ def _records(embeddings: np.ndarray, labels: np.ndarray, bounds: Sequence[int], 
 
 
 def _mix_one(example, variant: str, pool, table: EmbeddingTable, vocab: Sequence[str],
-             config: MixConfig, rng: np.random.Generator, example_index: int):
+             config: MixConfig, rng: np.random.Generator):
     """One example as a one-slot run: lam, then one (1, 2) uniform row, from ``rng``."""
     _check_segment_args(example, variant)
-    # a single example has no other example to retry with
-    config = replace(config, variant=variant, weights=None, retry_limit=0)
+    config = replace(config, variant=variant, weights=None)
     src, zero = _compile([example]), np.zeros(1, np.int64)
     pool = _normalize_pools(src, pool, config)[variant]
     lam = config.fixed_lambda
@@ -770,7 +769,7 @@ def _mix_one(example, variant: str, pool, table: EmbeddingTable, vocab: Sequence
     plan = _plan_part(src, variant, pool, zero, zero, lam, rng.random((1, 2)), config)
     if not len(plan.example):
         raise ValueError("no eligible segment in example")
-    return _materialize(src, [plan], table, vocab, config, example_index)[0]
+    return _materialize(src, [plan], table, vocab, config)[0]
 
 
 def mix_example(
@@ -780,13 +779,12 @@ def mix_example(
     vocab: Sequence[str],
     config: MixConfig,
     rng: np.random.Generator,
-    example_index: int = 0,
 ) -> MixedExample:
     """Mix one sentence against one pool draw (single-variant, NER); a
     ``pool`` of None is the variant's segments of ``sentence`` itself."""
     if config.variant not in NER_VARIANTS:
         raise ValueError(f"mix_example handles NER variants, not {config.variant!r}")
-    return _mix_one(sentence, config.variant, pool, table, vocab, config, rng, example_index)
+    return _mix_one(sentence, config.variant, pool, table, vocab, config, rng)
 
 
 def mix_re_sample(
@@ -796,11 +794,10 @@ def mix_re_sample(
     relation_vocab: Sequence[str],
     config: MixConfig,
     rng: np.random.Generator,
-    example_index: int = 0,
 ) -> MixedRESample:
     """Mix one RE sample's nominal pair against a pool pair, shared lam; a
     ``pool`` of None holds only the sample's own pair."""
-    return _mix_one(sample, "relation", pool, table, relation_vocab, config, rng, example_index)
+    return _mix_one(sample, "relation", pool, table, relation_vocab, config, rng)
 
 
 @_gc_quiet

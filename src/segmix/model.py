@@ -244,6 +244,11 @@ def _re_rows(model: REModel, examples: Sequence) -> _Layout:
     return feats, weighted, lambda order: (order, np.arange(len(order) + 1))
 
 
+def _layout(model, examples: Sequence) -> _Layout:
+    """The run layout of ``examples`` for ``model``'s task."""
+    return (_re_rows if isinstance(model, REModel) else _tagger_rows)(model, examples)
+
+
 def _step(weights: np.ndarray, feats: np.ndarray, tw: np.ndarray, sw: np.ndarray,
           scale: float) -> float:
     """One fused SGD step on soft cross-entropy, in place; returns the loss.
@@ -272,14 +277,13 @@ def _train(
     model,
     examples: Sequence,
     config: TrainConfig,
-    layout: Callable,
     score_fn: Callable | None,
 ) -> TrainResult:
     """Mini-batch SGD with optional early stopping on a validation score.
 
-    Before epoch 0 the examples are checked and ``layout(model, examples)``
-    lays out their features and row-weighted targets once for the run;
-    the targets' row sums are taken once too. Each epoch takes the rows of
+    Before epoch 0 the examples are checked and :func:`_layout` lays out
+    their features and row-weighted targets once for the run; the
+    targets' row sums are taken once too. Each epoch takes the rows of
     its order once; each batch is then one gather of a slice of those rows
     and one :func:`_step` scaled by ``learning_rate`` over the number of
     examples in the batch.
@@ -289,7 +293,7 @@ def _train(
     problem = _examples_problem(examples, isinstance(model, REModel), model.dim, len(model.labels))
     if problem:
         raise ValueError(f"training {problem}")
-    feats_all, tw_all, epoch_rows = layout(model, examples)
+    feats_all, tw_all, epoch_rows = _layout(model, examples)
     sw_all = tw_all.sum(axis=1)
     rng = derive_rng(config.seed, "train-shuffle")
     trace: list[float] = []
@@ -358,7 +362,7 @@ def train_tagger(
     entity-level F1 and the best checkpoint is returned; without one the
     final weights are.
     """
-    return _train(model, examples, config, _tagger_rows, _validation(model, val_corpus, table))
+    return _train(model, examples, config, _validation(model, val_corpus, table))
 
 
 def train_re(
@@ -369,7 +373,7 @@ def train_re(
     table: EmbeddingTable | None = None,
 ) -> TrainResult:
     """Train the relation classifier; early stopping tracks accuracy."""
-    return _train(model, examples, config, _re_rows, _validation(model, val_corpus, table))
+    return _train(model, examples, config, _validation(model, val_corpus, table))
 
 
 # Samples per relation prediction block: enough to amortise the per-block calls.
@@ -482,7 +486,7 @@ def gradient_check(
     compared on an absolute scale.
     """
     _require_dim(model, example.embeddings.shape[1])
-    feats, tw, _ = (_re_rows if isinstance(model, REModel) else _tagger_rows)(model, [example])
+    feats, tw, _ = _layout(model, [example])
     sw = tw.sum(axis=1)
 
     moved = model.weights.copy()

@@ -400,7 +400,7 @@ def load_augmented(stream: TextIO) -> AugmentedFile:
         raise ValueError("empty augmented file")
     try:
         header = json.loads(header_line)
-    except ValueError:  # a corpus, say, where the header should be
+    except (ValueError, RecursionError):  # a corpus, say, where the header should be
         header = None
     if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
         raise ValueError(f"not a {FORMAT_NAME} file: line 1 is not a {FORMAT_NAME} header")
@@ -480,7 +480,11 @@ def save_checkpoint(path, model, table: EmbeddingTable, meta: dict | None = None
 
 def _checkpoint_header(raw: bytes) -> dict:
     """The checked JSON header of a checkpoint whose magic and version passed."""
-    header = _check_fields(json.loads(raw), _CKPT_FIELDS, "checkpoint header")
+    try:
+        header = json.loads(raw)
+    except RecursionError as exc:  # nested deeper than json can parse
+        raise ValueError(f"checkpoint header: {exc}") from None
+    header = _check_fields(header, _CKPT_FIELDS, "checkpoint header")
     dim, n_labels = header["dim"], len(header["labels"])
     if header["kind"] == "tagger":
         _check_fields(header, {"window": "a nonnegative integer"}, "checkpoint header")

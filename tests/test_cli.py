@@ -509,6 +509,20 @@ def test_sweep_refuses_a_variant_of_the_other_task(tmp_path, monkeypatch, capsys
                                        "'+'-joined list of relation for --task re\n")
 
 
+@pytest.mark.parametrize("flag,value,cell", [
+    ("--rates", "0.1,0.1000001", "size 100, rate 0.1, variant none, seed 0"),
+    ("--seeds", "0,0", "size 100, rate 0.2, variant none, seed 0"),
+], ids=["rates alike at :g", "seed twice"])
+def test_sweep_refuses_a_grid_naming_one_cell_twice(tmp_path, ner_file, test_file, monkeypatch,
+                                                    capsys, flag, value, cell):
+    monkeypatch.setattr(cli, "_read_corpus", lambda *args: pytest.fail("read a corpus"))
+    out = tmp_path / "o.csv"
+    assert run("sweep", "--train", ner_file, "--test", test_file, flag, value,
+               "--output", out) == 1
+    assert capsys.readouterr().err == f"error: the grid names the cell {cell} twice\n"
+    assert not out.exists()
+
+
 def test_sweep_scores_every_cell_as_entity_f1_of_its_predictions(tmp_path, monkeypatch):
     rare = (Sentence(("Zed", "Vox", "spoke"), ("B-ZZZ", "I-ZZZ", "O")),
             Sentence(("Zed",), ("B-ZZZ",)))
@@ -755,6 +769,15 @@ def test_from_manifest_that_is_no_object_exits_1(tmp_path, capsys):
                                        "with object inputs and args\n")
 
 
+@pytest.mark.parametrize("text", ["{\n", "[" * 100_000], ids=["truncated", "nested too deep"])
+def test_from_manifest_that_is_not_json_names_the_file(tmp_path, capsys, text):
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    assert run("--from-manifest", path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: manifest {path} is not valid JSON: ") and err.count("\n") == 1
+
+
 def test_from_manifest_naming_an_unknown_command_exits_1(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"command": "frobnicate", "inputs": {}, "args": {}}))
@@ -790,6 +813,19 @@ def test_augment_refuses_nan_budget_weights(tmp_path, ner_file, capsys):
     assert run("augment", "--input", ner_file, "--output", out, "--variant", "mention+token",
                "--weights", "1,nan") == 1
     assert capsys.readouterr().err == "error: weights must be nonnegative and sum to 1\n"
+    assert not out.exists()
+
+
+def test_augment_weights_that_will_not_parse_are_a_usage_error(tmp_path, ner_file, monkeypatch,
+                                                               capsys):
+    monkeypatch.setattr(cli, "_read_corpus", lambda *args: pytest.fail("read a corpus"))
+    out = tmp_path / "aug.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        run("augment", "--input", ner_file, "--output", out, "--variant", "mention+token",
+            "--weights", "a,b")
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "segmix: error: cannot parse --weights value 'a,b'")
     assert not out.exists()
 
 
@@ -899,6 +935,42 @@ def test_an_output_in_a_missing_directory_fails_before_any_work(
     assert calls == []
     assert sorted(tmp_path.iterdir()) == before
     assert not any(adir.iterdir())
+
+
+@pytest.mark.parametrize("command,flag,what", [
+    ("augment", "--input", "corpus file"), ("augment", "--synonyms", "synonym lexicon"),
+    ("train", "--train", "corpus file"), ("train", "--vocab-from", "corpus file"),
+    ("train", "--val", "corpus file"), ("train", "--augmented", "augmented file"),
+    ("eval", "--checkpoint", "checkpoint"), ("eval", "--test", "corpus file"),
+    ("sweep", "--train", "training corpus"), ("sweep", "--test", "test corpus"),
+    ("bench", "--input", "corpus file"), ("recover", "--augmented", "augmented file"),
+])
+def test_a_missing_input_fails_before_any_parse_or_load(tmp_path, monkeypatch, capsys, command,
+                                                        flag, what):
+    for name in ("parse_conll", "parse_re", "load_checkpoint"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name, **k: pytest.fail(f"called {name}"))
+    present, out = tmp_path / "present", tmp_path / "out"  # nothing reads the present file
+    present.write_text("")
+    flags = {"augment": {"--input": present, "--synonyms": present, "--output": out},
+             "train": {"--train": present, "--vocab-from": present, "--val": present,
+                       "--augmented": present, "--checkpoint": out},
+             "eval": {"--checkpoint": present, "--test": present, "--report": out},
+             "sweep": {"--train": present, "--test": present, "--output": out},
+             "bench": {"--input": present, "--output": out},
+             "recover": {"--augmented": present, "--output": out}}[command]
+    missing = flags[flag] = tmp_path / "missing"
+    before = sorted(tmp_path.iterdir())
+    assert run(command, *[part for item in flags.items() for part in item]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {what} not found: {missing}\n"
+    assert captured.out == ""
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_every_option_a_command_names_is_one_it_takes():
+    for name, spec in cli._COMMANDS.items():
+        named = {*spec.needs, *spec.outputs, *(dest for dest, _ in spec.inputs)}
+        assert named <= set(cli._DEFAULTS[name]), name
 
 
 def test_recover_names_line_1_of_a_corpus_given_as_augmented(tmp_path, ner_file, capsys):
@@ -1086,6 +1158,25 @@ def test_deeply_nested_json_is_one_error_line(tmp_path, ner_file, capsys, entry)
     assert "Traceback" not in err and "maximum recursion depth exceeded" in err
     if entry.endswith("--augmented"):
         assert err.startswith("error: line 2: maximum recursion depth exceeded")
+
+
+@pytest.mark.parametrize("command", ["eval", "recover"])
+def test_a_loader_names_what_it_refuses_when_json_nests_too_deep(tmp_path, ner_file, capsys,
+                                                                 command):
+    path, deep = tmp_path / "deep", "[" * 100_000
+    if command == "eval":  # a good magic and version, then the header
+        assert run("train", "--train", ner_file, "--checkpoint", path, "--epochs", "1") == 0
+        path.write_bytes(path.read_bytes()[:8] + struct.pack("<I", len(deep)) + deep.encode())
+        argv, want = ["--checkpoint", path, "--test", ner_file], (
+            "error: cannot load checkpoint: checkpoint header: maximum recursion depth exceeded")
+    else:  # line 1, where the header belongs
+        path.write_text(deep + "\n")
+        argv, want = ["--augmented", path], (
+            "error: not a segmix-augmented file: line 1 is not a segmix-augmented header\n")
+    capsys.readouterr()
+    assert run(command, *argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(want) and err.count("\n") == 1
 
 
 def _rewrite_checkpoint(path, header_edit=None, payload_edit=None):

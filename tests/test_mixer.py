@@ -680,8 +680,8 @@ def test_single_mix_without_a_pool_draws_from_the_examples_own_segments(variant)
     cfg = MixConfig(variant=variant, alpha=0.5)
     for i, example in enumerate(examples):
         own = _POOL_BUILDERS[variant](alone([example]))
-        got = mix_one(example, None, table, vocab, cfg, np.random.default_rng(i), i)
-        want = mix_one(example, own, table, vocab, cfg, np.random.default_rng(i), i)
+        got = mix_one(example, None, table, vocab, cfg, np.random.default_rng(i))
+        want = mix_one(example, own, table, vocab, cfg, np.random.default_rng(i))
         assert got.embeddings.tobytes() == want.embeddings.tobytes()
         if relation:
             assert got.soft_relation.tobytes() == want.soft_relation.tobytes()
@@ -835,7 +835,7 @@ def test_generate_skips_when_no_eligible_segment():
     sentences.append(Sentence(("rome",), ("B-LOC",)))
     corpus = TaggedCorpus.from_sentences(sentences)
     table = EmbeddingTable.random(corpus.token_vocab, 8, 0)
-    cfg = MixConfig(variant="mention", rate=1.0, seed=0, retry_limit=0)
+    cfg = MixConfig(variant="mention", rate=1.0, seed=0)
     result = segmix_generate(corpus, None, table, cfg)
     assert result.requested == 10
     assert len(result.examples) + result.skipped == 10
@@ -848,7 +848,7 @@ def test_generate_retries_find_eligible_examples():
     sentences.append(Sentence(("rome",), ("B-LOC",)))
     corpus = TaggedCorpus.from_sentences(sentences)
     table = EmbeddingTable.random(corpus.token_vocab, 8, 0)
-    cfg = MixConfig(variant="mention", rate=1.0, seed=0, retry_limit=64)
+    cfg = MixConfig(variant="mention", rate=1.0, seed=0)
     result = segmix_generate(corpus, None, table, cfg)
     assert result.skipped == 0
     assert all(e.provenance.example_index == 5 for e in result.examples)

@@ -33,7 +33,6 @@ from segmix.model import (
     _pooled,
     _predict_ids,
     _score,
-    _tagger_rows,
     _test_side,
     _train,
     _window_rows,
@@ -234,7 +233,7 @@ def test_early_stopping_returns_best_checkpoint():
         return next(planned)
 
     result = _train(
-        model, examples, TrainConfig(epochs=10, patience=2), _tagger_rows, score_fn
+        model, examples, TrainConfig(epochs=10, patience=2), score_fn
     )
     assert result.best_epoch == 1
     assert result.val_scores == [0.1, 0.9, 0.5, 0.4]

@@ -498,6 +498,21 @@ def test_load_names_line_1_of_a_file_that_is_not_augmented():
         load_augmented(io.StringIO("Paris\tB-LOC\nis\tO\n"))
 
 
+def test_load_refuses_a_line_1_nested_deeper_than_json_parses_as_not_augmented():
+    with pytest.raises(ValueError, match="^not a segmix-augmented file: line 1 is not a "
+                                         "segmix-augmented header$"):
+        load_augmented(io.StringIO("[" * 100_000 + "\n"))
+
+
+def test_load_checkpoint_refuses_a_header_nested_deeper_than_json_parses(tmp_path):
+    path, deep = tmp_path / "m.ckpt", b"[" * 100_000
+    save_checkpoint(path, REModel.init(["R1", "R2"], 3, seed=0),
+                    EmbeddingTable.random(["a"], 3, seed=0))
+    path.write_bytes(path.read_bytes()[:8] + struct.pack("<I", len(deep)) + deep)
+    with pytest.raises(ValueError, match="^checkpoint header: maximum recursion depth exceeded"):
+        load_checkpoint(path)
+
+
 def test_save_keeps_the_largest_float32_values():
     prov = Provenance(0, "mention", 0.5, ((0, 1),), ((0, 1),))
     big = float(np.finfo(np.float32).max)
