@@ -39,6 +39,7 @@ import numpy as np
 
 from . import __version__
 from .corpus import (
+    _replacing,
     downsample,
     parse_conll,
     parse_re,
@@ -317,17 +318,17 @@ def _train_config(ns, patience: int, seed: int) -> TrainConfig:
 
 def cmd_augment(ns: SimpleNamespace, inputs: dict) -> dict:
     config = _mix_config(ns)
-    corpus = _read_corpus(ns, ns.input)
     pools = {}
     if "synonym" in config.variant_list():
         if not ns.synonyms:
             raise CliError("the synonym variant needs --synonyms LEXICON")
         with open(ns.synonyms) as fh:
             pools["synonym"] = load_synonym_lexicon(fh)
+    corpus = _read_corpus(ns, ns.input)
 
     if ns.mode == "replace":
         result = replacement_da(corpus, pools, config)
-        with open(ns.output, "w") as fh:
+        with _replacing(ns.output) as fh:
             write_corpus(result.corpus, fh)
         print(f"replaced segments in {result.requested - result.skipped}/{result.requested} "
               f"sampled sentences -> {ns.output}")
@@ -347,7 +348,7 @@ def cmd_augment(ns: SimpleNamespace, inputs: dict) -> dict:
                   "n_buckets": ns.n_buckets},
         "skipped": result.skipped,
     }
-    with open(ns.output, "w") as fh:
+    with _replacing(ns.output) as fh:
         save_augmented(fh, examples, _labels(ns.task, corpus), task=ns.task, meta=meta)
     print(f"wrote {len(examples)} examples ({len(result.examples)} mixed, "
           f"{result.skipped} skipped) -> {ns.output}")
@@ -416,10 +417,10 @@ def cmd_train(ns: SimpleNamespace, inputs: dict) -> dict:
 
 def cmd_eval(ns: SimpleNamespace, inputs: dict) -> dict:
     try:
-        model, table, meta = load_checkpoint(ns.checkpoint)
+        model, table, _ = load_checkpoint(ns.checkpoint)
     except (ValueError, OSError) as exc:
         raise CliError(f"cannot load checkpoint: {exc}") from None
-    task = meta.get("task") or ("re" if isinstance(model, REModel) else "ner")
+    task = "re" if isinstance(model, REModel) else "ner"
     if task != ns.task:
         raise CliError(f"checkpoint is for task {task!r}, not {ns.task!r}")
     corpus = _read_corpus(ns, ns.test)
@@ -527,26 +528,24 @@ def cmd_sweep(ns: SimpleNamespace, inputs: dict) -> dict:
             rows = list(executor.map(_worker_cell, grid))
     else:
         rows = [_sweep_cell(cell, *shared) for cell in grid]
-    with open(ns.output, "w", newline="") as fh:
+    with _replacing(ns.output, newline="") as fh:
         fh.write("size,rate,variant,seed,cell_seed,n_train,n_augmented,score\n" + "".join(rows))
     print(f"swept {len(rows)} cells -> {ns.output}")
     return {"cells": len(rows)}
 
 
 def cmd_bench(ns: SimpleNamespace, inputs: dict) -> dict:
+    config = MixConfig(alpha=float(ns.alpha), rate=float(ns.rate), variant=ns.variant, seed=ns.seed)
     corpus = _read_corpus(ns, ns.input)
     n = min(ns.n_sentences, len(corpus))
     sub = downsample(corpus, n, seed=ns.seed) if n < len(corpus) else corpus
     table = EmbeddingTable.random(sub.token_vocab, ns.dim, seed=ns.embed_seed)
-    config = MixConfig(alpha=float(ns.alpha), rate=float(ns.rate), variant=ns.variant, seed=ns.seed)
 
     timings = []
-    generated = 0
     for _ in range(ns.repeats):
         t0 = time.perf_counter()
-        result = segmix_generate(sub, {}, table, config)
+        generated = len(segmix_generate(sub, {}, table, config).examples)
         timings.append(time.perf_counter() - t0)
-        generated = len(result.examples)
     mean = float(np.mean(timings))
     std = float(np.std(timings))
     report = {
@@ -560,14 +559,13 @@ def cmd_bench(ns: SimpleNamespace, inputs: dict) -> dict:
     print(f"mix: {mean:.4f}s +/- {std:.4f}s over {ns.repeats} passes "
           f"({len(sub)} sentences, {generated} mixed examples per pass)")
 
-    epochs = ns.train_epochs
-    if epochs > 0:
+    if ns.train_epochs > 0:
         examples = _encode(ns.task, sub, table)
-        train_config = TrainConfig(epochs=epochs, seed=ns.seed, patience=epochs + 1)
+        train_config = TrainConfig(epochs=ns.train_epochs, seed=ns.seed, patience=ns.train_epochs + 1)
         t0 = time.perf_counter()
         _fit(ns.task, _labels(ns.task, sub), examples, train_config, ns.dim, window=1)
         train_seconds = time.perf_counter() - t0
-        report["train_epochs"] = epochs
+        report["train_epochs"] = ns.train_epochs
         report["train_seconds"] = train_seconds
         report["mix_over_train"] = mean / train_seconds if train_seconds else float("inf")
         print(f"train: {train_seconds:.4f}s for {ns.train_epochs} epochs "
@@ -581,7 +579,7 @@ def cmd_bench(ns: SimpleNamespace, inputs: dict) -> dict:
 def _render_example(example, table, index: int, lines: list[str]) -> None:
     prov = example.provenance
     lines.append(f"=== example {index} (variant={prov.variant}, lambda={prov.lam:.4f}) ===")
-    mixed = sorted(tuple(s) for s in prov.mixed_spans)
+    mixed = sorted(prov.mixed_spans)
     recovered = nearest_tokens(table, example.embeddings)
     for pos, (token, dist) in enumerate(recovered):
         marker = next((f"  [mixed span {k}]" for k, (s, e) in enumerate(mixed) if s <= pos < e), "")
@@ -600,22 +598,18 @@ def cmd_recover(ns: SimpleNamespace, inputs: dict) -> dict:
     table = EmbeddingTable.random(
         spec["tokens"], spec["dim"], seed=spec["seed"], n_buckets=spec["n_buckets"]
     )
+    shown = [(i, example) for i, example in enumerate(aug.examples)
+             if example.provenance.mixed_spans or not ns.mixed_only][:ns.limit]
     lines: list[str] = []
-    shown = 0
-    for i, example in enumerate(aug.examples):
-        if ns.mixed_only and not example.provenance.mixed_spans:
-            continue
+    for i, example in shown:
         _render_example(example, table, i, lines)
-        shown += 1
-        if shown >= ns.limit:
-            break
     text = "\n".join(lines) + ("\n" if lines else "")
     if ns.output:
-        with open(ns.output, "w") as fh:
+        with _replacing(ns.output) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return {"examples_shown": shown}
+    return {"examples_shown": len(shown)}
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +646,7 @@ _COMMANDS = {
 }
 
 
-def _run(command: str, ns: SimpleNamespace) -> int:
+def _run(command: str, ns: SimpleNamespace, recorded: dict | None = None) -> int:
     """Run one command and write its manifest; what every command shares."""
     spec = _COMMANDS[command]
     if not all(getattr(ns, dest) for dest in spec.needs):
@@ -673,7 +667,10 @@ def _run(command: str, ns: SimpleNamespace) -> int:
             reads.append(path)
     started = time.perf_counter()
     created = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    inputs = {path: _sha256_file(path) for path in reads}
+    inputs = {path: _sha256_file(path) for path in dict.fromkeys(reads)}  # once if two flags name it
+    for path, digest in (recorded or {}).items():  # a replay must read what it recorded, unchanged
+        if inputs.get(path) != digest:
+            raise CliError(f"input {path} changed since the manifest was written")
     extra = spec.run(ns, inputs)
     primary = getattr(ns, spec.outputs[0])
     write_to = ns.manifest or (primary + ".manifest.json" if primary else None)
@@ -712,10 +709,7 @@ def _replay_manifest(path: str) -> int:
     command = data.get("command")
     if not isinstance(command, str) or command not in _COMMANDS:
         raise CliError(f"manifest names unknown command {command!r}")
-    for input_path, recorded in data.get("inputs", {}).items():
-        if _sha256_file(_require_file(input_path, "recorded input")) != recorded:
-            raise CliError(f"input {input_path} changed since the manifest was written")
-    return _run(command, _resolve(command, data.get("args", {}), "manifest", {}))
+    return _run(command, _resolve(command, data.get("args", {}), "manifest", {}), data.get("inputs"))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -15,10 +15,12 @@ first-occurrence order so one-hot indices stay stable when a corpus grows.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import gc
 import io
 import itertools
+import os
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, TextIO, Union
 
@@ -48,6 +50,29 @@ def _gc_quiet(build):
         finally:
             gc.enable()
     return quiet
+
+
+@contextlib.contextmanager
+def _replacing(path, mode: str = "w", **open_kwargs):
+    """A file open for writing that replaces ``path`` only if the block succeeds, so a failed
+    write (``KeyboardInterrupt`` too) leaves an earlier file as it was. It keeps that file's
+    permission bits and follows a symlink; a device or a pipe is written in place."""
+    if os.path.exists(path) and not os.path.isfile(path):  # /dev/null, /dev/stdout, a pipe
+        with open(path, mode, **open_kwargs) as fh:
+            yield fh
+        return
+    target = os.path.realpath(path)  # after the check: a pipe's link resolves to no file
+    new = f"{target}.{os.getpid()}.tmp"
+    fh = open(new, mode.replace("w", "x"), **open_kwargs)
+    try:
+        with fh:
+            if os.path.exists(target):
+                os.chmod(new, os.stat(target).st_mode & 0o7777)
+            yield fh
+        os.replace(new, target)
+    except BaseException:
+        os.remove(new)
+        raise
 
 
 class CorpusFormatError(ValueError):

@@ -17,7 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import (
-    RECorpus, TaggedCorpus, _bio_kinds, _flatten, _label_ids, _mentions, _vocab_ids, bio_spans,
+    RECorpus, TaggedCorpus, _bio_kinds, _flatten, _label_ids, _mentions, _replacing, _vocab_ids,
+    bio_spans,
 )
 from .mixer import EmbeddingTable
 
@@ -238,7 +239,7 @@ def nearest_tokens(table: EmbeddingTable, embeddings: np.ndarray) -> list[tuple[
 
 def _write_json(path, value) -> None:
     """``value`` at ``path`` as indented JSON with sorted keys and a final newline."""
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         json.dump(value, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -265,7 +266,7 @@ class EvalReport:
         _write_json(path, self.to_json())
 
     def write_confusion_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
+        with _replacing(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["gold\\pred", *self.confusion_vocab])
             for label, row in zip(self.confusion_vocab, self.confusion):

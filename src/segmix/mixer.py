@@ -372,15 +372,6 @@ class ReplacementResult:
     requested: int
 
 
-def _check_segment_args(example, variant: str) -> None:
-    """Refuse an example of the wrong kind for ``variant``."""
-    if variant == "relation":
-        if not isinstance(example, RESample):
-            raise TypeError("relation variant needs an RESample")
-    elif not isinstance(example, Sentence):
-        raise TypeError(f"{variant} variant needs a Sentence")
-
-
 @dataclass
 class _Plan:
     """Resolved randomness of one variant's emitted slots, one row per slot in slot order.
@@ -760,7 +751,9 @@ def _records(embeddings: np.ndarray, labels: np.ndarray, bounds: Sequence[int], 
 def _mix_one(example, variant: str, pool, table: EmbeddingTable, vocab: Sequence[str],
              config: MixConfig, rng: np.random.Generator):
     """One example as a one-slot run: lam, then one (1, 2) uniform row, from ``rng``."""
-    _check_segment_args(example, variant)
+    kind, name = (RESample, "an RESample") if variant == "relation" else (Sentence, "a Sentence")
+    if not isinstance(example, kind):
+        raise TypeError(f"{variant} variant needs {name}")
     config = replace(config, variant=variant, weights=None)
     src, zero = _compile([example]), np.zeros(1, np.int64)
     pool = _normalize_pools(src, pool, config)[variant]

@@ -53,7 +53,7 @@ from typing import Iterator, Sequence, TextIO, Union
 
 import numpy as np
 
-from .corpus import Span, _gc_quiet
+from .corpus import Span, _gc_quiet, _replacing
 from .mixer import (
     EmbeddingTable, MixedExample, MixedRESample, Provenance, _examples_problem, _records,
     _shape_problem,
@@ -470,7 +470,7 @@ def save_checkpoint(path, model, table: EmbeddingTable, meta: dict | None = None
     if kind == "tagger":
         header["window"] = model.window
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with _replacing(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<II", _CKPT_VERSION, len(blob)))
         fh.write(blob)
@@ -532,7 +532,7 @@ def load_checkpoint(path) -> tuple[object, EmbeddingTable, dict]:
 
 def write_loss_trace(path, result: TrainResult) -> None:
     """Per-epoch training loss (and validation score, when present) as CSV."""
-    with open(path, "w", newline="") as fh:
+    with _replacing(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "train_loss", "val_score"])
         for epoch, loss in enumerate(result.loss_trace):

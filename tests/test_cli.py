@@ -17,8 +17,8 @@ from segmix.cli import build_parser, main
 from segmix.corpus import Sentence, TaggedCorpus, corpus_to_text, parse_conll
 from segmix.evaluation import entity_f1
 from segmix.mixer import EmbeddingTable, encode_corpus
-from segmix.model import predict_tagger
-from segmix.serialization import load_augmented, load_checkpoint, save_augmented
+from segmix.model import TaggerModel, predict_tagger
+from segmix.serialization import load_augmented, load_checkpoint, save_augmented, save_checkpoint
 from segmix.synth import synth_re_corpus, synth_tagged_corpus
 
 
@@ -72,13 +72,20 @@ def test_augment_missing_input_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_augment_synonym_without_lexicon_exits_1(tmp_path, ner_file, capsys):
-    code = run(
-        "augment", "--input", ner_file, "--output", tmp_path / "o",
-        "--variant", "synonym",
-    )
-    assert code == 1
-    assert "--synonyms" in capsys.readouterr().err
+def _counting_parses(monkeypatch) -> list:
+    calls = []
+    monkeypatch.setattr(cli, "parse_conll",
+                        lambda *a, real=cli.parse_conll, **k: calls.append(a) or real(*a, **k))
+    return calls
+
+
+def test_augment_synonym_without_lexicon_exits_1(tmp_path, ner_file, monkeypatch, capsys):
+    parses = _counting_parses(monkeypatch)
+    for variant in ("synonym", "mention+synonym"):
+        code = run("augment", "--input", ner_file, "--output", tmp_path / "o", "--variant", variant)
+        assert code == 1
+        assert capsys.readouterr().err == "error: the synonym variant needs --synonyms LEXICON\n"
+    assert parses == []  # refused before the corpus is read
 
 
 @pytest.mark.parametrize("args", [(), ("--mode", "replace"), ("--variant", "synonym")])
@@ -410,6 +417,16 @@ def test_eval_task_mismatch_exits_1(tmp_path, ner_file, capsys):
     assert "task" in capsys.readouterr().err
 
 
+def test_eval_takes_the_task_from_the_checkpoint_model(tmp_path, ner_file, capsys):
+    # a library caller may record any task in meta; the model's class decides
+    corpus = parse_conll(ner_file.read_text())
+    table = EmbeddingTable.random(corpus.token_vocab, 8, seed=0)
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, TaggerModel.init(corpus.label_vocab, 8), table, meta={"task": "re"})
+    assert run("eval", "--task", "re", "--checkpoint", ckpt, "--test", ner_file) == 1
+    assert capsys.readouterr().err == "error: checkpoint is for task 'ner', not 're'\n"
+
+
 # ---------------------------------------------------------------- sweep
 
 def test_sweep_serial_and_parallel_csv_identical(tmp_path, ner_file, test_file):
@@ -688,6 +705,32 @@ def test_from_manifest_rejects_changed_input(tmp_path, ner_file, capsys):
     code = run("--from-manifest", manifest)
     assert code == 1
     assert "changed since" in capsys.readouterr().err
+
+
+def test_from_manifest_reads_each_input_once(tmp_path, ner_file, test_file, monkeypatch):
+    aug, ckpt = tmp_path / "aug.jsonl", tmp_path / "m.ckpt"
+    assert run("augment", "--input", ner_file, "--output", aug) == 0
+    assert run("train", "--train", ner_file, "--val", test_file, "--vocab-from", test_file,
+               "--augmented", aug, "--checkpoint", ckpt, "--epochs", "1") == 0
+    reads = []
+    monkeypatch.setattr(cli, "_sha256_file",
+                        lambda path, real=cli._sha256_file: reads.append(str(path)) or real(path))
+    assert run("--from-manifest", tmp_path / "m.ckpt.manifest.json") == 0
+    assert sorted(reads) == sorted(map(str, (ner_file, test_file, aug)))
+
+
+def test_from_manifest_refuses_a_recorded_input_the_run_does_not_read(tmp_path, ner_file,
+                                                                      test_file, capsys):
+    out, manifest = tmp_path / "aug.jsonl", tmp_path / "run.manifest.json"
+    assert run("augment", "--input", ner_file, "--output", out, "--manifest", manifest) == 0
+    recorded = json.loads(manifest.read_text())
+    recorded["inputs"][str(test_file)] = cli._sha256_file(test_file)
+    manifest.write_text(json.dumps(recorded))
+    out.unlink()
+    assert run("--from-manifest", manifest) == 1
+    assert capsys.readouterr().err == (f"error: input {test_file} changed since the manifest "
+                                       "was written\n")
+    assert not out.exists()
 
 
 def _edited_manifest(tmp_path, ner_file, **args):
@@ -1333,3 +1376,67 @@ def test_a_malformed_label_is_reported_with_its_line(tmp_path, capsys):
     path.write_text("Paris\tB-LOC\nis\tO\n\nRome\tX-FOO\n")
     assert run("train", "--train", path, "--checkpoint", tmp_path / "m.ckpt") == 1
     assert capsys.readouterr().err == "error: line 4: not a BIO label: 'X-FOO'\n"
+
+
+# ---------------------------------------------------------------- refusals before any parse
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--rate", "nan", "rate must be nonnegative and finite, got nan"),
+    ("--variant", "bogus", "unknown variant 'bogus'"),
+])
+def test_bench_refuses_a_bad_mix_config_before_any_parse(tmp_path, ner_file, monkeypatch, capsys,
+                                                         flag, value, message):
+    parses = _counting_parses(monkeypatch)
+    assert run("bench", "--input", ner_file, flag, value) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert parses == []
+
+
+# ---------------------------------------------------------------- output files
+
+def test_a_failed_write_keeps_the_earlier_output(tmp_path, ner_file, monkeypatch, capsys):
+    import binascii
+
+    out = tmp_path / "aug.jsonl"
+    assert run("augment", "--input", ner_file, "--output", out, "--rate", "3.0") == 0
+    before = out.read_bytes()
+    calls = []
+
+    def full_disk(*args, real=binascii.b2a_base64, **kwargs):
+        calls.append(None)
+        if len(calls) == 10:
+            raise OSError(28, "No space left on device")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(binascii, "b2a_base64", full_disk)
+    capsys.readouterr()
+    assert run("augment", "--input", ner_file, "--output", out, "--rate", "3.0",
+               "--seed", "2") == 1
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert out.read_bytes() == before
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_a_report_to_a_device_is_written_in_place(tmp_path, ner_file, test_file):
+    ckpt = tmp_path / "m.ckpt"
+    assert run("train", "--train", ner_file, "--checkpoint", ckpt, "--epochs", "1") == 0
+    assert run("eval", "--checkpoint", ckpt, "--test", test_file, "--report", os.devnull,
+               "--manifest", tmp_path / "eval.manifest.json") == 0
+
+
+def test_an_output_through_a_symlink_replaces_the_file_at_its_end(tmp_path, ner_file):
+    target, link = tmp_path / "real.jsonl", tmp_path / "link.jsonl"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    assert run("augment", "--input", ner_file, "--output", link) == 0
+    assert link.is_symlink()
+    assert target.read_text().startswith('{"count":')
+
+
+def test_a_replaced_output_keeps_its_permission_bits(tmp_path, ner_file):
+    out = tmp_path / "aug.jsonl"
+    out.write_text("old\n")
+    out.chmod(0o600)
+    assert run("augment", "--input", ner_file, "--output", out) == 0
+    assert out.read_text() != "old\n"
+    assert out.stat().st_mode & 0o777 == 0o600

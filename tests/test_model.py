@@ -205,6 +205,16 @@ def test_training_diverged_error_names_epoch():
             train_tagger(model, examples, TrainConfig(epochs=3))
 
 
+def test_a_nan_soft_label_stops_training_at_its_epoch():
+    # _step checks the logits only, so the NaN first shows in the epoch's mean loss
+    corpus, table = toy_tagging_setup(n=6)
+    examples = encode_corpus(corpus, table)
+    examples[2].soft_labels[0, 0] = np.nan
+    model = TaggerModel.init(corpus.label_vocab, table.dim, seed=0)
+    with pytest.raises(TrainingDivergedError, match="^non-finite loss at epoch 0$"):
+        train_tagger(model, examples, TrainConfig(epochs=3, batch_size=len(examples)))
+
+
 def test_empty_training_set_rejected():
     model = TaggerModel.init(["O"], dim=4)
     with pytest.raises(ValueError, match="empty training set"):

@@ -93,3 +93,10 @@ def test_array_mixing_is_seed_sequence_mixing(length, data):
 def test_bulk_streams_check_the_seed():
     with pytest.raises(ValueError, match="seed"):
         derive_rngs(2**32, "gram", ["ab"])
+
+
+def test_a_bulk_stream_seeds_its_generator_with_four_words_only():
+    seed_seq = next(derive_rngs(0, "gram", ["ab"])).bit_generator.seed_seq
+    assert seed_seq.generate_state(4, np.uint64).shape == (4,)
+    with pytest.raises(ValueError, match="^holds 4 uint64 words, not 8 of "):
+        seed_seq.generate_state(8, np.uint64)

@@ -363,6 +363,27 @@ def test_save_checkpoint_refuses_values_not_finite_in_float32(tmp_path, what, va
     assert not path.exists()
 
 
+def test_a_checkpoint_save_that_fails_keeps_the_earlier_file(tmp_path, monkeypatch):
+    import segmix.serialization as serialization
+
+    model = REModel.init(["R1", "R2"], 3, seed=0)
+    table = EmbeddingTable.random(["a", "b"], 3, seed=0)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model, table, meta={"task": "re"})
+    before = path.read_bytes()
+
+    def failing_f4(array, real=serialization._f4):
+        if array is table.vectors:
+            raise OSError(28, "No space left on device")
+        return real(array)
+
+    monkeypatch.setattr(serialization, "_f4", failing_f4)
+    with pytest.raises(OSError, match="No space left"):
+        save_checkpoint(path, REModel.init(["R1", "R2"], 3, seed=1), table)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+
 @pytest.mark.parametrize("what", ["weights", "table"])
 def test_load_checkpoint_refuses_a_non_finite_payload(tmp_path, what):
     table = EmbeddingTable.random(["a", "b"], 3, seed=0)
