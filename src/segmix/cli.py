@@ -29,11 +29,10 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -109,8 +108,7 @@ _ALL = ("augment", "train", "eval", "sweep", "bench", "recover")
 _TASKED = ("augment", "train", "eval", "sweep", "bench")
 
 
-@dataclass(frozen=True)
-class Option:
+class Option(NamedTuple):
     dest: str
     kind: object
     help: str | None
@@ -311,13 +309,22 @@ def _mix_config(ns) -> MixConfig:
     )
 
 
+def _for_task(ns, config: MixConfig) -> MixConfig:
+    """``config``, refused before any corpus is read if ``--task`` does not take a variant of it."""
+    ok = NER_VARIANTS if ns.task == "ner" else RE_VARIANTS
+    bad = next((v for v in config.variant_list() if v not in ok), None)
+    if bad:
+        raise CliError(f"--variant {bad} does not apply to --task {ns.task}")
+    return config
+
+
 def _train_config(ns, patience: int, seed: int) -> TrainConfig:
     return TrainConfig(epochs=ns.epochs, learning_rate=float(ns.lr), batch_size=ns.batch_size,
                        patience=patience, seed=seed)
 
 
 def cmd_augment(ns: SimpleNamespace, inputs: dict) -> dict:
-    config = _mix_config(ns)
+    config = _for_task(ns, _mix_config(ns))
     pools = {}
     if "synonym" in config.variant_list():
         if not ns.synonyms:
@@ -535,7 +542,7 @@ def cmd_sweep(ns: SimpleNamespace, inputs: dict) -> dict:
 
 
 def cmd_bench(ns: SimpleNamespace, inputs: dict) -> dict:
-    config = MixConfig(alpha=float(ns.alpha), rate=float(ns.rate), variant=ns.variant, seed=ns.seed)
+    config = _for_task(ns, MixConfig(float(ns.alpha), float(ns.rate), ns.variant, seed=ns.seed))
     corpus = _read_corpus(ns, ns.input)
     n = min(ns.n_sentences, len(corpus))
     sub = downsample(corpus, n, seed=ns.seed) if n < len(corpus) else corpus
@@ -616,8 +623,7 @@ def cmd_recover(ns: SimpleNamespace, inputs: dict) -> dict:
 # commands, the runner and the parser
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     run: Callable[[SimpleNamespace, dict], dict]  # (values, input fingerprints) -> manifest extra
     help: str
     needs: tuple[str, ...]  # options the command cannot do without

@@ -22,7 +22,7 @@ import io
 import itertools
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, TextIO, Union
+from typing import Iterable, NamedTuple, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -187,8 +187,7 @@ def _label_ids(labels: Sequence[str], vocab: Sequence[str]) -> np.ndarray:
     return ids
 
 
-@dataclass
-class _Source:
+class _Source(NamedTuple):
     """A corpus compiled to flat arrays: example i owns flat rows offsets[i]:offsets[i + 1].
 
     ``labels`` holds the label strings end to end, per token for tagging

@@ -35,6 +35,7 @@ one (1, 2) uniform row from the caller's rng.
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -58,8 +59,6 @@ VARIANTS = NER_VARIANTS + RE_VARIANTS
 
 
 def _stable_bucket(surface: str, n_buckets: int) -> int:
-    import hashlib
-
     digest = hashlib.sha256(surface.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little") % n_buckets
 

@@ -298,10 +298,7 @@ def _train(
     rng = derive_rng(config.seed, "train-shuffle")
     trace: list[float] = []
     scores: list[float] = []
-    best = model.copy()
-    best_score = -np.inf
-    best_epoch = -1
-    stale = 0
+    best, best_score, best_epoch = model, -np.inf, -1
     for epoch in range(config.epochs):
         order = rng.permutation(len(examples))
         rows, bounds = epoch_rows(order)
@@ -325,13 +322,9 @@ def _train(
         scores.append(score)
         if score > best_score:
             best, best_score, best_epoch = model.copy(), score, epoch
-            stale = 0
-        else:
-            stale += 1
-            if stale >= config.patience:
-                break
-    if score_fn is None or best_epoch < 0:
-        best = model
+        elif epoch - best_epoch >= config.patience:
+            break
+    if best_epoch < 0:
         best_epoch = len(trace) - 1
     return TrainResult(best, trace, scores, best_epoch)
 

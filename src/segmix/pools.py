@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
@@ -31,17 +31,11 @@ class EmptyPoolError(ValueError):
     """Raised when mixing against a pool or lexicon with no entries."""
 
 
-@dataclass(frozen=True, init=False)
-class SegmentTuple:
+class SegmentTuple(NamedTuple):
     """k segments with their labels (BIO sequences, or one relation string)."""
 
     segments: tuple[tuple[str, ...], ...]
     labels: tuple[tuple[str, ...], ...] | str
-
-    def __init__(self, segments, labels):
-        # fills __dict__ directly: the generated frozen __init__ sets each field
-        # through object.__setattr__, and a pool builds one entry per mention
-        self.__dict__["segments"], self.__dict__["labels"] = segments, labels
 
 
 @dataclass(frozen=True)
@@ -71,8 +65,7 @@ class SegmentPool:
             )
 
 
-@dataclass
-class _Segments:
+class _Segments(NamedTuple):
     """Every eligible segment of a compiled corpus, grouped by example.
 
     Example i's candidates are rows ``off[i]:off[i + 1]`` of ``start`` and

@@ -149,9 +149,7 @@ _TABLE_FIELDS = {
     "n_buckets": "a positive integer",
 }
 
-# One encoder for every header: ``json.dumps`` would build one per call. One
-# scanner for every record line (see :func:`_parse`).
-_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# One scanner for every record line (see :func:`_parse`).
 _scan = json.JSONDecoder().scan_once
 _PAIR = "a [start, end] pair with 0 <= start < end"
 _PAIRS = "a list of [start, end] pairs with 0 <= start < end"
@@ -339,7 +337,7 @@ def save_augmented(
         "count": len(examples),
         "meta": meta or {},
     }
-    stream.write(_dump(header) + "\n")
+    stream.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
     b64 = binascii.b2a_base64
     for e, prov in zip(examples, provenances):  # one write per record keeps the peak at one record
         emb, soft = _f4(e.embeddings), _f4(getattr(e, labels))

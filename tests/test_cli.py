@@ -540,6 +540,18 @@ def test_sweep_refuses_a_grid_naming_one_cell_twice(tmp_path, ner_file, test_fil
     assert not out.exists()
 
 
+def test_a_pool_worker_scores_a_cell_as_the_serial_path_does(monkeypatch):
+    ns = cli._resolve("sweep", {}, "config file", {"epochs": 5, "dim": 16})
+    train, test = synth_tagged_corpus(30, seed=11), synth_tagged_corpus(15, seed=12)
+    table = EmbeddingTable.random(list(dict.fromkeys([*train.token_vocab, *test.token_vocab])),
+                                  ns.dim, seed=ns.embed_seed)
+    shared = (ns, train, cli._test_side(table, test, ns.window), table)
+    monkeypatch.setattr(cli, "_WORKER_SWEEP", ())  # restored after the test
+    cli._share_sweep(*shared)  # what the pool's initializer runs in each worker
+    for cell in [(20, 0.5, "mention", 1), (100, 0.2, "none", 0)]:
+        assert cli._worker_cell(cell) == cli._sweep_cell(cell, *shared)
+
+
 def test_sweep_scores_every_cell_as_entity_f1_of_its_predictions(tmp_path, monkeypatch):
     rare = (Sentence(("Zed", "Vox", "spoke"), ("B-ZZZ", "I-ZZZ", "O")),
             Sentence(("Zed",), ("B-ZZZ",)))
@@ -846,7 +858,8 @@ def test_train_config_error_names_the_field(tmp_path, ner_file, capsys, flag, va
 def test_augment_empty_relation_exits_1(tmp_path, capsys):
     corpus = tmp_path / "train.tsv"
     corpus.write_text("the storm caused damage\t1\t2\t3\t4\t\n")
-    assert run("augment", "--task", "re", "--input", corpus, "--output", tmp_path / "o") == 1
+    assert run("augment", "--task", "re", "--variant", "relation", "--input", corpus,
+               "--output", tmp_path / "o") == 1
     err = capsys.readouterr().err
     assert err.startswith("error: line 1: relation '' is empty") and err.count("\n") == 1
 
@@ -1390,6 +1403,26 @@ def test_bench_refuses_a_bad_mix_config_before_any_parse(tmp_path, ner_file, mon
     assert run("bench", "--input", ner_file, flag, value) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert parses == []
+
+
+@pytest.mark.parametrize("command,task,variant,bad", [
+    ("augment", "re", None, "mention"), ("bench", "re", None, "mention"),
+    ("augment", "ner", "relation", "relation"), ("augment", "re", "relation+token", "token"),
+])
+def test_a_variant_the_task_does_not_take_is_refused_before_any_parse(
+        tmp_path, monkeypatch, capsys, command, task, variant, bad):
+    corpus = synth_re_corpus(30, seed=11) if task == "re" else synth_tagged_corpus(30, seed=11)
+    path, out = tmp_path / "corpus.txt", tmp_path / "out"
+    path.write_text(corpus_to_text(corpus))
+    parses = []
+    for name in ("parse_conll", "parse_re"):
+        monkeypatch.setattr(cli, name, lambda *a, real=getattr(cli, name), **k:
+                            parses.append(a) or real(*a, **k))
+    chosen = ("--variant", variant) if variant else ()
+    assert run(command, "--task", task, "--input", path, "--output", out, *chosen) == 1
+    assert capsys.readouterr().err == f"error: --variant {bad} does not apply to --task {task}\n"
+    assert parses == []
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- output files

@@ -251,6 +251,43 @@ def test_early_stopping_returns_best_checkpoint():
     assert np.array_equal(result.model.weights, snapshots[1])
 
 
+def _stale_counter_stop(scores, patience, epochs):
+    """Early stopping kept as an explicit count of epochs without a gain:
+    (epochs run, best epoch), the best epoch -1 when no score improved."""
+    best_score, best_epoch, stale = -np.inf, -1, 0
+    for epoch in range(epochs):
+        if scores[epoch] > best_score:
+            best_score, best_epoch, stale = scores[epoch], epoch, 0
+        else:
+            stale += 1
+            if stale >= patience:
+                return epoch + 1, best_epoch
+    return epochs, best_epoch
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from([np.nan, -np.inf, np.inf, 0.0, 0.5, 1.0]), min_size=8,
+                max_size=8),
+       st.integers(1, 4), st.integers(0, 8))
+def test_early_stopping_matches_a_stale_counter(scores, patience, epochs):
+    corpus, table = toy_tagging_setup(n=4)
+    model = TaggerModel.init(corpus.label_vocab, table.dim, seed=0)
+    snapshots = [model.weights.copy()]  # the weights before epoch 0, then after each epoch
+    replay = iter(scores)
+
+    def score_fn(m):
+        snapshots.append(m.weights.copy())
+        return next(replay)
+
+    result = _train(model, encode_corpus(corpus, table),
+                    TrainConfig(epochs=epochs, patience=patience), score_fn)
+    ran, best = _stale_counter_stop(scores, patience, epochs)
+    assert len(result.loss_trace) == ran
+    assert np.array_equal(result.val_scores, scores[:ran], equal_nan=True)
+    assert result.best_epoch == (best if best >= 0 else ran - 1)
+    assert np.array_equal(result.model.weights, snapshots[best + 1 if best >= 0 else -1])
+
+
 def test_validation_requires_table():
     corpus, table = toy_tagging_setup(n=4)
     examples = encode_corpus(corpus, table)

@@ -98,6 +98,14 @@ def test_pool_arity_mismatch_rejected():
         SegmentPool(1, (entry,))
 
 
+def test_a_segment_tuple_is_immutable_and_built_by_position_or_keyword():
+    entry = SegmentTuple((("a",),), (("B-LOC",),))
+    assert entry == SegmentTuple(labels=(("B-LOC",),), segments=(("a",),))
+    assert (entry.segments, entry.labels) == ((("a",),), (("B-LOC",),))
+    with pytest.raises(AttributeError):
+        entry.segments = (("b",),)
+
+
 ONE_MENTION = TaggedCorpus.from_sentences([Sentence(("big", "rome"), ("O", "B-LOC"))])
 
 
