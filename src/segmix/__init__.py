@@ -22,12 +22,11 @@ from .evaluation import (
 )
 from .mixer import (
     EmbeddingTable, EmptyPoolError, MixConfig, MixedExample, MixedRESample, Provenance,
-    encode_corpus, encode_re_corpus, mix_example, mix_re_sample, one_hot, replacement_da,
-    sample_mix_ratio, segmix_generate,
+    encode_corpus, encode_re_corpus, one_hot, replacement_da, sample_mix_ratio, segmix_generate,
 )
 from .model import (
     REModel, TaggerModel, TrainConfig, TrainingDivergedError, TrainResult, gradient_check,
-    predict_re, predict_tagger, soft_cross_entropy, train_re, train_tagger,
+    predict_re, predict_tagger, train_re, train_tagger,
 )
 from .pools import (
     SegmentPool, SegmentTuple, SynonymLexicon, build_mention_pool, build_relation_pool,

@@ -26,11 +26,6 @@ slots form one plan, and the plans are materialized one after another in
 blocks of slots: plain rows are gathered from the embedding table and an
 identity matrix, and every mixed row of a block is computed in one blend. A synonym plan keeps its label
 rows as they are.
-
-A single-example call (:func:`mix_example`, :func:`mix_re_sample`) is a
-one-slot run of the same planner and builder over the compiled example,
-whose own segments are the pool when none is given. It draws lam and then
-one (1, 2) uniform row from the caller's rng.
 """
 
 from __future__ import annotations
@@ -38,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Mapping, Sequence, Union
 
@@ -745,51 +740,6 @@ def _records(embeddings: np.ndarray, labels: np.ndarray, bounds: Sequence[int], 
                 for a, b, p in zip(bounds, bounds[1:], provenances)]
     return [MixedRESample(embeddings[a:b], labels[i], e1, e2, p)
             for i, (a, b, (e1, e2), p) in enumerate(zip(bounds, bounds[1:], pairs, provenances))]
-
-
-def _mix_one(example, variant: str, pool, table: EmbeddingTable, vocab: Sequence[str],
-             config: MixConfig, rng: np.random.Generator):
-    """One example as a one-slot run: lam, then one (1, 2) uniform row, from ``rng``."""
-    kind, name = (RESample, "an RESample") if variant == "relation" else (Sentence, "a Sentence")
-    if not isinstance(example, kind):
-        raise TypeError(f"{variant} variant needs {name}")
-    config = replace(config, variant=variant, weights=None)
-    src, zero = _compile([example]), np.zeros(1, np.int64)
-    pool = _normalize_pools(src, pool, config)[variant]
-    lam = config.fixed_lambda
-    lam = np.array([sample_mix_ratio(config.alpha, rng) if lam is None else float(lam)])
-    plan = _plan_part(src, variant, pool, zero, zero, lam, rng.random((1, 2)), config)
-    if not len(plan.example):
-        raise ValueError("no eligible segment in example")
-    return _materialize(src, [plan], table, vocab, config)[0]
-
-
-def mix_example(
-    sentence: Sentence,
-    pool: Union[SegmentPool, SynonymLexicon, None],
-    table: EmbeddingTable,
-    vocab: Sequence[str],
-    config: MixConfig,
-    rng: np.random.Generator,
-) -> MixedExample:
-    """Mix one sentence against one pool draw (single-variant, NER); a
-    ``pool`` of None is the variant's segments of ``sentence`` itself."""
-    if config.variant not in NER_VARIANTS:
-        raise ValueError(f"mix_example handles NER variants, not {config.variant!r}")
-    return _mix_one(sentence, config.variant, pool, table, vocab, config, rng)
-
-
-def mix_re_sample(
-    sample: RESample,
-    pool: SegmentPool | None,
-    table: EmbeddingTable,
-    relation_vocab: Sequence[str],
-    config: MixConfig,
-    rng: np.random.Generator,
-) -> MixedRESample:
-    """Mix one RE sample's nominal pair against a pool pair, shared lam; a
-    ``pool`` of None holds only the sample's own pair."""
-    return _mix_one(sample, "relation", pool, table, relation_vocab, config, rng)
 
 
 @_gc_quiet

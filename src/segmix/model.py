@@ -39,24 +39,6 @@ class TrainingDivergedError(RuntimeError):
     pass
 
 
-def soft_cross_entropy(logits: np.ndarray, target: np.ndarray) -> float:
-    """-sum_c target_c * log softmax(logits)_c for one prediction.
-
-    Targets may be any nonnegative vector; with interpolated labels the
-    loss is linear in the target. Rows are averaged when matrices are
-    passed. The loss is that of one :func:`_step` at scale 0 through
-    identity weights, the loss training takes.
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if logits.shape != target.shape:
-        raise ValueError(f"shape mismatch: {logits.shape} vs {target.shape}")
-    if not np.isfinite(logits).all():
-        raise ValueError("non-finite logits")
-    logits, target = (a.reshape(-1, a.shape[-1]) for a in (logits, target))
-    return _step(np.eye(logits.shape[1]), logits, target, target.sum(axis=1), 0.0) / len(logits)
-
-
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Rows ``starts[i] .. starts[i] + lengths[i] - 1`` for every i, concatenated."""
     return np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())

@@ -44,6 +44,7 @@ import csv
 import io
 import json
 import math
+import os
 import reprlib
 import struct
 from dataclasses import dataclass
@@ -510,16 +511,19 @@ def load_checkpoint(path) -> tuple[object, EmbeddingTable, dict]:
         version, header_len = struct.unpack("<II", head)
         if version != _CKPT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
+        if header_len > os.fstat(fh.fileno()).st_size - fh.tell():  # read(n) allocates n bytes
+            raise ValueError("checkpoint file is truncated")
         header = _checkpoint_header(fh.read(header_len))
         payload = fh.read()
     w_shape, t_shape = header["weights_shape"], header["table_shape"]
     split = 4 * math.prod(w_shape)
-    weights = _from_f4(payload[:split], w_shape, "checkpoint weights payload").astype(np.float64)
-    vectors = _from_f4(payload[split:], t_shape, "checkpoint table payload").astype(np.float64)
+    weights = _from_f4(payload[:split], w_shape, "checkpoint weights payload")
+    vectors = _from_f4(payload[split:], t_shape, "checkpoint table payload")
     for what, array in (("weights", weights), ("table", vectors)):
-        if not np.isfinite(array).all():
+        if not np.isfinite(array).all():  # before the float64 cast, which warns on a signalling NaN
             raise ValueError(f"checkpoint {what} payload holds a non-finite value")
-    table = EmbeddingTable(header["table_tokens"], vectors, header["table_buckets"])
+    table = EmbeddingTable(header["table_tokens"], vectors, header["table_buckets"])  # casts to float64
+    weights = weights.astype(np.float64)
     labels = tuple(header["labels"])
     if header["kind"] == "tagger":
         model: object = TaggerModel(labels, header["window"], header["dim"], weights)

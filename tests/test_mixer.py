@@ -23,8 +23,6 @@ from segmix.mixer import (
     MixedExample,
     Provenance,
     SegmentPool,
-    mix_example,
-    mix_re_sample,
     one_hot,
     replacement_da,
     sample_mix_ratio,
@@ -50,8 +48,26 @@ from segmix.synth import synth_re_corpus, synth_tagged_corpus
 from conftest import encode_array, identity_lexicon, mix, pad_to_longer, provenance_json
 
 
+VOCAB = ("B-LOC", "I-LOC", "O", "B-PER", "I-PER")
+
+
 def single_entry_pool(tokens, labels):
     return SegmentPool(1, (SegmentTuple((tuple(tokens),), (tuple(labels),)),))
+
+
+def _run_alone(example, pool, table, vocab=VOCAB, **config):
+    """``example`` as a one-example corpus whose label vocabulary is ``vocab``
+    (so a pool label the example lacks still has a one-hot column), mixed by
+    :func:`segmix_generate`: one slot at the default rate of 1.0."""
+    alone = RECorpus if isinstance(example, RESample) else TaggedCorpus
+    return segmix_generate(alone((example,), tuple(vocab)), pool, table,
+                           MixConfig(**{"rate": 1.0, **config}))
+
+
+def _mixed(example, pool, table, vocab=VOCAB, **config):
+    """The one example a one-slot run over ``example`` alone makes."""
+    (got,) = _run_alone(example, pool, table, vocab, **config).examples
+    return got
 
 
 # ---------------------------------------------------------------- tables
@@ -353,33 +369,39 @@ def test_variant_weights_default_equal():
 # ---------------------------------------------------------------- selection
 # A mix's provenance spans are the segment(s) its plan selected.
 
-def _one_slot(example, variant, rng, pool=None, vocab=("B-LOC", "I-LOC", "O", "B-PER", "I-PER")):
-    """The span(s) a one-slot mix of ``example`` selects."""
+def _slot_run(example, variant, pool=None, vocab=VOCAB, **config):
+    """A run over ``example`` alone, against a one-entry pool unless ``pool`` is given."""
     pool = single_entry_pool(("x",), ("B-LOC",)) if pool is None else pool
     table = EmbeddingTable.random(("x",), dim=2, seed=0)
-    mix_one = mix_re_sample if variant == "relation" else mix_example
-    return mix_one(example, pool, table, vocab, MixConfig(variant=variant), rng).provenance.spans
+    return _run_alone(example, pool, table, vocab, variant=variant, **config)
+
+
+def _slot_spans(*args, **config):
+    """The span(s) each slot of a :func:`_slot_run` selects."""
+    return [e.provenance.spans for e in _slot_run(*args, **config).examples]
+
+
+def _skips_its_only_slot(*args, **config):
+    gen = _slot_run(*args, **config)
+    return gen.skipped == gen.requested == 1 and not gen.examples
 
 
 def test_select_segment_mention_and_token(hand_corpus):
-    rng = np.random.default_rng(0)
     sent = hand_corpus.sentences[0]  # one LOC mention at (0, 3)
-    assert _one_slot(sent, "mention", rng) == ((0, 3),)
-    assert _one_slot(sent, "whole_sequence", rng) == ((0, 5),)
-    token_spans = {_one_slot(sent, "token", rng) for _ in range(60)}
+    assert _slot_spans(sent, "mention") == [((0, 3),)]
+    assert _slot_spans(sent, "whole_sequence") == [((0, 5),)]
+    token_spans = set(_slot_spans(sent, "token", rate=60))
     assert token_spans == {((0, 1),), ((1, 2),), ((2, 3),)}
-    for variant in ("mention", "token"):
-        with pytest.raises(ValueError, match="no eligible segment"):
-            _one_slot(hand_corpus.sentences[2], variant, rng)
+    for variant in ("mention", "token"):  # an all-O sentence has no eligible segment
+        assert _skips_its_only_slot(hand_corpus.sentences[2], variant)
 
 
 def test_select_segment_reads_ill_formed_bio_like_scoring():
-    rng = np.random.default_rng(0)
     sent = Sentence(("paris", "hilton", "x"), ("B-LOC", "I-PER", "O"))
-    spans = {_one_slot(sent, "mention", rng) for _ in range(60)}
+    spans = set(_slot_spans(sent, "mention", rate=60))
     assert spans == {((0, 1),), ((1, 2),)}
     stray = Sentence(("x", "rome"), ("O", "I-LOC"))
-    assert _one_slot(stray, "mention", rng) == ((1, 2),)
+    assert _slot_spans(stray, "mention") == [((1, 2),)]
 
 
 def test_select_segment_mention_uniform():
@@ -398,32 +420,30 @@ def test_select_segment_mention_uniform():
 
 
 def test_select_segment_synonym(hand_corpus):
-    rng = np.random.default_rng(0)
     sent = hand_corpus.sentences[0]
     lex = SynonymLexicon({"is": ("was",)})
-    assert _one_slot(sent, "synonym", rng, lex) == ((3, 4),)
-    empty = SynonymLexicon({"absent": ("gone",)})
-    with pytest.raises(ValueError, match="no eligible segment"):
-        _one_slot(sent, "synonym", rng, empty)
+    assert _slot_spans(sent, "synonym", lex) == [((3, 4),)]
+    assert _skips_its_only_slot(sent, "synonym", SynonymLexicon({"absent": ("gone",)}))
     with pytest.raises(ValueError, match="needs a synonym lexicon"):
-        _one_slot(sent, "synonym", rng)
+        _slot_spans(sent, "synonym")  # the default pool is a segment pool
+    with pytest.raises(ValueError, match="synonym variant needs an explicit lexicon"):
+        _slot_spans(sent, "synonym", {})
 
 
 def test_select_segment_relation(hand_re_corpus):
-    rng = np.random.default_rng(0)
     sample = hand_re_corpus.samples[0]
     pool, vocab = build_relation_pool(hand_re_corpus), hand_re_corpus.relation_vocab
-    spans = _one_slot(sample, "relation", rng, pool, vocab)
-    assert spans == (
+    spans = _slot_spans(sample, "relation", pool, vocab)
+    assert spans == [(
         (sample.e1.start, sample.e1.end),
         (sample.e2.start, sample.e2.end),
-    )
-    with pytest.raises(TypeError):
-        _one_slot(hand_re_corpus.samples[0], "mention", rng)
-    with pytest.raises(TypeError):
-        _one_slot(Sentence(("a",), ("O",)), "relation", rng, pool, vocab)
+    )]
+    with pytest.raises(ValueError, match="'mention' does not apply to RECorpus"):
+        _slot_spans(hand_re_corpus.samples[0], "mention")
+    with pytest.raises(ValueError, match="'relation' does not apply to TaggedCorpus"):
+        _slot_spans(Sentence(("a",), ("O",)), "relation", pool, vocab)
     with pytest.raises(ValueError, match="unknown variant"):
-        _one_slot(Sentence(("a",), ("O",)), "bogus", rng)
+        _slot_spans(Sentence(("a",), ("O",)), "bogus")
 
 
 # ---------------------------------------------------------------- hand mixes
@@ -436,18 +456,12 @@ def loc_sentence():
     )
 
 
-VOCAB = ("B-LOC", "I-LOC", "O", "B-PER", "I-PER")
-
-
 def test_mention_mix_shorter_pool_segment(loc_sentence):
     """3-token LOC span against a 2-token PER segment: pool side zero-padded."""
     table = EmbeddingTable.random(VOCAB + ("q",), dim=8, seed=3)
     tok = lambda t: table.embed([t])[0]
     pool = single_entry_pool(("marcello", "cuttitta"), ("B-PER", "I-PER"))
-    cfg = MixConfig(variant="mention", fixed_lambda=0.6)
-    got = mix_example(
-        loc_sentence, pool, table, VOCAB, cfg, np.random.default_rng(0)
-    )
+    got = _mixed(loc_sentence, pool, table, variant="mention", fixed_lambda=0.6)
 
     assert len(got) == 5  # span not shorter than pool: length unchanged
     assert np.allclose(got.embeddings[0], 0.6 * tok("new") + 0.4 * tok("marcello"))
@@ -478,8 +492,7 @@ def test_mention_mix_longer_pool_segment_grows():
     table = EmbeddingTable.random(("rome", "is", "old", "new", "york", "city"), 8, 5)
     tok = lambda t: table.embed([t])[0]
     pool = single_entry_pool(("new", "york", "city"), ("B-LOC", "I-LOC", "I-LOC"))
-    cfg = MixConfig(variant="mention", fixed_lambda=0.25)
-    got = mix_example(sent, pool, table, VOCAB, cfg, np.random.default_rng(0))
+    got = _mixed(sent, pool, table, variant="mention", fixed_lambda=0.25)
 
     assert len(got) == 5  # 3 - 1 + 3
     assert got.provenance.mixed_spans == ((0, 3),)
@@ -499,8 +512,8 @@ def test_normalize_tail_labels():
     sent = Sentence(("rome", "is", "old"), ("B-LOC", "O", "O"))
     table = EmbeddingTable.random(("rome",), 4, 0)
     pool = single_entry_pool(("new", "york", "city"), ("B-LOC", "I-LOC", "I-LOC"))
-    cfg = MixConfig(variant="mention", fixed_lambda=0.25, normalize_tail_labels=True)
-    got = mix_example(sent, pool, table, VOCAB, cfg, np.random.default_rng(0))
+    got = _mixed(sent, pool, table, variant="mention", fixed_lambda=0.25,
+                 normalize_tail_labels=True)
     assert np.allclose(got.soft_labels.sum(axis=1), 1.0)
 
 
@@ -508,8 +521,7 @@ def test_lambda_one_is_bitwise_identity_even_with_longer_pool():
     sent = Sentence(("rome", "is", "old"), ("B-LOC", "O", "O"))
     table = EmbeddingTable.random(("rome", "is", "old"), 8, 1)
     pool = single_entry_pool(("new", "york", "city"), ("B-LOC", "I-LOC", "I-LOC"))
-    cfg = MixConfig(variant="mention", fixed_lambda=1.0)
-    got = mix_example(sent, pool, table, VOCAB, cfg, np.random.default_rng(0))
+    got = _mixed(sent, pool, table, variant="mention", fixed_lambda=1.0)
     assert len(got) == 3
     assert np.array_equal(got.embeddings, table.embed(sent.tokens))
     assert np.array_equal(got.soft_labels, one_hot(sent.labels, VOCAB))
@@ -520,8 +532,7 @@ def test_lambda_zero_equals_replacement_on_equal_length():
     sent = Sentence(("new", "york", "hi"), ("B-LOC", "I-LOC", "O"))
     table = EmbeddingTable.random(("new", "york", "hi", "san", "juan"), 8, 2)
     pool = single_entry_pool(("san", "juan"), ("B-LOC", "I-LOC"))
-    cfg = MixConfig(variant="mention", fixed_lambda=0.0)
-    got = mix_example(sent, pool, table, VOCAB, cfg, np.random.default_rng(0))
+    got = _mixed(sent, pool, table, variant="mention", fixed_lambda=0.0)
     replaced = Sentence(("san", "juan", "hi"), ("B-LOC", "I-LOC", "O"))
     assert np.array_equal(got.embeddings, table.embed(replaced.tokens))
     assert np.array_equal(got.soft_labels, one_hot(replaced.labels, VOCAB))
@@ -530,8 +541,7 @@ def test_lambda_zero_equals_replacement_on_equal_length():
 def test_synonym_mix_leaves_labels_alone(loc_sentence):
     table = EmbeddingTable.random(("is", "was"), 8, 7)
     lex = SynonymLexicon({"is": ("was",)})
-    cfg = MixConfig(variant="synonym", fixed_lambda=0.4)
-    got = mix_example(loc_sentence, lex, table, VOCAB, cfg, np.random.default_rng(0))
+    got = _mixed(loc_sentence, lex, table, variant="synonym", fixed_lambda=0.4)
     tok = lambda t: table.embed([t])[0]
     assert np.allclose(got.embeddings[3], 0.4 * tok("is") + 0.6 * tok("was"))
     for i in (0, 1, 2, 4):
@@ -546,8 +556,7 @@ def test_synonym_mix_leaves_labels_alone(loc_sentence):
 def test_whole_sequence_mixes_every_row(loc_sentence):
     table = EmbeddingTable.random(tuple(loc_sentence.tokens) + ("x", "y"), 8, 11)
     pool = single_entry_pool(("x", "y"), ("O", "O"))
-    cfg = MixConfig(variant="whole_sequence", fixed_lambda=0.5)
-    got = mix_example(loc_sentence, pool, table, VOCAB, cfg, np.random.default_rng(0))
+    got = _mixed(loc_sentence, pool, table, variant="whole_sequence", fixed_lambda=0.5)
     assert got.provenance.spans == ((0, 5),)
     assert len(got) == 5
     original = table.embed(loc_sentence.tokens)
@@ -571,8 +580,7 @@ def test_re_mix_hand_values():
         2,
         (SegmentTuple((("flu",), ("fever",)), "Cause-Effect(e2,e1)"),),
     )
-    cfg = MixConfig(variant="relation", fixed_lambda=0.7)
-    got = mix_re_sample(sample, pool, table, vocab, cfg, np.random.default_rng(0))
+    got = _mixed(sample, pool, table, vocab, variant="relation", fixed_lambda=0.7)
 
     assert np.allclose(got.soft_relation, [0.7, 0.3])
     assert np.allclose(got.embeddings[1], 0.7 * tok("storm") + 0.3 * tok("flu"))
@@ -596,8 +604,7 @@ def test_re_mix_growth_shifts_second_span():
         2,
         (SegmentTuple((("big", "flu"), ("fever",)), "Cause-Effect(e1,e2)"),),
     )
-    cfg = MixConfig(variant="relation", fixed_lambda=0.7)
-    got = mix_re_sample(sample, pool, table, vocab, cfg, np.random.default_rng(0))
+    got = _mixed(sample, pool, table, vocab, variant="relation", fixed_lambda=0.7)
     assert len(got.embeddings) == 6
     assert (got.e1.start, got.e1.end) == (1, 3)
     assert (got.e2.start, got.e2.end) == (5, 6)
@@ -611,8 +618,7 @@ def test_re_mix_same_relation_stays_one_hot():
     vocab = ("Other",)
     table = EmbeddingTable.random(("a", "b", "c"), 4, 0)
     pool = SegmentPool(2, (SegmentTuple((("a",), ("c",)), "Other"),))
-    cfg = MixConfig(variant="relation", fixed_lambda=0.7)
-    got = mix_re_sample(sample, pool, table, vocab, cfg, np.random.default_rng(0))
+    got = _mixed(sample, pool, table, vocab, variant="relation", fixed_lambda=0.7)
     assert np.allclose(got.soft_relation, [1.0])
 
 
@@ -621,36 +627,28 @@ def test_re_mix_arity_validated():
     table = EmbeddingTable.random(("a", "b"), 4, 0)
     bad = single_entry_pool(("x",), ("B-X",))
     with pytest.raises(ValueError, match="arity-2"):
-        mix_re_sample(
-            sample, bad, table, ("Other",), MixConfig(variant="relation"),
-            np.random.default_rng(0),
-        )
+        _run_alone(sample, bad, table, ("Other",), variant="relation")
 
 
 def test_same_type_only_single_mix_refuses_a_pool_without_the_type(loc_sentence):
     """A LOC mention against a PER-only pool has no same-type partner, as in a run."""
-    table = EmbeddingTable.random(VOCAB + ("ann",), 8, 0)
     pool = single_entry_pool(("ann",), ("B-PER",))
-    cfg = MixConfig(variant="mention", same_type_only=True)
-    with pytest.raises(ValueError, match="no eligible segment"):
-        mix_example(loc_sentence, pool, table, VOCAB, cfg, np.random.default_rng(0))
+    assert _skips_its_only_slot(loc_sentence, "mention", pool, same_type_only=True)
+    table = EmbeddingTable.random(VOCAB + ("ann",), 8, 0)
     loc_pool = single_entry_pool(("rome",), ("B-LOC",))
-    got = mix_example(loc_sentence, loc_pool, table, VOCAB, cfg, np.random.default_rng(0))
+    got = _mixed(loc_sentence, loc_pool, table, variant="mention", same_type_only=True)
     assert got.provenance.pool_index == 0
 
 
 def test_single_mix_refuses_an_empty_pool(loc_sentence):
     table = EmbeddingTable.random(VOCAB, 8, 0)
-    rng = np.random.default_rng(0)
     with pytest.raises(EmptyPoolError):
-        mix_example(loc_sentence, SegmentPool(1, ()), table, VOCAB, MixConfig(), rng)
+        _run_alone(loc_sentence, SegmentPool(1, ()), table, variant="mention")
     with pytest.raises(EmptyPoolError):
-        mix_example(loc_sentence, SynonymLexicon({}), table, VOCAB,
-                    MixConfig(variant="synonym"), rng)
+        _run_alone(loc_sentence, SynonymLexicon({}), table, variant="synonym")
     sample = RESample(("a", "b"), Span(0, 1), Span(1, 2), "Other")
     with pytest.raises(EmptyPoolError):
-        mix_re_sample(sample, SegmentPool(2, ()), table, ("Other",),
-                      MixConfig(variant="relation"), rng)
+        _run_alone(sample, SegmentPool(2, ()), table, ("Other",), variant="relation")
 
 
 def test_pool_kind_must_match_the_variant(loc_sentence):
@@ -663,40 +661,34 @@ def test_pool_kind_must_match_the_variant(loc_sentence):
         cfg = MixConfig(variant=variant, rate=1.0)
         with pytest.raises(ValueError, match=f"variant '{variant}' needs a"):
             segmix_generate(corpus, {variant: wrong}, table, cfg)
-        with pytest.raises(ValueError, match="needs a"):
-            mix_example(loc_sentence, wrong, table, VOCAB, cfg, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=f"variant '{variant}' needs a"):
+            segmix_generate(corpus, wrong, table, cfg)
 
 
 @pytest.mark.parametrize("variant", ["mention", "token", "whole_sequence", "relation"])
 def test_single_mix_without_a_pool_draws_from_the_examples_own_segments(variant):
-    """``pool=None`` is the pool built from the example alone, byte for byte."""
+    """A one-example run given no pool is that run given the pool built from
+    the example alone, byte for byte."""
     relation = variant == "relation"
     corpus = synth_re_corpus(20, seed=5) if relation else synth_tagged_corpus(20, seed=5)
     examples = corpus.samples if relation else corpus.sentences
-    vocab = corpus.relation_vocab if relation else corpus.label_vocab
     alone = RECorpus.from_samples if relation else TaggedCorpus.from_sentences
-    mix_one = mix_re_sample if relation else mix_example
     table = EmbeddingTable.random(corpus.token_vocab, 8, 0)
-    cfg = MixConfig(variant=variant, alpha=0.5)
     for i, example in enumerate(examples):
-        own = _POOL_BUILDERS[variant](alone([example]))
-        got = mix_one(example, None, table, vocab, cfg, np.random.default_rng(i))
-        want = mix_one(example, own, table, vocab, cfg, np.random.default_rng(i))
-        assert got.embeddings.tobytes() == want.embeddings.tobytes()
-        if relation:
-            assert got.soft_relation.tobytes() == want.soft_relation.tobytes()
-            assert (got.e1, got.e2) == (want.e1, want.e2)
-        else:
-            assert got.soft_labels.tobytes() == want.soft_labels.tobytes()
-        assert got.provenance == want.provenance
-
-
-def test_single_mix_refuses_a_combination_variant(loc_sentence):
-    table = EmbeddingTable.random(VOCAB, 8, 0)
-    pool = single_entry_pool(("rome",), ("B-LOC",))
-    with pytest.raises(ValueError, match=r"handles NER variants, not 'mention\+token'"):
-        mix_example(loc_sentence, pool, table, VOCAB, MixConfig(variant="mention+token"),
-                    np.random.default_rng(0))
+        one = alone([example])
+        cfg = MixConfig(variant=variant, alpha=0.5, rate=1.0, seed=i)
+        got = segmix_generate(one, None, table, cfg)
+        want = segmix_generate(one, _POOL_BUILDERS[variant](one), table, cfg)
+        assert (got.skipped, got.requested) == (want.skipped, want.requested)
+        assert len(got.examples) == len(want.examples)
+        for x, y in zip(got.examples, want.examples):
+            assert x.embeddings.tobytes() == y.embeddings.tobytes()
+            if relation:
+                assert x.soft_relation.tobytes() == y.soft_relation.tobytes()
+                assert (x.e1, x.e2) == (y.e1, y.e2)
+            else:
+                assert x.soft_labels.tobytes() == y.soft_labels.tobytes()
+            assert x.provenance == y.provenance
 
 
 def test_a_combination_run_refuses_a_bare_pool():

@@ -33,13 +33,13 @@ from segmix.model import (
     _pooled,
     _predict_ids,
     _score,
+    _step,
     _test_side,
     _train,
     _window_rows,
     gradient_check,
     predict_re,
     predict_tagger,
-    soft_cross_entropy,
     train_re,
     train_tagger,
 )
@@ -60,41 +60,41 @@ def test_log_softmax_hand_and_stability():
     assert np.isclose(np.exp(big).sum(), 1.0)
 
 
-def test_soft_cross_entropy_hand_value():
-    assert np.isclose(
-        soft_cross_entropy(np.array([0.0, 0.0]), np.array([1.0, 0.0])), np.log(2)
-    )
-    # matrix input averages rows
+def _step_loss(logits, target):
+    """The soft cross-entropy of one fused step at scale 0 through identity
+    weights, summed over the rows of ``logits`` against ``target``."""
+    logits, target = np.atleast_2d(np.asarray(logits, float), np.asarray(target, float))
+    return _step(np.eye(logits.shape[1]), logits, target, target.sum(axis=1), 0.0)
+
+
+def test_step_loss_hand_value():
+    assert np.isclose(_step_loss([0.0, 0.0], [1.0, 0.0]), np.log(2))
+    # a matrix sums its rows; the mean over them is the hand value
     logits = np.array([[0.0, 0.0], [np.log(3), 0.0]])
     target = np.array([[1.0, 0.0], [1.0, 0.0]])
     want = (np.log(2) + np.log(4 / 3)) / 2
-    assert np.isclose(soft_cross_entropy(logits, target), want)
+    assert np.isclose(_step_loss(logits, target) / len(logits), want)
+    assert np.isclose(-(target * log_softmax(logits)).sum() / len(logits), want)
 
 
-def test_soft_cross_entropy_entropy_identity():
+def test_step_loss_entropy_identity():
     rng = np.random.default_rng(0)
     logits = rng.standard_normal(6)
     p = np.exp(log_softmax(logits))
     entropy = -(p * np.log(p)).sum()
-    assert np.isclose(soft_cross_entropy(logits, p), entropy)
+    assert np.isclose(_step_loss(logits, p), entropy)
 
 
-def test_soft_cross_entropy_linear_in_target():
+def test_step_loss_linear_in_target():
     rng = np.random.default_rng(1)
     logits = rng.standard_normal(5)
     t1 = np.eye(5)[0]
     t2 = np.eye(5)[3]
     lam = 0.3
-    blended = soft_cross_entropy(logits, lam * t1 + (1 - lam) * t2)
-    parts = lam * soft_cross_entropy(logits, t1) + (1 - lam) * soft_cross_entropy(logits, t2)
+    blended = _step_loss(logits, lam * t1 + (1 - lam) * t2)
+    parts = lam * _step_loss(logits, t1) + (1 - lam) * _step_loss(logits, t2)
     assert np.isclose(blended, parts)
-
-
-def test_soft_cross_entropy_validation():
-    with pytest.raises(ValueError, match="shape mismatch"):
-        soft_cross_entropy(np.zeros(3), np.zeros(4))
-    with pytest.raises(ValueError, match="non-finite"):
-        soft_cross_entropy(np.array([np.inf, 0.0]), np.array([1.0, 0.0]))
+    assert np.isclose(blended, -(lam * t1 + (1 - lam) * t2) @ log_softmax(logits))
 
 
 # ---------------------------------------------------------------- models

@@ -384,16 +384,30 @@ def test_a_checkpoint_save_that_fails_keeps_the_earlier_file(tmp_path, monkeypat
     assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
 
-@pytest.mark.parametrize("what", ["weights", "table"])
-def test_load_checkpoint_refuses_a_non_finite_payload(tmp_path, what):
+# float32 bits 0x7f800001 are a signalling NaN: casting one to float64 warns,
+# and warnings are errors in this suite
+@pytest.mark.parametrize("what, bits", [("weights", 0x7FC00000), ("table", 0x7FC00000),
+                                        ("weights", 0x7F800001), ("table", 0x7F800001)],
+                         ids=["weights", "table", "weights-signalling", "table-signalling"])
+def test_load_checkpoint_refuses_a_non_finite_payload(tmp_path, what, bits):
     table = EmbeddingTable.random(["a", "b"], 3, seed=0)
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, REModel.init(["R1", "R2"], 3, seed=0), table)
     raw = bytearray(path.read_bytes())
     at = len(raw) - 4 * (table.vectors.size + 1 if what == "weights" else 1)  # its last float
-    raw[at : at + 4] = struct.pack("<f", float("nan"))
+    raw[at : at + 4] = struct.pack("<I", bits)
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match=f"^checkpoint {what} payload holds a non-finite value$"):
+        load_checkpoint(path)
+
+
+def test_load_checkpoint_refuses_a_header_length_past_the_end_before_reading_it(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, REModel.init(["R1", "R2"], 3, seed=0),
+                    EmbeddingTable.random(["a"], 3, seed=0))
+    raw = path.read_bytes()
+    path.write_bytes(raw[:8] + struct.pack("<I", len(raw) - 11) + raw[12:])  # one byte too many
+    with pytest.raises(ValueError, match="^checkpoint file is truncated$"):
         load_checkpoint(path)
 
 
