@@ -345,7 +345,7 @@ def cmd_augment(ns: SimpleNamespace, inputs: dict) -> dict:
     table = EmbeddingTable.random(tokens, ns.dim, seed=ns.embed_seed, n_buckets=ns.n_buckets)
     result = segmix_generate(corpus, pools, table, config)
     originals = _encode(ns.task, corpus, table) if ns.include_originals else []
-    examples = originals + list(result.examples)
+    examples = originals + result.examples
     meta = {
         "corpus_sha256": inputs[ns.input],
         "config": {
@@ -363,7 +363,7 @@ def cmd_augment(ns: SimpleNamespace, inputs: dict) -> dict:
             "skipped": result.skipped, "written": len(examples)}
 
 
-def _load_matching_augmented(ns, label_vocab, inputs: dict) -> list:
+def _load_matching_augmented(ns, label_vocab, inputs: dict):
     """The examples of ``--augmented``, refused unless built for this training run."""
     with open(ns.augmented) as fh:
         aug = load_augmented(fh)
@@ -387,7 +387,7 @@ def _load_matching_augmented(ns, label_vocab, inputs: dict) -> list:
             "augmented file was built from a different corpus "
             "(pass --allow-corpus-mismatch to train anyway)"
         )
-    return list(aug.examples)
+    return aug.examples
 
 
 def cmd_train(ns: SimpleNamespace, inputs: dict) -> dict:
@@ -461,7 +461,7 @@ def _sweep_cell(cell: tuple, ns: SimpleNamespace, train, test, table: EmbeddingT
     if variant != "none":
         config = MixConfig(alpha=float(ns.alpha), rate=rate, variant=variant, seed=cell_seed)
         generated = segmix_generate(sub, {}, table, config).examples
-    examples = _encode(ns.task, sub, table) + list(generated)
+    examples = _encode(ns.task, sub, table) + generated
     train_config = _train_config(ns, ns.epochs + 1, cell_seed)
     model = _fit(ns.task, _labels(ns.task, sub), examples, train_config, ns.dim, ns.window).model
     score = _score(model, table, test)

@@ -26,15 +26,30 @@ slots form one plan, and the plans are materialized one after another in
 blocks of slots: plain rows are gathered from the embedding table and an
 identity matrix, and every mixed row of a block is computed in one blend. A synonym plan keeps its label
 rows as they are.
+
+A run's examples are kept as those blocks, as columns (:class:`_Block`:
+rows, label rows, row bounds, one column per provenance field), in a
+store (:class:`_Store`) that reads like a list of :class:`MixedExample`
+or :class:`MixedRESample`; the encoders return one too. An example
+object is built when its block is first read, as views into the block's
+arrays. Saving and training read a block's columns while none of its
+examples has been read, and walk any other examples into columns
+(:func:`_blocks`), so a run that is only generated, saved, loaded and
+trained on builds no example objects. The encoders therefore need no
+pause of the garbage collector; :func:`segmix_generate` keeps its pause
+for the pool it builds for a variant given none.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import logging
 import math
-from dataclasses import dataclass
-from itertools import chain, repeat
+from collections import abc
+from dataclasses import dataclass, fields as fields_of
+from itertools import accumulate, chain, repeat
+from operator import attrgetter
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -319,9 +334,9 @@ class MixedRESample:
 def _shape_problem(emb_shape, label_shape, spans, dim: int, n_labels: int) -> str | None:
     """Why an example with these shapes cannot be stored or trained on, or None.
 
-    ``spans`` is the (e1, e2) :class:`Span` pair of a relation example and
-    None for a tagging one. Reads shapes only, so a file load pays O(1)
-    per record before decoding.
+    ``spans`` is the (e1, e2) pair of a relation example, each a (start,
+    end) pair, and None for a tagging one. Reads shapes only, so a file
+    load pays O(1) per record before decoding.
     """
     if len(emb_shape) != 2 or emb_shape[1] != dim:
         return f"embeddings have shape {list(emb_shape)}, expected (n, {dim})"
@@ -334,27 +349,176 @@ def _shape_problem(emb_shape, label_shape, spans, dim: int, n_labels: int) -> st
         name, expected = "soft_relation", (n_labels,)
     if tuple(label_shape) != expected:
         return f"{name} have shape {list(label_shape)}, expected {expected}"
-    for span_name, span in zip(("e1", "e2"), spans or ()):
-        if span.end > n:  # a Span has 0 <= start < end
-            return (f"{span_name} span [{span.start}, {span.end}) lies outside "
-                    f"the {n}-token sentence")
+    for span_name, (start, end) in zip(("e1", "e2"), spans or ()):
+        if end > n:  # a span has 0 <= start < end
+            return f"{span_name} span [{start}, {end}) lies outside the {n}-token sentence"
     return None
 
 
-def _examples_problem(examples: Sequence, relation: bool, dim: int, n_labels: int) -> str | None:
-    """The first example :func:`_shape_problem` refuses, as "example i: why", or None."""
-    for i, e in enumerate(examples):
-        labels = e.soft_relation if relation else e.soft_labels
-        spans = (e.e1, e.e2) if relation else None
-        problem = _shape_problem(e.embeddings.shape, labels.shape, spans, dim, n_labels)
-        if problem:
-            return f"example {i}: {problem}"
-    return None
+@dataclass(eq=False)
+class _Block:
+    """Up to :data:`_BLOCK` examples of a run, as columns.
+
+    Example i owns rows ``bounds[i]:bounds[i + 1]`` of ``embeddings``, and
+    of ``labels`` in a tagging block; in a relation block it owns label
+    row i and ``pairs[i]``, its e1 and e2 (start, end) pairs, of an
+    (examples, 2, 2) integer array. ``provenance`` holds one column per
+    :class:`Provenance` field, in field order, of one value per example;
+    the spans of a generated block are (examples, k, 2) integer arrays,
+    and any other block's are lists or tuples of (start, end) pairs.
+    ``items`` holds the examples as objects once one of them has been
+    read; a caller may edit those, so from then on they are what the
+    block holds, and ``provenance`` is dropped.
+    """
+
+    embeddings: np.ndarray
+    labels: np.ndarray
+    bounds: list
+    provenance: list
+    pairs: np.ndarray | None
+    items: list | None = None
+
+    @_gc_quiet
+    def built(self) -> list:
+        """The block's examples, built the first time they are asked for."""
+        if self.items is None:
+            index, variant, lam, spans, mixed, pool, words = self.provenance
+            provenances = map(Provenance, index, variant, lam, _tuples(spans), _tuples(mixed), pool,
+                              words)
+            self.provenance = None
+            b = self.bounds
+            if self.pairs is None:
+                self.items = [MixedExample(self.embeddings[lo:hi], self.labels[lo:hi], p)
+                              for lo, hi, p in zip(b, b[1:], provenances)]
+            else:
+                self.items = [MixedRESample(self.embeddings[lo:hi], self.labels[i], Span(*e1),
+                                            Span(*e2), p)
+                              for i, (lo, hi, (e1, e2), p)
+                              in enumerate(zip(b, b[1:], self.pairs.tolist(), provenances))]
+        return self.items
+
+
+def _pairs(examples: Sequence) -> np.ndarray:
+    """The (e1, e2) spans of relation examples or samples as an (n, 2, 2) integer array."""
+    ends = [n for e in examples for n in (e.e1.start, e.e1.end, e.e2.start, e.e2.end)]
+    return np.array(ends, np.int64).reshape(-1, 2, 2)
+
+
+def _tuples(column):
+    """A span column of :class:`_Block` as one tuple of (start, end) tuples
+    per example, as a :class:`Provenance` holds them."""
+    if isinstance(column, np.ndarray):  # k spans an example
+        pairs = map(tuple, column.reshape(-1, 2).tolist())
+        return zip(*[pairs] * column.shape[1])
+    return map(tuple, map(map, repeat(tuple), column))
+
+
+class _Store(abc.Sequence):
+    """A run's examples held as blocks of columns (:class:`_Block`), read
+    like a list of :class:`MixedExample` or :class:`MixedRESample`.
+
+    An example is built when its block is first read, and kept. ``+``
+    joins two stores into one that shares their blocks, so an edit made
+    through either shows in both; with a list it gives a list, and with
+    an empty list the store itself.
+    """
+
+    def __init__(self, blocks: list):
+        self.blocks = blocks
+        self._starts = [0, *accumulate(len(b.bounds) - 1 for b in blocks)]
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    @_gc_quiet
+    def _built(self) -> list:
+        """Every example, those of the blocks not read yet built under one
+        pause of the collector: a pause per block still set off collections."""
+        return [e for b in self.blocks for e in b.built()]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def _at(self, i: int) -> tuple[list, int]:
+        """The built examples of the block that holds example ``i``, and its place there."""
+        i = range(len(self))[i]  # a negative or out-of-range index as a list takes it
+        k = bisect.bisect_right(self._starts, i) - 1
+        return self.blocks[k].built(), i - self._starts[k]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        items, j = self._at(i)
+        return items[j]
+
+    def __setitem__(self, i: int, example) -> None:
+        items, j = self._at(i)
+        items[j] = example
+
+    def __eq__(self, other):
+        return self._built() == list(other) if isinstance(other, (list, _Store)) else NotImplemented
+
+    def __add__(self, other):
+        if isinstance(other, _Store):
+            return _Store(self.blocks + other.blocks)
+        if not isinstance(other, list):
+            return NotImplemented
+        return self._built() + other if other else self
+
+    def __radd__(self, other):
+        if not isinstance(other, list):
+            return NotImplemented
+        return other + self._built() if other else self
+
+
+def _blocks(examples: Sequence, relation: bool, dim: int | None, n_labels: int,
+            what: str = "example"):
+    """``examples`` as blocks of columns, one (first example's index,
+    walked, block) at a time. A store's blocks are taken as they are while
+    none of their examples has been read and their rows are ``dim`` (or,
+    given None, the first example's) and ``n_labels`` wide; any other
+    examples are walked into columns, :data:`_BLOCK` at a time, once
+    :func:`_shape_problem` passes their shapes; the first it refuses raises
+    ``ValueError(f"{what} {i}: why")``."""
+    if isinstance(examples, _Store):
+        pieces = [b if b.items is None else b.built() for b in examples.blocks]
+    else:
+        pieces = [examples[lo : lo + _BLOCK] for lo in range(0, len(examples), _BLOCK)]
+    if dim is None and pieces:
+        dim = (pieces[0] if isinstance(pieces[0], _Block) else pieces[0][0]).embeddings.shape[1]
+    first = 0
+    for piece in pieces:
+        widths = isinstance(piece, _Block) and (piece.embeddings.shape[1], piece.labels.shape[1])
+        if widths and widths != (dim, n_labels):
+            piece = piece.built()
+        walked = not isinstance(piece, _Block)
+        for i, e in enumerate(piece if walked else (), first):
+            labels = e.soft_relation if relation else e.soft_labels
+            spans = ((e.e1.start, e.e1.end), (e.e2.start, e.e2.end)) if relation else None
+            problem = _shape_problem(e.embeddings.shape, labels.shape, spans, dim, n_labels)
+            if problem:
+                raise ValueError(f"{what} {i}: {problem}")
+        block = _walk(piece, relation) if walked else piece
+        yield first, walked, block
+        first += len(block.bounds) - 1
+
+
+def _walk(examples: Sequence, relation: bool) -> _Block:
+    """``examples`` walked into a block of columns."""
+    fields = attrgetter(*(f.name for f in fields_of(Provenance)))
+    columns = [list(c) for c in zip(*map(fields, [e.provenance for e in examples]))]
+    bounds = [0, *accumulate(len(e.embeddings) for e in examples)]
+    embeddings = np.concatenate([e.embeddings for e in examples])
+    if not relation:
+        labels = np.concatenate([e.soft_labels for e in examples])
+        return _Block(embeddings, labels, bounds, columns, None)
+    return _Block(embeddings, np.stack([e.soft_relation for e in examples]), bounds, columns,
+                  _pairs(examples))
 
 
 @dataclass
 class GenerationResult:
-    examples: list
+    examples: Sequence
     skipped: int
     requested: int
 
@@ -665,7 +829,7 @@ def _materialize(
     vocab: Sequence[str],
     config: MixConfig,
 ) -> list:
-    """Build the planned examples, plan after plan, with batched gathers and blends.
+    """Build the planned examples as blocks, plan after plan, with batched gathers and blends.
 
     Rows outside the mixed spans are gathered from ``table.vectors`` and an
     identity matrix; rows inside become ``lam * a + (1 - lam) * b`` against
@@ -701,45 +865,14 @@ def _materialize(
                     nonzero = sums > 0
                     rows[nonzero] = rows[nonzero] / sums[nonzero, None]
                     soft[blend] = rows
-        out.extend(_examples(block, embeddings, soft, sizes, mixed_spans))
+        n = len(sizes)
+        replacements = ([tuple(t for seg in segs for t in seg) for segs in block.segments]
+                        if block.variant == "synonym" else [None] * n)
+        provenance = [block.example.tolist(), [block.variant] * n, block.lam.tolist(),
+                      block.spans, mixed_spans, block.pool_index, replacements]
+        out.append(_Block(embeddings, soft, [0, *accumulate(sizes.tolist())], provenance,
+                          mixed_spans if block.variant == "relation" else None))
     return out
-
-
-def _span_tuples(spans: np.ndarray) -> list:
-    """An (n, k, 2) span array as n k-tuples of (start, end) tuples."""
-    pairs = map(tuple, spans.reshape(-1, 2).tolist())
-    return list(zip(*[pairs] * spans.shape[1]))
-
-
-def _examples(
-    plan: _Plan,
-    embeddings: np.ndarray,
-    soft: np.ndarray,
-    sizes: np.ndarray,
-    mixed_spans: np.ndarray,
-) -> list:
-    """A block's rows as records (:func:`_records`), with their provenance and final spans."""
-    bounds = np.concatenate([[0], np.cumsum(sizes)]).tolist()
-    finals = _span_tuples(mixed_spans)
-    replacements = ([tuple(t for seg in segs for t in seg) for segs in plan.segments]
-                    if plan.variant == "synonym" else repeat(None))
-    provenances = map(Provenance, plan.example.tolist(), repeat(plan.variant), plan.lam.tolist(),
-                      _span_tuples(plan.spans), finals, plan.pool_index, replacements)
-    pairs = [(Span(*e1), Span(*e2)) for e1, e2 in finals] if plan.variant == "relation" else None
-    return _records(embeddings, soft, bounds, provenances, pairs)
-
-
-def _records(embeddings: np.ndarray, labels: np.ndarray, bounds: Sequence[int], provenances,
-             pairs: Sequence | None = None) -> list:
-    """Flat rows sliced into one record per example, example i owning rows
-    ``bounds[i]:bounds[i + 1]``: a MixedExample with its label rows, or,
-    given the ``(e1, e2)`` spans of each example, a MixedRESample with
-    label row i."""
-    if pairs is None:
-        return [MixedExample(embeddings[a:b], labels[a:b], p)
-                for a, b, p in zip(bounds, bounds[1:], provenances)]
-    return [MixedRESample(embeddings[a:b], labels[i], e1, e2, p)
-            for i, (a, b, (e1, e2), p) in enumerate(zip(bounds, bounds[1:], pairs, provenances))]
 
 
 @_gc_quiet
@@ -757,8 +890,8 @@ def segmix_generate(
     """
     src, plans, skipped, requested = _plan_run(corpus, pools, config)
     vocab = corpus.label_vocab if isinstance(corpus, TaggedCorpus) else corpus.relation_vocab
-    examples = _materialize(src, plans, table, vocab, config) if plans else []
-    return GenerationResult(examples, skipped, requested)
+    blocks = _materialize(src, plans, table, vocab, config) if plans else []
+    return GenerationResult(_Store(blocks), skipped, requested)
 
 
 def _splice(seq: Sequence, spans, parts) -> tuple[tuple, list]:
@@ -810,23 +943,29 @@ def replacement_da(
     return ReplacementResult(out, skipped, requested)
 
 
-def _encode(examples: Sequence, table: EmbeddingTable, vocab: Sequence[str], pairs=None) -> list:
-    """A corpus's examples as degenerate mixed records (lam = 1): their
-    embedding rows and one-hot label rows, sliced by :func:`_records`."""
+def _encode(examples: Sequence, table: EmbeddingTable, vocab: Sequence[str], pairs=None) -> _Store:
+    """A corpus's examples as degenerate mixed examples (lam = 1): their
+    embedding rows and one-hot label rows, in blocks of :data:`_BLOCK`."""
     src = _compile(examples)
     embeddings = table.vectors[table.rows(src.tokens)]
-    originals = (Provenance(i, "original", 1.0, (), (), None) for i in range(len(examples)))
     soft = one_hot(src.label_names, vocab)[src.label_ids]
-    return _records(embeddings, soft, src.offsets.tolist(), originals, pairs)
+    blocks = []
+    for lo in range(0, len(examples), _BLOCK):
+        n = min(_BLOCK, len(examples) - lo)
+        at = src.offsets[lo : lo + n + 1]
+        labels = soft[at[0] : at[-1]] if pairs is None else soft[lo : lo + n]
+        provenance = [list(range(lo, lo + n)), ["original"] * n, [1.0] * n, [()] * n, [()] * n,
+                      [None] * n, [None] * n]
+        blocks.append(_Block(embeddings[at[0] : at[-1]], labels, (at - at[0]).tolist(), provenance,
+                             None if pairs is None else pairs[lo : lo + n]))
+    return _Store(blocks)
 
 
-@_gc_quiet
-def encode_corpus(corpus: TaggedCorpus, table: EmbeddingTable) -> list[MixedExample]:
+def encode_corpus(corpus: TaggedCorpus, table: EmbeddingTable) -> Sequence[MixedExample]:
     """Embed original sentences as degenerate mixed examples (lam = 1)."""
     return _encode(corpus.sentences, table, corpus.label_vocab)
 
 
-@_gc_quiet
-def encode_re_corpus(corpus: RECorpus, table: EmbeddingTable) -> list[MixedRESample]:
+def encode_re_corpus(corpus: RECorpus, table: EmbeddingTable) -> Sequence[MixedRESample]:
     """Embed original RE samples as degenerate mixed samples (lam = 1)."""
-    return _encode(corpus.samples, table, corpus.relation_vocab, [(s.e1, s.e2) for s in corpus.samples])
+    return _encode(corpus.samples, table, corpus.relation_vocab, _pairs(corpus.samples))

@@ -25,13 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .corpus import RECorpus, TaggedCorpus
 from .evaluation import _gold_side, _span_counts, _streams, re_scores
-from .mixer import EmbeddingTable, MixedExample, MixedRESample, _examples_problem
+from .mixer import EmbeddingTable, MixedExample, MixedRESample, _blocks
 from .rng import derive_rng
 
 
@@ -61,22 +62,6 @@ def _windows(flat: np.ndarray, rows: np.ndarray, window: int) -> np.ndarray:
     feats[:, -1] = 1.0
     for k, offset in enumerate(range(-window, window + 1)):
         feats[:, k * dim : (k + 1) * dim] = flat[rows + offset]
-    return feats
-
-
-# Samples pooled at a time: their span rows are copied out, so peak memory grows with it.
-_POOL_BLOCK = 128
-
-
-def _pooled(dim: int, samples) -> np.ndarray:
-    """One ``[mean(e1 rows); mean(e2 rows); 1]`` row per (embeddings, e1, e2),
-    a block of samples at a time, copying out only their span rows."""
-    feats = np.empty((len(samples), 2 * dim + 1))
-    for lo in range(0, len(samples), _POOL_BLOCK):
-        block = samples[lo : lo + _POOL_BLOCK]
-        pieces = [emb[s.start : s.end] for emb, e1, e2 in block for s in (e1, e2)]
-        rows = np.concatenate(pieces, dtype=np.float64)
-        feats[lo : lo + len(block)] = _pool(rows, np.array([len(p) for p in pieces]))
     return feats
 
 
@@ -156,7 +141,9 @@ class REModel:
 
     def features(self, embeddings: np.ndarray, e1, e2) -> np.ndarray:
         _require_dim(self, embeddings.shape[1])
-        return _pooled(self.dim, [(embeddings, e1, e2)])[0]
+        rows = np.concatenate([embeddings[e1.start : e1.end], embeddings[e2.start : e2.end]],
+                              dtype=np.float64)
+        return _pool(rows, np.array([len(e1), len(e2)]))[0]
 
     def forward(self, embeddings: np.ndarray, e1, e2) -> np.ndarray:
         return self.features(embeddings, e1, e2) @ self.weights
@@ -195,21 +182,23 @@ class TrainResult:
 _Layout = tuple[np.ndarray, np.ndarray, Callable]
 
 
-def _tagger_rows(model: TaggerModel, examples: Sequence) -> _Layout:
-    """Lay the examples out once for the whole run: their window features
-    (built from the examples joined ``window`` zero rows apart, which are
-    then freed) and targets weighted by ``1/len(example)``, one row per
-    token with no gap rows. Also returns the rows of an epoch: for an
-    order of the examples, their rows in that order and the bounds
-    between examples (``bounds[i]`` rows come before example ``order[i]``)."""
-    lengths = np.array([len(e.embeddings) for e in examples])
+def _tagger_rows(model: TaggerModel, blocks: list) -> _Layout:
+    """Lay the examples of ``blocks`` out once for the whole run: their
+    window features (built from the examples joined ``window`` zero rows
+    apart, which are then freed) and targets weighted by
+    ``1/len(example)``, one row per token with no gap rows. Also returns
+    the rows of an epoch: for an order of the examples, their rows in that
+    order and the bounds between examples (``bounds[i]`` rows come before
+    example ``order[i]``)."""
+    lengths = np.concatenate([np.diff(b.bounds) for b in blocks])
     starts, total = _joined(lengths, model.window)
+    rows = _ranges(starts, lengths)
     flat = np.zeros((total, model.dim))
-    for example, lo, n in zip(examples, starts.tolist(), lengths.tolist()):
-        flat[lo : lo + n] = example.embeddings
-    feats = _windows(flat, _ranges(starts, lengths), model.window)
+    for block, lo in zip(blocks, accumulate([0] + [b.bounds[-1] for b in blocks])):
+        flat[rows[lo : lo + block.bounds[-1]]] = block.embeddings
+    feats = _windows(flat, rows, model.window)
     del flat
-    weighted = np.concatenate([e.soft_labels for e in examples], dtype=np.float64)
+    weighted = np.concatenate([b.labels for b in blocks], dtype=np.float64)
     weighted *= np.repeat(1.0 / lengths, lengths)[:, None]
     first = np.cumsum(lengths) - lengths
 
@@ -219,16 +208,32 @@ def _tagger_rows(model: TaggerModel, examples: Sequence) -> _Layout:
     return feats, weighted, epoch_rows
 
 
-def _re_rows(model: REModel, examples: Sequence) -> _Layout:
-    """Pool every example's spans once; one row per example, weight 1."""
-    feats = _pooled(model.dim, [(e.embeddings, e.e1, e.e2) for e in examples])
-    weighted = np.array([e.soft_relation for e in examples], dtype=np.float64)
+# Samples pooled at a time: their span rows are copied out, so peak memory grows with it.
+_POOL_BLOCK = 128
+
+
+def _re_rows(model: REModel, blocks: list) -> _Layout:
+    """Pool every example's spans once, copying out only the span rows of
+    :data:`_POOL_BLOCK` examples at a time; one row per example, weight 1."""
+    weighted = np.concatenate([b.labels for b in blocks], dtype=np.float64)
+    feats = np.empty((len(weighted), 2 * model.dim + 1))
+    lo = 0
+    for block in blocks:
+        spans = block.pairs + np.array(block.bounds[:-1])[:, None, None]  # rows of the block
+        for part in np.split(spans, range(_POOL_BLOCK, len(spans), _POOL_BLOCK)):
+            lengths = (part[:, :, 1] - part[:, :, 0]).ravel()
+            rows = block.embeddings[_ranges(part[:, :, 0].ravel(), lengths)]
+            feats[lo : lo + len(part)] = _pool(rows.astype(np.float64, copy=False), lengths)
+            lo += len(part)
     return feats, weighted, lambda order: (order, np.arange(len(order) + 1))
 
 
 def _layout(model, examples: Sequence) -> _Layout:
-    """The run layout of ``examples`` for ``model``'s task."""
-    return (_re_rows if isinstance(model, REModel) else _tagger_rows)(model, examples)
+    """The run layout of ``examples`` for ``model``'s task, once the
+    examples fit the model (``mixer._blocks``)."""
+    relation = isinstance(model, REModel)
+    blocks = _blocks(examples, relation, model.dim, len(model.labels), "training example")
+    return (_re_rows if relation else _tagger_rows)(model, [b for _, _, b in blocks])
 
 
 def _step(weights: np.ndarray, feats: np.ndarray, tw: np.ndarray, sw: np.ndarray,
@@ -272,9 +277,6 @@ def _train(
     """
     if not examples:
         raise ValueError("empty training set")
-    problem = _examples_problem(examples, isinstance(model, REModel), model.dim, len(model.labels))
-    if problem:
-        raise ValueError(f"training {problem}")
     feats_all, tw_all, epoch_rows = _layout(model, examples)
     sw_all = tw_all.sum(axis=1)
     rng = derive_rng(config.seed, "train-shuffle")

@@ -7,20 +7,26 @@ across repeated runs with the same seed. They load as float32, cast
 exactly to float64 where arithmetic happens. Every line is compact JSON
 (``separators=(",", ":")``) with sorted keys. The header goes through
 ``json``; a record and its provenance are f-string templates (in
-:func:`save_augmented` and :func:`_provenance_texts`) with their keys already
-in that order, so the base64 payloads skip the JSON encoder's escape scan;
-an f-string sizes each line once, where ``%`` regrows it piece by piece.
-A new record or provenance field must go into its template at its sorted
-place: ``test_save_writes_the_bytes_of_the_json_oracle`` holds the
-templates to a writer that passes every record through ``json``. The
-templates write what ``json`` would only for fields of their plain types,
-so one check (:func:`_provenance_problem`) refuses any other provenance on
-save, before a byte is written, and on load.
+:func:`_record_lines`) with their keys already in that order, so the
+base64 payloads skip the JSON encoder's escape scan; an f-string sizes
+each line once, where ``%`` regrows it piece by piece. A new record or
+provenance field must go into its template at its sorted place:
+``test_save_writes_the_bytes_of_the_json_oracle`` holds the templates to
+a writer that passes every record through ``json``. The templates write
+what ``json`` would only for fields of their plain types, so one check
+(:func:`_provenance_problem`) refuses any other provenance on save,
+before a byte is written, and on load.
 
-Save checks every example's shapes and finiteness, then checks and formats
-every provenance in one walk (:func:`_provenance_texts`), before the header.
-Load parses each line with the C scanner of ``json``, or ``json.loads`` where
-the scanner cannot read it whole (:func:`_parse`), then reads it in one walk.
+Both directions move a run a block of columns at a time
+(``mixer._Block``). Save writes a store's block from its columns while
+none of its examples has been read, and walks any other examples into
+columns first (``mixer._blocks``), checking their shapes and provenance;
+it checks every block's finiteness, all before the header, then writes a
+record at a time. Load parses each line with the C scanner of ``json``,
+or ``json.loads`` where the scanner cannot read it whole (:func:`_parse`),
+and checks a block of records a field at a time (:func:`_read_block`); a
+block that fails is read again a record at a time, so the error names
+the earliest faulty line (:func:`_read_lines`).
 
 A checkpoint is binary: the magic ``SGMX``, a ``<II`` version and header
 length, a sorted-key JSON header, then the weights and the embedding-table
@@ -29,7 +35,7 @@ float64 that prediction computes in.
 
 Both formats share four pieces: one float32 codec (:func:`_f4`,
 :func:`_from_f4`), which refuses a payload whose byte count its shape does
-not imply (:func:`_sized`); one finiteness rule (:func:`_nonfinite`), so
+not imply (:func:`_sized`); one finiteness rule (:func:`_finite`), so
 that nothing NaN or infinite once cast to float32 is written, and nothing
 NaN or infinite is loaded; one header-schema check
 (:func:`_check_fields`), which turns a missing or mistyped field into a
@@ -48,16 +54,16 @@ import os
 import reprlib
 import struct
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, repeat, starmap
 from json.encoder import encode_basestring_ascii as _quote
+from operator import add, itemgetter
 from typing import Iterator, Sequence, TextIO, Union
 
 import numpy as np
 
-from .corpus import Span, _gc_quiet, _replacing
+from .corpus import _gc_quiet, _replacing
 from .mixer import (
-    EmbeddingTable, MixedExample, MixedRESample, Provenance, _examples_problem, _records,
-    _shape_problem,
+    EmbeddingTable, MixedExample, MixedRESample, _Block, _blocks, _shape_problem, _Store,
 )
 from .model import REModel, TaggerModel, TrainResult
 
@@ -91,16 +97,23 @@ def _count(value) -> bool:
     return type(value) is int and value >= 0
 
 
+def _counts(values: list) -> bool:
+    """Whether every one of ``values`` passes :func:`_count`."""
+    return set(map(type, values)) <= {int} and min(values, default=0) >= 0
+
+
 def _spans(value) -> bool:
-    if type(value) not in _SEQUENCE:
+    """Whether ``value`` is a list or tuple of [start, end] integer pairs with 0 <= start < end."""
+    if type(value) not in _SEQUENCE or not set(map(type, value)) <= _SEQUENCE:
         return False
-    for pair in value:
-        if type(pair) not in _SEQUENCE or len(pair) != 2:
-            return False
-        start, end = pair
-        if not (type(start) is type(end) is int and 0 <= start < end):
-            return False
-    return True
+    ends = list(chain.from_iterable(value))
+    return (set(map(len, value)) <= {2} and set(map(type, ends)) <= {int} and _counts(ends[::2])
+            and all(map(int.__lt__, ends[::2], ends[1::2])))
+
+
+def _span_lists(values: list) -> bool:
+    """Whether every one of ``values`` passes :func:`_spans`."""
+    return set(map(type, values)) <= _SEQUENCE and _spans(list(chain.from_iterable(values)))
 
 
 # What a header field must be, as said in an error, and the test for it.
@@ -157,114 +170,138 @@ _PAIRS = "a list of [start, end] pairs with 0 <= start < end"
 # Field types, tested by identity: a set answers ``in`` with no equality call per member.
 _SEQUENCE = frozenset((list, tuple))  # a tuple is what a Provenance holds, a list what JSON gives
 _NUMBER = frozenset((int, float))
+_STRING = frozenset((str,))
 
 
-def _provenance_problem(example_index, variant, lam, spans, mixed_spans, pool_index,
-                        replacements, rows: int) -> str | None:
-    """Why a provenance with these fields cannot go with a ``rows``-row
-    record, or None; ``replacements`` is ``()`` when there are none.
+def _plain(kinds: frozenset):
+    """The test of a column: whether each of its values is of one of ``kinds``."""
+    return lambda values: set(map(type, values)) <= kinds
 
-    The one provenance check: save runs it on every :class:`Provenance`
-    before a byte is written (the template writes what ``json`` would only
-    for plain ints, floats and strings), load on every record it reads.
+
+# The provenance fields in the order a problem is named: the key, what its
+# value must be, and the test of a column of such values.
+_PROVENANCE = (
+    ("example_index", "a nonnegative integer", _counts),
+    ("variant", "a string", _plain(_STRING)),
+    ("lam", "a number in [0, 1]",  # NaN fails the range too
+     lambda values: _plain(_NUMBER)(values) and all(0 <= v <= 1 for v in values)),
+    ("spans", _PAIRS, _span_lists),
+    ("mixed_spans", _PAIRS, _span_lists),
+    ("pool_index", "a nonnegative integer or null",
+     lambda values: _counts([v for v in values if v is not None])),
+    ("replacements", "a list of strings",
+     lambda values: _plain(_SEQUENCE)(values) and _plain(_STRING)(chain.from_iterable(values))),
+)
+_PROVENANCE_KEYS = tuple(key for key, _, _ in _PROVENANCE)
+
+
+def _provenance_problem(columns: Sequence, rows: list) -> str | None:
+    """Why provenance with these fields cannot go with records of ``rows``
+    rows, or None. ``columns`` holds one list per field, in
+    :data:`_PROVENANCE` order, of one value per record; a record with no
+    replacements has ``()`` there.
+
+    The one provenance rule: save runs it on every block before a byte is
+    written (the template writes what ``json`` would only for plain ints,
+    floats and strings), load on every block it reads. It names the first
+    field that fails and the first value of it that fails, so that of one
+    record it names that record's first fault.
     """
-    if type(example_index) is not int or example_index < 0:
-        return _mistyped("provenance", "example_index", "a nonnegative integer", example_index)
-    if type(variant) is not str:
-        return _mistyped("provenance", "variant", "a string", variant)
-    if type(lam) not in _NUMBER or not 0 <= lam <= 1:  # NaN fails the range too
-        return _mistyped("provenance", "lam", "a number in [0, 1]", lam)
-    if not _spans(spans):
-        return _mistyped("provenance", "spans", _PAIRS, spans)
-    if not _spans(mixed_spans):
-        return _mistyped("provenance", "mixed_spans", _PAIRS, mixed_spans)
-    if pool_index is not None and (type(pool_index) is not int or pool_index < 0):
-        return _mistyped("provenance", "pool_index", "a nonnegative integer or null", pool_index)
-    if type(replacements) not in _SEQUENCE or (
-            replacements and any(type(t) is not str for t in replacements)):
-        return _mistyped("provenance", "replacements", "a list of strings", replacements)
-    for start, end in mixed_spans:
-        if end > rows:
-            return f"provenance mixed span [{start}, {end}) lies outside the {rows}-row example"
+    for (key, kind, ok), values in zip(_PROVENANCE, columns):
+        if not ok(values):
+            return _mistyped("provenance", key, kind, next(v for v in values if not ok([v])))
+    for n, mixed in zip(rows, columns[4]):
+        for start, end in mixed:
+            if end > n:
+                return f"provenance mixed span [{start}, {end}) lies outside the {n}-row example"
     return None
 
 
-def _provenance_texts(examples: Sequence) -> list[str]:
-    """The text of each example's provenance, once :func:`_provenance_problem`
-    passes it: one walk that reads each field once. The first provenance it
-    refuses raises ``ValueError("example i: why")``."""
-    texts = []
-    for i, e in enumerate(examples):
-        p = e.provenance
-        index, lam, spans, mixed, pool, words = (p.example_index, p.lam, p.spans, p.mixed_spans,
-                                                 p.pool_index, p.replacements)
-        problem = _provenance_problem(index, p.variant, lam, spans, mixed, pool,
-                                      () if words is None else words, len(e.embeddings))
-        if problem:
-            raise ValueError(f"example {i}: {problem}")
-        mixed_text = ",".join([f"[{a},{b}]" for a, b in mixed])
-        spans_text = ",".join([f"[{a},{b}]" for a, b in spans])
-        words_text = "" if words is None else f'"replacements":[{",".join(map(_quote, words))}],'
-        texts.append(f'{{"example_index":{index},"lam":{lam!r},"mixed_spans":[{mixed_text}],'
-                     f'"pool_index":{"null" if pool is None else pool},{words_text}'
-                     f'"spans":[{spans_text}],"variant":{_quote(p.variant)}}}')
-    return texts
+def _finite(array) -> np.ndarray:
+    """Which entries of ``array`` are finite once cast to float32: the rule
+    every float32 payload is written and loaded under."""
+    with np.errstate(over="ignore"):  # an overflow to inf is what is looked for
+        return np.isfinite(_f4(array))
 
 
-def _read_record(record: dict, task: str, dim: int, n_labels: int) -> tuple:
-    """A record's checked (rows, embedding bytes, label bytes, provenance,
-    spans), read in one walk; ``spans`` is None for a tagging record, else
-    its (e1, e2) :class:`Span` pair. A missing field raises its ``KeyError``."""
-    labels = record["soft_labels" if task == "ner" else "soft_relation"]
-    spans = None
-    if task == "re":
+def _nonfinite_at(block: _Block, labels: str) -> tuple[int, str] | None:
+    """The first example of ``block`` that holds a NaN or an infinity once
+    cast to float32, with the name of the rows that hold it (``labels`` for
+    the label rows), or None."""
+    ok = [_finite(block.embeddings).all(axis=1), _finite(block.labels).all(axis=1)]
+    if ok[0].all() and ok[1].all():
+        return None
+    starts = block.bounds[:-1]
+    ok = [np.logical_and.reduceat(ok[0], starts),
+          np.logical_and.reduceat(ok[1], starts) if block.pairs is None else ok[1]]
+    i = int(np.flatnonzero(~(ok[0] & ok[1]))[0])
+    return i, labels if ok[0][i] else "embeddings"
+
+
+def _read_block(records: list, task: str, dim: int, n_labels: int) -> _Block:
+    """The checked columns of ``records``, parsed record lines, read a field
+    at a time for the whole block, with the payloads of each kind in one
+    writable float32 array.
+
+    A fault raises ``KeyError`` (a missing field), ``TypeError`` or
+    ``ValueError``: that of the first check in read order that fails, on
+    the first record it fails. Of a block of one record it is the record's
+    first fault, which :func:`load_augmented` names with the record's line.
+    """
+    ner = task == "ner"
+    labels = list(map(itemgetter("soft_labels" if ner else "soft_relation"), records))
+    ends = []
+    if not ner:
         for key in ("e1", "e2"):
-            if not _spans((record[key],)):
-                raise ValueError(_mistyped("record", key, _PAIR, record[key]))
-        spans = Span(*record["e1"]), Span(*record["e2"])
-    emb = record["embeddings"]
-    emb_shape, label_shape = emb["shape"], labels["shape"]
-    if not set(map(type, emb_shape + label_shape)) <= {int}:  # 2.0 == 2, but not as a shape
-        raise ValueError(f"payload shapes {emb_shape} and {label_shape} must hold only integers")
-    problem = _shape_problem(emb_shape, label_shape, spans, dim, n_labels)
+            ends.append(list(map(itemgetter(key), records)))
+            if not _spans(ends[-1]):
+                raise ValueError(_mistyped("record", key, _PAIR,
+                                           next(v for v in ends[-1] if not _spans([v]))))
+    embeddings = list(map(itemgetter("embeddings"), records))
+    emb_shapes = list(map(itemgetter("shape"), embeddings))
+    label_shapes = list(map(itemgetter("shape"), labels))
+    for emb_shape, label_shape, both in zip(emb_shapes, label_shapes,
+                                            map(add, emb_shapes, label_shapes)):
+        if not set(map(type, both)) <= {int}:  # 2.0 == 2, but not as a shape
+            raise ValueError(f"payload shapes {emb_shape} and {label_shape} must hold only integers")
+    problem = next(filter(None, map(_shape_problem, emb_shapes, label_shapes,
+                                    zip(*ends) if not ner else repeat(None),
+                                    repeat(dim), repeat(n_labels))), None)
     if problem:
         raise ValueError(problem)
-    rows, p = emb_shape[0], record["provenance"]
-    if not isinstance(p, dict):
+    provenances = list(map(itemgetter("provenance"), records))
+    if not set(map(type, provenances)) <= {dict}:
         raise ValueError("provenance is not a JSON object")
     try:  # in field order, so the first missing field is the one named
-        index, variant, lam, p_spans, mixed, pool = (p["example_index"], p["variant"], p["lam"],
-                                                     p["spans"], p["mixed_spans"], p["pool_index"])
+        columns = [list(c) for c in zip(*map(itemgetter(*_PROVENANCE_KEYS[:6]), provenances))]
     except KeyError as exc:
         raise ValueError(f"provenance has no {exc} field") from None
-    words = p.get("replacements", ())
-    problem = _provenance_problem(index, variant, lam, p_spans, mixed, pool, words, rows)
+    columns.append([p.get("replacements", ()) for p in provenances])
+    rows = [shape[0] for shape in emb_shapes]
+    problem = _provenance_problem(columns, rows)
     if problem:
         raise ValueError(problem)
-    provenance = Provenance(index, variant, lam, tuple(map(tuple, p_spans)),
-                            tuple(map(tuple, mixed)), pool, tuple(words) if words else None)
-    return (rows, _sized(binascii.a2b_base64(emb["data"]), emb_shape, "payload"),
-            _sized(binascii.a2b_base64(labels["data"]), label_shape, "payload"), provenance, spans)
+    emb = _payload(embeddings, emb_shapes, rows, dim)
+    soft = _payload(labels, label_shapes, rows if ner else [1] * len(rows), n_labels)
+    columns[6] = [tuple(w) if w else None for w in columns[6]]
+    # the spans lie within the rows, whose count the payload arrays' shapes hold, so fit int64
+    pairs = None if ner else np.array(ends, np.int64).transpose(1, 0, 2)
+    block = _Block(emb, soft, [0, *accumulate(rows)], columns, pairs)
+    problem = _nonfinite_at(block, "soft_labels" if ner else "soft_relation")
+    if problem:
+        raise ValueError(f"{problem[1]} hold a non-finite value")
+    return block
 
 
-def _decode_block(block: list, task: str, dim: int, n_labels: int) -> list:
-    """The examples of ``block``, a list of (line, *:func:`_read_record`),
-    as views into one writable float32 array per payload kind. Refuses the
-    earliest line whose payload holds a NaN or an infinity."""
-    if not block:
-        return []
-    lines, rows, raw_emb, raw_labels, provenances, spans = zip(*block)
-    b = [0, *accumulate(rows)]
-    ner = task == "ner"
-    emb = _from_f4(bytearray().join(raw_emb), (b[-1], dim), "block")
-    labels = _from_f4(bytearray().join(raw_labels), (b[-1] if ner else len(rows), n_labels), "block")
-    out = _records(emb, labels, b, provenances, None if ner else spans)
-    if not (np.isfinite(emb).all() and np.isfinite(labels).all()):
-        names = ("embeddings", "soft_labels" if ner else "soft_relation")
-        line, name = next((line, name) for line, e in zip(lines, out) for name in names
-                          if not np.isfinite(getattr(e, name)).all())
-        raise ValueError(f"line {line}: {name} hold a non-finite value")
-    return out
+def _payload(fields: list, shapes: list, rows: list, width: int) -> np.ndarray:
+    """The payloads of ``fields``, record i's of ``rows[i]`` rows of ``width``
+    as its ``shapes[i]`` says, end to end as one writable float32 array."""
+    raw = list(map(binascii.a2b_base64, map(itemgetter("data"), fields)))
+    sizes = [4 * width * n for n in rows]
+    if list(map(len, raw)) != sizes:
+        _sized(*next((data, shape) for data, shape, size in zip(raw, shapes, sizes)
+                     if len(data) != size), "payload")
+    return _from_f4(bytearray().join(raw), (sum(rows), width), "block")
 
 
 @dataclass
@@ -274,7 +311,7 @@ class AugmentedFile:
     task: str
     label_vocab: tuple[str, ...]
     dim: int
-    examples: list
+    examples: Sequence
     meta: dict
 
     def table_record(self) -> dict | None:
@@ -286,30 +323,38 @@ class AugmentedFile:
         return _check_fields(self.meta["table"], _TABLE_FIELDS, "augmented table record")
 
 
-_BLOCK = 512  # examples cast to float32 at a time by the finiteness check
-# Records load_augmented decodes with one join and one frombuffer per payload
-# kind. A block of 512 loaded slower than 16: its records crowd the cache.
-_LOAD_BLOCK = 16
+def _pairs_text(column) -> list[str]:
+    """Each record's (start, end) pairs as the inside of a JSON list; a
+    generated block's spans are an array."""
+    column = column.tolist() if isinstance(column, np.ndarray) else column
+    texts = list(starmap("[{},{}]".format, chain.from_iterable(column)))
+    at = [0, *accumulate(map(len, column))]
+    return [",".join(texts[lo:hi]) for lo, hi in zip(at, at[1:])]
 
 
-def _nonfinite(arrays: Sequence) -> bool:
-    """Whether any of ``arrays`` holds a NaN or an infinity once cast to
-    float32: the rule every float32 payload is written under."""
-    with np.errstate(over="ignore"):  # an overflow to inf is what is looked for
-        return not np.isfinite(np.concatenate(arrays, axis=None, dtype="<f4")).all()
-
-
-def _nonfinite_problem(examples: Sequence, labels: str) -> str | None:
-    """The first example :func:`_nonfinite` refuses, as "example i: why",
-    or None. Casts a block of examples at a time."""
-    names = ("embeddings", labels)
-    for lo in range(0, len(examples), _BLOCK):
-        block = examples[lo:lo + _BLOCK]
-        if any(_nonfinite([getattr(e, n) for e in block]) for n in names):
-            i, name = next((i, n) for i, e in enumerate(block, start=lo) for n in names
-                           if _nonfinite([getattr(e, n)]))
-            return f"example {i}: {name} hold a non-finite value after the float32 cast"
-    return None
+def _record_lines(block: _Block, relation: bool) -> Iterator[str]:
+    """The lines of a checked block's records, written from its columns."""
+    emb, labels = _f4(block.embeddings), _f4(block.labels)
+    width, k = emb.shape[1], labels.shape[1]
+    b64, b = binascii.b2a_base64, block.bounds
+    index, variant, lam, spans, mixed, pool, words = block.provenance
+    pairs = repeat(None) if block.pairs is None else block.pairs.tolist()
+    for i, (lo, hi, index, variant, lam, spans, mixed, pool, words, pair) in enumerate(zip(
+            b, b[1:], index, variant, lam, _pairs_text(spans), _pairs_text(mixed), pool, words,
+            pairs)):
+        data = b64(emb[lo:hi], newline=False).decode("ascii")
+        soft = b64(labels[i] if relation else labels[lo:hi], newline=False).decode("ascii")
+        words = "" if words is None else f'"replacements":[{",".join(map(_quote, words))}],'
+        prov = (f'{{"example_index":{index},"lam":{lam!r},"mixed_spans":[{mixed}],'
+                f'"pool_index":{"null" if pool is None else pool},{words}'
+                f'"spans":[{spans}],"variant":{_quote(variant)}}}')
+        head, tail = "{", f'"soft_labels":{{"data":"{soft}","shape":[{hi - lo},{k}]}}}}\n'
+        if relation:
+            (s1, e1), (s2, e2) = pair
+            head = f'{{"e1":[{s1},{e1}],"e2":[{s2},{e2}],'
+            tail = f'"soft_relation":{{"data":"{soft}","shape":[{k}]}}}}\n'
+        yield (f'{head}"embeddings":{{"data":"{data}","shape":[{hi - lo},{width}]}},'
+               f'"provenance":{prov},{tail}')
 
 
 def save_augmented(
@@ -319,16 +364,31 @@ def save_augmented(
     task: str,
     meta: dict | None = None,
 ) -> None:
-    """Write header + one record per example. ``task`` is "ner" or "re"."""
+    """Write header + one record per example. ``task`` is "ner" or "re".
+
+    Everything is checked before a byte is written, a block at a time
+    (``mixer._blocks``): the shapes of the examples that are walked into
+    columns, the finiteness of every block's rows once cast to float32,
+    and the provenance of the walked examples; a store's columns were
+    checked when they were made."""
     if task not in ("ner", "re"):
         raise ValueError(f"task must be 'ner' or 're', got {task!r}")
-    dim = int(examples[0].embeddings.shape[1]) if examples else 0
-    labels = "soft_labels" if task == "ner" else "soft_relation"
-    problem = (_examples_problem(examples, task == "re", dim, len(label_vocab))
-               or _nonfinite_problem(examples, labels))
-    if problem:
-        raise ValueError(problem)
-    provenances = _provenance_texts(examples)  # all checked before a byte is written
+    relation, n_labels, dim = task == "re", len(label_vocab), 0
+    for first, walked, block in _blocks(examples, relation, None, n_labels):
+        dim = dim if first else int(block.embeddings.shape[1])
+        problem = _nonfinite_at(block, "soft_relation" if relation else "soft_labels")
+        if problem:
+            raise ValueError(f"example {first + problem[0]}: {problem[1]} hold a non-finite value "
+                             f"after the float32 cast")
+        if not walked:
+            continue
+        *columns, words = block.provenance
+        columns.append([() if w is None else w for w in words])  # () is no replacements
+        rows = np.diff(block.bounds).tolist()
+        if _provenance_problem(columns, rows):
+            i, problem = next((i, problem) for i, n in enumerate(rows) if (
+                problem := _provenance_problem([[c[i]] for c in columns], [n])))
+            raise ValueError(f"example {first + i}: {problem}")
     header = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -339,20 +399,9 @@ def save_augmented(
         "meta": meta or {},
     }
     stream.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
-    b64 = binascii.b2a_base64
-    for e, prov in zip(examples, provenances):  # one write per record keeps the peak at one record
-        emb, soft = _f4(e.embeddings), _f4(getattr(e, labels))
-        data = b64(emb, newline=False).decode("ascii")
-        soft_data = b64(soft, newline=False).decode("ascii")
-        (rows, width), k = emb.shape, soft.shape[-1]
-        if task == "ner":
-            stream.write(f'{{"embeddings":{{"data":"{data}","shape":[{rows},{width}]}},'
-                         f'"provenance":{prov},"soft_labels":{{"data":"{soft_data}",'
-                         f'"shape":[{rows},{k}]}}}}\n')
-        else:
-            stream.write(f'{{"e1":[{e.e1.start},{e.e1.end}],"e2":[{e.e2.start},{e.e2.end}],'
-                         f'"embeddings":{{"data":"{data}","shape":[{rows},{width}]}},"provenance":'
-                         f'{prov},"soft_relation":{{"data":"{soft_data}","shape":[{k}]}}}}\n')
+    for _, _, block in _blocks(examples, relation, dim, n_labels):  # a write per record
+        for line in _record_lines(block, relation):
+            stream.write(line)
 
 
 def _lines(stream: TextIO) -> Iterator[str]:
@@ -389,10 +438,34 @@ def _parse(line: str):
     return json.loads(line)
 
 
+# Records load_augmented reads as one block: at most _LOAD_BLOCK of them, and
+# as few as make _LOAD_CHARS characters, since a block is held parsed until it
+# is read. Each whole-block step costs a fixed amount a block, so a block holds
+# more than the 16 records that decoding a record at a time used.
+_LOAD_BLOCK, _LOAD_CHARS = 64, 1 << 17
+_FAULTS = (KeyError, TypeError, ValueError)
+
+
+def _read_lines(block: list, task: str, dim: int, n_labels: int) -> _Block:
+    """The block of ``block``'s (line number, parsed line) pairs. A faulty
+    block is read again a record at a time, so that the fault raised is
+    that of its earliest faulty line, as "line n: why"."""
+    try:
+        return _read_block([record for _, record in block], task, dim, n_labels)
+    except _FAULTS:
+        for lineno, record in block:
+            try:
+                _read_block([record], task, dim, n_labels)
+            except _FAULTS as exc:
+                why = f"record has no {exc} field" if isinstance(exc, KeyError) else exc
+                raise ValueError(f"line {lineno}: {why}") from None
+        raise
+
+
 @_gc_quiet
 def load_augmented(stream: TextIO) -> AugmentedFile:
-    """Read a file written by :func:`save_augmented`. Each example's arrays
-    are views into those of its block of :data:`_LOAD_BLOCK` records."""
+    """Read a file written by :func:`save_augmented`, into a store of
+    blocks of :data:`_LOAD_BLOCK` records (:func:`_read_block`)."""
     lines = _lines(stream)
     header_line = next(lines, "")  # not readline(), which would copy a StringIO's text
     if not header_line.strip():
@@ -406,29 +479,30 @@ def load_augmented(stream: TextIO) -> AugmentedFile:
     if header.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported version {header.get('version')}")
     _check_fields(header, _HEADER_FIELDS, "header")
-    task, dim, vocab = header["task"], header["dim"], header["label_vocab"]
-    n_labels = len(vocab)
-    examples, block = [], []
+    task, dim, n_labels = header["task"], header["dim"], len(header["label_vocab"])
+    blocks, block, chars = [], [], 0
     for lineno, line in enumerate(lines, start=2):
         if line.isspace():  # stops at the first non-blank, where strip would copy the line
             continue
         try:
-            block.append((lineno, *_read_record(_parse(line), task, dim, n_labels)))
-        except (KeyError, TypeError, ValueError, RecursionError) as exc:
-            _decode_block(block, task, dim, n_labels)  # an earlier line's fault is named first
-            why = f"record has no {exc} field" if isinstance(exc, KeyError) else exc
-            raise ValueError(f"line {lineno}: {why}") from None
-        if len(block) == _LOAD_BLOCK:
-            examples += _decode_block(block, task, dim, n_labels)
-            block = []
-    examples += _decode_block(block, task, dim, n_labels)
+            block.append((lineno, _parse(line)))
+        except (ValueError, RecursionError) as exc:
+            if block:
+                _read_lines(block, task, dim, n_labels)  # an earlier line's fault is named first
+            raise ValueError(f"line {lineno}: {exc}") from None
+        chars += len(line)
+        if len(block) == _LOAD_BLOCK or chars >= _LOAD_CHARS:
+            blocks.append(_read_lines(block, task, dim, n_labels))
+            block, chars = [], 0
+    if block:
+        blocks.append(_read_lines(block, task, dim, n_labels))
+    examples = _Store(blocks)
     if len(examples) != header["count"]:
         raise ValueError(
             f"header says {header['count']} examples, file has {len(examples)}"
         )
-    return AugmentedFile(
-        task=task, label_vocab=tuple(vocab), dim=dim, examples=examples, meta=header["meta"]
-    )
+    return AugmentedFile(task=task, label_vocab=tuple(header["label_vocab"]), dim=dim,
+                         examples=examples, meta=header["meta"])
 
 
 # ---------------------------------------------------------------------------
@@ -451,9 +525,9 @@ _CKPT_FIELDS = {
 def save_checkpoint(path, model, table: EmbeddingTable, meta: dict | None = None) -> None:
     """Self-contained binary checkpoint: model weights + embedding table.
     Refuses, before the file is opened, weights or table rows that
-    :func:`_nonfinite` refuses."""
+    are not :func:`_finite`."""
     for what, array in (("weights", model.weights), ("table rows", table.vectors)):
-        if _nonfinite([array]):
+        if not _finite(array).all():
             raise ValueError(f"checkpoint {what} hold a non-finite value after the float32 cast")
     kind = "re" if isinstance(model, REModel) else "tagger"
     header = {
@@ -481,7 +555,7 @@ def _checkpoint_header(raw: bytes) -> dict:
     """The checked JSON header of a checkpoint whose magic and version passed."""
     try:
         header = json.loads(raw)
-    except RecursionError as exc:  # nested deeper than json can parse
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise ValueError(f"checkpoint header: {exc}") from None
     header = _check_fields(header, _CKPT_FIELDS, "checkpoint header")
     dim, n_labels = header["dim"], len(header["labels"])

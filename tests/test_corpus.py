@@ -511,8 +511,6 @@ _BUILDERS = {
     # with no pools given, it builds one inside
     "segmix_generate": lambda x: mixer.segmix_generate(x["ner"], None, x["table"], x["config"]),
     "replacement_da": lambda x: mixer.replacement_da(x["ner"], None, x["config"]),
-    "encode_corpus": lambda x: mixer.encode_corpus(x["ner"], x["table"]),
-    "encode_re_corpus": lambda x: mixer.encode_re_corpus(x["re"], x["table"]),
     "load_augmented": lambda x: serialization.load_augmented(io.StringIO(x["augmented"])),
 }
 
@@ -565,6 +563,17 @@ def test_a_gc_quiet_builder_that_raises_leaves_the_collector_as_it_found_it(
         parse_conll(lines())
     assert seen == [False]  # paused while it ran
     assert gc.isenabled() is enabled
+
+
+def test_the_encoders_build_too_few_objects_to_set_off_a_collection(collector_state):
+    # their examples are blocks of arrays, so they need no pause of the collector
+    ner, rel = synth_tagged_corpus(2000, seed=1), synth_re_corpus(2000, seed=1)
+    table = mixer.EmbeddingTable.random([*ner.token_vocab, *(t for s in rel.samples for t in s.tokens)],
+                                        8, seed=0)
+    gc.enable()
+    for encode, corpus in ((mixer.encode_corpus, ner), (mixer.encode_re_corpus, rel)):
+        gc.collect()
+        assert _collections(lambda: encode(corpus, table), set())[1] == 0
 
 
 def _collections(run, codes) -> tuple[int, int]:

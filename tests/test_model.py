@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from segmix.corpus import RECorpus, RESample, Sentence, Span, TaggedCorpus
 from segmix.evaluation import re_scores, tagging_report
 from segmix.mixer import (
+    _BLOCK,
     EmbeddingTable,
     MixConfig,
     MixedExample,
@@ -30,7 +31,7 @@ from segmix.model import (
     TrainingDivergedError,
     _POOL_BLOCK,
     _TOKEN_BLOCK,
-    _pooled,
+    _layout,
     _predict_ids,
     _score,
     _step,
@@ -587,11 +588,12 @@ def test_blocked_predict_re_matches_per_sample_forward(n_samples, seed):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(1, 9), st.integers(0, 2 * _POOL_BLOCK + 100), st.integers(1, 24),
+@given(st.integers(1, 9), st.integers(1, 2 * _POOL_BLOCK + 100), st.integers(1, 24),
        st.integers(0, 2**32 - 1))
 @example(1, _POOL_BLOCK - 1, 24, 0)
 @example(2, _POOL_BLOCK, 17, 1)
 @example(1, _POOL_BLOCK + 1, 20, 2)
+@example(1, _BLOCK + 1, 5, 3)  # two blocks of examples
 def test_pooled_features_equal_per_sample_means_bit_for_bit(dim, n_samples, max_rows, seed):
     # the per-span reference the training layout, predict_re and REModel.features pool by
     rng = np.random.default_rng(seed)
@@ -606,7 +608,12 @@ def test_pooled_features_equal_per_sample_means_bit_for_bit(dim, n_samples, max_
     for row, (embeddings, e1, e2) in zip(want, samples):
         row[:dim] = embeddings[e1.start : e1.end].mean(axis=0)
         row[dim : 2 * dim] = embeddings[e2.start : e2.end].mean(axis=0)
-    assert _pooled(dim, samples).tobytes() == want.tobytes()
+    prov = Provenance(0, "relation", 0.5, (), ())
+    examples = [MixedRESample(emb, np.ones(1), e1, e2, prov) for emb, e1, e2 in samples]
+    model = REModel.init(["R"], dim)
+    assert _layout(model, examples)[0].tobytes() == want.tobytes()
+    assert all(model.features(*sample).tobytes() == row.tobytes()
+               for sample, row in zip(samples[:20], want))
 
 
 # ------------------------------------------------------- bit-exact pins

@@ -548,6 +548,19 @@ def test_load_checkpoint_refuses_a_header_nested_deeper_than_json_parses(tmp_pat
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("header,why", [
+    (b'{"dim": 3\xb3}', "'utf-8' codec can't decode byte 0xb3"),
+    (b"{'dim': 3}", "Expecting property name enclosed in double quotes"),
+], ids=["not-utf-8", "not-json"])
+def test_load_checkpoint_names_the_header_it_cannot_read(tmp_path, header, why):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, REModel.init(["R1", "R2"], 3, seed=0),
+                    EmbeddingTable.random(["a"], 3, seed=0))
+    path.write_bytes(path.read_bytes()[:8] + struct.pack("<I", len(header)) + header)
+    with pytest.raises(ValueError, match="^checkpoint header: " + re.escape(why)):
+        load_checkpoint(path)
+
+
 def test_save_keeps_the_largest_float32_values():
     prov = Provenance(0, "mention", 0.5, ((0, 1),), ((0, 1),))
     big = float(np.finfo(np.float32).max)
@@ -922,8 +935,8 @@ def test_the_line_parse_returns_or_raises_what_json_loads_does(line):
 
 # ---------------------------------------------------------------- float32 at rest
 
-def _loaded_run(task: str):
-    """(loaded file, its text, its table): a generated run saved and loaded."""
+def _generated_run(task: str):
+    """(examples, label vocabulary, table) of a generated run."""
     if task == "ner":
         corpus = synth_tagged_corpus(60, seed=4)
         tokens, vocab, variant = corpus.token_vocab, corpus.label_vocab, "mention+token"
@@ -934,6 +947,12 @@ def _loaded_run(task: str):
     table = EmbeddingTable.random(tokens, 12, seed=2)
     examples = segmix_generate(corpus, None, table,
                                MixConfig(variant=variant, rate=1.0, seed=6)).examples
+    return examples, vocab, table
+
+
+def _loaded_run(task: str):
+    """(loaded file, its text, its table): a generated run saved and loaded."""
+    examples, vocab, table = _generated_run(task)
     buf = io.StringIO()
     save_augmented(buf, examples, vocab, task, meta={"note": "x"})
     return load_augmented(io.StringIO(buf.getvalue())), buf.getvalue(), table
@@ -964,6 +983,26 @@ def test_a_loaded_file_saved_again_reproduces_its_bytes(task):
     buf = io.StringIO()
     save_augmented(buf, loaded.examples, loaded.label_vocab, loaded.task, meta=loaded.meta)
     assert buf.getvalue() == text
+
+
+def _fresh(example):
+    """A new example object with ``example``'s fields, its arrays copied."""
+    labels = "soft_labels" if isinstance(example, MixedExample) else "soft_relation"
+    return dataclasses.replace(example, embeddings=example.embeddings.copy(),
+                               **{labels: getattr(example, labels).copy()})
+
+
+@pytest.mark.parametrize("task", ["ner", "re"])
+@pytest.mark.parametrize("source", ["generated", "loaded"])
+def test_an_edited_example_is_saved_as_edited(task, source):
+    examples, vocab, _ = _generated_run(task)
+    if source == "loaded":
+        examples = load_augmented(io.StringIO(_saved(examples, vocab, task))).examples
+    examples[1].provenance = dataclasses.replace(examples[1].provenance, lam=0.25)
+    examples[2].embeddings = examples[2].embeddings * 2.0
+    examples[3].embeddings[0, 0] = 0.125  # in place
+    fresh = [_fresh(e) for e in examples]
+    assert _saved(examples, vocab, task) == _saved(fresh, vocab, task)
 
 
 def test_the_tagger_learns_the_same_bits_from_loaded_and_float64_rows():
