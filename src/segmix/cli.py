@@ -605,8 +605,9 @@ def cmd_recover(ns: SimpleNamespace, inputs: dict) -> dict:
     table = EmbeddingTable.random(
         spec["tokens"], spec["dim"], seed=spec["seed"], n_buckets=spec["n_buckets"]
     )
-    shown = [(i, example) for i, example in enumerate(aug.examples)
-             if example.provenance.mixed_spans or not ns.mixed_only][:ns.limit]
+    examples = aug.examples  # read by index, so that only the blocks shown from are built
+    wanted = (i for i in range(len(examples)) if examples[i].provenance.mixed_spans or not ns.mixed_only)
+    shown = [(i, examples[i]) for i in itertools.islice(wanted, ns.limit)]
     lines: list[str] = []
     for i, example in shown:
         _render_example(example, table, i, lines)

@@ -269,14 +269,20 @@ class Sentence:
 
 @dataclass(frozen=True)
 class Span:
-    """Token span, start inclusive, end exclusive."""
+    """Token span, start inclusive, end exclusive: two integers, a NumPy
+    one kept as a plain ``int``; a bool or a float is refused."""
 
     start: int
     end: int
 
     def __post_init__(self):
-        if not 0 <= self.start < self.end:
-            raise CorpusFormatError(f"bad span ({self.start}, {self.end})")
+        start, end = self.start, self.end
+        if type(start) is not int or type(end) is not int:  # the one test a parsed span pays
+            if not all(isinstance(v, (int, np.integer)) and type(v) is not bool for v in (start, end)):
+                raise CorpusFormatError(f"span bounds ({start!r}, {end!r}) are not integers")
+            self.__dict__.update(start=int(start), end=int(end))  # a NumPy integer as a plain int
+        if not 0 <= start < end:
+            raise CorpusFormatError(f"bad span ({start}, {end})")
 
     def __len__(self) -> int:
         return self.end - self.start

@@ -363,12 +363,17 @@ class _Block:
     of ``labels`` in a tagging block; in a relation block it owns label
     row i and ``pairs[i]``, its e1 and e2 (start, end) pairs, of an
     (examples, 2, 2) integer array. ``provenance`` holds one column per
-    :class:`Provenance` field, in field order, of one value per example;
-    the spans of a generated block are (examples, k, 2) integer arrays,
-    and any other block's are lists or tuples of (start, end) pairs.
-    ``items`` holds the examples as objects once one of them has been
-    read; a caller may edit those, so from then on they are what the
-    block holds, and ``provenance`` is dropped.
+    :class:`Provenance` field, in field order, of one value per example,
+    but for the two span fields: each of those is one (pairs, 2) int64
+    array of every example's (start, end) pairs end to end, with the
+    offsets ``at`` of each example's pairs in it (example i owns pairs
+    ``at[i]:at[i + 1]``), so that a block holds no container per example
+    or per pair (:func:`_span_column`). A block walked from example
+    objects (:func:`_walk`) holds their own span values until save has
+    checked them; training reads no provenance. ``items`` holds the
+    examples as objects once one of them has been read; a caller may
+    edit those, so from then on they are what the block holds, and
+    ``provenance`` is dropped.
     """
 
     embeddings: np.ndarray
@@ -407,10 +412,16 @@ def _pairs(examples: Sequence) -> np.ndarray:
 def _tuples(column):
     """A span column of :class:`_Block` as one tuple of (start, end) tuples
     per example, as a :class:`Provenance` holds them."""
-    if isinstance(column, np.ndarray):  # k spans an example
-        pairs = map(tuple, column.reshape(-1, 2).tolist())
-        return zip(*[pairs] * column.shape[1])
-    return map(tuple, map(map, repeat(tuple), column))
+    pairs, at = column
+    pairs = list(zip(*pairs.T.tolist()))
+    return (tuple(pairs[lo:hi]) for lo, hi in zip(at, at[1:]))
+
+
+def _span_column(values: Sequence) -> tuple:
+    """A column of checked (start, end) pair sequences, one per example, of
+    plain ints below 2**63, as a span column of :class:`_Block`."""
+    pairs = np.fromiter(chain.from_iterable(chain.from_iterable(values)), np.int64)
+    return pairs.reshape(-1, 2), [0, *accumulate(map(len, values))]
 
 
 class _Store(abc.Sequence):
@@ -865,11 +876,12 @@ def _materialize(
                     nonzero = sums > 0
                     rows[nonzero] = rows[nonzero] / sums[nonzero, None]
                     soft[blend] = rows
-        n = len(sizes)
+        n, k = block.spans.shape[:2]
         replacements = ([tuple(t for seg in segs for t in seg) for segs in block.segments]
                         if block.variant == "synonym" else [None] * n)
-        provenance = [block.example.tolist(), [block.variant] * n, block.lam.tolist(),
-                      block.spans, mixed_spans, block.pool_index, replacements]
+        spans = [(s.reshape(-1, 2), range(0, n * k + 1, k)) for s in (block.spans, mixed_spans)]
+        provenance = [block.example.tolist(), [block.variant] * n, block.lam.tolist(), *spans,
+                      block.pool_index, replacements]
         out.append(_Block(embeddings, soft, [0, *accumulate(sizes.tolist())], provenance,
                           mixed_spans if block.variant == "relation" else None))
     return out
@@ -954,8 +966,8 @@ def _encode(examples: Sequence, table: EmbeddingTable, vocab: Sequence[str], pai
         n = min(_BLOCK, len(examples) - lo)
         at = src.offsets[lo : lo + n + 1]
         labels = soft[at[0] : at[-1]] if pairs is None else soft[lo : lo + n]
-        provenance = [list(range(lo, lo + n)), ["original"] * n, [1.0] * n, [()] * n, [()] * n,
-                      [None] * n, [None] * n]
+        provenance = [list(range(lo, lo + n)), ["original"] * n, [1.0] * n,
+                      *[_span_column([()] * n)] * 2, [None] * n, [None] * n]
         blocks.append(_Block(embeddings[at[0] : at[-1]], labels, (at - at[0]).tolist(), provenance,
                              None if pairs is None else pairs[lo : lo + n]))
     return _Store(blocks)

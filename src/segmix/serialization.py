@@ -18,15 +18,21 @@ what ``json`` would only for fields of their plain types, so one check
 before a byte is written, and on load.
 
 Both directions move a run a block of columns at a time
-(``mixer._Block``). Save writes a store's block from its columns while
+(``mixer._Block``), whose span fields are each one int64 array of
+(start, end) pairs with per-example offsets, so neither keeps a Python
+container per record or per pair, and neither sets off the cyclic
+garbage collector. Save writes a store's block from its columns while
 none of its examples has been read, and walks any other examples into
-columns first (``mixer._blocks``), checking their shapes and provenance;
-it checks every block's finiteness, all before the header, then writes a
-record at a time. Load parses each line with the C scanner of ``json``,
-or ``json.loads`` where the scanner cannot read it whole (:func:`_parse`),
-and checks a block of records a field at a time (:func:`_read_block`); a
-block that fails is read again a record at a time, so the error names
-the earliest faulty line (:func:`_read_lines`).
+columns first (``mixer._blocks``), checking their shapes and provenance
+on the values they hold; it checks every block's finiteness, all before
+the header, then writes a record at a time, the pair texts of each span
+field formatted from one flat list of ints. Load parses each line with
+the C scanner of ``json``, or ``json.loads`` where the scanner cannot read
+it whole (:func:`_parse`), and checks a block of records a field at a
+time (:func:`_read_block`) before it packs the parsed span values into
+arrays; a block that fails is read again a record at a time, so the
+error names the earliest faulty line (:func:`_read_lines`). A span value
+must fit int64 (below 2**63), on save and on load.
 
 A checkpoint is binary: the magic ``SGMX``, a ``<II`` version and header
 length, a sorted-key JSON header, then the weights and the embedding-table
@@ -54,7 +60,7 @@ import os
 import reprlib
 import struct
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat, starmap
+from itertools import accumulate, chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from operator import add, itemgetter
 from typing import Iterator, Sequence, TextIO, Union
@@ -62,9 +68,8 @@ from typing import Iterator, Sequence, TextIO, Union
 import numpy as np
 
 from .corpus import _gc_quiet, _replacing
-from .mixer import (
-    EmbeddingTable, MixedExample, MixedRESample, _Block, _blocks, _shape_problem, _Store,
-)
+from .mixer import (EmbeddingTable, MixedExample, MixedRESample, _Block, _blocks, _shape_problem,
+                    _span_column, _Store)
 from .model import REModel, TaggerModel, TrainResult
 
 FORMAT_NAME = "segmix-augmented"
@@ -103,12 +108,13 @@ def _counts(values: list) -> bool:
 
 
 def _spans(value) -> bool:
-    """Whether ``value`` is a list or tuple of [start, end] integer pairs with 0 <= start < end."""
+    """Whether ``value`` is a list or tuple of [start, end] integer pairs
+    with 0 <= start < end < 2**63, so that the pairs fit int64."""
     if type(value) not in _SEQUENCE or not set(map(type, value)) <= _SEQUENCE:
         return False
     ends = list(chain.from_iterable(value))
     return (set(map(len, value)) <= {2} and set(map(type, ends)) <= {int} and _counts(ends[::2])
-            and all(map(int.__lt__, ends[::2], ends[1::2])))
+            and all(map(int.__lt__, ends[::2], ends[1::2])) and max(ends, default=0) < 2**63)
 
 
 def _span_lists(values: list) -> bool:
@@ -281,6 +287,7 @@ def _read_block(records: list, task: str, dim: int, n_labels: int) -> _Block:
     problem = _provenance_problem(columns, rows)
     if problem:
         raise ValueError(problem)
+    columns[3:5] = map(_span_column, columns[3:5])
     emb = _payload(embeddings, emb_shapes, rows, dim)
     soft = _payload(labels, label_shapes, rows if ner else [1] * len(rows), n_labels)
     columns[6] = [tuple(w) if w else None for w in columns[6]]
@@ -324,11 +331,10 @@ class AugmentedFile:
 
 
 def _pairs_text(column) -> list[str]:
-    """Each record's (start, end) pairs as the inside of a JSON list; a
-    generated block's spans are an array."""
-    column = column.tolist() if isinstance(column, np.ndarray) else column
-    texts = list(starmap("[{},{}]".format, chain.from_iterable(column)))
-    at = [0, *accumulate(map(len, column))]
+    """Each record's (start, end) pairs of a span column as the inside of
+    a JSON list, formatted from one flat list of ints."""
+    pairs, at = column
+    texts = list(map("[{},{}]".format, *pairs.T.tolist()))
     return [",".join(texts[lo:hi]) for lo, hi in zip(at, at[1:])]
 
 
@@ -338,21 +344,19 @@ def _record_lines(block: _Block, relation: bool) -> Iterator[str]:
     width, k = emb.shape[1], labels.shape[1]
     b64, b = binascii.b2a_base64, block.bounds
     index, variant, lam, spans, mixed, pool, words = block.provenance
-    pairs = repeat(None) if block.pairs is None else block.pairs.tolist()
-    for i, (lo, hi, index, variant, lam, spans, mixed, pool, words, pair) in enumerate(zip(
+    heads = (map('{{"e1":[{},{}],"e2":[{},{}],'.format, *block.pairs.reshape(-1, 4).T.tolist())
+             if relation else repeat("{"))  # e1 and e2 of each record, from four lists of ints
+    for i, (lo, hi, index, variant, lam, spans, mixed, pool, words, head) in enumerate(zip(
             b, b[1:], index, variant, lam, _pairs_text(spans), _pairs_text(mixed), pool, words,
-            pairs)):
+            heads)):
         data = b64(emb[lo:hi], newline=False).decode("ascii")
         soft = b64(labels[i] if relation else labels[lo:hi], newline=False).decode("ascii")
         words = "" if words is None else f'"replacements":[{",".join(map(_quote, words))}],'
         prov = (f'{{"example_index":{index},"lam":{lam!r},"mixed_spans":[{mixed}],'
                 f'"pool_index":{"null" if pool is None else pool},{words}'
                 f'"spans":[{spans}],"variant":{_quote(variant)}}}')
-        head, tail = "{", f'"soft_labels":{{"data":"{soft}","shape":[{hi - lo},{k}]}}}}\n'
-        if relation:
-            (s1, e1), (s2, e2) = pair
-            head = f'{{"e1":[{s1},{e1}],"e2":[{s2},{e2}],'
-            tail = f'"soft_relation":{{"data":"{soft}","shape":[{k}]}}}}\n'
+        tail = (f'"soft_relation":{{"data":"{soft}","shape":[{k}]}}}}\n' if relation else
+                f'"soft_labels":{{"data":"{soft}","shape":[{hi - lo},{k}]}}}}\n')
         yield (f'{head}"embeddings":{{"data":"{data}","shape":[{hi - lo},{width}]}},'
                f'"provenance":{prov},{tail}')
 
@@ -399,7 +403,9 @@ def save_augmented(
         "meta": meta or {},
     }
     stream.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
-    for _, _, block in _blocks(examples, relation, dim, n_labels):  # a write per record
+    for _, walked, block in _blocks(examples, relation, dim, n_labels):  # a write per record
+        if walked:  # its spans passed the check above as the examples hold them
+            block.provenance[3:5] = map(_span_column, block.provenance[3:5])
         for line in _record_lines(block, relation):
             stream.write(line)
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from segmix import cli
+from segmix import cli, mixer
 from segmix.cli import build_parser, main
 from segmix.corpus import Sentence, TaggedCorpus, corpus_to_text, parse_conll
 from segmix.evaluation import entity_f1
@@ -678,6 +678,26 @@ def test_recover_to_file(tmp_path, ner_file):
     text_out = tmp_path / "recovered.txt"
     assert run("recover", "--augmented", aug, "--output", text_out) == 0
     assert "=== example" in text_out.read_text()
+
+
+def test_recover_builds_only_the_block_it_shows(tmp_path, ner_file, monkeypatch, capsys):
+    aug = tmp_path / "aug.jsonl"
+    assert run("augment", "--input", ner_file, "--output", aug, "--rate", "3.0") == 0
+    with aug.open() as fh:
+        assert load_augmented(fh).examples.blocks[1:]  # more than one block of records
+    built = []
+    build = mixer._Block.built
+
+    def counted(block):
+        if block.items is None:
+            built.append(block)
+        return build(block)
+
+    monkeypatch.setattr(mixer._Block, "built", counted)
+    capsys.readouterr()
+    assert run("recover", "--augmented", aug, "--limit", "2") == 0
+    assert capsys.readouterr().out.count("=== example") == 2
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("limit", ["0", "-1"])

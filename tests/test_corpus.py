@@ -170,6 +170,19 @@ def test_span_validation():
         Span(-1, 2)
 
 
+@pytest.mark.parametrize("start,end", [(True, 3), (0, True), (0.5, 2), (0, 2.0), (np.bool_(False), 1),
+                                       ("0", 1), (None, 1)])
+def test_a_span_refuses_bounds_that_are_not_integers(start, end):
+    with pytest.raises(CorpusFormatError, match=r"^span bounds \(.*\) are not integers$"):
+        Span(start, end)
+
+
+def test_a_span_keeps_numpy_integers_as_plain_ints():
+    span = Span(np.int64(1), np.uint8(3))
+    assert (span, type(span.start), type(span.end)) == (Span(1, 3), int, int)
+    assert hash(span) == hash(Span(1, 3))
+
+
 def test_re_sample_validation():
     tokens = ("a", "b", "c", "d")
     RESample(tokens, Span(0, 1), Span(2, 4), "Other")

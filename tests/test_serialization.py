@@ -3,6 +3,7 @@
 import base64
 import dataclasses
 import functools
+import gc
 import io
 import json
 import re
@@ -1059,3 +1060,106 @@ def test_a_load_peaks_at_its_float32_rows_plus_a_fixed_allowance_per_record(tmp_
             tracemalloc.stop()
     # rows held as float64 add another 3.1 to 3.5 KB a record
     assert peak < rows + 2048 * len(examples), f"{(peak - rows) / len(examples):.0f} B a record"
+
+
+# ---------------------------------------------------------------- no container per record
+
+def _big_run(task: str):
+    """(examples, label vocabulary) of a generated run of 2,000 examples or more."""
+    if task == "ner":
+        corpus, variant = synth_tagged_corpus(1000, seed=9), "mention+token"
+        tokens, vocab = corpus.token_vocab, corpus.label_vocab
+    else:
+        corpus, variant = synth_re_corpus(2000, seed=9), "relation"
+        tokens = tuple(dict.fromkeys(t for s in corpus.samples for t in s.tokens))
+        vocab = corpus.relation_vocab
+    table = EmbeddingTable.random(tokens, 16, seed=0)
+    examples = segmix_generate(corpus, None, table,
+                               MixConfig(variant=variant, rate=2.0 if task == "ner" else 1.0,
+                                         seed=5)).examples
+    assert len(examples) >= 2000
+    return examples, vocab
+
+
+def _collections_during(run) -> int:
+    """Collections the running cyclic collector starts during ``run()``,
+    counted from a fresh start (``gc.collect()`` first)."""
+    seen = []
+
+    def count(phase, info):
+        if phase == "start":
+            seen.append(info["generation"])
+
+    was = gc.isenabled()
+    gc.enable()
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        run()
+    finally:
+        gc.callbacks.remove(count)
+        (gc.enable if was else gc.disable)()
+    return len(seen)
+
+
+@pytest.mark.parametrize("task", ["ner", "re"])
+def test_saving_a_generated_or_loaded_store_sets_off_no_collection(task):
+    # a list per span pair or per example kept to the end of a save set off 22 to 24
+    examples, vocab = _big_run(task)
+    stream = io.StringIO()
+    assert _collections_during(lambda: save_augmented(stream, examples, vocab, task)) == 0
+    loaded = load_augmented(io.StringIO(stream.getvalue())).examples
+    again = io.StringIO()
+    assert _collections_during(lambda: save_augmented(again, loaded, vocab, task)) == 0
+    assert again.getvalue() == stream.getvalue()
+
+
+@pytest.mark.parametrize("task", ["ner", "re"])
+def test_saving_a_plain_list_sets_off_at_most_one_collection(task):
+    examples, vocab = _big_run(task)
+    examples = list(examples)  # example objects, walked into columns on save
+    stream = io.StringIO()
+    assert _collections_during(lambda: save_augmented(stream, examples, vocab, task)) <= 1
+
+
+@pytest.mark.parametrize("task", ["ner", "re"])
+def test_a_loaded_store_holds_tracked_objects_per_block_not_per_record(task):
+    examples, vocab = _big_run(task)
+    examples = examples[:2000]
+    stream = io.StringIO()
+    save_augmented(stream, examples, vocab, task)
+    text = stream.getvalue()
+    gc.collect()
+    before = len(gc.get_objects())
+    loaded = load_augmented(io.StringIO(text))
+    gc.collect()
+    kept = len(gc.get_objects()) - before
+    assert len(loaded.examples) == 2000
+    assert kept < 2000 / 2, f"{kept / 2000:.2f} tracked objects a record"
+
+
+def test_a_span_past_int64_is_one_line_on_load_and_save():
+    why = "provenance 'spans' must be a list of [start, end] pairs with 0 <= start < end, got "
+    for task in ("ner", "re"):
+        examples, vocab = _with_provenance(task, "spans", ((0, 2**63),))
+        stream = io.StringIO()
+        with pytest.raises(ValueError) as saved:
+            save_augmented(stream, examples, vocab, task=task)
+        assert (str(saved.value), stream.getvalue()) == (f"example 1: {why}((0, 9223372036854775808),)", "")
+        stream = io.StringIO()
+        _oracle_save(stream, examples, vocab, task)
+        with pytest.raises(ValueError) as loaded:
+            load_augmented(io.StringIO(stream.getvalue()))
+        assert str(loaded.value) == f"line 3: {why}[[0, 9223372036854775808]]"
+    lines = _saved_lines(_re_examples(), ("R(e1,e2)", "Other"), "re")
+    with pytest.raises(ValueError, match=r"^line 2: record 'e1' must be a \[start, end\] pair"):
+        load_augmented(io.StringIO(_with_record(lines, 1, e1=[2**63, 2**64])))
+
+
+def test_training_reads_no_provenance():
+    # save refuses these spans; training, which never reads them, keeps the examples as they are
+    for spans in (((0, 2**64),), "ab", ((np.int64(0), 1),)):
+        examples, vocab = _with_provenance("ner", "spans", spans)
+        model = TaggerModel.init(vocab, 4, window=1, seed=0)
+        assert len(train_tagger(model, examples, TrainConfig(epochs=1)).loss_trace) == 1
+        assert examples[1].provenance.spans is spans
