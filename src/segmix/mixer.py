@@ -100,7 +100,9 @@ class EmbeddingTable:
             )
         _check_table_size(vectors.shape[1], n_buckets)
         self.tokens = tuple(tokens)
-        self.vectors = np.asarray(vectors, dtype=np.float64)
+        # ``vectors`` leaves out a zero row past the last, which a ``take`` reads at row -1
+        self._padded = np.vstack([vectors, np.zeros((1, vectors.shape[1]))])
+        self.vectors = self._padded[:-1]
         self.n_buckets = n_buckets
         self._index = {t: i for i, t in enumerate(self.tokens)}
 
@@ -178,6 +180,9 @@ class EmbeddingTable:
         rows /= norms[:, None]
         derive_rng(seed, "buckets").standard_normal(out=table[n:])
         return cls(tokens, table, n_buckets)
+
+    def __reduce__(self):  # through the constructor, which pads the rows again
+        return type(self), (self.tokens, self.vectors, self.n_buckets)
 
     @property
     def dim(self) -> int:
@@ -761,18 +766,11 @@ def _plan_run(
 _BLOCK = 512
 
 
-def _gather(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``table[rows]`` where row -1 reads as zeros: the zero-pad side of a blend."""
-    out = table[rows]
-    out[rows < 0] = 0.0
-    return out
-
-
 def _blend(out: np.ndarray, at: np.ndarray, lam: np.ndarray, table: np.ndarray, rows: np.ndarray) -> None:
-    """``out[at] = lam * out[at] + (1 - lam) * table[rows]`` row-wise, computed in place."""
+    """``out[at] = lam * out[at] + (1 - lam) * table[rows]`` row-wise, in place; ``table[-1]`` is zero."""
     a = out[at]
     a *= lam[:, None]
-    b = _gather(table, rows)
+    b = table.take(rows, 0)
     b *= (1.0 - lam)[:, None]
     a += b
     out[at] = a
@@ -845,12 +843,12 @@ def _materialize(
     Rows outside the mixed spans are gathered from ``table.vectors`` and an
     identity matrix; rows inside become ``lam * a + (1 - lam) * b`` against
     the partner's rows, zero-padded on the shorter side. A synonym plan
-    leaves the label rows as they are.
+    leaves the label rows as they are. Each gather is one ``take`` of a matrix whose row -1 is zero.
     """
     # a trailing -1 keeps position -1 (zero pad) reading as -1 after a lookup
     source_rows = np.append(table.rows(src.tokens), -1)
     source_labels = np.append(_label_ids(src.label_names, vocab)[src.label_ids], -1)
-    eye = np.eye(len(vocab))
+    eye = np.eye(len(vocab) + 1, len(vocab))
     out = []
     blocks = (p[lo : lo + _BLOCK] for p in plans for lo in range(0, len(p.example), _BLOCK))
     for block in blocks:
@@ -859,13 +857,13 @@ def _materialize(
         a, b, slot, blend, sizes, mixed_spans = _layout(src, block, partner_lens)
         partner_tokens = [t for seg in segments for t in seg]
         partner_rows = np.append(table.rows(partner_tokens), -1)
-        embeddings = _gather(table.vectors, source_rows[a])
-        _blend(embeddings, blend, block.lam[slot[blend]], table.vectors, partner_rows[b[blend]])
+        embeddings = table._padded.take(source_rows[a], 0)
+        _blend(embeddings, blend, block.lam[slot[blend]], table._padded, partner_rows[b[blend]])
         if block.variant == "relation":
-            soft = _gather(eye, source_labels[block.example])
+            soft = eye.take(source_labels[block.example], 0)
             _blend(soft, np.arange(len(soft)), block.lam, eye, _label_ids(block.labels, vocab))
         else:
-            soft = _gather(eye, source_labels[a])
+            soft = eye.take(source_labels[a], 0)
             if block.variant != "synonym":
                 flat = [l for labels in block.labels for seg in labels for l in seg]
                 partner_labels = np.append(_label_ids(flat, vocab), -1)

@@ -245,12 +245,14 @@ def _step(weights: np.ndarray, feats: np.ndarray, tw: np.ndarray, sw: np.ndarray
     the loss is ``sw . log z - tw . s`` and its gradient with respect to
     the logits is ``exp(s) * sw / z - tw`` (softmax times the target mass,
     less the target), so targets need not sum to one. The weights move by
-    ``scale`` times the weight gradient: one ``exp`` and two matmuls.
+    ``scale`` times the weight gradient: one ``exp`` and two matmuls. The
+    row max, the same in any order, is taken by column (numpy pays per row
+    on a short last axis); the sums keep row order, which decides the bits.
     """
     logits = feats @ weights
     if not np.isfinite(logits).all():
         raise FloatingPointError("non-finite logits")
-    logits -= logits.max(axis=1, keepdims=True)
+    logits -= np.asfortranarray(logits).max(axis=1)[:, None]
     e = np.exp(logits)
     z = e.sum(axis=1)
     loss = sw @ np.log(z) - np.vdot(tw, logits)

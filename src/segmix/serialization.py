@@ -233,10 +233,10 @@ def _finite(array) -> np.ndarray:
 def _nonfinite_at(block: _Block, labels: str) -> tuple[int, str] | None:
     """The first example of ``block`` that holds a NaN or an infinity once
     cast to float32, with the name of the rows that hold it (``labels`` for
-    the label rows), or None."""
-    ok = [_finite(block.embeddings).all(axis=1), _finite(block.labels).all(axis=1)]
-    if ok[0].all() and ok[1].all():
+    the label rows), or None. Only a faulty block is reduced row by row."""
+    if _finite(block.embeddings).all() and _finite(block.labels).all():
         return None
+    ok = [_finite(block.embeddings).all(axis=1), _finite(block.labels).all(axis=1)]
     starts = block.bounds[:-1]
     ok = [np.logical_and.reduceat(ok[0], starts),
           np.logical_and.reduceat(ok[1], starts) if block.pairs is None else ok[1]]

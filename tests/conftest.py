@@ -3,8 +3,9 @@
 The random generators here are intentionally plain: uniform draws over
 small vocabularies, explicit BIO assembly, no reuse of library helpers
 whose behavior the tests are meant to check. The references (the
-per-label BIO check, the padded blend, log-softmax) restate one rule of
-the library the direct way, for tests to compare its array code against.
+per-label BIO check, the padded blend, log-softmax, the row-wise SGD
+step) restate one rule of the library the direct way, for tests to
+compare its array code against.
 """
 
 import base64
@@ -70,6 +71,23 @@ def log_softmax(logits):
     the loss inside the trainer's fused step."""
     shifted = logits - logits.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def rowwise_step(weights, feats, tw, sw, scale):
+    """The fused SGD step with its row max reduced row by row, on the
+    C-ordered logits: the oracle for the library's column-major max, whose
+    loss and weight update must equal this one's bit for bit."""
+    logits = feats @ weights
+    if not np.isfinite(logits).all():
+        raise FloatingPointError("non-finite logits")
+    logits -= logits.max(axis=1, keepdims=True)
+    e = np.exp(logits)
+    z = e.sum(axis=1)
+    loss = sw @ np.log(z) - np.vdot(tw, logits)
+    e *= (sw / z)[:, None]
+    e -= tw
+    weights -= scale * (feats.T @ e)
+    return float(loss)
 
 
 def identity_lexicon(tokens) -> SynonymLexicon:

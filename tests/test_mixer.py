@@ -2,6 +2,8 @@
 
 import io
 import json
+import pickle
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -417,6 +419,33 @@ def test_select_segment_mention_uniform():
     counts = Counter(e.provenance.spans[0][0] for e in gen.examples)
     for pos in range(4):
         assert abs(counts[pos] / 10_000 - 0.25) < 0.03
+
+
+@pytest.mark.parametrize("variant", ["mention", "relation"])
+def test_generation_memory_follows_the_output_not_the_table(variant):
+    # a 10 MB table (20,000 buckets at dim 64) against a few hundred mixed rows:
+    # the gathers read the table's own zero row, so no call copies the table
+    corpus = synth_tagged_corpus(20, seed=0) if variant == "mention" else synth_re_corpus(20, seed=0)
+    pool = (build_mention_pool if variant == "mention" else build_relation_pool)(corpus)
+    table = EmbeddingTable.random(corpus.token_vocab, dim=64, seed=0, n_buckets=20_000)
+    config = MixConfig(variant=variant, rate=1.0, seed=0)
+    tracemalloc.start()
+    try:
+        gen = segmix_generate(corpus, pool, table, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(gen.examples) == 20
+    assert peak < table.vectors.nbytes / 10
+
+
+def test_a_pickled_table_keeps_its_zero_row_behind_its_vectors():
+    table = EmbeddingTable.random(["a", "b"], dim=3, seed=0, n_buckets=2)
+    raw = pickle.dumps(table)
+    again = pickle.loads(raw)
+    assert np.array_equal(again.vectors, table.vectors) and again.n_buckets == 2
+    assert np.shares_memory(again.vectors, again._padded) and not again._padded[-1].any()
+    assert raw.count(table.vectors.tobytes()) == 1
 
 
 def test_select_segment_synonym(hand_corpus):

@@ -3,6 +3,7 @@
 import hashlib
 import struct
 import tracemalloc
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -48,7 +49,7 @@ from segmix.rng import derive_rng
 from segmix.serialization import load_checkpoint, save_checkpoint, write_loss_trace
 from segmix.synth import synth_re_corpus, synth_tagged_corpus
 
-from conftest import log_softmax
+from conftest import log_softmax, rowwise_step
 
 
 # ---------------------------------------------------------------- losses
@@ -96,6 +97,50 @@ def test_step_loss_linear_in_target():
     parts = lam * _step_loss(logits, t1) + (1 - lam) * _step_loss(logits, t2)
     assert np.isclose(blended, parts)
     assert np.isclose(blended, -(lam * t1 + (1 - lam) * t2) @ log_softmax(logits))
+
+
+@st.composite
+def _step_batch(draw):
+    """A batch for one fused step: 1-300 rows, 1-20 labels and 1-40 features,
+    with signed zeros in the features and weights, tied logits from repeated
+    weight columns, and nonnegative row-weighted targets."""
+    rows, labels, width = draw(st.integers(1, 300)), draw(st.integers(1, 20)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    feats = rng.standard_normal((rows, width))
+    weights = rng.standard_normal((width, labels)) * draw(st.sampled_from([0.01, 1.0, 30.0]))
+    for a in (feats, weights):
+        zero = rng.random(a.shape) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+        a[zero] = np.where(rng.random(a.shape) < 0.5, 0.0, -0.0)[zero]
+    tied = rng.integers(0, labels, labels) if draw(st.booleans()) else np.arange(labels)
+    tw = rng.random((rows, labels)) * (rng.random((rows, labels)) < 0.7)
+    return feats, np.ascontiguousarray(weights[:, tied]), tw, tw.sum(axis=1), draw(
+        st.sampled_from([0.0, 0.1, 1.0]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_step_batch())
+def test_step_matches_the_rowwise_step_bit_for_bit(batch):
+    feats, weights, tw, sw, scale = batch
+    want_weights = weights.copy()
+    want = rowwise_step(want_weights, feats, tw, sw, scale)
+    got = _step(weights, feats, tw, sw, scale)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert weights.tobytes() == want_weights.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(_step_batch(), st.sampled_from([np.nan, np.inf, -np.inf]), st.data())
+def test_step_refuses_a_nonfinite_logit_without_a_warning(batch, bad, data):
+    feats, weights, tw, sw, scale = batch
+    j = data.draw(st.integers(0, weights.shape[0] - 1))
+    feats[:, j] = 1.0  # no 0 * inf in the matmul: the logit itself is what is bad
+    weights[j, data.draw(st.integers(0, weights.shape[1] - 1))] = bad
+    before = weights.tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="non-finite logits"):
+            _step(weights, feats, tw, sw, scale)
+    assert weights.tobytes() == before
 
 
 # ---------------------------------------------------------------- models

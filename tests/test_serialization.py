@@ -477,6 +477,22 @@ def test_save_refuses_a_row_that_is_not_finite_in_float32(value, task, field):
     assert stream.getvalue() == ""
 
 
+@pytest.mark.parametrize("task,field", [("ner", "soft_labels"), ("re", "soft_relation")])
+def test_save_names_the_earliest_of_two_faulty_examples_in_one_block(task, field):
+    # both faults lie in the first 512-example block; the earlier one only in its label rows
+    examples = (_ner_examples() if task == "ner" else _re_examples()) * 300
+    vocab = ("B-X", "O") if task == "ner" else ("R(e1,e2)", "Other")
+    for at, name, value in ((137, field, float("inf")), (402, "embeddings", float("nan"))):
+        array = getattr(examples[at], name).copy()
+        array.flat[0] = value
+        examples[at] = dataclasses.replace(examples[at], **{name: array})
+    stream = io.StringIO()
+    with pytest.raises(ValueError, match=(f"^example 137: {field} hold a non-finite value "
+                                          "after the float32 cast$")):
+        save_augmented(stream, examples, vocab, task=task)
+    assert stream.getvalue() == ""
+
+
 _NOT_PLAIN = [
     ("example_index", True), ("example_index", np.int64(3)), ("example_index", -1),
     ("variant", np.str_("mention")), ("variant", None),
