@@ -169,14 +169,23 @@ def _flatten(rows: Iterable[Sequence]) -> tuple[list, np.ndarray]:
     return list(itertools.chain.from_iterable(rows)), np.concatenate([[0], np.cumsum(lengths)])
 
 
+class _Numbering(dict):
+    """Label ids, where a label not yet numbered takes the next id when looked up."""
+
+    def __missing__(self, label):
+        self[label] = n = next(self.fresh)
+        return n
+
+
 def _vocab_ids(labels: Sequence[str], vocab: Sequence[str] = ()) -> tuple[np.ndarray, tuple]:
     """The id of every label, and the names the ids index: ``vocab``, where
     a label keeps its place (its last one, if it repeats), then the labels
-    not in it in first-seen order. The one code that numbers label strings."""
-    index = dict(zip(vocab, range(len(vocab))))
-    new = [label for label in dict.fromkeys(labels) if label not in index]
-    index.update(zip(new, range(len(vocab), len(vocab) + len(new))))
-    return np.fromiter(map(index.__getitem__, labels), np.int64, len(labels)), (*vocab, *new)
+    not in it in first-seen order. The one code that numbers label strings,
+    in one pass over them."""
+    index = _Numbering(zip(vocab, range(len(vocab))))
+    known, index.fresh = len(index), itertools.count(len(vocab))
+    ids = np.fromiter(map(index.__getitem__, labels), np.int64, len(labels))
+    return ids, (*vocab, *itertools.islice(index, known, None))
 
 
 def _label_ids(labels: Sequence[str], vocab: Sequence[str]) -> np.ndarray:
@@ -320,10 +329,11 @@ class TaggedCorpus:
     @classmethod
     def from_sentences(cls, sentences: Iterable[Sentence]) -> "TaggedCorpus":
         sentences = tuple(sentences)
-        labels = tuple(dict.fromkeys(l for s in sentences for l in s.labels))
+        flat = itertools.chain.from_iterable
+        labels = tuple(dict.fromkeys(flat([s.labels for s in sentences])))
         if "O" not in labels:
             labels = labels + ("O",)
-        tokens = tuple(dict.fromkeys(t for s in sentences for t in s.tokens))
+        tokens = tuple(dict.fromkeys(flat([s.tokens for s in sentences])))
         return cls(sentences, labels, tokens)
 
     def __len__(self) -> int:

@@ -5,12 +5,15 @@ the conlleval tradition: a predicted I-X that cannot legally continue a
 span implicitly opens one, so raw argmax output needs no repair pass
 before scoring. Label strings become ids only through ``corpus._vocab_ids``,
 and spans, per-type counts and confusion matrices are read from the ids.
+A tagger's predictions (:class:`_Predicted`) arrive as ids already, and
+are scored with no label string read.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from collections import abc
 from dataclasses import asdict, dataclass, field as dc_field
 from typing import Sequence
 
@@ -46,18 +49,61 @@ class PRF:
 pred_spans = bio_spans
 
 
+class _Predicted(abc.Sequence):
+    """Predicted labels per sentence held as ids into ``labels``, read like a
+    list of label lists: sentence i is ``ids[offsets[i]:offsets[i + 1]]``,
+    built as a fresh ``list[str]`` on every read. Read-only, so the ids the
+    scorers read (:func:`_label_streams`) are always the labels it shows."""
+
+    def __init__(self, ids: np.ndarray, offsets: np.ndarray, labels: tuple[str, ...]):
+        self.ids, self.offsets, self.labels = ids, offsets, labels
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]  # a negative or out-of-range index as a list takes it
+        lo, hi = self.offsets[i : i + 2].tolist()
+        return list(map(self.labels.__getitem__, self.ids[lo:hi].tolist()))
+
+    def __iter__(self):
+        names, bounds = list(map(self.labels.__getitem__, self.ids.tolist())), self.offsets.tolist()
+        return (names[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, (list, _Predicted)) else NotImplemented
+
+    def ids_into(self, vocab: Sequence[str]) -> tuple[np.ndarray, tuple]:
+        """``corpus._vocab_ids(labels end to end, vocab)``, read from the ids:
+        only the labels predicted are numbered, once each, in first-seen order."""
+        n = len(self.ids)
+        first = np.full(len(self.labels), n)
+        np.minimum.at(first, self.ids, np.arange(n))
+        seen = np.argsort(first)[: np.count_nonzero(first < n)]
+        ids, names = _vocab_ids([self.labels[i] for i in seen.tolist()], vocab)
+        remap = np.zeros(len(self.labels), np.int64)
+        remap[seen] = ids
+        return remap[self.ids], names
+
+
 def _label_streams(gold, predicted, vocab: Sequence[str] = ()):
     """Both label streams as ids into one vocabulary, their sentence offsets
     and that vocabulary; refuses a mismatch. The vocabulary is ``vocab``,
     then the other predicted labels, then the other gold labels, each in
-    first-seen order."""
+    first-seen order. Predicted label strings are numbered once and then
+    read as a :class:`_Predicted` is, from its ids."""
     side = _gold_side(gold)
     if len(side[1]) != len(predicted) + 1:
         raise ValueError("gold and predicted sentence counts differ")
-    pred, pred_offsets = _flatten(predicted)
-    if not np.array_equal(side[1], pred_offsets):
+    if not isinstance(predicted, _Predicted):
+        labels, offsets = _flatten(predicted)
+        ids, names = _vocab_ids(labels)
+        predicted = _Predicted(ids, offsets, names)
+    if not np.array_equal(side[1], predicted.offsets):
         raise ValueError("gold and predicted sentence lengths differ")
-    return _streams(side, *_vocab_ids(pred, vocab))
+    return _streams(side, *predicted.ids_into(vocab))
 
 
 def _prf(matched, predicted, gold) -> PRF:

@@ -98,10 +98,22 @@ class EmbeddingTable:
             raise ValueError(
                 f"need {len(tokens)} + {n_buckets} rows, got {vectors.shape}"
             )
-        _check_table_size(vectors.shape[1], n_buckets)
+        self._hold(tokens, vectors.shape[1], n_buckets, np.result_type(vectors, np.float64))
+        self.vectors[...] = vectors  # a copy: the caller keeps its array
+
+    @classmethod
+    def _zeros(cls, tokens: Sequence[str], dim: int, n_buckets: int) -> "EmbeddingTable":
+        """A table of zero rows, whose ``vectors`` a builder fills in place, so
+        that no copy of the rows is held beside the table's."""
+        table = cls.__new__(cls)
+        table._hold(tokens, dim, n_buckets, np.float64)
+        return table
+
+    def _hold(self, tokens: Sequence[str], dim: int, n_buckets: int, dtype) -> None:
+        _check_table_size(dim, n_buckets)
         self.tokens = tuple(tokens)
         # ``vectors`` leaves out a zero row past the last, which a ``take`` reads at row -1
-        self._padded = np.vstack([vectors, np.zeros((1, vectors.shape[1]))])
+        self._padded = np.zeros((len(self.tokens) + n_buckets + 1, dim), dtype)
         self.vectors = self._padded[:-1]
         self.n_buckets = n_buckets
         self._index = {t: i for i, t in enumerate(self.tokens)}
@@ -115,9 +127,9 @@ class EmbeddingTable:
         n_buckets: int = 64,
     ) -> "EmbeddingTable":
         """Seeded unit-gaussian table over ``tokens`` plus unknown buckets."""
-        rng = derive_rng(seed, "embedding-table")
-        vectors = rng.standard_normal((len(tokens) + n_buckets, dim))
-        return cls(tokens, vectors, n_buckets)
+        table = cls._zeros(tokens, dim, n_buckets)
+        derive_rng(seed, "embedding-table").standard_normal(out=table.vectors)
+        return table
 
     @classmethod
     def subword(
@@ -158,7 +170,8 @@ class EmbeddingTable:
         for row, rng in zip(vectors, derive_rngs(seed, "gram", gram_ids)):
             rng.standard_normal(out=row)
         n = len(tokens)
-        table = np.zeros((n + n_buckets, dim))
+        out = cls._zeros(tokens, dim, n_buckets)
+        table = out.vectors
         rows = table[:n]  # every step below writes in place, with the loop's operand order
         by_length: dict[int, list[int]] = {}
         for i, tok in enumerate(tokens):
@@ -179,7 +192,7 @@ class EmbeddingTable:
         rows *= np.sqrt(dim)
         rows /= norms[:, None]
         derive_rng(seed, "buckets").standard_normal(out=table[n:])
-        return cls(tokens, table, n_buckets)
+        return out
 
     def __reduce__(self):  # through the constructor, which pads the rows again
         return type(self), (self.tokens, self.vectors, self.n_buckets)

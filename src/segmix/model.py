@@ -12,10 +12,12 @@ predicts through a projected table: a corpus is laid out once as the
 table row at each window offset of every token (:func:`_window_rows`),
 each offset's block of weights is applied to the table once, and a
 token's logits are the bias plus one projected row per offset, summed a
-block of tokens at a time (:func:`_predict_ids`). Validation and sweep
-cells score through :func:`_score`, on a corpus laid out once by
-:func:`_test_side`. Everything is
-float64 numpy and deterministic under a seed. Training refuses malformed
+block of tokens at a time (:func:`_predict_ids`). :func:`predict_tagger`
+returns those ids in a read-only sequence that reads like a list of
+label lists, so the scorers of :mod:`segmix.evaluation` read ids, not
+label strings. Validation and sweep cells score through :func:`_score`,
+on a corpus laid out once by :func:`_test_side`. Everything is float64
+numpy and deterministic under a seed. Training refuses malformed
 examples by the rule augmented files are saved and loaded under
 (``mixer._shape_problem``); checkpoints and loss traces live in
 :mod:`segmix.serialization`.
@@ -25,13 +27,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .corpus import RECorpus, TaggedCorpus
-from .evaluation import _gold_side, _span_counts, _streams, re_scores
+from .evaluation import _Predicted, _gold_side, _span_counts, _streams, re_scores
 from .mixer import EmbeddingTable, MixedExample, MixedRESample, _blocks
 from .rng import derive_rng
 
@@ -366,8 +368,9 @@ def _window_rows(table: EmbeddingTable, corpus: TaggedCorpus, window: int) -> np
     """The corpus laid out for prediction: row k holds, for every token end
     to end, the table row of the token at offset ``k - window`` from it, or
     -1 where that offset falls outside its sentence. One table lookup."""
-    lengths = np.fromiter(map(len, corpus.sentences), np.int64, len(corpus.sentences))
-    rows = table.rows([t for s in corpus.sentences for t in s.tokens])
+    sentences = [s.tokens for s in corpus.sentences]
+    lengths = np.fromiter(map(len, sentences), np.int64, len(sentences))
+    rows = table.rows(list(chain.from_iterable(sentences)))
     n, first = len(rows), np.cumsum(lengths) - lengths
     out = np.full((2 * window + 1, n), -1, np.int64)
     for k, offset in enumerate(range(-window, window + 1)):
@@ -409,12 +412,13 @@ def _predict_ids(model: TaggerModel, table: EmbeddingTable, rows: np.ndarray) ->
 
 def predict_tagger(
     model: TaggerModel, table: EmbeddingTable, corpus: TaggedCorpus
-) -> list[list[str]]:
-    """Predicted label strings per sentence (argmax, no repair)."""
+) -> Sequence[list[str]]:
+    """Predicted labels per sentence (argmax, no repair), read like a list of
+    label lists and equal to one. It is a read-only sequence that holds the
+    label ids and builds a sentence's label strings only when it is read;
+    the scorers of :mod:`segmix.evaluation` read the ids."""
     ids = _predict_ids(model, table, _window_rows(table, corpus, model.window))
-    names = list(map(model.labels.__getitem__, ids.tolist()))
-    ends = np.cumsum([len(s.tokens) for s in corpus.sentences], dtype=np.int64).tolist()
-    return [names[end - len(s.tokens) : end] for end, s in zip(ends, corpus.sentences)]
+    return _Predicted(ids, np.cumsum([0, *(len(s.tokens) for s in corpus.sentences)]), model.labels)
 
 
 def _test_side(table: EmbeddingTable, corpus, window: int):

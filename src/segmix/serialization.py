@@ -93,7 +93,7 @@ def _sized(raw: bytes, shape, what: str) -> bytes:
     return raw
 
 
-def _from_f4(raw: bytes | bytearray, shape, what: str) -> np.ndarray:
+def _from_f4(raw: bytes | bytearray | memoryview, shape, what: str) -> np.ndarray:
     """A float32 view of ``shape`` on raw little-endian float32 bytes; writable on a bytearray."""
     return np.frombuffer(_sized(raw, shape, what), dtype="<f4").reshape(shape)
 
@@ -594,7 +594,7 @@ def load_checkpoint(path) -> tuple[object, EmbeddingTable, dict]:
         if header_len > os.fstat(fh.fileno()).st_size - fh.tell():  # read(n) allocates n bytes
             raise ValueError("checkpoint file is truncated")
         header = _checkpoint_header(fh.read(header_len))
-        payload = fh.read()
+        payload = memoryview(fh.read())  # sliced with no copy
     w_shape, t_shape = header["weights_shape"], header["table_shape"]
     split = 4 * math.prod(w_shape)
     weights = _from_f4(payload[:split], w_shape, "checkpoint weights payload")

@@ -1055,16 +1055,29 @@ def test_recover_names_line_1_of_a_corpus_given_as_augmented(tmp_path, ner_file,
                                        "line 1 is not a segmix-augmented header\n")
 
 
-def test_importing_the_cli_leaves_the_process_pool_unloaded():
-    # sweep --jobs > 1 imports it; any other command never pays for it
+def _in_a_fresh_interpreter(code: str) -> str:
+    """What ``code`` prints, run by a new interpreter that imports segmix from ``src``."""
     done = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, segmix.cli; print('concurrent.futures.process' in sys.modules)"],
+        [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
             str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]))},
         capture_output=True, text=True, timeout=60,
     )
-    assert done.stdout == "False\n", done.stderr
+    assert not done.returncode, done.stderr
+    return done.stdout
+
+
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    # sweep --jobs > 1 imports it; any other command never pays for it
+    code = "import sys, segmix.cli; print('concurrent.futures.process' in sys.modules)"
+    assert _in_a_fresh_interpreter(code) == "False\n"
+
+
+def test_importing_segmix_leaves_numpy_random_unloaded():
+    # numpy loads it on first use; only a call that draws numbers may pay for it
+    code = ("import sys, segmix; print('numpy.random' in sys.modules); "
+            "import segmix.cli; print('numpy.random' in sys.modules)")
+    assert _in_a_fresh_interpreter(code) == "False\nFalse\n"
 
 
 # ---------------------------------------------------------------- docs

@@ -1,6 +1,7 @@
 """Span scoring, relation accuracies, confusion matrices, recovery."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from segmix.corpus import Sentence, TaggedCorpus, _mentions, bio_spans, split_bio
 from segmix.evaluation import (
     PRF,
+    _Predicted,
     _confusion,
     _gold_side,
     _span_counts,
@@ -328,13 +330,21 @@ _MODEL_LABELS = _GOLD_LABELS + ("B-ORG", "I-ORG", "I-X")  # three the gold never
 @st.composite
 def _scored_streams(draw):
     lengths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=12))
-    gold = [draw(st.lists(st.sampled_from(_GOLD_LABELS), min_size=n, max_size=n))
-            for n in lengths]
-    labels = draw(st.permutations(_MODEL_LABELS))
-    ids = draw(st.lists(st.integers(0, len(labels) - 1), min_size=sum(lengths),
-                        max_size=sum(lengths)))
-    return TaggedCorpus.from_sentences(Sentence(("w",) * len(g), tuple(g)) for g in gold), \
-        tuple(labels), np.array(ids, np.int64), lengths
+    sentences = tuple(Sentence(("w",) * n, tuple(draw(st.lists(st.sampled_from(_GOLD_LABELS),
+                                                               min_size=n, max_size=n))))
+                      for n in lengths)
+    # a corpus's label vocabulary as given may list labels it never uses and leave out used ones
+    listed = draw(st.none() | st.lists(st.sampled_from(_MODEL_LABELS), unique=True))
+    gold = TaggedCorpus.from_sentences(sentences) if listed is None else \
+        TaggedCorpus(sentences, label_vocab=tuple(listed))
+    # model labels may repeat, and may hold one that is not BIO ("junk")
+    extra = draw(st.lists(st.sampled_from(_MODEL_LABELS + ("junk",)), max_size=3))
+    labels = draw(st.permutations(_MODEL_LABELS + tuple(extra)))
+    # the ids predicted: every label, or only some, so that some are never predicted
+    chosen = draw(st.none() | st.lists(st.integers(0, len(labels) - 1), min_size=1, unique=True))
+    ids = draw(st.lists(st.sampled_from(chosen) if chosen else st.integers(0, len(labels) - 1),
+                        min_size=sum(lengths), max_size=sum(lengths)))
+    return gold, tuple(labels), np.array(ids, np.int64), lengths
 
 
 @settings(max_examples=200, deadline=None)
@@ -343,20 +353,44 @@ def test_id_path_scores_equal_the_string_path(streams):
     gold, labels, ids, lengths = streams
     ends = np.cumsum(lengths)
     pred = [[labels[i] for i in ids[end - n : end]] for end, n in zip(ends, lengths)]
-    overall, spans, per_type = _string_span_counts(gold, pred)
+    # what predict_tagger returns: the same labels, held as ids into the model's labels
+    by_id = _Predicted(ids, np.append(0, ends), labels)
+    assert by_id == pred and pred == by_id and len(by_id) == len(pred)
+    try:
+        overall, spans, per_type = _string_span_counts(gold, pred)
+    except ValueError as exc:  # a predicted label that is not BIO: every path refuses it alike
+        for score in (entity_f1, span_only_f1, per_type_f1, tagging_report):
+            for predicted in (pred, by_id):
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    score(gold, predicted)
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            _span_counts(*_streams(_gold_side(gold), ids, labels))
+        return
 
-    assert entity_f1(gold, pred) == overall
-    assert span_only_f1(gold, pred) == spans
-    assert per_type_f1(gold, pred) == per_type
+    for predicted in (pred, by_id):
+        assert entity_f1(gold, predicted) == overall
+        assert span_only_f1(gold, predicted) == spans
+        assert per_type_f1(gold, predicted) == per_type
+        assert entity_f1([list(s.labels) for s in gold.sentences], predicted) == overall
     assert _span_counts(*_streams(_gold_side(gold), ids, labels))[0] == overall
-    assert entity_f1([list(s.labels) for s in gold.sentences], pred) == overall
 
     vocab = tuple(dict.fromkeys([*gold.label_vocab, *(p for row in pred for p in row)]))
-    report = tagging_report(gold, pred)
-    assert report.confusion_vocab == vocab
-    assert np.array_equal(report.confusion, _string_confusion(gold, pred, vocab))
-    assert report.summary["f1"] == overall.f1 and report.summary["span_f1"] == spans.f1
-    assert list(report.per_type) == list(per_type)
+    unlisted = [g for s in gold.sentences for g in s.labels if g not in vocab]
+    reports = []
+    for predicted in (pred, by_id):
+        if unlisted:  # a gold label neither listed nor predicted has no column
+            with pytest.raises(ValueError, match=f"label {unlisted[0]!r} not in vocabulary"):
+                tagging_report(gold, predicted)
+            continue
+        report = tagging_report(gold, predicted)
+        assert report.confusion_vocab == vocab
+        assert np.array_equal(report.confusion, _string_confusion(gold, pred, vocab))
+        assert report.summary["f1"] == overall.f1 and report.summary["span_f1"] == spans.f1
+        assert list(report.per_type) == list(per_type)
+        reports.append(report)
+    if reports:
+        assert reports[0].to_json() == reports[1].to_json()
+        assert reports[0].confusion.dtype == reports[1].confusion.dtype
 
 
 def test_scoring_refuses_the_first_label_that_is_not_bio_and_only_labels_it_reads():

@@ -448,6 +448,32 @@ def test_a_pickled_table_keeps_its_zero_row_behind_its_vectors():
     assert raw.count(table.vectors.tobytes()) == 1
 
 
+@pytest.mark.parametrize("build", ["random", "subword"])
+def test_building_a_table_holds_its_rows_once(build):
+    # a 10 MB table (20,000 buckets at dim 64): the builder draws into the table's own
+    # zero-padded array, so no second copy of the rows is held beside it
+    getattr(EmbeddingTable, build)(["ann"], dim=2, seed=0, n_buckets=1)  # numpy.random imported
+    tracemalloc.start()
+    try:
+        table = getattr(EmbeddingTable, build)(["ann", "bo"], dim=64, seed=0, n_buckets=20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * table.vectors.nbytes
+    assert np.shares_memory(table.vectors, table._padded) and not table._padded[-1].any()
+    if build == "random":
+        want = derive_rng(0, "embedding-table").standard_normal(table.vectors.shape)
+        assert np.array_equal(table.vectors, want)
+
+
+def test_a_table_copies_the_rows_it_is_given():
+    rows = np.ones((3, 2), np.float32)
+    table = EmbeddingTable(["a"], rows, 2)
+    rows[0] = 2.0
+    assert table.vectors.dtype == np.float64 and (table.vectors == 1.0).all()
+    assert not np.shares_memory(table.vectors, rows) and not table._padded[-1].any()
+
+
 def test_select_segment_synonym(hand_corpus):
     sent = hand_corpus.sentences[0]
     lex = SynonymLexicon({"is": ("was",)})

@@ -562,6 +562,29 @@ def test_blocked_predict_tagger_matches_per_sentence_predict(n_sentences, window
     assert predict_tagger(model, table, corpus) == want
 
 
+def test_a_prediction_is_read_only_and_an_edited_copy_is_scored_as_edited():
+    corpus, table = toy_tagging_setup()
+    model = TaggerModel.init(corpus.label_vocab, table.dim, window=1, seed=0, scale=1.0)
+    pred = predict_tagger(model, table, corpus)
+    as_lists = [list(row) for row in pred]
+    assert len(pred) == len(corpus) and pred[-1] == as_lists[-1] and pred[1:3] == as_lists[1:3]
+    assert pred == as_lists and as_lists == pred and not pred != as_lists
+    with pytest.raises(IndexError):
+        pred[len(corpus)]
+    with pytest.raises(TypeError):
+        pred[0] = list(corpus.sentences[0].labels)
+    row = pred[0]
+    row[0] = "I-X"  # a fresh list on every read: the prediction does not change
+    assert pred[0] == as_lists[0] != row
+
+    before = tagging_report(corpus, pred).summary
+    assert before == tagging_report(corpus, as_lists).summary and before["f1"] < 1.0
+    for row, sentence in zip(as_lists, corpus.sentences):
+        row[:] = sentence.labels
+    assert tagging_report(corpus, as_lists).summary["f1"] == 1.0
+    assert tagging_report(corpus, pred).summary == before
+
+
 def _tagger_case(lengths, window, seed):
     """A corpus of sentences of ``lengths`` over words two of which fall to
     hash buckets, its table, and a tagger over it with large weights."""

@@ -412,6 +412,22 @@ def test_load_checkpoint_refuses_a_header_length_past_the_end_before_reading_it(
         load_checkpoint(path)
 
 
+def test_load_checkpoint_holds_the_file_payload_once_beside_the_table(tmp_path):
+    # a 10 MB float64 table, 5 MB of float32 rows on disk: the payload is read once and
+    # sliced with no copy, then cast into the table's rows
+    path = tmp_path / "big.ckpt"
+    table = EmbeddingTable.random(["ann", "bo"], dim=64, seed=0, n_buckets=20_000)
+    save_checkpoint(path, TaggerModel.init(["O", "B-X"], 64, seed=0), table)
+    tracemalloc.start()
+    try:
+        _, loaded, _ = load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * loaded.vectors.nbytes
+    assert np.array_equal(loaded.vectors, table.vectors.astype(np.float32))
+
+
 # ---------------------------------------------------------------- provenance records
 
 @pytest.mark.parametrize("fields,why", [
